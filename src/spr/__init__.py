@@ -25,7 +25,6 @@ from .analysis import (
 from .ball_growing import (
     AssignmentEvent,
     GrowthParams,
-    GrowthState,
     RoundRecord,
     RunTrace,
     compute_base_mean,

@@ -136,7 +136,7 @@ def path_partition(
     prefix = [0.0]
     for x, y in zip(path, path[1:]):
         prefix.append(prefix[-1] + inst.graph.edge_weight(x, y))
-    nearest, _ = inst.nearest_terminal_all()
+    nearest = inst.nearest_terminal_distances()
     scale = params.c2 * params.delta / (5.0 * params.log_k(inst.k))
 
     cells: list[PathCell] = []
@@ -372,7 +372,7 @@ def detect_bad_events(
     """
     _check_trace(inst, trace)
     report = BadEventReport()
-    nearest, _ = inst.nearest_terminal_all()
+    nearest = inst.nearest_terminal_distances()
     log_k = params.log_k(inst.k)
 
     for event in trace.events:

@@ -32,7 +32,6 @@ from .partition import TerminalPartition, validate
 
 __all__ = [
     "GrowthParams",
-    "GrowthState",
     "RoundRecord",
     "AssignmentEvent",
     "RunTrace",
@@ -98,24 +97,6 @@ class GrowthParams:
         return 1.0 + self.delta / self.log_k(k)
 
 
-@dataclass
-class GrowthState:
-    """Mutable run state: radii, cell assignment, and the round clock."""
-
-    radii: list[float]
-    assignment: list[int]  # -1 while unassigned
-    unassigned: int
-    round_index: int = 0
-    mean: float = 0.0
-
-    def cells(self) -> list[list[int]]:
-        cells: list[list[int]] = [[] for _ in range(len(self.radii))]
-        for v, c in enumerate(self.assignment):
-            if c >= 0:
-                cells[c].append(v)
-        return cells
-
-
 @dataclass(frozen=True)
 class RoundRecord:
     index: int
@@ -173,36 +154,26 @@ class SubstreamSampler:
         return self._gen.random()
 
 
-class _SubstreamView:
-    """Adapter exposing one (round, terminal) substream as an rng."""
-
-    __slots__ = ("_sampler", "_round", "_terminal")
-
-    def __init__(self, sampler: SubstreamSampler, round_index: int, terminal: int):
-        self._sampler = sampler
-        self._round = round_index
-        self._terminal = terminal
-
-    def random(self) -> float:
-        return self._sampler.uniform(self._round, self._terminal)
-
-
 def sample_erv(rng, mean: float) -> float:
     """Exponential variate with the given mean: mean * (-ln U), U in (0, 1]."""
+    return _exponential(mean, rng.random())
+
+
+def _exponential(mean: float, u: float) -> float:
+    # u is uniform on [0, 1); 1 - u is in (0, 1], so the log is finite.
     if mean <= 0:
         raise ValueError("mean must be positive")
-    u = 1.0 - rng.random()
-    return -mean * math.log(u)
+    return -mean * math.log(1.0 - u)
 
 
-def _sample_bounded_uniform(rng, mean: float) -> float:
+def _bounded_uniform(mean: float, u: float) -> float:
     # Experimental alternative increment: uniform on [0, 2*mean].
-    return 2.0 * mean * rng.random()
+    return 2.0 * mean * u
 
 
 def compute_base_mean(inst: Instance, params: GrowthParams) -> float:
     """Base round mean: (delta / (100 log k)) times the smallest D_v."""
-    best, _ = inst.nearest_terminal_all()
+    best = inst.nearest_terminal_distances()
     candidates = [
         best[v] for v in range(inst.graph.vertex_count) if not inst.is_terminal(v)
     ]
@@ -220,37 +191,54 @@ def _default_round_cap(inst: Instance, base_mean: float, rate: float) -> int:
     return max(cap, 16)
 
 
-def _grow(adjacency, assignment, terminal, source, radius):
-    """Bounded Dijkstra inside the cell plus unassigned vertices.
+class _Frontier:
+    """One terminal's Dijkstra inside its cell plus the unassigned vertices.
 
-    Returns (new members in absorption order, lower bound on the distance of
-    the nearest vertex beyond the radius).  The bound stays valid as other
-    cells grow, because removing vertices only lengthens distances.
+    The heap and distance map persist for the whole run.  When a vertex is
+    absorbed, its shortest path to the terminal already lies inside the
+    cell; the region (cell plus unassigned) only shrinks as other cells
+    grow, so every pending entry stays exact while its vertex is
+    unassigned.  Entries for vertices another cell has claimed are skipped
+    on pop.  New vertices therefore come out in the order a fresh bounded
+    Dijkstra over the current region would absorb them.
     """
-    pop = heapq.heappop
-    push = heapq.heappush
-    dist = {source: 0.0}
-    heap = [(0.0, source)]
-    absorbed = []
-    frontier = math.inf
-    while heap:
-        d, u = pop(heap)
-        if d > dist[u]:
-            continue
-        if d > radius:
-            frontier = d
-            break
-        if assignment[u] == -1:
-            absorbed.append(u)
-            assignment[u] = terminal
-        for v, w in adjacency[u]:
-            if assignment[v] != -1 and assignment[v] != terminal:
+
+    __slots__ = ("terminal", "dist", "heap")
+
+    def __init__(self, terminal: int, source: int):
+        self.terminal = terminal
+        self.dist = {source: 0.0}
+        self.heap = [(0.0, source)]
+
+    def grow(self, adjacency, assignment, radius: float) -> list[int]:
+        """Absorb every unassigned vertex within ``radius``, in pop order.
+
+        Stops at the first entry beyond the radius and leaves it queued.
+        """
+        terminal = self.terminal
+        dist = self.dist
+        heap = self.heap
+        pop = heapq.heappop
+        push = heapq.heappush
+        absorbed = []
+        while heap and heap[0][0] <= radius:
+            d, u = pop(heap)
+            if d > dist[u]:
                 continue
-            nd = d + w
-            if nd < dist.get(v, math.inf):
-                dist[v] = nd
-                push(heap, (nd, v))
-    return absorbed, frontier
+            owner = assignment[u]
+            if owner == -1:
+                assignment[u] = terminal
+                absorbed.append(u)
+            elif owner != terminal:
+                continue
+            for v, w in adjacency[u]:
+                if assignment[v] != -1:
+                    continue
+                nd = d + w
+                if nd < dist.get(v, math.inf):
+                    dist[v] = nd
+                    push(heap, (nd, v))
+        return absorbed
 
 
 def run(inst: Instance, params: GrowthParams) -> tuple[TerminalPartition, RunTrace]:
@@ -263,12 +251,12 @@ def run(inst: Instance, params: GrowthParams) -> tuple[TerminalPartition, RunTra
     """
     sampler = SubstreamSampler(params.seed)
     if params.increment_distribution == "exponential":
-        draw = sample_erv
+        draw = _exponential
     else:
-        draw = _sample_bounded_uniform
+        draw = _bounded_uniform
 
     def next_increment(round_index: int, terminal: int, mean: float) -> float:
-        return draw(_SubstreamView(sampler, round_index, terminal), mean)
+        return draw(mean, sampler.uniform(round_index, terminal))
 
     return _run_loop(inst, params, next_increment)
 
@@ -289,17 +277,16 @@ def replay_trace(inst: Instance, trace: RunTrace) -> TerminalPartition:
 
 
 def _run_loop(inst, params, next_increment):
-    graph = inst.graph
-    n = graph.vertex_count
+    n = inst.graph.vertex_count
     k = inst.k
-    adjacency = graph.adjacency
+    adjacency = inst.graph.adjacency
 
     assignment = [-1] * n
     for j, t in enumerate(inst.terminals):
         assignment[t] = j
-    state = GrowthState(radii=[0.0] * k, assignment=assignment, unassigned=n - k)
+    unassigned = n - k
 
-    if state.unassigned == 0:
+    if unassigned == 0:
         trace = RunTrace(params, None, None, 0)
         return TerminalPartition(assignment), trace
 
@@ -310,42 +297,35 @@ def _run_loop(inst, params, next_increment):
         cap = _default_round_cap(inst, base_mean, rate)
 
     trace = RunTrace(params, base_mean, rate, cap)
-    radii = state.radii
-    frontier_bound = [0.0] * k
-    terminals = inst.terminals
-    state.mean = base_mean
+    radii = [0.0] * k
+    frontiers = [_Frontier(j, t) for j, t in enumerate(inst.terminals)]
+    round_index = 0
+    mean = base_mean
 
-    while state.unassigned > 0:
-        if state.round_index >= cap:
+    while unassigned > 0:
+        if round_index >= cap:
             raise RoundCapExceededError(
-                f"round cap {cap} reached with {state.unassigned} vertices unassigned"
+                f"round cap {cap} reached with {unassigned} vertices unassigned"
             )
-        mean = state.mean
         draws: list[tuple[int, float]] = []
         for j in range(k):
-            if state.unassigned == 0 and not params.complete_final_round:
+            if unassigned == 0 and not params.complete_final_round:
                 break
-            increment = next_increment(state.round_index, j, mean)
+            increment = next_increment(round_index, j, mean)
             draws.append((j, increment))
             radii[j] += increment
-            if state.unassigned == 0 or radii[j] < frontier_bound[j]:
+            if unassigned == 0:
                 continue
-            absorbed, frontier = _grow(
-                adjacency, state.assignment, j, terminals[j], radii[j]
-            )
-            frontier_bound[j] = frontier
-            if absorbed:
-                state.unassigned -= len(absorbed)
-                radius = radii[j]
-                for v in absorbed:
-                    trace.events.append(
-                        AssignmentEvent(v, j, state.round_index, mean, radius)
-                    )
-        trace.rounds.append(RoundRecord(state.round_index, mean, tuple(draws)))
-        state.round_index += 1
-        state.mean = mean * rate
+            radius = radii[j]
+            absorbed = frontiers[j].grow(adjacency, assignment, radius)
+            unassigned -= len(absorbed)
+            for v in absorbed:
+                trace.events.append(AssignmentEvent(v, j, round_index, mean, radius))
+        trace.rounds.append(RoundRecord(round_index, mean, tuple(draws)))
+        round_index += 1
+        mean *= rate
 
-    result = TerminalPartition(state.assignment)
+    result = TerminalPartition(assignment)
     violations = validate(inst, result)
     if violations:  # structurally impossible; guards future edits
         raise AssertionError(f"ball growing produced an invalid partition: {violations}")

@@ -23,6 +23,7 @@ from .errors import SprError
 from .partition import TerminalPartition, contract, distortion, oracle_optimal, validate
 from .preprocess import exact_minor, verify_exact
 from .tail_bounds import (
+    MIN_SAMPLES,
     ErlangQuery,
     GeometricSumQuery,
     erlang_cdf_lower,
@@ -61,13 +62,38 @@ def _params_from(args, seed: int) -> GrowthParams:
     )
 
 
+def _checked(kind, requirement: str, ok):
+    """argparse ``type=`` that parses with ``kind`` and range-checks with ``ok``.
+
+    A bad value makes argparse exit 2 with one error line naming the flag.
+    """
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+
+    return parse
+
+
+_SEED = _checked(int, "in [0, 2**64)", lambda x: 0 <= x < 2**64)
+_POSITIVE_INT = _checked(int, "a positive integer", lambda x: x >= 1)
+_POSITIVE_FLOAT = _checked(float, "positive and finite", lambda x: x > 0 and math.isfinite(x))
+_SAMPLES = _checked(int, f"at least {MIN_SAMPLES}", lambda x: x >= MIN_SAMPLES)
+_DEFAULTS = GrowthParams()
+
+
 def _add_param_flags(sub) -> None:
-    sub.add_argument("--seed", type=int, default=None, help="RNG seed (random if omitted)")
-    sub.add_argument("--delta", type=float, default=0.5, help="growth exponent delta")
-    sub.add_argument("--c1", type=float, default=5400.0, help="far-event constant")
-    sub.add_argument("--c2", type=float, default=1.0 / 27.0, help="early-event constant")
-    sub.add_argument("--c3", type=float, default=30.0, help="many-event constant")
-    sub.add_argument("--max-rounds", type=int, default=None, help="round safety cap")
+    sub.add_argument("--seed", type=_SEED, default=None, help="RNG seed (random if omitted)")
+    sub.add_argument("--delta", type=_POSITIVE_FLOAT, default=_DEFAULTS.delta, help="growth exponent delta")
+    sub.add_argument("--c1", type=_POSITIVE_FLOAT, default=_DEFAULTS.c1, help="far-event constant")
+    sub.add_argument("--c2", type=_POSITIVE_FLOAT, default=_DEFAULTS.c2, help="early-event constant")
+    sub.add_argument("--c3", type=_POSITIVE_FLOAT, default=_DEFAULTS.c3, help="many-event constant")
+    sub.add_argument("--max-rounds", type=_POSITIVE_INT, default=_DEFAULTS.max_rounds, help="round safety cap")
 
 
 def cmd_preprocess(args) -> int:
@@ -358,7 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="repeated runs with diagnostics")
     p.add_argument("--graph", required=True)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_POSITIVE_INT, default=100)
     _add_param_flags(p)
     p.add_argument("--csv", default=None, help="also write per-trial rows as CSV")
     p.add_argument("--no-preprocess", action="store_true")
@@ -366,8 +392,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tailcheck", help="certify the exponential tail bounds")
     p.add_argument("--suite", choices=["lemma4", "lemma5", "lemma6", "cdf"], required=True)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--samples", type=_SAMPLES, default=None)
+    p.add_argument("--seed", type=_SEED, default=None)
     p.set_defaults(handler=cmd_tailcheck)
 
     p = sub.add_parser("oracle", help="brute-force optimal partition (tiny graphs)")

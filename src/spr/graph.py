@@ -64,11 +64,15 @@ class WeightedGraph:
 
     Construct through :func:`build_graph`, which validates the invariants
     (positive finite weights, no self-loops, no duplicate edges, connected).
-    Query results are cached per source; the object is safe to share across
-    concurrent trials because nothing is mutated after the cache fills.
+    Two per-source caches back the queries.  Plain distance rows (one
+    float per vertex) serve :meth:`distance` and :meth:`eccentricity`;
+    canonical labels (hop counts and parents on top of the same row) are
+    built only for :meth:`shortest_path`, which needs a vertex sequence.  The
+    object is safe to share across concurrent trials because nothing is
+    mutated after the caches fill.
     """
 
-    __slots__ = ("vertex_count", "edges", "adjacency", "_weight_of", "_labels")
+    __slots__ = ("vertex_count", "edges", "adjacency", "_weight_of", "_rows", "_labels")
 
     def __init__(self, vertex_count: int, edges: Sequence[tuple[int, int, float]]):
         self.vertex_count = vertex_count
@@ -85,6 +89,7 @@ class WeightedGraph:
             lst.sort()
         self.adjacency = tuple(tuple(lst) for lst in adj)
         self._weight_of = weight_of
+        self._rows: dict[int, list[float]] = {}
         self._labels: dict[int, _SourceLabels] = {}
 
     # -- basic queries -------------------------------------------------
@@ -107,37 +112,59 @@ class WeightedGraph:
     def is_integer_weighted(self) -> bool:
         return all(w == int(w) for _, _, w in self.edges)
 
-    # -- canonical shortest paths ---------------------------------------
+    # -- plain distances and canonical shortest paths --------------------
 
-    def _single_source(self, s: int) -> _SourceLabels:
-        """Distances plus canonical parents for every target.
+    def _dijkstra(self, sources: Iterable[int]) -> list[float]:
+        """Plain Dijkstra: distance from the nearest of ``sources`` to every vertex.
 
-        Phase 1 is plain Dijkstra.  Phase 2 walks the shortest-path DAG in
-        distance order, minimizing hop count, then picks the parent whose
-        canonical sequence is lexicographically smallest.  Sequences are
-        never materialized: vertices on the same hop level are ranked by
-        (parent rank, vertex id), which orders equal-length sequences
-        exactly as direct lexicographic comparison would.
+        Float addition is monotone, so every entry is the minimum over all
+        paths of the left-to-right float sum, whichever source the path
+        starts at; the result is bit-identical to the elementwise minimum of
+        the single-source rows.
         """
-        cached = self._labels.get(s)
-        if cached is not None:
-            return cached
-        n = self.vertex_count
         adjacency = self.adjacency
-        inf = math.inf
-
-        dist = [inf] * n
-        dist[s] = 0.0
-        heap = [(0.0, s)]
+        dist = [math.inf] * self.vertex_count
+        heap = []
+        for s in sources:
+            dist[s] = 0.0
+            heap.append((0.0, s))
+        heapq.heapify(heap)
+        pop = heapq.heappop
+        push = heapq.heappush
         while heap:
-            d, u = heapq.heappop(heap)
+            d, u = pop(heap)
             if d > dist[u]:
                 continue
             for v, w in adjacency[u]:
                 nd = d + w
                 if nd < dist[v]:
                     dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
+                    push(heap, (nd, v))
+        return dist
+
+    def _distance_row(self, s: int) -> list[float]:
+        """Distances from s to every vertex; cached per source, never mutated."""
+        row = self._rows.get(s)
+        if row is None:
+            row = self._rows[s] = self._dijkstra((s,))
+        return row
+
+    def _single_source(self, s: int) -> _SourceLabels:
+        """Distances plus canonical parents for every target.
+
+        Phase 1 is the cached plain distance row.  Phase 2 walks the
+        shortest-path DAG in distance order, minimizing hop count, then picks
+        the parent whose canonical sequence is lexicographically smallest.
+        Sequences are never materialized: vertices on the same hop level are
+        ranked by (parent rank, vertex id), which orders equal-length
+        sequences exactly as direct lexicographic comparison would.
+        """
+        cached = self._labels.get(s)
+        if cached is not None:
+            return cached
+        n = self.vertex_count
+        adjacency = self.adjacency
+        dist = self._distance_row(s)
 
         order = sorted(range(n), key=lambda v: (dist[v], v))
         hop = [0] * n
@@ -186,7 +213,7 @@ class WeightedGraph:
         """Length of the shortest path between s and t."""
         self._check_vertex(s)
         self._check_vertex(t)
-        return self._single_source(s).dist[t]
+        return self._distance_row(s)[t]
 
     def shortest_path(self, s: int, t: int) -> ShortestPath:
         """Canonical shortest path from s to t.
@@ -206,7 +233,7 @@ class WeightedGraph:
         return ShortestPath(tuple(seq), labels.dist[t])
 
     def eccentricity(self, s: int) -> float:
-        return max(self._single_source(s).dist)
+        return max(self._distance_row(s))
 
     def restricted_ball(self, allowed: Iterable[int], center: int, radius: float) -> set[int]:
         """Vertices within ``radius`` of ``center`` in the induced subgraph.
@@ -294,7 +321,7 @@ class Instance:
     run.  Immutable; shares the graph's distance cache.
     """
 
-    __slots__ = ("graph", "terminals", "_terminal_index", "_nearest")
+    __slots__ = ("graph", "terminals", "_terminal_index", "_nearest", "_nearest_distances")
 
     def __init__(self, graph: WeightedGraph, terminals: Sequence[int]):
         terminals = tuple(terminals)
@@ -309,6 +336,7 @@ class Instance:
         self.terminals = terminals
         self._terminal_index = {t: j for j, t in enumerate(terminals)}
         self._nearest: tuple[list[float], list[int]] | None = None
+        self._nearest_distances: list[float] | None = None
 
     @property
     def k(self) -> int:
@@ -323,18 +351,30 @@ class Instance:
     def non_terminals(self) -> list[int]:
         return [v for v in range(self.graph.vertex_count) if v not in self._terminal_index]
 
+    def nearest_terminal_distances(self) -> list[float]:
+        """Per vertex: distance to the nearest terminal (0.0 at terminals).
+
+        One multi-source Dijkstra from all terminals; bit-identical to the
+        ``best`` list of :meth:`nearest_terminal_all`.  It names no terminal:
+        under float rounding the source a multi-source pass propagates is
+        not always the smallest index attaining the minimum.  Cached.
+        """
+        if self._nearest_distances is None:
+            self._nearest_distances = self.graph._dijkstra(self.terminals)
+        return self._nearest_distances
+
     def nearest_terminal_all(self) -> tuple[list[float], list[int]]:
         """Per vertex: distance to the nearest terminal and its index.
 
         Terminals map to (0.0, own index).  Ties go to the smaller terminal
-        index.  Cached.
+        index.  Computed from the k plain terminal distance rows.  Cached.
         """
         if self._nearest is None:
             n = self.graph.vertex_count
             best = [math.inf] * n
             who = [-1] * n
             for j, t in enumerate(self.terminals):
-                row = self.graph._single_source(t).dist
+                row = self.graph._distance_row(t)
                 for v in range(n):
                     if row[v] < best[v]:
                         best[v] = row[v]

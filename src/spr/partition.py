@@ -14,6 +14,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 from .errors import InvalidPartitionError, TooLargeError
 from .graph import Instance
@@ -111,15 +112,23 @@ class TerminalMinor:
 
 
 def validate(inst: Instance, partition: TerminalPartition) -> list[Violation]:
-    """Empty list when both partition invariants hold; violations otherwise."""
+    """Empty list when both partition invariants hold; violations otherwise.
+
+    One pass groups the vertices by cell; each cell is then searched from
+    its terminal inside its own members, O(n + m) in total.
+    """
     n = inst.graph.vertex_count
     k = inst.k
     assignment = partition.assignment
     violations: list[Violation] = []
     if len(assignment) != n:
         return [Violation(-1, f"assignment covers {len(assignment)} of {n} vertices")]
+    members: list[list[int]] = [[] for _ in range(k)]
     for v, c in enumerate(assignment):
-        if not 0 <= c < k:
+        # Cell ids are integers (numpy ones included), never bools or floats.
+        if (type(c) is int or isinstance(c, Integral) and not isinstance(c, bool)) and 0 <= c < k:
+            members[c].append(v)
+        else:
             violations.append(Violation(-1, f"vertex {v} assigned to invalid cell {c}"))
     if violations:
         return violations
@@ -129,20 +138,23 @@ def validate(inst: Instance, partition: TerminalPartition) -> list[Violation]:
                 Violation(j, f"terminal {t} assigned to cell {assignment[t]}, not {j}")
             )
     # Each cell must induce a connected subgraph containing its terminal.
+    adjacency = inst.graph.adjacency
+    reached = [False] * n
     for j, t in enumerate(inst.terminals):
         if assignment[t] != j:
             continue
-        members = {v for v, c in enumerate(assignment) if c == j}
-        seen = {t}
+        reached[t] = True
+        count = 1
         stack = [t]
         while stack:
             u = stack.pop()
-            for v, _ in inst.graph.adjacency[u]:
-                if v in members and v not in seen:
-                    seen.add(v)
+            for v, _ in adjacency[u]:
+                if not reached[v] and assignment[v] == j:
+                    reached[v] = True
+                    count += 1
                     stack.append(v)
-        if seen != members:
-            missing = sorted(members - seen)
+        if count != len(members[j]):
+            missing = [v for v in members[j] if not reached[v]]
             violations.append(
                 Violation(j, f"cell {j} disconnected: {missing} unreachable from terminal {t}")
             )

@@ -7,6 +7,7 @@ exhaustive simple-path enumeration.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 
@@ -35,6 +36,32 @@ def random_connected_instance(seed, n, k, wmax=10, extra_factor=1.0):
         edges.append((key[0], key[1], float(rng.randint(1, wmax))))
     terminals = rng.sample(range(n), k)
     return Instance(build_graph(n, edges), terminals)
+
+
+# Weights whose sums round: distance ties and tie-breaks are not exact.
+NON_DYADIC_WEIGHTS = (0.1, 0.2, 0.3, 1.0 / 3.0, 2.0 / 3.0, 0.7)
+
+
+def reweighted(inst, weights, seed):
+    """The same graph and terminals with each weight drawn from ``weights``."""
+    rng = random.Random(seed)
+    edges = [(u, v, rng.choice(weights)) for u, v, _ in inst.graph.edges]
+    return Instance(build_graph(inst.graph.vertex_count, edges), inst.terminals)
+
+
+def restricted_distances(g, allowed, center):
+    """Distances from ``center`` inside the subgraph induced by ``allowed``."""
+    dist = {center: 0.0}
+    heap = [(0.0, center)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for v, w in g.adjacency[u]:
+            if v in allowed and d + w < dist.get(v, math.inf):
+                dist[v] = d + w
+                heapq.heappush(heap, (d + w, v))
+    return dist
 
 
 def floyd_warshall(g):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -20,7 +21,12 @@ from spr import (
 from spr.ball_growing import SubstreamSampler
 from spr.errors import NoNonTerminalsError, RoundCapExceededError
 
-from conftest import random_connected_instance
+from conftest import (
+    NON_DYADIC_WEIGHTS,
+    random_connected_instance,
+    restricted_distances,
+    reweighted,
+)
 
 
 class FixedUniform:
@@ -214,46 +220,87 @@ class TestRun:
         part, _ = run(inst, params)
         assert validate(inst, part) == []
 
+    @staticmethod
+    def naive_events(inst, params):
+        """The loop spelled out with restricted_ball per step, no frontier state.
+
+        New vertices of a step are ordered by restricted distance, then id.
+        Returns the (vertex, terminal, round, radius) event sequence.
+        """
+        n = inst.graph.vertex_count
+        k = inst.k
+        cells = [{t} for t in inst.terminals]
+        unassigned = set(range(n)) - set(inst.terminals)
+        rate = params.growth_rate(k)
+        sampler = SubstreamSampler(params.seed)
+        radii = [0.0] * k
+        mean = compute_base_mean(inst, params)
+        level = 0
+        events = []
+        while unassigned:
+            for j in range(k):
+                if not unassigned:
+                    break
+                u = sampler.uniform(level, j)
+                radii[j] += -mean * math.log(1.0 - u)
+                allowed = unassigned | cells[j]
+                center = inst.terminals[j]
+                ball = inst.graph.restricted_ball(allowed, center, radii[j])
+                dist = restricted_distances(inst.graph, allowed, center)
+                for v in sorted(ball - cells[j], key=lambda v: (dist[v], v)):
+                    events.append((v, j, level, radii[j]))
+                cells[j] |= ball
+                unassigned -= ball
+            level += 1
+            mean *= rate
+        return events
+
+    CORPUS = [
+        # (instance seed, n, k, weights or None for the integer weights 1..10)
+        *((seed + 70, 25, 4, None) for seed in range(6)),
+        *((seed + 80, 30, 2 + seed, None) for seed in range(7)),
+        *((seed + 90, 30, 2 + seed, NON_DYADIC_WEIGHTS) for seed in range(7)),
+        (97, 40, 8, NON_DYADIC_WEIGHTS),
+        (98, 40, 8, (1.0, 2.0, 3.0)),  # many equal-distance ties
+    ]
+
     def test_matches_literal_loop(self):
-        # Reference implementation: the loop spelled out with restricted_ball
-        # per step and no frontier shortcuts.
-        def naive_run(inst, params):
-            n = inst.graph.vertex_count
-            k = inst.k
+        for inst_seed, n, k, weights in self.CORPUS:
+            inst = random_connected_instance(inst_seed, n=n, k=k)
+            if weights is not None:
+                inst = reweighted(inst, weights, inst_seed)
+            params = GrowthParams(seed=inst_seed % 7)
+            part, trace = run(inst, params)
+            expected = self.naive_events(inst, params)
+            got = [(e.vertex, e.terminal, e.round_index, e.radius) for e in trace.events]
+            assert got == expected, (inst_seed, n, k, weights)
             assignment = [-1] * n
-            cells = [{t} for t in inst.terminals]
             for j, t in enumerate(inst.terminals):
                 assignment[t] = j
-            unassigned = set(range(n)) - set(inst.terminals)
-            base = compute_base_mean(inst, params)
-            rate = params.growth_rate(k)
-            sampler = SubstreamSampler(params.seed)
-            radii = [0.0] * k
-            mean = base
-            level = 0
-            while unassigned:
-                for j in range(k):
-                    if not unassigned:
-                        break
-                    u = sampler.uniform(level, j)
-                    radii[j] += -mean * math.log(1.0 - u)
-                    allowed = unassigned | cells[j]
-                    ball = inst.graph.restricted_ball(
-                        allowed, inst.terminals[j], radii[j]
-                    )
-                    for v in sorted(ball - cells[j]):
-                        assignment[v] = j
-                    cells[j] |= ball
-                    unassigned -= ball
-                level += 1
-                mean *= rate
-            return tuple(assignment)
+            for v, j, _, _ in expected:
+                assignment[v] = j
+            assert part.assignment == tuple(assignment)
+            assert replay_trace(inst, trace).assignment == part.assignment
 
-        for seed in range(6):
-            inst = random_connected_instance(seed + 70, n=25, k=4)
-            params = GrowthParams(seed=seed)
-            part, _ = run(inst, params)
-            assert part.assignment == naive_run(inst, params)
+    # sha256 of the partition and trace JSON as the non-incremental growth
+    # loop (a fresh bounded Dijkstra per expansion) produced them.
+    GOLDEN = [
+        (101, 30, 3, 5, "81ca41e9380613380191f8c69b0a20d2af8fd9418bb748d5ba7bfaae3bafa8f6"),
+        (202, 40, 5, 17, "fd820cc883411923cb9e63e303cc6ea7237c8bb577cb429ec0e2ae2fe0079201"),
+        (303, 25, 8, 2**64 - 1, "954cafac24cd857ef729ff17f9e3bca44352af06cc4b8620653b18b07791cd7a"),
+    ]
+
+    @pytest.mark.parametrize(
+        "inst_seed, n, k, seed, digest", GOLDEN, ids=[f"instance{g[0]}" for g in GOLDEN]
+    )
+    def test_golden_digest(self, inst_seed, n, k, seed, digest):
+        inst = random_connected_instance(inst_seed, n=n, k=k)
+        part, trace = run(inst, GrowthParams(seed=seed))
+        blob = json.dumps(
+            {"assignment": list(part.assignment), "trace": trace_to_dict(trace)},
+            sort_keys=True,
+        )
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 
 class TestParams:

@@ -4,8 +4,8 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from spr import format_graph_text, parse_graph_text
-from spr.cli import main
+from spr import GrowthParams, format_graph_text, parse_graph_text
+from spr.cli import _build_parser, main
 
 from conftest import random_connected_instance
 
@@ -119,6 +119,14 @@ class TestEval:
         pairs = {(p["i"], p["j"]): p["ratio"] for p in payload["pairs"]}
         assert pairs[(1, 2)] == 2.0
 
+    def test_float_cell_id_exits_one(self, star_file, tmp_path):
+        part = tmp_path / "part.json"
+        part.write_text(json.dumps({"assignment": [0, 1, 2, 0.0]}))
+        code, _, err = invoke(["eval", star_file, str(part)])
+        assert code == 1
+        assert "invalid partition" in err
+        assert "Traceback" not in err
+
     def test_invalid_partition_exits_one(self, star_file, tmp_path):
         part = tmp_path / "part.json"
         part.write_text(json.dumps({"assignment": [0, 0, 2, 0]}))
@@ -225,3 +233,43 @@ class TestUsage:
         code, out, _ = invoke(["run", "--seed", "2", str(path)])
         assert code == 0
         assert json.loads(out)["distortion"] >= 1.0
+
+
+class TestFlagRanges:
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("run", "--seed", "-1"),
+            ("run", "--seed", str(2**64)),
+            ("run", "--delta", "0"),
+            ("run", "--delta", "nan"),
+            ("run", "--c1", "-5"),
+            ("run", "--max-rounds", "0"),
+            ("experiment", "--trials", "0"),
+            ("tailcheck", "--samples", "10"),
+        ],
+    )
+    def test_out_of_range_exits_two(self, star_file, command, flag, value):
+        rest = {
+            "run": [star_file],
+            "experiment": ["--graph", star_file],
+            "tailcheck": ["--suite", "lemma4"],
+        }[command]
+        code, out, err = invoke([command, flag, value, *rest])
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert f"argument {flag}:" in errors[0]
+
+    def test_defaults_come_from_growth_params(self, star_file):
+        args = _build_parser().parse_args(["run", star_file])
+        defaults = GrowthParams()
+        assert (args.delta, args.c1, args.c2, args.c3, args.max_rounds) == (
+            defaults.delta,
+            defaults.c1,
+            defaults.c2,
+            defaults.c3,
+            defaults.max_rounds,
+        )

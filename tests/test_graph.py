@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spr import Instance, build_graph
@@ -16,7 +16,12 @@ from spr.errors import (
     SelfLoopError,
 )
 
-from conftest import brute_canonical, floyd_warshall, random_connected_instance
+from conftest import (
+    NON_DYADIC_WEIGHTS,
+    brute_canonical,
+    floyd_warshall,
+    random_connected_instance,
+)
 
 
 class TestBuildGraph:
@@ -188,3 +193,64 @@ class TestInstance:
             dists = [inst.graph.distance(t, v) for t in inst.terminals]
             assert best[v] == min(dists)
             assert who[v] == dists.index(min(dists))
+
+
+HUGE_WEIGHTS = (1e16, 3e16, 0.5, 1.0, 2.0, 3.0)  # 1e16 + 1.0 rounds to 1e16
+
+
+@st.composite
+def float_weighted_instances(draw):
+    """Small connected graphs whose distance sums round: (n, edges, terminals)."""
+    weights = st.sampled_from(draw(st.sampled_from([NON_DYADIC_WEIGHTS, HUGE_WEIGHTS])))
+    n = draw(st.integers(min_value=3, max_value=9))
+    edges = {}
+    for v in range(1, n):
+        edges[(draw(st.integers(min_value=0, max_value=v - 1)), v)] = draw(weights)
+    for _ in range(draw(st.integers(min_value=0, max_value=n))):
+        u, v = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+        edges[(u, v)] = draw(weights)
+    k = draw(st.integers(min_value=2, max_value=min(4, n - 1)))
+    terminals = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
+    return n, sorted((u, v, w) for (u, v), w in edges.items()), terminals
+
+
+class TestNearestTerminalFloatWeights:
+    """``best`` is the bitwise minimum of the terminal rows; ``who`` the first
+    index attaining it.  A multi-source pass gets ``best`` right on any
+    weights but, under rounding, can label a vertex with a later terminal;
+    the two pinned examples are such cases."""
+
+    @given(float_weighted_instances())
+    @example(
+        (
+            9,
+            [
+                (0, 1, 0.1), (0, 2, 0.7), (1, 2, 0.1), (1, 7, 2.0 / 3.0), (1, 8, 0.7),
+                (2, 3, 2.0 / 3.0), (2, 4, 0.2), (2, 6, 0.3), (2, 7, 0.3), (4, 5, 0.7),
+                (4, 8, 0.3), (5, 7, 0.7),
+            ],
+            [1, 8],
+        )
+    )
+    @example(
+        (
+            7,
+            [
+                (0, 1, 0.5), (0, 2, 3e16), (0, 4, 0.5), (1, 3, 3.0), (3, 4, 0.5),
+                (4, 5, 1e16), (4, 6, 3.0),
+            ],
+            [2, 3, 6, 4],
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_terminal_rows_bit_for_bit(self, instance):
+        n, edges, terminals = instance
+        inst = Instance(build_graph(n, edges), terminals)
+        best, who = inst.nearest_terminal_all()
+        multi_source = inst.nearest_terminal_distances()
+        for v in range(n):
+            dists = [inst.graph.distance(t, v) for t in terminals]
+            low = min(dists)
+            assert best[v].hex() == low.hex()
+            assert multi_source[v].hex() == low.hex()
+            assert who[v] == dists.index(low)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from spr import (
@@ -35,6 +36,45 @@ class TestValidate:
 
     def test_wrong_length(self, path3):
         assert validate(path3, TerminalPartition([0, 1]))
+
+    def test_disconnected_cell_lists_missing_vertices_sorted(self):
+        # path 0-1-2-3-4 with terminals 0 and 2; cell 0 = {0, 3, 4}
+        inst = Instance(build_graph(5, [(i, i + 1, 1.0) for i in range(4)]), [0, 2])
+        violations = validate(inst, TerminalPartition([0, 1, 1, 0, 0]))
+        assert [(v.cell, v.reason) for v in violations] == [
+            (0, "cell 0 disconnected: [3, 4] unreachable from terminal 0")
+        ]
+
+    def test_non_integer_cell_ids_rejected(self, path3):
+        for bad in (0.0, True, "0", None):
+            violations = validate(path3, TerminalPartition([0, bad, 1]))
+            assert [v.cell for v in violations] == [-1]
+        assert validate(path3, TerminalPartition(np.array([0, 0, 1]))) == []
+
+    def test_agrees_with_per_cell_search(self):
+        # Reference: the per-cell member-set search, O(n k).
+        def reference(inst, assignment):
+            bad = set()
+            for j, t in enumerate(inst.terminals):
+                members = {v for v, c in enumerate(assignment) if c == j}
+                seen, stack = {t}, [t]
+                while stack:
+                    u = stack.pop()
+                    for v, _ in inst.graph.adjacency[u]:
+                        if v in members and v not in seen:
+                            seen.add(v)
+                            stack.append(v)
+                if assignment[t] != j or seen != members:
+                    bad.add(j)
+            return bad
+
+        rng = random.Random(5)
+        for seed in range(20):
+            inst = random_connected_instance(seed, n=15, k=3)
+            for _ in range(10):
+                assignment = [rng.randrange(3) for _ in range(15)]
+                got = {v.cell for v in validate(inst, TerminalPartition(assignment))}
+                assert got == reference(inst, assignment)
 
 
 class TestContract:
