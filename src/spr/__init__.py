@@ -33,16 +33,7 @@ from .ball_growing import (
     sample_erv,
     trace_to_dict,
 )
-from .graph import (
-    Instance,
-    ShortestPath,
-    WeightedGraph,
-    build_graph,
-    distance,
-    nearest_terminal_distance,
-    restricted_ball,
-    shortest_path,
-)
+from .graph import Instance, ShortestPath, WeightedGraph, build_graph
 from .partition import (
     DistortionResult,
     OracleResult,

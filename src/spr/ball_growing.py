@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoNonTerminalsError, RoundCapExceededError
+from .errors import GraphError, NoNonTerminalsError, RoundCapExceededError
 from .graph import Instance
 from .partition import TerminalPartition, validate
 
@@ -54,9 +54,7 @@ class GrowthParams:
     constants c1 = 5400, c2 = 1/27, c3 = 30.  ``log_base`` controls every
     ``log k`` in the derived quantities (natural log by default).  A
     ``max_rounds`` of None means the safety cap is derived from the
-    instance.  ``increment_distribution`` is "exponential" by default;
-    "bounded-uniform" (uniform on [0, 2*mean]) is experimental and excluded
-    from the certified checks.
+    instance.
     """
 
     delta: float = 0.5
@@ -66,8 +64,6 @@ class GrowthParams:
     c3: float = 30.0
     max_rounds: int | None = None
     seed: int = 0
-    complete_final_round: bool = False
-    increment_distribution: str = "exponential"
 
     def __post_init__(self):
         if self.delta <= 0:
@@ -85,10 +81,6 @@ class GrowthParams:
             raise ValueError("max_rounds must be positive")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        if self.increment_distribution not in ("exponential", "bounded-uniform"):
-            raise ValueError(
-                f"unknown increment distribution {self.increment_distribution!r}"
-            )
 
     def log_k(self, k: int) -> float:
         return math.log(k) / math.log(self.log_base)
@@ -166,11 +158,6 @@ def _exponential(mean: float, u: float) -> float:
     return -mean * math.log(1.0 - u)
 
 
-def _bounded_uniform(mean: float, u: float) -> float:
-    # Experimental alternative increment: uniform on [0, 2*mean].
-    return 2.0 * mean * u
-
-
 def compute_base_mean(inst: Instance, params: GrowthParams) -> float:
     """Base round mean: (delta / (100 log k)) times the smallest D_v."""
     best = inst.nearest_terminal_distances()
@@ -179,7 +166,11 @@ def compute_base_mean(inst: Instance, params: GrowthParams) -> float:
     ]
     if not candidates:
         raise NoNonTerminalsError("every vertex is a terminal")
-    return params.delta / (100.0 * params.log_k(inst.k)) * min(candidates)
+    d_min = min(candidates)
+    base_mean = params.delta / (100.0 * params.log_k(inst.k)) * d_min
+    if base_mean == 0.0:
+        raise GraphError(f"base mean underflows to 0 at smallest D_v {d_min!r}")
+    return base_mean
 
 
 def _default_round_cap(inst: Instance, base_mean: float, rate: float) -> int:
@@ -187,7 +178,13 @@ def _default_round_cap(inst: Instance, base_mean: float, rate: float) -> int:
     # eccentricity of the first terminal.
     reach = 2.0 * inst.graph.eccentricity(inst.terminals[0])
     n = inst.graph.vertex_count
-    cap = 10 * math.ceil(math.log(n * reach / base_mean) / math.log(rate))
+    ratio = n * reach / base_mean
+    if not math.isfinite(ratio):
+        raise GraphError(
+            f"edge weights span too wide a range: distance {reach!r} over "
+            f"base mean {base_mean!r} overflows the round cap"
+        )
+    cap = 10 * math.ceil(math.log(ratio) / math.log(rate))
     return max(cap, 16)
 
 
@@ -245,18 +242,12 @@ def run(inst: Instance, params: GrowthParams) -> tuple[TerminalPartition, RunTra
     """Grow balls until every vertex is assigned; return partition and trace.
 
     Deterministic in (inst, params.seed).  When coverage completes in the
-    middle of a round, the remaining terminals of that round are skipped
-    unless ``params.complete_final_round`` is set, in which case their draws
-    are still taken and recorded (they cannot absorb anything).
+    middle of a round, the remaining terminals of that round draw nothing.
     """
     sampler = SubstreamSampler(params.seed)
-    if params.increment_distribution == "exponential":
-        draw = _exponential
-    else:
-        draw = _bounded_uniform
 
     def next_increment(round_index: int, terminal: int, mean: float) -> float:
-        return draw(mean, sampler.uniform(round_index, terminal))
+        return _exponential(mean, sampler.uniform(round_index, terminal))
 
     return _run_loop(inst, params, next_increment)
 
@@ -309,13 +300,11 @@ def _run_loop(inst, params, next_increment):
             )
         draws: list[tuple[int, float]] = []
         for j in range(k):
-            if unassigned == 0 and not params.complete_final_round:
+            if unassigned == 0:
                 break
             increment = next_increment(round_index, j, mean)
             draws.append((j, increment))
             radii[j] += increment
-            if unassigned == 0:
-                continue
             radius = radii[j]
             absorbed = frontiers[j].grow(adjacency, assignment, radius)
             unassigned -= len(absorbed)
@@ -345,8 +334,9 @@ def trace_to_dict(trace: RunTrace) -> dict:
             "c3": params.c3,
             "max_rounds": params.max_rounds,
             "seed": params.seed,
-            "complete_final_round": params.complete_final_round,
-            "increment_distribution": params.increment_distribution,
+            # Schema-v1 keys of removed options, fixed so trace bytes stay identical.
+            "complete_final_round": False,
+            "increment_distribution": "exponential",
         },
         "base_mean": trace.base_mean,
         "growth_rate": trace.growth_rate,

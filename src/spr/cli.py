@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .analysis import run_experiment
 from .ball_growing import GrowthParams, run, trace_to_dict
-from .errors import SprError
+from .errors import InvalidPartitionError, SprError
 from .partition import TerminalPartition, contract, distortion, oracle_optimal, validate
 from .preprocess import exact_minor, verify_exact
 from .tail_bounds import (
@@ -153,6 +153,10 @@ def cmd_run(args) -> int:
 def cmd_eval(args) -> int:
     inst = load_instance(args.graph)
     payload = json.loads(Path(args.partition).read_text())
+    if not (isinstance(payload, dict) and isinstance(payload.get("assignment"), list)):
+        raise InvalidPartitionError(
+            f"{args.partition}: expected a JSON object with an 'assignment' array"
+        )
     part = TerminalPartition(payload["assignment"])
     violations = validate(inst, part)
     if violations:

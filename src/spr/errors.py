@@ -33,14 +33,6 @@ class GraphFormatError(GraphError):
     """A graph text file does not follow the expected format."""
 
 
-class CenterNotAllowedError(GraphError):
-    """Ball center lies outside the allowed vertex set."""
-
-
-class IsTerminalError(GraphError):
-    """A terminal was passed where a non-terminal is required."""
-
-
 class InvalidPartitionError(SprError):
     """A vertex-to-terminal assignment violates the partition invariants."""
 

@@ -8,7 +8,9 @@ between its endpoints.  Directed queries matter: ``shortest_path(s, t)``
 is canonical for the direction s -> t.
 
 Weights are 64-bit floats.  Integer-valued weights make every distance an
-exact integer sum, which the exactness tests rely on.
+exact integer sum, which the exactness tests rely on.  Graphs whose weights
+sum past the float range are rejected, and a canonical path query raises
+where a weight is lost to rounding beside a much longer distance.
 """
 
 from __future__ import annotations
@@ -19,25 +21,14 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import (
-    CenterNotAllowedError,
     DisconnectedError,
     DuplicateEdgeError,
     GraphError,
-    IsTerminalError,
     NonPositiveWeightError,
     SelfLoopError,
 )
 
-__all__ = [
-    "WeightedGraph",
-    "Instance",
-    "ShortestPath",
-    "build_graph",
-    "shortest_path",
-    "distance",
-    "restricted_ball",
-    "nearest_terminal_distance",
-]
+__all__ = ["WeightedGraph", "Instance", "ShortestPath", "build_graph"]
 
 
 @dataclass(frozen=True)
@@ -94,16 +85,9 @@ class WeightedGraph:
 
     # -- basic queries -------------------------------------------------
 
-    def neighbors(self, v: int) -> tuple[tuple[int, float], ...]:
-        return self.adjacency[v]
-
     def edge_weight(self, u: int, v: int) -> float:
         key = (u, v) if u < v else (v, u)
         return self._weight_of[key]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        key = (u, v) if u < v else (v, u)
-        return key in self._weight_of
 
     @property
     def edge_count(self) -> int:
@@ -175,6 +159,11 @@ class WeightedGraph:
             best = None
             for u, w in adjacency[v]:
                 if dist[u] + w == dv:
+                    if dist[u] == dv:
+                        raise GraphError(
+                            f"edge ({u}, {v}) of weight {w!r} is lost to rounding "
+                            f"at distance {dv!r} from vertex {s}"
+                        )
                     h = hop[u] + 1
                     if best is None or h < best:
                         best = h
@@ -235,36 +224,6 @@ class WeightedGraph:
     def eccentricity(self, s: int) -> float:
         return max(self._distance_row(s))
 
-    def restricted_ball(self, allowed: Iterable[int], center: int, radius: float) -> set[int]:
-        """Vertices within ``radius`` of ``center`` in the induced subgraph.
-
-        Distances are measured inside the subgraph induced by ``allowed``;
-        paths may not leave that set.
-        """
-        allowed_set = allowed if isinstance(allowed, (set, frozenset)) else set(allowed)
-        if center not in allowed_set:
-            raise CenterNotAllowedError(f"center {center} is not in the allowed set")
-        if radius < 0:
-            raise GraphError("radius must be nonnegative")
-        dist = {center: 0.0}
-        heap = [(0.0, center)]
-        ball = set()
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u]:
-                continue
-            if d > radius:
-                break
-            ball.add(u)
-            for v, w in self.adjacency[u]:
-                if v not in allowed_set:
-                    continue
-                nd = d + w
-                if nd < dist.get(v, math.inf):
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        return ball
-
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.vertex_count:
             raise GraphError(f"vertex {v} out of range [0, {self.vertex_count})")
@@ -273,8 +232,9 @@ class WeightedGraph:
 def build_graph(vertex_count: int, edge_list: Sequence[tuple[int, int, float]]) -> WeightedGraph:
     """Validate and build a connected weighted graph.
 
-    Raises on nonpositive/non-finite weights, self-loops, duplicate edges,
-    and disconnected inputs.  Adjacency lists come out sorted by neighbor id.
+    Raises on nonpositive/non-finite weights, a non-finite weight total,
+    self-loops, duplicate edges, and disconnected inputs.  Adjacency lists
+    come out sorted by neighbor id.
     """
     if vertex_count < 1:
         raise GraphError("vertex count must be positive")
@@ -292,6 +252,9 @@ def build_graph(vertex_count: int, edge_list: Sequence[tuple[int, int, float]]) 
         if key in seen:
             raise DuplicateEdgeError(f"duplicate edge {key}")
         seen.add(key)
+    total = sum(w for _, _, w in edge_list)
+    if not math.isfinite(total):
+        raise GraphError(f"edge weights sum to {total!r}; path lengths would overflow")
     graph = WeightedGraph(vertex_count, edge_list)
     _check_connected(graph)
     return graph
@@ -321,7 +284,7 @@ class Instance:
     run.  Immutable; shares the graph's distance cache.
     """
 
-    __slots__ = ("graph", "terminals", "_terminal_index", "_nearest", "_nearest_distances")
+    __slots__ = ("graph", "terminals", "_terminal_set", "_nearest_distances")
 
     def __init__(self, graph: WeightedGraph, terminals: Sequence[int]):
         terminals = tuple(terminals)
@@ -334,8 +297,7 @@ class Instance:
                 raise GraphError(f"terminal {t} out of range")
         self.graph = graph
         self.terminals = terminals
-        self._terminal_index = {t: j for j, t in enumerate(terminals)}
-        self._nearest: tuple[list[float], list[int]] | None = None
+        self._terminal_set = frozenset(terminals)
         self._nearest_distances: list[float] | None = None
 
     @property
@@ -343,71 +305,19 @@ class Instance:
         return len(self.terminals)
 
     def is_terminal(self, v: int) -> bool:
-        return v in self._terminal_index
-
-    def terminal_index(self, v: int) -> int:
-        return self._terminal_index[v]
+        return v in self._terminal_set
 
     def non_terminals(self) -> list[int]:
-        return [v for v in range(self.graph.vertex_count) if v not in self._terminal_index]
+        return [v for v in range(self.graph.vertex_count) if v not in self._terminal_set]
 
     def nearest_terminal_distances(self) -> list[float]:
         """Per vertex: distance to the nearest terminal (0.0 at terminals).
 
         One multi-source Dijkstra from all terminals; bit-identical to the
-        ``best`` list of :meth:`nearest_terminal_all`.  It names no terminal:
+        elementwise minimum of the k terminal rows.  It names no terminal:
         under float rounding the source a multi-source pass propagates is
         not always the smallest index attaining the minimum.  Cached.
         """
         if self._nearest_distances is None:
             self._nearest_distances = self.graph._dijkstra(self.terminals)
         return self._nearest_distances
-
-    def nearest_terminal_all(self) -> tuple[list[float], list[int]]:
-        """Per vertex: distance to the nearest terminal and its index.
-
-        Terminals map to (0.0, own index).  Ties go to the smaller terminal
-        index.  Computed from the k plain terminal distance rows.  Cached.
-        """
-        if self._nearest is None:
-            n = self.graph.vertex_count
-            best = [math.inf] * n
-            who = [-1] * n
-            for j, t in enumerate(self.terminals):
-                row = self.graph._distance_row(t)
-                for v in range(n):
-                    if row[v] < best[v]:
-                        best[v] = row[v]
-                        who[v] = j
-            for j, t in enumerate(self.terminals):
-                best[t] = 0.0
-                who[t] = j
-            self._nearest = (best, who)
-        return self._nearest
-
-    def nearest_terminal_distance(self, v: int) -> tuple[int, float]:
-        """(terminal index, distance) for a non-terminal vertex."""
-        self.graph._check_vertex(v)
-        if self.is_terminal(v):
-            raise IsTerminalError(f"vertex {v} is a terminal")
-        best, who = self.nearest_terminal_all()
-        return who[v], best[v]
-
-
-# Module-level forms of the core operations, for callers that prefer
-# functions over methods.
-
-def shortest_path(g: WeightedGraph, s: int, t: int) -> ShortestPath:
-    return g.shortest_path(s, t)
-
-
-def distance(g: WeightedGraph, s: int, t: int) -> float:
-    return g.distance(s, t)
-
-
-def restricted_ball(g: WeightedGraph, allowed: Iterable[int], center: int, radius: float) -> set[int]:
-    return g.restricted_ball(allowed, center, radius)
-
-
-def nearest_terminal_distance(inst: Instance, v: int) -> tuple[int, float]:
-    return inst.nearest_terminal_distance(v)

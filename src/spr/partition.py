@@ -10,7 +10,6 @@ distance to source distance over all terminal pairs.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -44,9 +43,6 @@ class TerminalPartition:
     def __init__(self, assignment):
         object.__setattr__(self, "assignment", tuple(assignment))
 
-    def cell(self, j: int) -> list[int]:
-        return [v for v, c in enumerate(self.assignment) if c == j]
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -64,29 +60,6 @@ class TerminalMinor:
     @property
     def k(self) -> int:
         return len(self.terminals)
-
-    def distance(self, i: int, j: int) -> float:
-        """Shortest-path distance between terminal indices in the minor."""
-        if i == j:
-            return 0.0
-        adj: dict[int, list[tuple[int, float]]] = {x: [] for x in range(self.k)}
-        for a, b, w in self.edges:
-            adj[a].append((b, w))
-            adj[b].append((a, w))
-        dist = {i: 0.0}
-        heap = [(0.0, i)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist.get(u, math.inf):
-                continue
-            if u == j:
-                return d
-            for v, w in adj[u]:
-                nd = d + w
-                if nd < dist.get(v, math.inf):
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        return math.inf
 
     def all_distances(self) -> dict[tuple[int, int], float]:
         dist = [[math.inf] * self.k for _ in range(self.k)]

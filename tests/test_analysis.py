@@ -311,7 +311,7 @@ class TestBuildDetourPath:
         cells = path_partition(star3, 1, 2, params)
         log = track_reaches(star3, trace, 1, 2, cells)
         walk = build_detour_path(star3, 1, 2, log)
-        assert walk.length >= minor.distance(1, 2)
+        assert walk.length >= minor.all_distances()[(1, 2)]
 
 
 class TestDetectBadEvents:

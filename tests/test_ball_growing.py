@@ -19,7 +19,7 @@ from spr import (
     validate,
 )
 from spr.ball_growing import SubstreamSampler
-from spr.errors import NoNonTerminalsError, RoundCapExceededError
+from spr.errors import GraphError, NoNonTerminalsError, RoundCapExceededError
 
 from conftest import (
     NON_DYADIC_WEIGHTS,
@@ -117,7 +117,7 @@ class TestRun:
             assert validate(path3, part) == []
             assert part.assignment[1] in (0, 1)
             minor = contract(path3, part)
-            assert minor.distance(0, 1) == 2.0
+            assert minor.all_distances()[(0, 1)] == 2.0
             assert distortion(path3, minor).max_ratio == 1.0
 
     def test_deterministic_trace_serialization(self, star3):
@@ -186,14 +186,6 @@ class TestRun:
             part, trace = run(inst, GrowthParams(seed=seed))
             assert replay_trace(inst, trace).assignment == part.assignment
 
-    def test_complete_final_round_changes_draws_not_partition(self):
-        inst = random_connected_instance(12, n=30, k=5)
-        early_exit, trace_a = run(inst, GrowthParams(seed=4))
-        completed, trace_b = run(inst, GrowthParams(seed=4, complete_final_round=True))
-        assert early_exit.assignment == completed.assignment
-        assert len(trace_b.rounds[-1].draws) == inst.k
-        assert len(trace_a.rounds[-1].draws) <= len(trace_b.rounds[-1].draws)
-
     def test_round_cap_exceeded(self):
         inst = random_connected_instance(1, n=30, k=3)
         with pytest.raises(RoundCapExceededError):
@@ -214,15 +206,22 @@ class TestRun:
             )
             assert trace.total_rounds <= cap
 
-    def test_bounded_uniform_variant_still_valid(self):
-        inst = random_connected_instance(3, n=25, k=4)
-        params = GrowthParams(seed=5, increment_distribution="bounded-uniform")
-        part, _ = run(inst, params)
-        assert validate(inst, part) == []
+    def test_round_cap_overflow_raises(self):
+        # Eccentricity 1e307 over a base mean of ~0.002 overflows the cap's log.
+        edges = [(0, 3, 1e307), (1, 3, 0.5), (2, 3, 0.5)]
+        inst = Instance(build_graph(4, edges), [0, 1, 2])
+        with pytest.raises(GraphError, match="overflows the round cap"):
+            run(inst, GrowthParams(seed=0))
+
+    def test_underflowing_base_mean_raises(self):
+        inst = Instance(build_graph(3, [(0, 1, 5e-324), (1, 2, 1.0)]), [0, 2])
+        for params in (GrowthParams(), GrowthParams(max_rounds=5)):
+            with pytest.raises(GraphError, match="base mean underflows"):
+                run(inst, params)
 
     @staticmethod
     def naive_events(inst, params):
-        """The loop spelled out with restricted_ball per step, no frontier state.
+        """The loop spelled out with a restricted Dijkstra per step, no frontier state.
 
         New vertices of a step are ordered by restricted distance, then id.
         Returns the (vertex, terminal, round, radius) event sequence.
@@ -245,8 +244,8 @@ class TestRun:
                 radii[j] += -mean * math.log(1.0 - u)
                 allowed = unassigned | cells[j]
                 center = inst.terminals[j]
-                ball = inst.graph.restricted_ball(allowed, center, radii[j])
                 dist = restricted_distances(inst.graph, allowed, center)
+                ball = {v for v, d in dist.items() if d <= radii[j]}
                 for v in sorted(ball - cells[j], key=lambda v: (dist[v], v)):
                     events.append((v, j, level, radii[j]))
                 cells[j] |= ball
@@ -315,8 +314,6 @@ class TestParams:
             GrowthParams(log_base=1.0)
         with pytest.raises(ValueError):
             GrowthParams(seed=-1)
-        with pytest.raises(ValueError):
-            GrowthParams(increment_distribution="pareto")
 
     def test_growth_rate(self):
         params = GrowthParams()

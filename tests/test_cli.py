@@ -1,8 +1,12 @@
 import io
 import json
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spr import GrowthParams, format_graph_text, parse_graph_text
 from spr.cli import _build_parser, main
@@ -134,6 +138,41 @@ class TestEval:
         assert code == 1
         assert "invalid partition" in err
 
+    @pytest.mark.parametrize(
+        "payload", [[0, 1, 2, 0], {"assignment": 5}, {"assignment": None}, {"cells": [0]}]
+    )
+    def test_payload_shape_exits_one(self, star_file, tmp_path, payload):
+        part = tmp_path / "part.json"
+        part.write_text(json.dumps(payload))
+        code, out, err = invoke(["eval", star_file, str(part)])
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            f"error: {part}: expected a JSON object with an 'assignment' array"
+        ]
+
+    json_values = st.recursive(
+        st.none() | st.booleans() | st.integers(-3, 5) | st.floats() | st.text(max_size=3),
+        lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        max_leaves=12,
+    )
+
+    @given(
+        st.one_of(
+            json_values,
+            st.fixed_dictionaries({"assignment": json_values}),
+            st.fixed_dictionaries({"assignment": st.lists(st.integers(-1, 3) | json_values, max_size=6)}),
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_fuzzed_payload_never_crashes(self, payload):
+        with tempfile.TemporaryDirectory() as tmp:
+            graph, part = Path(tmp) / "star.txt", Path(tmp) / "part.json"
+            graph.write_text(STAR)
+            part.write_text(json.dumps(payload))
+            code, _, err = invoke(["eval", str(graph), str(part)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+
 
 class TestOracle:
     def test_star(self, star_file):
@@ -233,6 +272,33 @@ class TestUsage:
         code, out, _ = invoke(["run", "--seed", "2", str(path)])
         assert code == 0
         assert json.loads(out)["distortion"] >= 1.0
+
+
+class TestExtremeWeights:
+    INPUTS = {
+        "overflowing-pair": "3 2 2\n0 2\n0 1 1e308\n1 2 1e308\n",
+        "1e307-path": "3 2 2\n0 2\n0 1 1e307\n1 2 0.5\n",
+    }
+
+    @pytest.mark.parametrize("mode", [[], ["--no-preprocess"]], ids=["preprocess", "raw"])
+    @pytest.mark.parametrize("name", sorted(INPUTS))
+    def test_exits_one_with_one_error_line(self, tmp_path, name, mode):
+        path = tmp_path / "g.txt"
+        path.write_text(self.INPUTS[name])
+        code, out, err = invoke(["run", "--seed", "0", *mode, str(path)])
+        assert (code, out) == (1, "")
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+
+    def test_swallowed_weight_in_preprocessing(self, tmp_path):
+        # 1e16 + 0.5 rounds to 1e16: the canonical path 0 -> 1 is undefined.
+        path = tmp_path / "g.txt"
+        path.write_text("3 2 2\n0 1\n0 2 1e16\n1 2 0.5\n")
+        code, out, err = invoke(["run", "--seed", "0", str(path)])
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "error: edge (2, 1) of weight 0.5 is lost to rounding at distance 1e+16 from vertex 0"
+        ]
 
 
 class TestFlagRanges:
