@@ -13,10 +13,12 @@ from .analysis import (
     Reach,
     ReachLog,
     TerminalDetour,
+    TraceIndex,
     build_detour_path,
     detect_bad_events,
     distortion_bound,
     distortion_bound_coefficient,
+    index_trace,
     merge_detours,
     path_partition,
     run_experiment,

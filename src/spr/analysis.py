@@ -5,10 +5,15 @@ a greedy sweep: a cell starts at the first uncovered interior vertex and
 extends as far as the anchor's length budget allows.  Replaying a run trace
 then records, per cell, which terminals "reach" it: an assignment batch that
 hits still-active cell vertices deactivates the whole index range between
-its first and last hit and emits a detour through the absorbing terminal.
-Chaining the deactivating detours end-to-end (and merging consecutive ones
-through the same terminal) yields a witness walk whose length bounds the
-contracted distance of the pair from above.
+its first and last hit, and its detour bypasses that range through the
+absorbing terminal.  Chaining the deactivating detours end-to-end (and
+merging consecutive ones through the same terminal) yields a witness walk
+whose length bounds the contracted distance of the pair from above.
+
+A trial's trace is validated and indexed by vertex once (:func:`index_trace`);
+each pair then visits only the batches that assign its interior vertices.
+Detours are built only for the chain a witness walk uses, from the
+terminals' canonical labels.
 
 Also here: the bad-event detectors over traces (assigned to a far terminal;
 assigned too early relative to the vertex's terminal distance; too many
@@ -19,7 +24,9 @@ from __future__ import annotations
 
 import math
 import statistics
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 
 from .ball_growing import GrowthParams, RunTrace, run
 from .errors import IncompleteCellsError, TraceMismatchError
@@ -33,7 +40,9 @@ __all__ = [
     "ReachLog",
     "DetourPath",
     "BadEventReport",
+    "TraceIndex",
     "path_partition",
+    "index_trace",
     "track_reaches",
     "merge_detours",
     "build_detour_path",
@@ -71,7 +80,8 @@ class TerminalDetour:
     """Replacement walk for indices [q_min, q_max]: into the terminal and back.
 
     The walk is inbound (v_{q_min} -> t), outbound (t -> v_{q_max}), then the
-    path edge to v_{q_max + 1}.
+    path edge to v_{q_max + 1}.  :func:`build_detour_path` takes the inbound
+    leg as the canonical t -> v_{q_min} path reversed.
     """
 
     q_min: int
@@ -97,7 +107,6 @@ class Reach:
     terminal: int
     q_min: int
     q_max: int
-    detour: TerminalDetour
 
 
 @dataclass
@@ -117,6 +126,21 @@ class DetourPath:
     detours: tuple[TerminalDetour, ...]
 
 
+@dataclass(frozen=True)
+class TraceIndex:
+    """One trial's trace, validated and keyed by vertex.
+
+    A batch is one (round, terminal) run of consecutive assignment events.
+    Batch h < k stands for terminal h itself, which counts as assigned
+    before the first round; the trace's batches follow from k on, in run
+    order.  ``batch_of[v]`` is the batch that assigns v (-1 if none does)
+    and ``batch_terminal[b]`` the terminal index batch b absorbs into.
+    """
+
+    batch_of: list[int]
+    batch_terminal: list[int]
+
+
 def path_partition(
     inst: Instance, i: int, j: int, params: GrowthParams
 ) -> list[PathCell]:
@@ -129,7 +153,7 @@ def path_partition(
     """
     if i == j:
         raise ValueError("a path partition needs two distinct terminals")
-    path = inst.graph.shortest_path(inst.terminals[i], inst.terminals[j]).vertices
+    path = inst.terminal_path(i, j)
     last = len(path) - 1
     if last < 2:
         return []
@@ -178,85 +202,70 @@ def _check_trace(inst: Instance, trace: RunTrace) -> None:
         seen.add(event.vertex)
 
 
-def _make_detour(
-    inst: Instance, path: tuple[int, ...], q_min: int, q_max: int, terminal: int
-) -> TerminalDetour:
-    t = inst.terminals[terminal]
-    return TerminalDetour(
-        q_min=q_min,
-        q_max=q_max,
-        terminal=terminal,
-        inbound=inst.graph.shortest_path(path[q_min], t),
-        outbound=inst.graph.shortest_path(t, path[q_max]),
-        exit_vertex=path[q_max + 1],
-        exit_weight=inst.graph.edge_weight(path[q_max], path[q_max + 1]),
-    )
+def index_trace(inst: Instance, trace: RunTrace) -> TraceIndex:
+    """Validate a trace against the instance and index its batches by vertex."""
+    _check_trace(inst, trace)
+    batch_of = [-1] * inst.graph.vertex_count
+    for h, t in enumerate(inst.terminals):
+        batch_of[t] = h
+    batch_terminal = list(range(inst.k))
+    key = None
+    for event in trace.events:
+        if (event.round_index, event.terminal) != key:
+            key = (event.round_index, event.terminal)
+            batch_terminal.append(event.terminal)
+        batch_of[event.vertex] = len(batch_terminal) - 1
+    return TraceIndex(batch_of, batch_terminal)
 
 
 def track_reaches(
-    inst: Instance, trace: RunTrace, i: int, j: int, cells: list[PathCell]
+    inst: Instance, index: TraceIndex, i: int, j: int, cells: list[PathCell]
 ) -> ReachLog:
-    """Replay the trace against one pair's cells and log every reach.
+    """Replay a trial's batches against one pair's cells and log every reach.
 
-    Events are processed in run order, batched per (round, terminal) ball
-    expansion.  Interior vertices that are themselves terminals count as
-    assigned before the first round, so they trigger their own singleton
-    reaches up front.  A batch touching only inactive vertices of a cell is
-    not a reach.
+    Batches are processed in run order, after one batch per interior vertex
+    that is itself a terminal, so those trigger their own singleton reaches
+    up front.  A batch touching only inactive vertices of a cell is not a
+    reach.  Only batches that assign an interior vertex can reach a cell, so
+    the interior indices are grouped by batch and nothing else is visited.
     """
-    _check_trace(inst, trace)
-    path = inst.graph.shortest_path(inst.terminals[i], inst.terminals[j]).vertices
+    path = inst.terminal_path(i, j)
     last = len(path) - 1
     log = ReachLog((i, j), path, cells, [[] for _ in cells], {}, True)
     if last < 2:
         return log
 
-    index_of = {path[q]: q for q in range(1, last)}
-    active = [False] + [True] * (last - 1)
-    cell_at = {}
+    cell_at = [-1] * last
     for ci, cell in enumerate(cells):
         for q in range(cell.start, cell.end + 1):
             cell_at[q] = ci
-
-    counter = 0
-
-    def process(terminal: int, vertices: list[int]) -> None:
-        nonlocal counter
-        by_cell: dict[int, list[int]] = {}
-        for v in vertices:
-            q = index_of.get(v)
-            if q is not None and active[q]:
-                ci = cell_at.get(q)
-                if ci is not None:
-                    by_cell.setdefault(ci, []).append(q)
-        for ci in sorted(by_cell):
-            qs = by_cell[ci]
-            q_min, q_max = min(qs), max(qs)
-            reach = Reach(
-                counter, terminal, q_min, q_max, _make_detour(inst, path, q_min, q_max, terminal)
-            )
-            counter += 1
+    batch_of = index.batch_of
+    hits = sorted(
+        (batch_of[path[q]], q)
+        for q in range(1, last)
+        if cell_at[q] >= 0 and batch_of[path[q]] >= 0
+    )
+    active = [False] + [True] * (last - 1)
+    order = 0
+    for batch, group in groupby(hits, key=lambda hit: hit[0]):
+        spans: dict[int, list[int]] = {}  # cell -> [first, last] active hit
+        for _, q in group:
+            if active[q]:
+                span = spans.get(cell_at[q])
+                if span is None:
+                    spans[cell_at[q]] = [q, q]
+                else:
+                    span[1] = q
+        terminal = index.batch_terminal[batch]
+        for ci in sorted(spans):
+            q_min, q_max = spans[ci]
+            reach = Reach(order, terminal, q_min, q_max)
+            order += 1
             log.reaches[ci].append(reach)
             for q in range(q_min, q_max + 1):
                 if active[q]:
                     active[q] = False
                     log.cover[q] = reach
-
-    for h, t in enumerate(inst.terminals):
-        if t in index_of:
-            process(h, [t])
-
-    batch: list[int] = []
-    batch_key: tuple[int, int] | None = None
-    for event in trace.events:
-        key = (event.round_index, event.terminal)
-        if key != batch_key and batch:
-            process(batch_key[1], batch)
-            batch = []
-        batch_key = key
-        batch.append(event.vertex)
-    if batch:
-        process(batch_key[1], batch)
 
     log.fully_deactivated = not any(active[1:last])
     return log
@@ -290,6 +299,22 @@ def merge_detours(detours: list[TerminalDetour]) -> list[TerminalDetour]:
     return merged
 
 
+def _make_detour(inst: Instance, path: tuple[int, ...], reach: Reach) -> TerminalDetour:
+    """The reach's detour, both legs read from the terminal's canonical labels."""
+    graph = inst.graph
+    t = inst.terminals[reach.terminal]
+    back = graph.shortest_path(t, path[reach.q_min])
+    return TerminalDetour(
+        q_min=reach.q_min,
+        q_max=reach.q_max,
+        terminal=reach.terminal,
+        inbound=ShortestPath(back.vertices[::-1], back.length),
+        outbound=graph.shortest_path(t, path[reach.q_max]),
+        exit_vertex=path[reach.q_max + 1],
+        exit_weight=graph.edge_weight(path[reach.q_max], path[reach.q_max + 1]),
+    )
+
+
 def build_detour_path(inst: Instance, i: int, j: int, log: ReachLog) -> DetourPath:
     """Concatenate deactivating detours into a terminal-to-terminal walk.
 
@@ -297,7 +322,8 @@ def build_detour_path(inst: Instance, i: int, j: int, log: ReachLog) -> DetourPa
     current index, which always resumes exactly where the previous detour
     stopped; cells abut, so the chain spans the whole interior.  The walk
     starts with the first path edge and is generally not simple.  Its length
-    is an upper bound on the contracted distance of the pair.
+    is an upper bound on the contracted distance of the pair.  Detours are
+    built only for the reaches on this chain, each rooted at its terminal.
     """
     path = log.path
     last = len(path) - 1
@@ -312,13 +338,12 @@ def build_detour_path(inst: Instance, i: int, j: int, log: ReachLog) -> DetourPa
         pos = cell.start
         while pos <= cell.end:
             reach = log.cover[pos]
-            detour = reach.detour
-            if detour.q_min != pos:
+            if reach.q_min != pos:
                 raise AssertionError(
                     "deactivation chain broke; cover ranges must tile each cell"
                 )
-            chain.append(detour)
-            pos = detour.q_max + 1
+            chain.append(_make_detour(inst, path, reach))
+            pos = reach.q_max + 1
 
     detours = tuple(merge_detours(chain))
     vertices = [path[0]]
@@ -346,18 +371,16 @@ class BadEventReport:
         }
 
 
-def _round_of(trace: RunTrace, z: float) -> int:
+def _round_of(means: list[float], rate: float, z: float) -> int:
     """Index of the first round whose mean reaches z (the Round-z convention).
 
-    Computed from the recorded base mean by the same repeated multiplication
-    the run used, and extended past the end of the trace if needed.
+    ``means`` starts at the run's base mean and holds the round means in
+    order, as the run's repeated multiplication by ``rate`` produced them.
+    It is extended in place, past the end of the trace if z needs it.
     """
-    mean = trace.base_mean
-    index = 0
-    while mean < z:
-        mean *= trace.growth_rate
-        index += 1
-    return index
+    while means[-1] < z:
+        means.append(means[-1] * rate)
+    return bisect_left(means, z)
 
 
 def detect_bad_events(
@@ -370,10 +393,11 @@ def detect_bad_events(
     reaches c2 * D_v * delta / log k.
     many: a path cell reached by at least c3 * log k distinct terminals.
     """
-    _check_trace(inst, trace)
+    index = index_trace(inst, trace)
     report = BadEventReport()
     nearest = inst.nearest_terminal_distances()
     log_k = params.log_k(inst.k)
+    means = [trace.base_mean]
 
     for event in trace.events:
         dv = nearest[event.vertex]
@@ -382,14 +406,14 @@ def detect_bad_events(
         if dist >= far_threshold:
             report.far_events.append((event.vertex, event.terminal, dist, far_threshold))
         z = params.c2 * dv * params.delta / log_k
-        if event.round_index <= _round_of(trace, z):
+        if event.round_index <= _round_of(means, trace.growth_rate, z):
             report.early_events.append((event.vertex, event.round_mean, z))
 
     many_threshold = params.c3 * log_k
     for i in range(inst.k):
         for j in range(i + 1, inst.k):
             cells = path_partition(inst, i, j, params)
-            log = track_reaches(inst, trace, i, j, cells)
+            log = track_reaches(inst, index, i, j, cells)
             report.reach_logs[(i, j)] = log
             for ci, cell in enumerate(cells):
                 distinct = len({reach.terminal for reach in log.reaches[ci]})

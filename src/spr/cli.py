@@ -152,7 +152,11 @@ def cmd_run(args) -> int:
 
 def cmd_eval(args) -> int:
     inst = load_instance(args.graph)
-    payload = json.loads(Path(args.partition).read_text())
+    text = Path(args.partition).read_text()
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise InvalidPartitionError(f"{args.partition}: JSON nested too deeply") from None
     if not (isinstance(payload, dict) and isinstance(payload.get("assignment"), list)):
         raise InvalidPartitionError(
             f"{args.partition}: expected a JSON object with an 'assignment' array"
@@ -418,7 +422,7 @@ def main(argv=None) -> int:
     except SprError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

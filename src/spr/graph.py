@@ -284,7 +284,7 @@ class Instance:
     run.  Immutable; shares the graph's distance cache.
     """
 
-    __slots__ = ("graph", "terminals", "_terminal_set", "_nearest_distances")
+    __slots__ = ("graph", "terminals", "_terminal_set", "_nearest_distances", "_terminal_paths")
 
     def __init__(self, graph: WeightedGraph, terminals: Sequence[int]):
         terminals = tuple(terminals)
@@ -299,6 +299,7 @@ class Instance:
         self.terminals = terminals
         self._terminal_set = frozenset(terminals)
         self._nearest_distances: list[float] | None = None
+        self._terminal_paths: dict[tuple[int, int], tuple[int, ...]] = {}
 
     @property
     def k(self) -> int:
@@ -309,6 +310,18 @@ class Instance:
 
     def non_terminals(self) -> list[int]:
         return [v for v in range(self.graph.vertex_count) if v not in self._terminal_set]
+
+    def terminal_path(self, i: int, j: int) -> tuple[int, ...]:
+        """Vertex sequence of the canonical path from terminal i to terminal j.
+
+        Cached per ordered pair: the bad-event analysis reads each pair's
+        path for its cells and again for every trial's reaches.
+        """
+        path = self._terminal_paths.get((i, j))
+        if path is None:
+            path = self.graph.shortest_path(self.terminals[i], self.terminals[j]).vertices
+            self._terminal_paths[(i, j)] = path
+        return path
 
     def nearest_terminal_distances(self) -> list[float]:
         """Per vertex: distance to the nearest terminal (0.0 at terminals).

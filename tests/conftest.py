@@ -64,6 +64,80 @@ def restricted_distances(g, allowed, center):
     return dist
 
 
+def replay_reaches(inst, trace, i, j, cells):
+    """Literal per-event reach replay: every batch is matched against the path.
+
+    Interior terminals come first, one batch each in terminal order; then
+    the trace's (round, terminal) runs of consecutive events in run order.
+    Returns (reaches, cover, fully_deactivated): ``reaches[ci]`` lists cell
+    ci's reaches as (order, terminal, q_min, q_max) and ``cover`` maps each
+    deactivated interior index to the reach that deactivated it.
+    """
+    path = inst.graph.shortest_path(inst.terminals[i], inst.terminals[j]).vertices
+    last = len(path) - 1
+    reaches = [[] for _ in cells]
+    cover = {}
+    index_of = {path[q]: q for q in range(1, last)}
+    active = [False] + [True] * max(last - 1, 0)
+    cell_at = {q: ci for ci, cell in enumerate(cells) for q in range(cell.start, cell.end + 1)}
+    counter = 0
+
+    def process(terminal, vertices):
+        nonlocal counter
+        by_cell = {}
+        for v in vertices:
+            q = index_of.get(v)
+            if q is not None and active[q] and q in cell_at:
+                by_cell.setdefault(cell_at[q], []).append(q)
+        for ci in sorted(by_cell):
+            reach = (counter, terminal, min(by_cell[ci]), max(by_cell[ci]))
+            counter += 1
+            reaches[ci].append(reach)
+            for q in range(reach[2], reach[3] + 1):
+                if active[q]:
+                    active[q] = False
+                    cover[q] = reach
+
+    for h, t in enumerate(inst.terminals):
+        if t in index_of:
+            process(h, [t])
+    batch, key = [], None
+    for event in trace.events:
+        if (event.round_index, event.terminal) != key and batch:
+            process(key[1], batch)
+            batch = []
+        key = (event.round_index, event.terminal)
+        batch.append(event.vertex)
+    if batch:
+        process(key[1], batch)
+    return reaches, cover, not any(active[1:last])
+
+
+def eager_walk_length(inst, path, cells, cover):
+    """Detour walk length with each inbound leg labelled from its path vertex.
+
+    Chains the covering reaches cell by cell, fuses abutting ones through
+    the same terminal, and sums the legs in the order the walk takes them.
+    """
+    chain = []
+    for cell in cells:
+        pos = cell.start
+        while pos <= cell.end:
+            _, terminal, q_min, q_max = cover[pos]
+            if chain and chain[-1][0] == terminal and chain[-1][2] + 1 == q_min:
+                chain[-1][2] = q_max
+            else:
+                chain.append([terminal, q_min, q_max])
+            pos = q_max + 1
+    g = inst.graph
+    total = g.edge_weight(path[0], path[1])
+    for terminal, q_min, q_max in chain:
+        t = inst.terminals[terminal]
+        legs = g.shortest_path(path[q_min], t).length + g.shortest_path(t, path[q_max]).length
+        total += legs + g.edge_weight(path[q_max], path[q_max + 1])
+    return total
+
+
 def floyd_warshall(g):
     """All-pairs distances by a different algorithm than the library's."""
     n = g.vertex_count

@@ -21,6 +21,7 @@ from spr import (
     distortion_bound_coefficient,
     erlang_cdf_lower,
     exact_minor,
+    index_trace,
     lemma4_bound_loose,
     lemma5_bound,
     lemma6_check,
@@ -250,10 +251,11 @@ def test_criterion_9_detour_dominance():
             runs += 1
             minor = contract(inst, part)
             minor_dist = minor.all_distances()
+            trace_index = index_trace(inst, trace)
             for i in range(inst.k):
                 for j in range(i + 1, inst.k):
                     cells = path_partition(inst, i, j, params)
-                    log = track_reaches(inst, trace, i, j, cells)
+                    log = track_reaches(inst, trace_index, i, j, cells)
                     if not log.fully_deactivated:
                         failures.append(f"run {runs}: pair ({i},{j}) incomplete")
                         continue

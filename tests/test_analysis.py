@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,15 +17,24 @@ from spr import (
     distortion_bound,
     distortion_bound_coefficient,
     exact_minor,
+    index_trace,
     merge_detours,
     path_partition,
     run,
     track_reaches,
 )
+from spr import analysis
+from spr.analysis import _round_of
 from spr.ball_growing import AssignmentEvent, RunTrace
 from spr.errors import IncompleteCellsError, TraceMismatchError
 
-from conftest import random_connected_instance
+from conftest import (
+    NON_DYADIC_WEIGHTS,
+    eager_walk_length,
+    random_connected_instance,
+    replay_reaches,
+    reweighted,
+)
 
 PARAMS = GrowthParams(seed=0)
 
@@ -120,7 +130,7 @@ class TestTrackReaches:
                 AssignmentEvent(3, 0, 0, 0.001, 501.0),
             ],
         )
-        log = track_reaches(inst, trace, 0, 1, cells)
+        log = track_reaches(inst, index_trace(inst, trace), 0, 1, cells)
         assert log.fully_deactivated
         (reaches,) = log.reaches
         assert len(reaches) == 1
@@ -137,7 +147,7 @@ class TestTrackReaches:
                 AssignmentEvent(2, 0, 2, 0.003, 502.0),
             ],
         )
-        log = track_reaches(inst, trace, 0, 1, cells)
+        log = track_reaches(inst, index_trace(inst, trace), 0, 1, cells)
         (reaches,) = log.reaches
         assert [(r.terminal, r.q_min, r.q_max) for r in reaches] == [
             (0, 1, 1),
@@ -159,7 +169,7 @@ class TestTrackReaches:
                 AssignmentEvent(2, 1, 1, 0.002, 501.0),
             ],
         )
-        log = track_reaches(inst, trace, 0, 1, cells)
+        log = track_reaches(inst, index_trace(inst, trace), 0, 1, cells)
         (reaches,) = log.reaches
         assert len(reaches) == 1
         assert (reaches[0].q_min, reaches[0].q_max) == (1, 3)
@@ -177,16 +187,38 @@ class TestTrackReaches:
                 AssignmentEvent(3, 1, 0, 0.001, 1.2),
             ],
         )
-        log = track_reaches(inst, trace, 0, 1, cells)
+        log = track_reaches(inst, index_trace(inst, trace), 0, 1, cells)
         assert log.fully_deactivated
         middle = [r for rs in log.reaches for r in rs if r.q_min == 2]
         assert middle and middle[0].terminal == 2  # the interior terminal itself
         assert middle[0].order == 0  # before any trace event
 
+    def test_matches_literal_replay(self):
+        pairs = interior_terminal_pairs = 0
+        for inst, trace, params in oracle_cases():
+            index = index_trace(inst, trace)
+            for i in range(inst.k):
+                for j in range(i + 1, inst.k):
+                    cells = path_partition(inst, i, j, params)
+                    log = track_reaches(inst, index, i, j, cells)
+                    reaches, cover, complete = replay_reaches(inst, trace, i, j, cells)
+                    as_tuples = [
+                        [(r.order, r.terminal, r.q_min, r.q_max) for r in cell]
+                        for cell in log.reaches
+                    ]
+                    assert as_tuples == reaches
+                    assert {
+                        q: (r.order, r.terminal, r.q_min, r.q_max) for q, r in log.cover.items()
+                    } == cover
+                    assert log.fully_deactivated == complete
+                    pairs += 1
+                    interior_terminal_pairs += any(inst.is_terminal(v) for v in log.path[1:-1])
+        assert pairs > 500 and interior_terminal_pairs > 20
+
     def test_trace_mismatch(self, path3):
         trace = make_trace(path3, [AssignmentEvent(7, 0, 0, 0.01, 1.0)])
         with pytest.raises(TraceMismatchError):
-            track_reaches(path3, trace, 0, 1, path_partition(path3, 0, 1, PARAMS))
+            index_trace(path3, trace)
         dup = make_trace(
             path3,
             [
@@ -195,7 +227,55 @@ class TestTrackReaches:
             ],
         )
         with pytest.raises(TraceMismatchError):
-            track_reaches(path3, dup, 0, 1, path_partition(path3, 0, 1, PARAMS))
+            index_trace(path3, dup)
+
+
+def synthetic_trace(inst, seed, keep=1.0):
+    """Random events over the non-terminals, a fraction ``keep`` of them.
+
+    Rounds advance at random, and a (round, terminal) key may recur after
+    another key, so batches of the same key need not be consecutive.
+    """
+    rng = random.Random(seed)
+    vertices = inst.non_terminals()
+    rng.shuffle(vertices)
+    events = []
+    round_index, terminal = 0, 0
+    for v in vertices[: int(keep * len(vertices))]:
+        if rng.random() < 0.5:
+            round_index += rng.random() < 0.2
+            terminal = rng.randrange(inst.k)
+        events.append(AssignmentEvent(v, terminal, round_index, 0.001, 1.0))
+    return make_trace(inst, events)
+
+
+def oracle_cases():
+    """(instance, trace, params) triples the one-pass tracker must replay exactly."""
+    wide = GrowthParams(c2=40.0, seed=0)  # multi-vertex cells
+    for seed in range(7):
+        base = random_connected_instance(seed + 400, n=24, k=2 + seed)
+        for inst in (base, exact_minor(base).minor, reweighted(base, NON_DYADIC_WEIGHTS, seed)):
+            for params in (PARAMS, wide):
+                _, trace = run(inst, GrowthParams(seed=seed + 11))
+                yield inst, trace, params
+                yield inst, synthetic_trace(inst, seed, keep=0.8), params
+    # terminals inside other pairs' paths: a line with every third vertex a terminal
+    line = Instance(
+        build_graph(13, [(v, v + 1, 1.0 + v % 2) for v in range(12)]), [0, 12, 6, 3, 9]
+    )
+    for seed in range(4):
+        yield line, synthetic_trace(line, seed), wide
+        yield line, synthetic_trace(line, seed, keep=0.5), PARAMS
+    inst = heavy_path()
+    for events in (
+        [(1, 0, 0), (2, 0, 0), (3, 0, 0)],
+        [(1, 0, 0), (3, 1, 1), (2, 0, 2)],
+        [(1, 0, 0), (3, 0, 0), (2, 1, 1)],
+        [(2, 1, 0), (1, 0, 1), (3, 0, 1)],
+        [(1, 0, 0)],
+    ):
+        trace = make_trace(inst, [AssignmentEvent(v, t, r, 0.001, 501.0) for v, t, r in events])
+        yield inst, trace, PARAMS
 
 
 def _dummy_detour(q_min, q_max, terminal):
@@ -251,7 +331,7 @@ class TestMergeDetours:
 class TestBuildDetourPath:
     def test_path3_detour(self, path3):
         trace = make_trace(path3, [AssignmentEvent(1, 0, 0, 0.007, 0.9)])
-        log = track_reaches(path3, trace, 0, 1, path_partition(path3, 0, 1, PARAMS))
+        log = track_reaches(path3, index_trace(path3, trace), 0, 1, path_partition(path3, 0, 1, PARAMS))
         walk = build_detour_path(path3, 0, 1, log)
         assert walk.vertices == (0, 1, 0, 1, 2)
         assert walk.length == 4.0
@@ -259,7 +339,7 @@ class TestBuildDetourPath:
     def test_no_interior_degenerates_to_edge(self):
         inst = Instance(build_graph(2, [(0, 1, 3.0)]), [0, 1])
         trace = make_trace(inst, [])
-        log = track_reaches(inst, trace, 0, 1, [])
+        log = track_reaches(inst, index_trace(inst, trace), 0, 1, [])
         walk = build_detour_path(inst, 0, 1, log)
         assert walk.vertices == (0, 1)
         assert walk.length == 3.0
@@ -268,7 +348,7 @@ class TestBuildDetourPath:
         inst = heavy_path()
         cells = path_partition(inst, 0, 1, PARAMS)
         trace = make_trace(inst, [AssignmentEvent(1, 0, 0, 0.001, 500.5)])
-        log = track_reaches(inst, trace, 0, 1, cells)
+        log = track_reaches(inst, index_trace(inst, trace), 0, 1, cells)
         assert not log.fully_deactivated
         with pytest.raises(IncompleteCellsError):
             build_detour_path(inst, 0, 1, log)
@@ -277,16 +357,48 @@ class TestBuildDetourPath:
         for seed in range(6):
             inst = exact_minor(random_connected_instance(seed, n=35, k=4)).minor
             part, trace = run(inst, GrowthParams(seed=seed + 3))
+            index = index_trace(inst, trace)
             for i in range(inst.k):
                 for j in range(i + 1, inst.k):
                     cells = path_partition(inst, i, j, PARAMS)
-                    log = track_reaches(inst, trace, i, j, cells)
+                    log = track_reaches(inst, index, i, j, cells)
                     walk = build_detour_path(inst, i, j, log)
                     total = sum(
                         inst.graph.edge_weight(x, y)
                         for x, y in zip(walk.vertices, walk.vertices[1:])
                     )
                     assert total == walk.length
+
+    def test_lazy_walk_matches_eager_length(self):
+        checked = 0
+        for inst, trace, params in oracle_cases():
+            index = index_trace(inst, trace)
+            integer = inst.graph.is_integer_weighted()
+            for i in range(inst.k):
+                for j in range(i + 1, inst.k):
+                    log = track_reaches(inst, index, i, j, path_partition(inst, i, j, params))
+                    if not log.fully_deactivated:
+                        continue
+                    walk = build_detour_path(inst, i, j, log)
+                    _, cover, _ = replay_reaches(inst, trace, i, j, log.cells)
+                    eager = eager_walk_length(inst, log.path, log.cells, cover)
+                    if integer:
+                        assert walk.length == eager
+                    else:
+                        assert walk.length == pytest.approx(eager, rel=1e-12)
+                    checked += 1
+        assert checked > 300
+
+    def test_only_terminals_are_labelled(self):
+        for seed in range(4):
+            inst = exact_minor(random_connected_instance(seed + 30, n=60, k=6)).minor
+            params = GrowthParams(seed=seed)
+            _, trace = run(inst, params)
+            report = detect_bad_events(inst, trace, params)
+            for (i, j), log in report.reach_logs.items():
+                build_detour_path(inst, i, j, log)
+            assert inst.graph._labels
+            assert set(inst.graph._labels) <= set(inst.terminals)
 
     def test_detour_dominates_contracted_distance(self):
         for seed in range(8):
@@ -295,10 +407,11 @@ class TestBuildDetourPath:
             part, trace = run(inst, params)
             minor = contract(inst, part)
             minor_dist = minor.all_distances()
+            index = index_trace(inst, trace)
             for i in range(inst.k):
                 for j in range(i + 1, inst.k):
                     cells = path_partition(inst, i, j, params)
-                    log = track_reaches(inst, trace, i, j, cells)
+                    log = track_reaches(inst, index, i, j, cells)
                     walk = build_detour_path(inst, i, j, log)
                     assert walk.length >= minor_dist[(i, j)]
                     for a, b in zip(walk.detours, walk.detours[1:]):
@@ -309,7 +422,7 @@ class TestBuildDetourPath:
         part, trace = run(star3, params)
         minor = contract(star3, part)
         cells = path_partition(star3, 1, 2, params)
-        log = track_reaches(star3, trace, 1, 2, cells)
+        log = track_reaches(star3, index_trace(star3, trace), 1, 2, cells)
         walk = build_detour_path(star3, 1, 2, log)
         assert walk.length >= minor.all_distances()[(1, 2)]
 
@@ -372,6 +485,48 @@ class TestDetectBadEvents:
         pair, start, end, count, threshold = report.many_events[0]
         assert pair == (0, 1)
         assert count == 1
+
+
+class TestRoundOf:
+    @staticmethod
+    def literal(base_mean, rate, z):
+        mean, index = base_mean, 0
+        while mean < z:
+            mean *= rate
+            index += 1
+        return index
+
+    def test_matches_multiplication_loop(self):
+        inst = random_connected_instance(3, n=30, k=4)
+        _, trace = run(inst, GrowthParams(seed=5))
+        base, rate = trace.base_mean, trace.growth_rate
+        recorded = [r.mean for r in trace.rounds]
+        below = [base / 2, base * (1 - 1e-16), base]
+        between = [(a + b) / 2 for a, b in zip(recorded, recorded[1:])]
+        past = [recorded[-1] * rate, recorded[-1] * rate * 1.0000001, recorded[-1] * 1e6]
+        means = [base]
+        for z in below + recorded + between + past + recorded[::-1]:
+            assert _round_of(means, rate, z) == self.literal(base, rate, z)
+        assert _round_of([base], rate, recorded[-1]) == len(recorded) - 1
+        assert len(means) > len(recorded)  # extended past the trace's last round
+
+    @given(st.floats(min_value=1e-6, max_value=1e6), st.floats(min_value=1e-9, max_value=1e9))
+    @settings(max_examples=200, deadline=None)
+    def test_any_threshold(self, base_mean, z):
+        rate = GrowthParams().growth_rate(3)
+        assert _round_of([base_mean], rate, z) == self.literal(base_mean, rate, z)
+
+
+class TestOnePassPerTrial:
+    def test_trace_checked_once_per_trial(self, monkeypatch):
+        calls = []
+        original = analysis._check_trace
+        monkeypatch.setattr(
+            analysis, "_check_trace", lambda inst, trace: calls.append(1) or original(inst, trace)
+        )
+        inst = random_connected_instance(8, n=40, k=6)
+        analysis.run_experiment(inst, GrowthParams(seed=1), trials=3)
+        assert len(calls) == 3
 
 
 class TestDistortionBound:

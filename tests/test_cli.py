@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import tempfile
@@ -150,6 +151,28 @@ class TestEval:
             f"error: {part}: expected a JSON object with an 'assignment' array"
         ]
 
+    @pytest.mark.parametrize(
+        "graph_bytes, part_bytes",
+        [(STAR.encode(), b"\xff\xfe"), (b"\xff" + STAR.encode(), b'{"assignment": [0, 1, 2, 0]}')],
+        ids=["partition", "graph"],
+    )
+    def test_non_utf8_file_exits_one(self, tmp_path, graph_bytes, part_bytes):
+        graph, part = tmp_path / "g.txt", tmp_path / "p.json"
+        graph.write_bytes(graph_bytes)
+        part.write_bytes(part_bytes)
+        code, out, err = invoke(["eval", str(graph), str(part)])
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+        ]
+
+    def test_deeply_nested_json_exits_one(self, star_file, tmp_path):
+        part = tmp_path / "deep.json"
+        part.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = invoke(["eval", star_file, str(part)])
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"error: {part}: JSON nested too deeply"]
+
     json_values = st.recursive(
         st.none() | st.booleans() | st.integers(-3, 5) | st.floats() | st.text(max_size=3),
         lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
@@ -215,6 +238,29 @@ class TestExperiment:
         lines = csv_path.read_text().strip().splitlines()
         assert len(lines) == 4  # header + 3 trials
         assert lines[0].startswith("trial,seed,distortion")
+
+    # sha256 of stdout as the per-event reach replay with eager detours
+    # (every leg labelled from its own source) produced it.
+    GOLDEN = [
+        (21, 30, 4, ["--seed", "13"], "27aadf8311398d8a3fa520d2e342dd8d7c2530f7b887ea0d240b3a9621c36fc9"),
+        (
+            31,
+            60,
+            6,
+            ["--seed", "3", "--no-preprocess", "--c1", "2", "--c2", "3", "--c3", "0.5"],
+            "15646cd00e8e115962305675c3affbcd41ed6f6eda1e4b1b1f6d09028c7a26d4",
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "inst_seed, n, k, flags, digest", GOLDEN, ids=["preprocessed", "raw-all-bad-events"]
+    )
+    def test_golden_digest(self, tmp_path, inst_seed, n, k, flags, digest):
+        path = tmp_path / "g.txt"
+        path.write_text(format_graph_text(random_connected_instance(inst_seed, n=n, k=k)))
+        code, out, _ = invoke(["experiment", "--graph", str(path), "--trials", "3", *flags])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestTailcheck:
