@@ -506,7 +506,7 @@ def run_experiment(
         dist_result = distortion(work, minor)
         report = detect_bad_events(work, trace, trial_params)
 
-        minor_dist = minor.all_distances()
+        minor_dist = {(i, j): d1 for i, j, _, d1, _ in dist_result.pairs}
         pairs = 0
         violations = 0
         slack = math.inf

@@ -58,9 +58,10 @@ class WeightedGraph:
     Two per-source caches back the queries.  Plain distance rows (one
     float per vertex) serve :meth:`distance` and :meth:`eccentricity`;
     canonical labels (hop counts and parents on top of the same row) are
-    built only for :meth:`shortest_path`, which needs a vertex sequence.  The
-    object is safe to share across concurrent trials because nothing is
-    mutated after the caches fill.
+    built only for :meth:`shortest_path`, which needs a vertex sequence.
+    :meth:`shortest_paths` labels only what its targets need and caches
+    nothing.  The object is safe to share across concurrent trials because
+    nothing is mutated after the caches fill.
     """
 
     __slots__ = ("vertex_count", "edges", "adjacency", "_weight_of", "_rows", "_labels")
@@ -98,13 +99,20 @@ class WeightedGraph:
 
     # -- plain distances and canonical shortest paths --------------------
 
-    def _dijkstra(self, sources: Iterable[int]) -> list[float]:
+    def _dijkstra(
+        self, sources: Iterable[int], targets: Iterable[int] | None = None
+    ) -> list[float]:
         """Plain Dijkstra: distance from the nearest of ``sources`` to every vertex.
 
         Float addition is monotone, so every entry is the minimum over all
         paths of the left-to-right float sum, whichever source the path
         starts at; the result is bit-identical to the elementwise minimum of
         the single-source rows.
+
+        With ``targets`` the search stops at the first pop beyond the
+        farthest target's distance D.  Every vertex at most D away is then
+        settled, ties at D included, with the same value as in the full row;
+        the other entries are upper bounds above D, or inf.
         """
         adjacency = self.adjacency
         dist = [math.inf] * self.vertex_count
@@ -115,10 +123,21 @@ class WeightedGraph:
         heapq.heapify(heap)
         pop = heapq.heappop
         push = heapq.heappush
+        # Pops at most ``limit`` away skip the target bookkeeping; with
+        # targets the limit stays below every distance until the last one
+        # is settled, and then becomes its distance.
+        pending = None if targets is None else set(targets)
+        limit = math.inf if targets is None else -1.0
         while heap:
             d, u = pop(heap)
             if d > dist[u]:
                 continue
+            if d > limit:
+                if not pending:
+                    break
+                pending.discard(u)
+                if not pending:
+                    limit = d
             for v, w in adjacency[u]:
                 nd = d + w
                 if nd < dist[v]:
@@ -133,24 +152,39 @@ class WeightedGraph:
             row = self._rows[s] = self._dijkstra((s,))
         return row
 
-    def _single_source(self, s: int) -> _SourceLabels:
-        """Distances plus canonical parents for every target.
+    def _label(self, s: int, dist: list[float], targets: Iterable[int] | None) -> _SourceLabels:
+        """Hop counts and canonical parents from s on the ancestor closure of ``targets``.
 
-        Phase 1 is the cached plain distance row.  Phase 2 walks the
-        shortest-path DAG in distance order, minimizing hop count, then picks
-        the parent whose canonical sequence is lexicographically smallest.
-        Sequences are never materialized: vertices on the same hop level are
-        ranked by (parent rank, vertex id), which orders equal-length
-        sequences exactly as direct lexicographic comparison would.
+        The closure holds every vertex on some shortest path from s to a
+        target: each tight predecessor u (``dist[u] + w == dist[v]``) of a
+        closure vertex v is in it, so ``targets=None`` (every vertex) skips
+        the walk.  ``dist`` must be exact up to the farthest target.  The
+        passes walk the closure in (distance, id) order, minimizing hop
+        count, then pick the parent whose canonical sequence is
+        lexicographically smallest.  Sequences are never materialized:
+        vertices on the same hop level are ranked by (parent rank, vertex
+        id), which orders equal-length sequences exactly as direct
+        lexicographic comparison would.  Ranks within the closure are an
+        order-preserving compression of the full ranks, so every closure
+        vertex gets the parent that labelling every vertex would give it.
+        Entries outside the closure are meaningless.
         """
-        cached = self._labels.get(s)
-        if cached is not None:
-            return cached
         n = self.vertex_count
         adjacency = self.adjacency
-        dist = self._distance_row(s)
+        if targets is None:
+            closure = range(n)
+        else:
+            closure = set(targets)
+            stack = list(closure)
+            while stack:
+                v = stack.pop()
+                dv = dist[v]
+                for u, w in adjacency[v]:
+                    if dist[u] + w == dv and u not in closure:
+                        closure.add(u)
+                        stack.append(u)
+        order = sorted(closure, key=lambda v: (dist[v], v))
 
-        order = sorted(range(n), key=lambda v: (dist[v], v))
         hop = [0] * n
         for v in order:
             if v == s:
@@ -194,8 +228,13 @@ class WeightedGraph:
             for i, v in enumerate(level):
                 rank[v] = i
 
-        labels = _SourceLabels(dist, hop, parent)
-        self._labels[s] = labels
+        return _SourceLabels(dist, hop, parent)
+
+    def _single_source(self, s: int) -> _SourceLabels:
+        """Canonical labels of every vertex from s, on the cached plain row; cached."""
+        labels = self._labels.get(s)
+        if labels is None:
+            labels = self._labels[s] = self._label(s, self._distance_row(s), None)
         return labels
 
     def distance(self, s: int, t: int) -> float:
@@ -208,18 +247,30 @@ class WeightedGraph:
         """Canonical shortest path from s to t.
 
         Ties are broken by hop count, then by the lexicographically
-        smallest vertex sequence read from s.
+        smallest vertex sequence read from s.  Labels every vertex from s
+        and caches the labels.
         """
         self._check_vertex(s)
         self._check_vertex(t)
         labels = self._single_source(s)
-        seq = [t]
-        v = t
-        while v != s:
-            v = labels.parent[v]
-            seq.append(v)
-        seq.reverse()
-        return ShortestPath(tuple(seq), labels.dist[t])
+        return ShortestPath(_walk(labels.parent, s, t), labels.dist[t])
+
+    def shortest_paths(self, s: int, targets: Sequence[int]) -> list[tuple[int, ...]]:
+        """Vertex sequences of the canonical paths from s to each target.
+
+        Equal to ``shortest_path(s, t).vertices`` for each t.  Reads the
+        cached labels of s if there are any; otherwise runs Dijkstra only as
+        far as the farthest target and labels only the targets' shortest-path
+        DAG, caching neither.  A weight lost to rounding raises only where
+        that DAG meets it.
+        """
+        self._check_vertex(s)
+        for t in targets:
+            self._check_vertex(t)
+        labels = self._labels.get(s)
+        if labels is None:
+            labels = self._label(s, self._dijkstra((s,), targets), targets)
+        return [_walk(labels.parent, s, t) for t in targets]
 
     def eccentricity(self, s: int) -> float:
         return max(self._distance_row(s))
@@ -227,6 +278,17 @@ class WeightedGraph:
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.vertex_count:
             raise GraphError(f"vertex {v} out of range [0, {self.vertex_count})")
+
+
+def _walk(parent: list[int], s: int, t: int) -> tuple[int, ...]:
+    """The vertex sequence s -> t read backwards along canonical parents."""
+    seq = [t]
+    v = t
+    while v != s:
+        v = parent[v]
+        seq.append(v)
+    seq.reverse()
+    return tuple(seq)
 
 
 def build_graph(vertex_count: int, edge_list: Sequence[tuple[int, int, float]]) -> WeightedGraph:

@@ -72,17 +72,20 @@ class PreprocessReport:
     pairs_checked: int
 
 
-def _reduce_pass(inst: Instance):
-    """One reduction pass. Returns (retained ids sorted, ops, reduced adjacency)."""
+def _reduce_pass(inst: Instance, to_original: list[int]):
+    """One reduction pass. Returns (retained ids sorted, ops, reduced adjacency).
+
+    The ops name vertices by their ids in the original input, read from
+    ``to_original``; the retained ids and the adjacency use the pass's own.
+    """
     g = inst.graph
     terms = inst.terminals
     k = len(terms)
 
     keep_vertices: set[int] = set(terms)
     keep_edges: set[tuple[int, int]] = set()
-    for a in range(k):
-        for b in range(a + 1, k):
-            path = g.shortest_path(terms[a], terms[b]).vertices
+    for a in range(k - 1):
+        for path in g.shortest_paths(terms[a], terms[a + 1 :]):
             keep_vertices.update(path)
             for x, y in zip(path, path[1:]):
                 keep_edges.add((x, y) if x < y else (y, x))
@@ -90,10 +93,10 @@ def _reduce_pass(inst: Instance):
     ops: list[ContractionOp] = []
     for u, v, _ in sorted(g.edges):
         if (u, v) not in keep_edges:
-            ops.append(ContractionOp("delete-edge", (u, v)))
+            ops.append(ContractionOp("delete-edge", (to_original[u], to_original[v])))
     for v in range(g.vertex_count):
         if v not in keep_vertices:
-            ops.append(ContractionOp("delete-vertex", (v,)))
+            ops.append(ContractionOp("delete-vertex", (to_original[v],)))
 
     adj: dict[int, dict[int, float]] = {v: {} for v in keep_vertices}
     for u, v in keep_edges:
@@ -122,19 +125,21 @@ def _reduce_pass(inst: Instance):
         if degree > 2:
             continue
         if degree == 0:
-            ops.append(ContractionOp("delete-vertex", (v,)))
+            ops.append(ContractionOp("delete-vertex", (to_original[v],)))
             del adj[v]
             continue
         if degree == 1:
             (a, _), = adj[v].items()
-            ops.append(ContractionOp("delete-edge", (min(v, a), max(v, a))))
-            ops.append(ContractionOp("delete-vertex", (v,)))
+            ops.append(
+                ContractionOp("delete-edge", (to_original[min(v, a)], to_original[max(v, a)]))
+            )
+            ops.append(ContractionOp("delete-vertex", (to_original[v],)))
             del adj[a][v]
             del adj[v]
             requeue(a)
             continue
         (a, wa), (b, wb) = sorted(adj[v].items())
-        ops.append(ContractionOp("contract-edge", (v, a)))
+        ops.append(ContractionOp("contract-edge", (to_original[v], to_original[a])))
         merged = wa + wb
         del adj[a][v]
         del adj[b][v]
@@ -161,11 +166,8 @@ def exact_minor(inst: Instance) -> PreprocessResult:
     passes = 0
     while True:
         passes += 1
-        retained, ops, adj = _reduce_pass(current)
-        log.extend(
-            ContractionOp(op.kind, tuple(to_original[x] for x in op.operands))
-            for op in ops
-        )
+        retained, ops, adj = _reduce_pass(current, to_original)
+        log.extend(ops)
         if not ops:
             break
         index_of = {v: i for i, v in enumerate(retained)}

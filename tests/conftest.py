@@ -8,12 +8,23 @@ exhaustive simple-path enumeration.
 from __future__ import annotations
 
 import heapq
+import io
 import math
 import random
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 from spr import Instance, TerminalPartition, build_graph
+from spr.cli import main
+
+
+def invoke(argv):
+    """Run the CLI in-process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def random_connected_instance(seed, n, k, wmax=10, extra_factor=1.0):

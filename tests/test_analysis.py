@@ -10,6 +10,7 @@ from spr import (
     Instance,
     ShortestPath,
     TerminalDetour,
+    TerminalMinor,
     build_detour_path,
     build_graph,
     contract,
@@ -523,6 +524,16 @@ class TestOnePassPerTrial:
         original = analysis._check_trace
         monkeypatch.setattr(
             analysis, "_check_trace", lambda inst, trace: calls.append(1) or original(inst, trace)
+        )
+        inst = random_connected_instance(8, n=40, k=6)
+        analysis.run_experiment(inst, GrowthParams(seed=1), trials=3)
+        assert len(calls) == 3
+
+    def test_minor_distances_computed_once_per_trial(self, monkeypatch):
+        calls = []
+        original = TerminalMinor.all_distances
+        monkeypatch.setattr(
+            TerminalMinor, "all_distances", lambda minor: calls.append(1) or original(minor)
         )
         inst = random_connected_instance(8, n=40, k=6)
         analysis.run_experiment(inst, GrowthParams(seed=1), trials=3)

@@ -1,8 +1,6 @@
 import hashlib
-import io
 import json
 import tempfile
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -10,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spr import GrowthParams, format_graph_text, parse_graph_text
-from spr.cli import _build_parser, main
+from spr.cli import _build_parser
 
-from conftest import random_connected_instance
+from conftest import invoke, random_connected_instance
 
 STAR = """# three terminals around a center
 4 3 3
@@ -21,13 +19,6 @@ STAR = """# three terminals around a center
 3 1 1.0
 3 2 1.0
 """
-
-
-def invoke(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture
@@ -345,6 +336,16 @@ class TestExtremeWeights:
         assert err.splitlines() == [
             "error: edge (2, 1) of weight 0.5 is lost to rounding at distance 1e+16 from vertex 0"
         ]
+
+    def test_lost_weight_off_the_terminal_paths(self, tmp_path):
+        # 1e16 + 0.5 rounds to 1e16 on edge (2, 3), which lies on no
+        # terminal-to-terminal shortest path; preprocessing never labels it.
+        path = tmp_path / "g.txt"
+        path.write_text("4 3 2\n0 1\n0 1 1\n0 2 1e16\n2 3 0.5\n")
+        code, out, err = invoke(["run", "--seed", "0", str(path)])
+        assert code == 0
+        assert json.loads(out)["distortion"] == 1.0
+        assert "error" not in err
 
 
 class TestFlagRanges:

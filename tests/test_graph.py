@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spr import Instance, build_graph
+from spr import Instance, build_graph, exact_minor
 from spr.errors import (
     DisconnectedError,
     DuplicateEdgeError,
@@ -20,6 +20,8 @@ from conftest import (
     floyd_warshall,
     random_connected_instance,
     restricted_distances,
+    reweighted,
+    subdivide,
 )
 
 
@@ -123,6 +125,92 @@ class TestShortestPath:
                 left = g.shortest_path(s, v)
                 right = g.shortest_path(v, t)
                 assert left.vertices + right.vertices[1:] == sp.vertices
+
+
+def fresh(g):
+    """A copy of ``g`` with empty caches."""
+    return build_graph(g.vertex_count, g.edges)
+
+
+class TestShortestPaths:
+    """The target-bounded query against per-target queries on a second graph."""
+
+    @staticmethod
+    def instances():
+        for seed in range(12):
+            inst = random_connected_instance(seed, n=40, k=6)
+            yield inst.graph
+            yield exact_minor(inst).minor.graph
+            yield reweighted(inst, NON_DYADIC_WEIGHTS, seed).graph
+            yield subdivide(inst, parts=3).graph
+
+    def test_matches_shortest_path(self):
+        rng = random.Random(5)
+        for g in self.instances():
+            n = g.vertex_count
+            for _ in range(4):
+                s = rng.randrange(n)
+                targets = rng.sample(range(n), rng.randint(1, min(n, 6)))
+                if rng.random() < 0.3:
+                    targets.append(s)
+                g1, g2 = fresh(g), fresh(g)
+                expected = [g2.shortest_path(s, t).vertices for t in targets]
+                assert g1.shortest_paths(s, targets) == expected
+                assert g1._rows == {} and g1._labels == {}
+                # With the labels of s cached, the query reads them.
+                assert g2.shortest_paths(s, targets) == expected
+
+    def test_against_enumeration(self):
+        for seed in range(40):
+            g = random_connected_instance(seed, n=8, k=2, wmax=4).graph
+            rng = random.Random(seed + 999)
+            s = rng.randrange(8)
+            targets = rng.sample(range(8), rng.randint(1, 8))
+            assert fresh(g).shortest_paths(s, targets) == [
+                brute_canonical(g, s, t)[0] for t in targets
+            ]
+
+    def test_empty_and_out_of_range(self):
+        g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        assert g.shortest_paths(1, []) == []
+        with pytest.raises(GraphError):
+            g.shortest_paths(0, [3])
+
+    def test_exact_minor_caches_nothing_on_its_input(self):
+        for seed in range(5):
+            inst = subdivide(random_connected_instance(seed, n=30, k=5), parts=3)
+            exact_minor(inst)
+            assert inst.graph._rows == {}
+            assert inst.graph._labels == {}
+
+    def test_lost_edge_at_farthest_target_raises(self):
+        # Vertex 2 lies at the target's distance 1e16 (1e16 + 0.5 rounds
+        # down), so its lost edge (2, 1) is tight into the target; a search
+        # that stopped as soon as vertex 1 was popped would never see it.
+        inst = Instance(build_graph(4, [(0, 1, 1e16), (1, 2, 0.5), (2, 3, 0.5)]), (0, 1))
+        message = r"^edge \(2, 1\) of weight 0.5 is lost to rounding at distance 1e\+16 from vertex 0$"
+        with pytest.raises(GraphError, match=message):
+            inst.graph.shortest_paths(0, [1])
+        with pytest.raises(GraphError, match=message):
+            exact_minor(inst)
+
+    def test_lost_edges_at_the_target_distance_raise_in_full_order(self):
+        # Vertices 1-4 all lie at distance 1e16.  Full labelling meets vertex
+        # 1 first and names its lost edge to 2; vertex 2 is reached only
+        # through 1 and 4, which are settled after the target 3.
+        edges = [(0, 3, 1e16), (1, 3, 0.5), (1, 2, 0.5), (0, 4, 1e16), (2, 4, 0.5)]
+        message = r"^edge \(2, 1\) of weight 0.5 is lost to rounding"
+        with pytest.raises(GraphError, match=message):
+            build_graph(5, edges).shortest_path(0, 3)
+        with pytest.raises(GraphError, match=message):
+            build_graph(5, edges).shortest_paths(0, [3])
+
+    def test_lost_edge_off_the_paths_is_not_read(self):
+        # The lost edge (2, 3) is on no shortest path from 0 to 1.
+        g = build_graph(4, [(0, 1, 1.0), (0, 2, 1e16), (2, 3, 0.5)])
+        assert g.shortest_paths(0, [1]) == [(0, 1)]
+        with pytest.raises(GraphError, match=r"edge \(3, 2\) of weight 0.5"):
+            g.shortest_path(0, 1)
 
 
 class TestDistance:

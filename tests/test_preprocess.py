@@ -1,16 +1,28 @@
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spr import (
     Instance,
     build_graph,
     exact_minor,
+    format_graph_text,
     replay_contraction_log,
     verify_exact,
 )
 from spr.errors import VerificationFailedError
-from spr.preprocess import PreprocessResult
+from spr.preprocess import FLOAT_REL_TOL, PreprocessResult
 
-from conftest import floyd_warshall, random_connected_instance, subdivide
+from conftest import (
+    NON_DYADIC_WEIGHTS,
+    floyd_warshall,
+    invoke,
+    random_connected_instance,
+    reweighted,
+    subdivide,
+)
 
 
 def minor_as_edge_set(result):
@@ -136,3 +148,73 @@ class TestVerifyExact:
         )
         with pytest.raises(VerificationFailedError):
             verify_exact(star3, tampered)
+
+
+def golden_instance(weights):
+    inst = subdivide(random_connected_instance(5, n=40, k=6), parts=3)
+    return inst if weights == "integer" else reweighted(inst, NON_DYADIC_WEIGHTS, 1)
+
+
+class TestGoldenDigest:
+    # sha256 of `spr preprocess` stdout followed by its sidecar JSON, and of
+    # repr(contraction_log), as the full-labelling preprocessing produced them
+    # (two passes each).
+    GOLDEN = {
+        "integer": (
+            "c84556f71391a3452ce078eec7e77bd34dc56550cd4b04ffa00eb517998e9616",
+            "1fed9d792fd193dec88c87ba375cdd3755f12a7220bf5575bb792ed3324a36fc",
+        ),
+        "non-dyadic": (
+            "4101d1e71fed5cb65d682a31d3790d2823806e7ed2721e1b79ed77e6dfa29bca",
+            "d57707d00527c28fe521c46184478291c7e7b4d870d6653d8a39d6ccc3af39b8",
+        ),
+    }
+
+    @pytest.mark.parametrize("weights", sorted(GOLDEN))
+    def test_cli_output(self, tmp_path, weights):
+        graph, sidecar = tmp_path / "g.txt", tmp_path / "s.json"
+        graph.write_text(format_graph_text(golden_instance(weights)))
+        code, out, _ = invoke(["preprocess", str(graph), "--sidecar", str(sidecar)])
+        assert code == 0
+        digest = hashlib.sha256(out.encode() + sidecar.read_bytes()).hexdigest()
+        assert digest == self.GOLDEN[weights][0]
+
+    @pytest.mark.parametrize("weights", sorted(GOLDEN))
+    def test_contraction_log(self, weights):
+        result = exact_minor(golden_instance(weights))
+        assert result.passes == 2
+        digest = hashlib.sha256(repr(result.contraction_log).encode()).hexdigest()
+        assert digest == self.GOLDEN[weights][1]
+
+
+class TestFloatWeights:
+    """Random non-dyadic weights: distance sums round, ties are inexact."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        n=st.integers(min_value=6, max_value=40),
+        k=st.integers(min_value=2, max_value=6),
+        parts=st.sampled_from([1, 2, 3]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_fixpoint_tolerance_and_determinism(self, tmp_path_factory, seed, n, k, parts):
+        inst = random_connected_instance(seed, n=n, k=k)
+        if parts > 1:
+            inst = subdivide(inst, parts=parts)
+        inst = reweighted(inst, NON_DYADIC_WEIGHTS, seed)
+        result = exact_minor(inst)
+        again = exact_minor(result.minor)
+        assert again.passes == 1
+        assert again.minor.graph.edges == result.minor.graph.edges
+        assert verify_exact(inst, result).max_rel_deviation <= FLOAT_REL_TOL
+
+        path = tmp_path_factory.mktemp("float") / "g.txt"
+        path.write_text(format_graph_text(inst))
+        traces = [path.with_name(f"trace{i}.json") for i in range(2)]
+        runs = [
+            invoke(["run", "--seed", str(seed), "--trace", str(trace), str(path)])
+            for trace in traces
+        ]
+        assert runs[0][0] == 0
+        assert runs[0] == runs[1]
+        assert traces[0].read_bytes() == traces[1].read_bytes()
