@@ -67,6 +67,6 @@ from .tail_bounds import (
     lemma6_check,
     monte_carlo_tail,
 )
-from .textio import format_graph_text, load_instance, parse_graph_text, save_instance
+from .textio import format_graph_text, load_instance, parse_graph_text
 
 __version__ = "0.1.0"

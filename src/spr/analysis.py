@@ -6,14 +6,14 @@ extends as far as the anchor's length budget allows.  Replaying a run trace
 then records, per cell, which terminals "reach" it: an assignment batch that
 hits still-active cell vertices deactivates the whole index range between
 its first and last hit, and its detour bypasses that range through the
-absorbing terminal.  Chaining the deactivating detours end-to-end (and
+absorbing terminal.  Chaining the deactivating reaches end-to-end (and
 merging consecutive ones through the same terminal) yields a witness walk
 whose length bounds the contracted distance of the pair from above.
 
 A trial's trace is validated and indexed by vertex once (:func:`index_trace`);
 each pair then visits only the batches that assign its interior vertices.
-Detours are built only for the chain a witness walk uses, from the
-terminals' canonical labels.
+Detours are built only for the merged chain a witness walk uses, one per
+merged range, from the terminals' canonical labels.
 
 Also here: the bad-event detectors over traces (assigned to a far terminal;
 assigned too early relative to the vertex's terminal distance; too many
@@ -32,6 +32,7 @@ from .ball_growing import GrowthParams, RunTrace, run
 from .errors import IncompleteCellsError, TraceMismatchError
 from .graph import Instance, ShortestPath
 from .partition import contract, distortion
+from .preprocess import exact_minor
 
 __all__ = [
     "PathCell",
@@ -271,31 +272,23 @@ def track_reaches(
     return log
 
 
-def merge_detours(detours: list[TerminalDetour]) -> list[TerminalDetour]:
-    """Fuse consecutive detours with adjacent ranges and the same terminal.
+def merge_detours(reaches: list[Reach]) -> list[Reach]:
+    """Fuse consecutive reaches with adjacent ranges and the same terminal.
 
     Merging replaces the middle excursion with a single pass through the
     shared terminal; it repeats until no adjacent same-terminal pair is
-    left.  Detours whose ranges do not abut are never merged.
+    left.  Ranges that do not abut are never merged.  A merged reach keeps
+    the first one's order and spans from its q_min to the last one's q_max.
     """
-    merged: list[TerminalDetour] = []
-    for detour in detours:
+    merged: list[Reach] = []
+    for reach in reaches:
         while (
             merged
-            and merged[-1].terminal == detour.terminal
-            and merged[-1].q_max + 1 == detour.q_min
+            and merged[-1].terminal == reach.terminal
+            and merged[-1].q_max + 1 == reach.q_min
         ):
-            prev = merged.pop()
-            detour = TerminalDetour(
-                q_min=prev.q_min,
-                q_max=detour.q_max,
-                terminal=detour.terminal,
-                inbound=prev.inbound,
-                outbound=detour.outbound,
-                exit_vertex=detour.exit_vertex,
-                exit_weight=detour.exit_weight,
-            )
-        merged.append(detour)
+            reach = replace(merged.pop(), q_max=reach.q_max)
+        merged.append(reach)
     return merged
 
 
@@ -323,7 +316,7 @@ def build_detour_path(inst: Instance, i: int, j: int, log: ReachLog) -> DetourPa
     stopped; cells abut, so the chain spans the whole interior.  The walk
     starts with the first path edge and is generally not simple.  Its length
     is an upper bound on the contracted distance of the pair.  Detours are
-    built only for the reaches on this chain, each rooted at its terminal.
+    built once per merged range of this chain, each rooted at its terminal.
     """
     path = log.path
     last = len(path) - 1
@@ -333,7 +326,7 @@ def build_detour_path(inst: Instance, i: int, j: int, log: ReachLog) -> DetourPa
     if not log.fully_deactivated:
         raise IncompleteCellsError(f"pair {log.pair} has active cells left")
 
-    chain: list[TerminalDetour] = []
+    chain: list[Reach] = []
     for cell in log.cells:
         pos = cell.start
         while pos <= cell.end:
@@ -342,10 +335,10 @@ def build_detour_path(inst: Instance, i: int, j: int, log: ReachLog) -> DetourPa
                 raise AssertionError(
                     "deactivation chain broke; cover ranges must tile each cell"
                 )
-            chain.append(_make_detour(inst, path, reach))
+            chain.append(reach)
             pos = reach.q_max + 1
 
-    detours = tuple(merge_detours(chain))
+    detours = tuple(_make_detour(inst, path, reach) for reach in merge_detours(chain))
     vertices = [path[0]]
     total = inst.graph.edge_weight(path[0], path[1])
     for detour in detours:
@@ -432,7 +425,7 @@ def distortion_bound(params: GrowthParams, k: float) -> float:
     """Closed-form worst-case distortion: 1 + 40 c3 (c1 + 1) / c2 * log^2 k."""
     if k < 2:
         raise ValueError("the bound needs at least two terminals")
-    log_k = math.log(k) / math.log(params.log_base)
+    log_k = params.log_k(k)
     return 1.0 + distortion_bound_coefficient(params) * log_k * log_k
 
 
@@ -491,8 +484,6 @@ def run_experiment(
     trials run on the distance-exact reduced instance, which leaves all
     terminal distances (and hence distortion) unchanged.
     """
-    from .preprocess import exact_minor
-
     if trials < 1:
         raise ValueError("need at least one trial")
     pre = exact_minor(inst) if preprocess else None

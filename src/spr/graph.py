@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -39,32 +40,22 @@ class ShortestPath:
     length: float
 
 
-class _SourceLabels:
-    """Single-source results: distances, hop counts, canonical parents."""
-
-    __slots__ = ("dist", "hop", "parent")
-
-    def __init__(self, dist, hop, parent):
-        self.dist = dist
-        self.hop = hop
-        self.parent = parent
-
-
 class WeightedGraph:
     """Immutable undirected graph with positive edge weights.
 
     Construct through :func:`build_graph`, which validates the invariants
     (positive finite weights, no self-loops, no duplicate edges, connected).
+    Edge weights live only in the adjacency lists, sorted by neighbor.
     Two per-source caches back the queries.  Plain distance rows (one
     float per vertex) serve :meth:`distance` and :meth:`eccentricity`;
-    canonical labels (hop counts and parents on top of the same row) are
-    built only for :meth:`shortest_path`, which needs a vertex sequence.
+    canonical parent arrays (on top of the same row) are built only for
+    :meth:`shortest_path`, which needs a vertex sequence.
     :meth:`shortest_paths` labels only what its targets need and caches
     nothing.  The object is safe to share across concurrent trials because
     nothing is mutated after the caches fill.
     """
 
-    __slots__ = ("vertex_count", "edges", "adjacency", "_weight_of", "_rows", "_labels")
+    __slots__ = ("vertex_count", "edges", "adjacency", "_rows", "_labels")
 
     def __init__(self, vertex_count: int, edges: Sequence[tuple[int, int, float]]):
         self.vertex_count = vertex_count
@@ -72,23 +63,26 @@ class WeightedGraph:
             (u, v, float(w)) if u < v else (v, u, float(w)) for u, v, w in edges
         )
         adj: list[list[tuple[int, float]]] = [[] for _ in range(vertex_count)]
-        weight_of: dict[tuple[int, int], float] = {}
         for u, v, w in self.edges:
             adj[u].append((v, w))
             adj[v].append((u, w))
-            weight_of[(u, v)] = w
         for lst in adj:
             lst.sort()
         self.adjacency = tuple(tuple(lst) for lst in adj)
-        self._weight_of = weight_of
         self._rows: dict[int, list[float]] = {}
-        self._labels: dict[int, _SourceLabels] = {}
+        self._labels: dict[int, list[int]] = {}
 
     # -- basic queries -------------------------------------------------
 
     def edge_weight(self, u: int, v: int) -> float:
-        key = (u, v) if u < v else (v, u)
-        return self._weight_of[key]
+        """Weight of edge {u, v}; KeyError if there is no such edge."""
+        if not 0 <= u < self.vertex_count:
+            raise KeyError((u, v))
+        row = self.adjacency[u]
+        i = bisect_left(row, (v,))
+        if i == len(row) or row[i][0] != v:
+            raise KeyError((u, v))
+        return row[i][1]
 
     @property
     def edge_count(self) -> int:
@@ -152,8 +146,8 @@ class WeightedGraph:
             row = self._rows[s] = self._dijkstra((s,))
         return row
 
-    def _label(self, s: int, dist: list[float], targets: Iterable[int] | None) -> _SourceLabels:
-        """Hop counts and canonical parents from s on the ancestor closure of ``targets``.
+    def _label(self, s: int, dist: list[float], targets: Iterable[int] | None) -> list[int]:
+        """Canonical parents from s on the ancestor closure of ``targets``.
 
         The closure holds every vertex on some shortest path from s to a
         target: each tight predecessor u (``dist[u] + w == dist[v]``) of a
@@ -228,14 +222,14 @@ class WeightedGraph:
             for i, v in enumerate(level):
                 rank[v] = i
 
-        return _SourceLabels(dist, hop, parent)
+        return parent
 
-    def _single_source(self, s: int) -> _SourceLabels:
-        """Canonical labels of every vertex from s, on the cached plain row; cached."""
-        labels = self._labels.get(s)
-        if labels is None:
-            labels = self._labels[s] = self._label(s, self._distance_row(s), None)
-        return labels
+    def _single_source(self, s: int) -> list[int]:
+        """Canonical parents of every vertex from s, on the cached plain row; cached."""
+        parent = self._labels.get(s)
+        if parent is None:
+            parent = self._labels[s] = self._label(s, self._distance_row(s), None)
+        return parent
 
     def distance(self, s: int, t: int) -> float:
         """Length of the shortest path between s and t."""
@@ -252,25 +246,21 @@ class WeightedGraph:
         """
         self._check_vertex(s)
         self._check_vertex(t)
-        labels = self._single_source(s)
-        return ShortestPath(_walk(labels.parent, s, t), labels.dist[t])
+        return ShortestPath(_walk(self._single_source(s), s, t), self._rows[s][t])
 
     def shortest_paths(self, s: int, targets: Sequence[int]) -> list[tuple[int, ...]]:
         """Vertex sequences of the canonical paths from s to each target.
 
-        Equal to ``shortest_path(s, t).vertices`` for each t.  Reads the
-        cached labels of s if there are any; otherwise runs Dijkstra only as
-        far as the farthest target and labels only the targets' shortest-path
-        DAG, caching neither.  A weight lost to rounding raises only where
-        that DAG meets it.
+        Equal to ``shortest_path(s, t).vertices`` for each t.  Runs Dijkstra
+        only as far as the farthest target and labels only the targets'
+        shortest-path DAG, caching neither.  A weight lost to rounding raises
+        only where that DAG meets it.
         """
         self._check_vertex(s)
         for t in targets:
             self._check_vertex(t)
-        labels = self._labels.get(s)
-        if labels is None:
-            labels = self._label(s, self._dijkstra((s,), targets), targets)
-        return [_walk(labels.parent, s, t) for t in targets]
+        parent = self._label(s, self._dijkstra((s,), targets), targets)
+        return [_walk(parent, s, t) for t in targets]
 
     def eccentricity(self, s: int) -> float:
         return max(self._distance_row(s))
@@ -300,8 +290,6 @@ def build_graph(vertex_count: int, edge_list: Sequence[tuple[int, int, float]]) 
     """
     if vertex_count < 1:
         raise GraphError("vertex count must be positive")
-    if not edge_list and vertex_count > 1:
-        raise DisconnectedError("empty edge list on more than one vertex")
     seen: set[tuple[int, int]] = set()
     for u, v, w in edge_list:
         if not 0 <= u < vertex_count or not 0 <= v < vertex_count:
@@ -317,6 +305,13 @@ def build_graph(vertex_count: int, edge_list: Sequence[tuple[int, int, float]]) 
     total = sum(w for _, _, w in edge_list)
     if not math.isfinite(total):
         raise GraphError(f"edge weights sum to {total!r}; path lengths would overflow")
+    # Checked before any per-vertex allocation: a huge vertex count with a
+    # few edges is refused without building its adjacency.
+    if len(edge_list) < vertex_count - 1:
+        raise DisconnectedError(
+            f"{vertex_count} vertices need at least {vertex_count - 1} edges, "
+            f"got {len(edge_list)}"
+        )
     graph = WeightedGraph(vertex_count, edge_list)
     _check_connected(graph)
     return graph

@@ -138,7 +138,9 @@ def contract(inst: Instance, partition: TerminalPartition) -> TerminalMinor:
     """Contract each cell to its terminal; raises on invalid partitions."""
     violations = validate(inst, partition)
     if violations:
-        raise InvalidPartitionError("; ".join(v.reason for v in violations))
+        raise InvalidPartitionError(
+            "invalid partition: " + "; ".join(v.reason for v in violations)
+        )
     assignment = partition.assignment
     crossing: set[tuple[int, int]] = set()
     for u, v, _ in inst.graph.edges:
@@ -205,9 +207,11 @@ def oracle_optimal(inst: Instance) -> OracleResult:
         for v, c in zip(free, combo):
             assignment[v] = c
         candidate = TerminalPartition(assignment)
-        if validate(inst, candidate):
+        try:
+            minor = contract(inst, candidate)
+        except InvalidPartitionError:
             continue
-        result = distortion(inst, contract(inst, candidate))
+        result = distortion(inst, minor)
         if best is None or result.max_ratio < best.distortion:
             best = OracleResult(result.max_ratio, candidate)
     assert best is not None  # the nearest-terminal partition is always valid

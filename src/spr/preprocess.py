@@ -68,8 +68,6 @@ class PreprocessReport:
     max_abs_deviation: float
     max_rel_deviation: float
     non_terminal_count: int
-    size_bound: int
-    pairs_checked: int
 
 
 def _reduce_pass(inst: Instance, to_original: list[int]):
@@ -246,10 +244,8 @@ def verify_exact(inst: Instance, result: PreprocessResult) -> PreprocessReport:
     max_abs = 0.0
     max_rel = 0.0
     worst: tuple[int, int] | None = None
-    pairs = 0
     for a in range(k):
         for b in range(a + 1, k):
-            pairs += 1
             d0 = g.distance(inst.terminals[a], inst.terminals[b])
             d1 = mg.distance(result.minor.terminals[a], result.minor.terminals[b])
             dev = abs(d1 - d0)
@@ -261,7 +257,7 @@ def verify_exact(inst: Instance, result: PreprocessResult) -> PreprocessReport:
 
     non_terminals = result.non_terminal_count
     bound = k**4
-    report = PreprocessReport(max_abs, max_rel, non_terminals, bound, pairs)
+    report = PreprocessReport(max_abs, max_rel, non_terminals)
     if non_terminals > bound:
         raise VerificationFailedError(
             f"{non_terminals} non-terminals exceed the bound {bound}"

@@ -183,17 +183,14 @@ class GeometricSumQuery:
     """Sum of independent exponentials with means a, a/r, a/r^2, ...;
     the Monte Carlo estimate is the upper tail at M * a * log(k) / delta.
 
-    ``r`` defaults to 1 + delta / ln k.  ``truncation`` is the number of
-    simulated terms; by default it is chosen so the discarded tail mean is
-    below 1e-12 * a.
+    The decay ratio ``r`` is 1 + delta / ln k.  ``truncation`` is the number
+    of simulated terms, chosen so the discarded tail mean is below 1e-12 * a.
     """
 
     a: float
     delta: float
     k: int
     big_m: float
-    r: float | None = None
-    truncation: int | None = None
 
     def __post_init__(self):
         if self.a <= 0:
@@ -204,15 +201,18 @@ class GeometricSumQuery:
             raise ParamOutOfRegimeError(f"k={self.k} below 3")
         if self.big_m < 18:
             raise ParamOutOfRegimeError(f"M={self.big_m} below the certified minimum 18")
-        if self.r is None:
-            object.__setattr__(self, "r", 1.0 + self.delta / math.log(self.k))
-        if self.r <= 1.0:
-            raise ValueError("decay ratio must exceed 1")
-        if self.truncation is None:
-            # Tail mean after N terms is a / (r^(N-1) (r - 1)); push it
-            # below the budget so dominance checks stay sound.
-            need = math.log(1.0 / (_TRUNCATION_BUDGET * (self.r - 1.0))) / math.log(self.r)
-            object.__setattr__(self, "truncation", int(math.ceil(need)) + 1)
+
+    @property
+    def r(self) -> float:
+        return 1.0 + self.delta / math.log(self.k)
+
+    @property
+    def truncation(self) -> int:
+        # Tail mean after N terms is a / (r^(N-1) (r - 1)); push it
+        # below the budget so dominance checks stay sound.
+        r = self.r
+        need = math.log(1.0 / (_TRUNCATION_BUDGET * (r - 1.0))) / math.log(r)
+        return int(math.ceil(need)) + 1
 
     @property
     def threshold(self) -> float:
@@ -245,9 +245,10 @@ def monte_carlo_tail(query, n_samples: int, seed: int) -> MonteCarloResult:
     elif isinstance(query, GeometricSumQuery):
         totals = np.zeros(n_samples)
         mean = query.a
+        r = query.r
         for _ in range(query.truncation):
             totals += mean * rng.standard_exponential(n_samples)
-            mean /= query.r
+            mean /= r
         p = float(np.count_nonzero(totals >= query.threshold)) / n_samples
     else:
         raise TypeError(f"unsupported query {type(query).__name__}")

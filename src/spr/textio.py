@@ -17,7 +17,7 @@ from pathlib import Path
 from .errors import GraphFormatError
 from .graph import Instance, build_graph
 
-__all__ = ["parse_graph_text", "format_graph_text", "load_instance", "save_instance"]
+__all__ = ["parse_graph_text", "format_graph_text", "load_instance"]
 
 
 def parse_graph_text(text: str) -> Instance:
@@ -76,7 +76,3 @@ def format_graph_text(inst: Instance) -> str:
 
 def load_instance(path: str | Path) -> Instance:
     return parse_graph_text(Path(path).read_text())
-
-
-def save_instance(inst: Instance, path: str | Path) -> None:
-    Path(path).write_text(format_graph_text(inst))

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from spr import (
     GrowthParams,
     Instance,
-    ShortestPath,
-    TerminalDetour,
+    Reach,
     TerminalMinor,
     build_detour_path,
     build_graph,
@@ -279,49 +278,47 @@ def oracle_cases():
         yield inst, trace, PARAMS
 
 
-def _dummy_detour(q_min, q_max, terminal):
-    inbound = ShortestPath((100 + q_min, 200 + terminal), 1.0)
-    outbound = ShortestPath((200 + terminal, 100 + q_max), 1.0)
-    return TerminalDetour(q_min, q_max, terminal, inbound, outbound, 100 + q_max + 1, 1.0)
+def _reach(q_min, q_max, terminal):
+    return Reach(q_min, terminal, q_min, q_max)
 
 
 class TestMergeDetours:
     def test_adjacent_same_terminal_merge(self):
-        merged = merge_detours([_dummy_detour(1, 2, 5), _dummy_detour(3, 4, 5)])
+        merged = merge_detours([_reach(1, 2, 5), _reach(3, 4, 5)])
         assert len(merged) == 1
         assert (merged[0].q_min, merged[0].q_max, merged[0].terminal) == (1, 4, 5)
 
     def test_distinct_terminals_unchanged(self):
-        detours = [_dummy_detour(1, 2, 5), _dummy_detour(3, 4, 6)]
+        detours = [_reach(1, 2, 5), _reach(3, 4, 6)]
         assert merge_detours(detours) == detours
 
     def test_alternating_terminals_unchanged(self):
         detours = [
-            _dummy_detour(1, 1, 5),
-            _dummy_detour(2, 2, 6),
-            _dummy_detour(3, 3, 5),
+            _reach(1, 1, 5),
+            _reach(2, 2, 6),
+            _reach(3, 3, 5),
         ]
         assert merge_detours(detours) == detours
 
     def test_merge_cascades(self):
         merged = merge_detours(
             [
-                _dummy_detour(1, 1, 5),
-                _dummy_detour(2, 2, 5),
-                _dummy_detour(3, 3, 5),
+                _reach(1, 1, 5),
+                _reach(2, 2, 5),
+                _reach(3, 3, 5),
             ]
         )
         assert len(merged) == 1
         assert (merged[0].q_min, merged[0].q_max) == (1, 3)
 
     def test_non_adjacent_ranges_never_merge(self):
-        detours = [_dummy_detour(1, 2, 5), _dummy_detour(4, 4, 5)]
+        detours = [_reach(1, 2, 5), _reach(4, 4, 5)]
         assert merge_detours(detours) == detours
 
     @given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=12))
     @settings(max_examples=60, deadline=None)
     def test_abutting_chain_has_no_adjacent_duplicates(self, labels):
-        detours = [_dummy_detour(i + 1, i + 1, label) for i, label in enumerate(labels)]
+        detours = [_reach(i + 1, i + 1, label) for i, label in enumerate(labels)]
         merged = merge_detours(detours)
         for a, b in zip(merged, merged[1:]):
             assert a.terminal != b.terminal
@@ -389,6 +386,29 @@ class TestBuildDetourPath:
                         assert walk.length == pytest.approx(eager, rel=1e-12)
                     checked += 1
         assert checked > 300
+
+    def test_one_detour_per_merged_range(self, monkeypatch):
+        calls = []
+        make_detour = analysis._make_detour
+
+        def counting(inst, path, reach):
+            calls.append(reach)
+            return make_detour(inst, path, reach)
+
+        monkeypatch.setattr(analysis, "_make_detour", counting)
+        chained = merged = 0
+        for seed in range(4):
+            inst = exact_minor(random_connected_instance(seed + 30, n=60, k=6)).minor
+            params = GrowthParams(seed=seed)
+            _, trace = run(inst, params)
+            report = detect_bad_events(inst, trace, params)
+            for (i, j), log in report.reach_logs.items():
+                calls.clear()
+                walk = build_detour_path(inst, i, j, log)
+                assert len(calls) == len(walk.detours)
+                chained += len(set(log.cover.values()))
+                merged += len(walk.detours)
+        assert merged < chained  # some chains do merge
 
     def test_only_terminals_are_labelled(self):
         for seed in range(4):

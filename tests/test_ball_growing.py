@@ -311,12 +311,14 @@ class TestParams:
         with pytest.raises(ValueError):
             GrowthParams(delta=0.0)
         with pytest.raises(ValueError):
-            GrowthParams(log_base=1.0)
-        with pytest.raises(ValueError):
             GrowthParams(seed=-1)
+
+    @pytest.mark.parametrize("name", ["delta", "c1", "c2", "c3"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            GrowthParams(**{name: value})
 
     def test_growth_rate(self):
         params = GrowthParams()
         assert params.growth_rate(4) == pytest.approx(1 + 0.5 / math.log(4), rel=1e-12)
-        base2 = GrowthParams(log_base=2.0)
-        assert base2.growth_rate(4) == pytest.approx(1.25, rel=1e-12)

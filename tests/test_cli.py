@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spr import GrowthParams, format_graph_text, parse_graph_text
+from spr import GrowthParams, WeightedGraph, format_graph_text, parse_graph_text
+from spr import partition
 from spr.cli import _build_parser
 
 from conftest import invoke, random_connected_instance
@@ -130,6 +132,32 @@ class TestEval:
         assert code == 1
         assert "invalid partition" in err
 
+    def test_every_violation_on_one_line(self, star_file, tmp_path):
+        # Terminal 1 sits in cell 0, which the center (cell 1) then splits.
+        part = tmp_path / "part.json"
+        part.write_text(json.dumps({"assignment": [0, 0, 2, 1]}))
+        code, out, err = invoke(["eval", star_file, str(part)])
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "error: invalid partition: terminal 1 assigned to cell 0, not 1; "
+            "cell 0 disconnected: [1] unreachable from terminal 0"
+        ]
+
+    def test_huge_vertex_count_exits_one(self, tmp_path, monkeypatch):
+        def refuse(self, vertex_count, edges):
+            raise AssertionError("per-vertex storage allocated")
+
+        monkeypatch.setattr(WeightedGraph, "__init__", refuse)
+        graph = tmp_path / "g.txt"
+        graph.write_text("1000000000 1 2\n0 1\n0 1 1\n")
+        part = tmp_path / "part.json"
+        part.write_text(json.dumps({"assignment": [0, 1]}))
+        code, out, err = invoke(["eval", str(graph), str(part)])
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "error: 1000000000 vertices need at least 999999999 edges, got 1"
+        ]
+
     @pytest.mark.parametrize(
         "payload", [[0, 1, 2, 0], {"assignment": 5}, {"assignment": None}, {"cells": [0]}]
     )
@@ -201,6 +229,46 @@ class TestOracle:
         code, _, err = invoke(["oracle", str(path)])
         assert code == 1
         assert "error:" in err
+
+
+class TestValidateOnce:
+    """Each partition is validated exactly once, inside ``contract``."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        original = partition.validate
+
+        def counting(inst, part):
+            seen.append(part)
+            return original(inst, part)
+
+        # Rebind every module-level name bound to validate.
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("spr") and getattr(
+                module, "validate", None
+            ) is original:
+                monkeypatch.setattr(module, "validate", counting)
+        return seen
+
+    def test_run(self, calls, random_file):
+        assert invoke(["run", "--seed", "1", random_file])[0] == 0
+        assert len(calls) == 1
+
+    def test_experiment(self, calls, random_file):
+        code, _, _ = invoke(["experiment", "--graph", random_file, "--trials", "3", "--seed", "1"])
+        assert code == 0
+        assert len(calls) == 3
+
+    def test_eval(self, calls, star_file, tmp_path):
+        part = tmp_path / "part.json"
+        part.write_text(json.dumps({"assignment": [0, 1, 2, 0]}))
+        assert invoke(["eval", star_file, str(part)])[0] == 0
+        assert len(calls) == 1
+
+    def test_oracle(self, calls, star_file):
+        assert invoke(["oracle", star_file])[0] == 0
+        assert len(calls) == 3  # the center in each of the three cells
 
 
 class TestExperiment:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spr import Instance, build_graph, exact_minor
+from spr import Instance, WeightedGraph, build_graph, exact_minor
 from spr.errors import (
     DisconnectedError,
     DuplicateEdgeError,
@@ -59,6 +59,21 @@ class TestBuildGraph:
     def test_endpoint_out_of_range(self):
         with pytest.raises(GraphError):
             build_graph(2, [(0, 5, 1.0)])
+
+    def test_huge_vertex_count_rejected_before_allocation(self, monkeypatch):
+        def refuse(self, vertex_count, edges):
+            raise AssertionError("per-vertex storage allocated")
+
+        monkeypatch.setattr(WeightedGraph, "__init__", refuse)
+        with pytest.raises(DisconnectedError):
+            build_graph(10**9, [(0, 1, 1.0)])
+        with pytest.raises(DisconnectedError):
+            build_graph(10**9, [])
+        # Per-edge errors keep their types.
+        with pytest.raises(SelfLoopError):
+            build_graph(10**9, [(1, 1, 1.0)])
+        with pytest.raises(NonPositiveWeightError):
+            build_graph(10**9, [(0, 1, -1.0)])
 
     def test_overflowing_weight_total(self):
         # Each weight is finite; any path through both would be inf.
@@ -157,7 +172,7 @@ class TestShortestPaths:
                 expected = [g2.shortest_path(s, t).vertices for t in targets]
                 assert g1.shortest_paths(s, targets) == expected
                 assert g1._rows == {} and g1._labels == {}
-                # With the labels of s cached, the query reads them.
+                # Cached labels of s do not change the answer.
                 assert g2.shortest_paths(s, targets) == expected
 
     def test_against_enumeration(self):
@@ -211,6 +226,32 @@ class TestShortestPaths:
         assert g.shortest_paths(0, [1]) == [(0, 1)]
         with pytest.raises(GraphError, match=r"edge \(3, 2\) of weight 0.5"):
             g.shortest_path(0, 1)
+
+
+class TestStorage:
+    def test_edge_weight_reads_the_adjacency(self):
+        assert set(WeightedGraph.__slots__) == {
+            "vertex_count",
+            "edges",
+            "adjacency",
+            "_rows",
+            "_labels",
+        }
+        n = 6
+        g = build_graph(n, [(0, v, float(v)) for v in range(1, n)] + [(2, 4, 0.5)])
+        for v in range(1, n):
+            assert g.edge_weight(0, v) == g.edge_weight(v, 0) == float(v)
+        assert g.edge_weight(4, 2) == g.edge_weight(2, 4) == 0.5
+        for u, v in [(1, 2), (3, 3), (0, 0), (-1, 0), (0, -1), (-1, -1), (n, 0), (0, n), (5, n)]:
+            with pytest.raises(KeyError):
+                g.edge_weight(u, v)
+
+    def test_labels_are_cached_parent_arrays(self):
+        g = random_connected_instance(3, n=30, k=2).graph
+        path = g.shortest_path(4, 17).vertices
+        parent = g._labels[4]
+        assert isinstance(parent, list) and len(parent) == g.vertex_count
+        assert all(parent[v] == u for u, v in zip(path, path[1:]))
 
 
 class TestDistance:

@@ -178,6 +178,11 @@ class TestQueries:
         assert query.r == pytest.approx(1 + 0.5 / math.log(10), rel=1e-12)
         assert query.threshold == pytest.approx(20.0 * 2.0 * math.log(10) / 0.5, rel=1e-12)
 
+    def test_ratio_and_truncation_are_derived(self):
+        for name in ("r", "truncation"):
+            with pytest.raises(TypeError):
+                GeometricSumQuery(a=1.0, delta=0.5, k=4, big_m=18.0, **{name: 2})
+
     def test_guards(self):
         with pytest.raises(ParamOutOfRegimeError):
             GeometricSumQuery(a=1.0, delta=0.7, k=10, big_m=20.0)
