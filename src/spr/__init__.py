@@ -32,7 +32,6 @@ from .ball_growing import (
     compute_base_mean,
     replay_trace,
     run,
-    sample_erv,
     trace_to_dict,
 )
 from .graph import Instance, ShortestPath, WeightedGraph, build_graph

@@ -30,7 +30,7 @@ from itertools import groupby
 
 from .ball_growing import GrowthParams, RunTrace, run
 from .errors import IncompleteCellsError, TraceMismatchError
-from .graph import Instance, ShortestPath
+from .graph import Instance
 from .partition import contract, distortion
 from .preprocess import exact_minor
 
@@ -81,25 +81,15 @@ class TerminalDetour:
     """Replacement walk for indices [q_min, q_max]: into the terminal and back.
 
     The walk is inbound (v_{q_min} -> t), outbound (t -> v_{q_max}), then the
-    path edge to v_{q_max + 1}.  :func:`build_detour_path` takes the inbound
-    leg as the canonical t -> v_{q_min} path reversed.
+    path edge to v_{q_max + 1}.  The inbound leg is the canonical
+    t -> v_{q_min} path reversed.
     """
 
     q_min: int
     q_max: int
     terminal: int
-    inbound: ShortestPath
-    outbound: ShortestPath
-    exit_vertex: int
-    exit_weight: float
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return self.inbound.vertices + self.outbound.vertices[1:] + (self.exit_vertex,)
-
-    @property
-    def length(self) -> float:
-        return self.inbound.length + self.outbound.length + self.exit_weight
+    vertices: tuple[int, ...]
+    length: float
 
 
 @dataclass(frozen=True)
@@ -162,7 +152,7 @@ def path_partition(
     for x, y in zip(path, path[1:]):
         prefix.append(prefix[-1] + inst.graph.edge_weight(x, y))
     nearest = inst.nearest_terminal_distances()
-    scale = params.c2 * params.delta / (5.0 * params.log_k(inst.k))
+    scale = params.c2 * params.delta / (5.0 * math.log(inst.k))
 
     cells: list[PathCell] = []
     a = 1
@@ -188,34 +178,33 @@ def path_partition(
     return cells
 
 
-def _check_trace(inst: Instance, trace: RunTrace) -> None:
-    n = inst.graph.vertex_count
-    seen: set[int] = set()
-    for event in trace.events:
-        if not 0 <= event.vertex < n:
-            raise TraceMismatchError(f"event vertex {event.vertex} out of range")
-        if inst.is_terminal(event.vertex):
-            raise TraceMismatchError(f"terminal {event.vertex} has an assignment event")
-        if event.vertex in seen:
-            raise TraceMismatchError(f"vertex {event.vertex} assigned twice")
-        if not 0 <= event.terminal < inst.k:
-            raise TraceMismatchError(f"event terminal {event.terminal} out of range")
-        seen.add(event.vertex)
-
-
 def index_trace(inst: Instance, trace: RunTrace) -> TraceIndex:
-    """Validate a trace against the instance and index its batches by vertex."""
-    _check_trace(inst, trace)
-    batch_of = [-1] * inst.graph.vertex_count
+    """Validate a trace against the instance and index its batches by vertex.
+
+    One pass: a vertex already indexed is a terminal (batch < k) or was
+    assigned by an earlier event.
+    """
+    n = inst.graph.vertex_count
+    k = inst.k
+    batch_of = [-1] * n
     for h, t in enumerate(inst.terminals):
         batch_of[t] = h
-    batch_terminal = list(range(inst.k))
+    batch_terminal = list(range(k))
     key = None
     for event in trace.events:
+        v = event.vertex
+        if not 0 <= v < n:
+            raise TraceMismatchError(f"event vertex {v} out of range")
+        if batch_of[v] >= 0:
+            if batch_of[v] < k:
+                raise TraceMismatchError(f"terminal {v} has an assignment event")
+            raise TraceMismatchError(f"vertex {v} assigned twice")
+        if not 0 <= event.terminal < k:
+            raise TraceMismatchError(f"event terminal {event.terminal} out of range")
         if (event.round_index, event.terminal) != key:
             key = (event.round_index, event.terminal)
             batch_terminal.append(event.terminal)
-        batch_of[event.vertex] = len(batch_terminal) - 1
+        batch_of[v] = len(batch_terminal) - 1
     return TraceIndex(batch_of, batch_terminal)
 
 
@@ -287,7 +276,8 @@ def merge_detours(reaches: list[Reach]) -> list[Reach]:
             and merged[-1].terminal == reach.terminal
             and merged[-1].q_max + 1 == reach.q_min
         ):
-            reach = replace(merged.pop(), q_max=reach.q_max)
+            first = merged.pop()
+            reach = Reach(first.order, first.terminal, first.q_min, reach.q_max)
         merged.append(reach)
     return merged
 
@@ -297,14 +287,14 @@ def _make_detour(inst: Instance, path: tuple[int, ...], reach: Reach) -> Termina
     graph = inst.graph
     t = inst.terminals[reach.terminal]
     back = graph.shortest_path(t, path[reach.q_min])
+    out = graph.shortest_path(t, path[reach.q_max])
+    exit_vertex = path[reach.q_max + 1]
     return TerminalDetour(
-        q_min=reach.q_min,
-        q_max=reach.q_max,
-        terminal=reach.terminal,
-        inbound=ShortestPath(back.vertices[::-1], back.length),
-        outbound=graph.shortest_path(t, path[reach.q_max]),
-        exit_vertex=path[reach.q_max + 1],
-        exit_weight=graph.edge_weight(path[reach.q_max], path[reach.q_max + 1]),
+        reach.q_min,
+        reach.q_max,
+        reach.terminal,
+        back.vertices[::-1] + out.vertices[1:] + (exit_vertex,),
+        back.length + out.length + graph.edge_weight(path[reach.q_max], exit_vertex),
     )
 
 
@@ -389,7 +379,7 @@ def detect_bad_events(
     index = index_trace(inst, trace)
     report = BadEventReport()
     nearest = inst.nearest_terminal_distances()
-    log_k = params.log_k(inst.k)
+    log_k = math.log(inst.k)
     means = [trace.base_mean]
 
     for event in trace.events:
@@ -425,7 +415,7 @@ def distortion_bound(params: GrowthParams, k: float) -> float:
     """Closed-form worst-case distortion: 1 + 40 c3 (c1 + 1) / c2 * log^2 k."""
     if k < 2:
         raise ValueError("the bound needs at least two terminals")
-    log_k = params.log_k(k)
+    log_k = math.log(k)
     return 1.0 + distortion_bound_coefficient(params) * log_k * log_k
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "AssignmentEvent",
     "RunTrace",
     "SubstreamSampler",
-    "sample_erv",
     "compute_base_mean",
     "run",
     "replay_trace",
@@ -79,11 +78,8 @@ class GrowthParams:
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
-    def log_k(self, k: int) -> float:
-        return math.log(k)
-
     def growth_rate(self, k: int) -> float:
-        return 1.0 + self.delta / self.log_k(k)
+        return 1.0 + self.delta / math.log(k)
 
 
 @dataclass(frozen=True)
@@ -143,15 +139,8 @@ class SubstreamSampler:
         return self._gen.random()
 
 
-def sample_erv(rng, mean: float) -> float:
-    """Exponential variate with the given mean: mean * (-ln U), U in (0, 1]."""
-    return _exponential(mean, rng.random())
-
-
 def _exponential(mean: float, u: float) -> float:
     # u is uniform on [0, 1); 1 - u is in (0, 1], so the log is finite.
-    if mean <= 0:
-        raise ValueError("mean must be positive")
     return -mean * math.log(1.0 - u)
 
 
@@ -164,7 +153,7 @@ def compute_base_mean(inst: Instance, params: GrowthParams) -> float:
     if not candidates:
         raise NoNonTerminalsError("every vertex is a terminal")
     d_min = min(candidates)
-    base_mean = params.delta / (100.0 * params.log_k(inst.k)) * d_min
+    base_mean = params.delta / (100.0 * math.log(inst.k)) * d_min
     if base_mean == 0.0:
         raise GraphError(f"base mean underflows to 0 at smallest D_v {d_min!r}")
     return base_mean

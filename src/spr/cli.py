@@ -413,10 +413,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except SprError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError, KeyError) as exc:
+    except (SprError, OSError, json.JSONDecodeError, UnicodeDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

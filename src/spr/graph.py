@@ -93,15 +93,11 @@ class WeightedGraph:
 
     # -- plain distances and canonical shortest paths --------------------
 
-    def _dijkstra(
-        self, sources: Iterable[int], targets: Iterable[int] | None = None
-    ) -> list[float]:
-        """Plain Dijkstra: distance from the nearest of ``sources`` to every vertex.
+    def _dijkstra(self, s: int, targets: Iterable[int] | None = None) -> list[float]:
+        """Plain Dijkstra: distance from s to every vertex.
 
         Float addition is monotone, so every entry is the minimum over all
-        paths of the left-to-right float sum, whichever source the path
-        starts at; the result is bit-identical to the elementwise minimum of
-        the single-source rows.
+        paths of the left-to-right float sum.
 
         With ``targets`` the search stops at the first pop beyond the
         farthest target's distance D.  Every vertex at most D away is then
@@ -110,11 +106,8 @@ class WeightedGraph:
         """
         adjacency = self.adjacency
         dist = [math.inf] * self.vertex_count
-        heap = []
-        for s in sources:
-            dist[s] = 0.0
-            heap.append((0.0, s))
-        heapq.heapify(heap)
+        dist[s] = 0.0
+        heap = [(0.0, s)]
         pop = heapq.heappop
         push = heapq.heappush
         # Pops at most ``limit`` away skip the target bookkeeping; with
@@ -143,7 +136,7 @@ class WeightedGraph:
         """Distances from s to every vertex; cached per source, never mutated."""
         row = self._rows.get(s)
         if row is None:
-            row = self._rows[s] = self._dijkstra((s,))
+            row = self._rows[s] = self._dijkstra(s)
         return row
 
     def _label(self, s: int, dist: list[float], targets: Iterable[int] | None) -> list[int]:
@@ -259,7 +252,7 @@ class WeightedGraph:
         self._check_vertex(s)
         for t in targets:
             self._check_vertex(t)
-        parent = self._label(s, self._dijkstra((s,), targets), targets)
+        parent = self._label(s, self._dijkstra(s, targets), targets)
         return [_walk(parent, s, t) for t in targets]
 
     def eccentricity(self, s: int) -> float:
@@ -383,11 +376,10 @@ class Instance:
     def nearest_terminal_distances(self) -> list[float]:
         """Per vertex: distance to the nearest terminal (0.0 at terminals).
 
-        One multi-source Dijkstra from all terminals; bit-identical to the
-        elementwise minimum of the k terminal rows.  It names no terminal:
-        under float rounding the source a multi-source pass propagates is
-        not always the smallest index attaining the minimum.  Cached.
+        The elementwise minimum of the k cached terminal rows, which
+        ``contract`` and ``distortion`` read as well.  Cached.
         """
         if self._nearest_distances is None:
-            self._nearest_distances = self.graph._dijkstra(self.terminals)
+            rows = [self.graph._distance_row(t) for t in self.terminals]
+            self._nearest_distances = list(map(min, zip(*rows)))
         return self._nearest_distances

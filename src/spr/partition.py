@@ -29,9 +29,11 @@ __all__ = [
     "distortion",
     "oracle_optimal",
     "ORACLE_MAX_NON_TERMINALS",
+    "ORACLE_MAX_CANDIDATES",
 ]
 
 ORACLE_MAX_NON_TERMINALS = 8
+ORACLE_MAX_CANDIDATES = 4**8
 
 
 @dataclass(frozen=True)
@@ -187,14 +189,21 @@ def oracle_optimal(inst: Instance) -> OracleResult:
 
     Enumerates every assignment of the non-terminals to terminal cells and
     keeps the best valid one (ties resolved toward the lexicographically
-    smallest assignment).  Only feasible for tiny instances; the limit is
-    ORACLE_MAX_NON_TERMINALS non-terminals.
+    smallest assignment).  Only feasible for tiny instances: at most
+    ORACLE_MAX_NON_TERMINALS non-terminals and ORACLE_MAX_CANDIDATES
+    assignments (k to the number of non-terminals), checked before any is
+    enumerated.
     """
     free = inst.non_terminals()
     if len(free) > ORACLE_MAX_NON_TERMINALS:
         raise TooLargeError(
             f"{len(free)} non-terminals exceed the enumeration limit "
             f"{ORACLE_MAX_NON_TERMINALS}"
+        )
+    if inst.k ** len(free) > ORACLE_MAX_CANDIDATES:
+        raise TooLargeError(
+            f"{inst.k}^{len(free)} candidate partitions exceed the enumeration "
+            f"limit {ORACLE_MAX_CANDIDATES}"
         )
     n = inst.graph.vertex_count
     base = [0] * n

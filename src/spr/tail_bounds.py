@@ -87,28 +87,29 @@ def _upper_contfrac(m: int, x: float) -> float:
     return math.exp(-x + m * math.log(x) - math.lgamma(m)) * h
 
 
-def erlang_cdf_lower(m: int, x: float) -> float:
-    """P[Erlang(m, 1) <= x], to 1e-12 absolute."""
+def _erlang_tails(m: int, x: float) -> tuple[float, float]:
+    """(P[Erlang(m, 1) <= x], P[Erlang(m, 1) >= x]), each side evaluated
+    directly where it is the small one."""
     _check_shape(m)
     if x < 0:
         raise ValueError("threshold must be nonnegative")
     if x == 0.0:
-        return 0.0
+        return 0.0, 1.0
     if x < m + 1.0:
-        return _lower_series(m, x)
-    return 1.0 - _upper_contfrac(m, x)
+        lower = _lower_series(m, x)
+        return lower, 1.0 - lower
+    upper = _upper_contfrac(m, x)
+    return 1.0 - upper, upper
+
+
+def erlang_cdf_lower(m: int, x: float) -> float:
+    """P[Erlang(m, 1) <= x], to 1e-12 absolute."""
+    return _erlang_tails(m, x)[0]
 
 
 def erlang_tail_upper(m: int, x: float) -> float:
     """P[Erlang(m, 1) >= x]; evaluated directly so tiny tails keep precision."""
-    _check_shape(m)
-    if x < 0:
-        raise ValueError("threshold must be nonnegative")
-    if x == 0.0:
-        return 1.0
-    if x >= m + 1.0:
-        return _upper_contfrac(m, x)
-    return 1.0 - _lower_series(m, x)
+    return _erlang_tails(m, x)[1]
 
 
 def lemma4_bound(m: int, kappa: float) -> float:
@@ -117,13 +118,8 @@ def lemma4_bound(m: int, kappa: float) -> float:
     Valid for kappa <= 1/4: the lower tail of a sum of m independent
     exponentials with means >= A, at threshold kappa * A * m.
     """
-    _check_shape(m)
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
-    if kappa > 0.25:
-        raise KappaTooLargeError(f"kappa={kappa} exceeds 1/4")
-    value = 4.0 / (3.0 * math.sqrt(2.0 * math.pi * m)) * (3.0 * kappa) ** m
-    return min(1.0, value)
+    loose = lemma4_bound_loose(m, kappa)
+    return min(1.0, 4.0 / (3.0 * math.sqrt(2.0 * math.pi * m)) * loose)
 
 
 def lemma4_bound_loose(m: int, kappa: float) -> float:
@@ -136,14 +132,18 @@ def lemma4_bound_loose(m: int, kappa: float) -> float:
     return (3.0 * kappa) ** m
 
 
-def lemma5_bound(M: float, delta: float, k: int) -> float:
-    """Bound 2 / k^(M / (12 delta) + 3) for the geometric-mean sum's upper tail."""
+def _check_lemma5_regime(M: float, delta: float, k: int) -> None:
     if M < 18:
         raise ParamOutOfRegimeError(f"M={M} below the certified minimum 18")
     if not 0 < delta <= 0.5:
         raise ParamOutOfRegimeError(f"delta={delta} outside (0, 1/2]")
     if k < 3:
         raise ParamOutOfRegimeError(f"k={k} below 3")
+
+
+def lemma5_bound(M: float, delta: float, k: int) -> float:
+    """Bound 2 / k^(M / (12 delta) + 3) for the geometric-mean sum's upper tail."""
+    _check_lemma5_regime(M, delta, k)
     return 2.0 * k ** -(M / (12.0 * delta) + 3.0)
 
 
@@ -195,12 +195,7 @@ class GeometricSumQuery:
     def __post_init__(self):
         if self.a <= 0:
             raise ValueError("mean must be positive")
-        if not 0 < self.delta <= 0.5:
-            raise ParamOutOfRegimeError(f"delta={self.delta} outside (0, 1/2]")
-        if self.k < 3:
-            raise ParamOutOfRegimeError(f"k={self.k} below 3")
-        if self.big_m < 18:
-            raise ParamOutOfRegimeError(f"M={self.big_m} below the certified minimum 18")
+        _check_lemma5_regime(self.big_m, self.delta, self.k)
 
     @property
     def r(self) -> float:

@@ -216,18 +216,17 @@ class TestTrackReaches:
         assert pairs > 500 and interior_terminal_pairs > 20
 
     def test_trace_mismatch(self, path3):
-        trace = make_trace(path3, [AssignmentEvent(7, 0, 0, 0.01, 1.0)])
-        with pytest.raises(TraceMismatchError):
-            index_trace(path3, trace)
-        dup = make_trace(
-            path3,
-            [
-                AssignmentEvent(1, 0, 0, 0.01, 1.0),
-                AssignmentEvent(1, 1, 1, 0.02, 1.0),
-            ],
-        )
-        with pytest.raises(TraceMismatchError):
-            index_trace(path3, dup)
+        cases = [
+            ([(7, 0, 0)], "event vertex 7 out of range"),
+            ([(0, 1, 0)], "terminal 0 has an assignment event"),
+            ([(1, 0, 0), (1, 1, 1)], "vertex 1 assigned twice"),
+            ([(1, 2, 0)], "event terminal 2 out of range"),
+            ([(1, -1, 0)], "event terminal -1 out of range"),
+        ]
+        for events, message in cases:
+            trace = make_trace(path3, [AssignmentEvent(v, t, r, 0.01, 1.0) for v, t, r in events])
+            with pytest.raises(TraceMismatchError, match=f"^{message}$"):
+                index_trace(path3, trace)
 
 
 def synthetic_trace(inst, seed, keep=1.0):
@@ -541,9 +540,9 @@ class TestRoundOf:
 class TestOnePassPerTrial:
     def test_trace_checked_once_per_trial(self, monkeypatch):
         calls = []
-        original = analysis._check_trace
+        original = analysis.index_trace
         monkeypatch.setattr(
-            analysis, "_check_trace", lambda inst, trace: calls.append(1) or original(inst, trace)
+            analysis, "index_trace", lambda inst, trace: calls.append(1) or original(inst, trace)
         )
         inst = random_connected_instance(8, n=40, k=6)
         analysis.run_experiment(inst, GrowthParams(seed=1), trials=3)

@@ -8,17 +8,17 @@ import pytest
 from spr import (
     GrowthParams,
     Instance,
+    WeightedGraph,
     build_graph,
     compute_base_mean,
     contract,
     distortion,
     replay_trace,
     run,
-    sample_erv,
     trace_to_dict,
     validate,
 )
-from spr.ball_growing import SubstreamSampler
+from spr.ball_growing import SubstreamSampler, _exponential
 from spr.errors import GraphError, NoNonTerminalsError, RoundCapExceededError
 
 from conftest import (
@@ -29,32 +29,18 @@ from conftest import (
 )
 
 
-class FixedUniform:
-    def __init__(self, value):
-        self.value = value
-
-    def random(self):
-        return self.value
-
-
 class TestSampleErv:
     def test_unit_mean_at_one_over_e(self):
-        # U = 1/e gives -ln(1/e) = 1; the stub returns 1 - 1/e from random().
-        rng = FixedUniform(1.0 - 1.0 / math.e)
-        assert sample_erv(rng, 1.0) == pytest.approx(1.0, rel=1e-12)
+        # u = 1 - 1/e gives -ln(1/e) = 1.
+        assert _exponential(1.0, 1.0 - 1.0 / math.e) == pytest.approx(1.0, rel=1e-12)
 
     def test_scaling(self):
-        rng = FixedUniform(1.0 - 1.0 / math.e)
-        assert sample_erv(rng, 5.0) == pytest.approx(5.0, rel=1e-12)
+        assert _exponential(5.0, 1.0 - 1.0 / math.e) == pytest.approx(5.0, rel=1e-12)
 
     def test_empirical_mean_within_two_percent(self):
         rng = np.random.default_rng(1234)
-        draws = [sample_erv(rng, 2.0) for _ in range(100_000)]
+        draws = [_exponential(2.0, rng.random()) for _ in range(100_000)]
         assert 1.96 <= sum(draws) / len(draws) <= 2.04
-
-    def test_rejects_bad_mean(self):
-        with pytest.raises(ValueError):
-            sample_erv(FixedUniform(0.5), 0.0)
 
 
 class TestSubstreams:
@@ -101,6 +87,19 @@ class TestBaseMean:
         inst = Instance(build_graph(2, [(0, 1, 1.0)]), [0, 1])
         with pytest.raises(NoNonTerminalsError):
             compute_base_mean(inst, GrowthParams())
+
+    def test_reads_the_terminal_rows_that_distortion_reuses(self, monkeypatch):
+        inst = random_connected_instance(2, n=40, k=5)
+        params = GrowthParams(seed=1)
+        compute_base_mean(inst, params)
+        assert sorted(inst.graph._rows) == sorted(inst.terminals)
+
+        def no_search(*args):
+            raise AssertionError("a distance row was computed twice")
+
+        monkeypatch.setattr(WeightedGraph, "_dijkstra", no_search)
+        part, _ = run(inst, params)
+        assert distortion(inst, contract(inst, part)).max_ratio >= 1.0
 
 
 class TestRun:

@@ -230,6 +230,18 @@ class TestOracle:
         assert code == 1
         assert "error:" in err
 
+    def test_too_many_candidates_exits_one_at_once(self, tmp_path, monkeypatch):
+        def reached(inst, part):
+            raise AssertionError("a candidate was enumerated")
+
+        monkeypatch.setattr(partition, "contract", reached)
+        inst = random_connected_instance(4, n=32, k=24)  # 24^8 candidates
+        path = tmp_path / "wide.txt"
+        path.write_text(format_graph_text(inst))
+        code, out, err = invoke(["oracle", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: 24^8 candidate partitions") and err.count("\n") == 1
+
 
 class TestValidateOnce:
     """Each partition is validated exactly once, inside ``contract``."""

@@ -344,15 +344,15 @@ def float_weighted_instances(draw):
 
 
 class TestNearestTerminalFloatWeights:
-    """The multi-source pass is the bitwise minimum of the terminal rows,
-    even where distance sums round."""
+    """D_v is the bitwise minimum of the terminal rows, even where distance
+    sums round."""
 
     @given(float_weighted_instances())
     @settings(max_examples=200, deadline=None)
     def test_matches_terminal_rows_bit_for_bit(self, instance):
         n, edges, terminals = instance
         inst = Instance(build_graph(n, edges), terminals)
-        multi_source = inst.nearest_terminal_distances()
+        nearest = inst.nearest_terminal_distances()
         for v in range(n):
             low = min(inst.graph.distance(t, v) for t in terminals)
-            assert multi_source[v].hex() == low.hex()
+            assert nearest[v].hex() == low.hex()

@@ -12,6 +12,7 @@ from spr import (
     oracle_optimal,
     validate,
 )
+from spr import partition
 from spr.errors import InvalidPartitionError, TooLargeError
 
 from conftest import random_connected_instance, random_valid_partition
@@ -164,6 +165,21 @@ class TestOracle:
     def test_too_large(self):
         inst = random_connected_instance(0, n=12, k=3)  # 9 non-terminals
         with pytest.raises(TooLargeError):
+            oracle_optimal(inst)
+
+    def test_too_many_candidates_refused_before_enumerating(self, monkeypatch):
+        class Enumerated(Exception):
+            pass
+
+        def reached(inst, part):
+            raise Enumerated
+
+        monkeypatch.setattr(partition, "contract", reached)
+        inst = random_connected_instance(0, n=13, k=5)  # 5^8 = 390,625 candidates
+        with pytest.raises(TooLargeError, match=r"^5\^8 candidate partitions exceed"):
+            oracle_optimal(inst)
+        inst = random_connected_instance(0, n=12, k=4)  # 4^8, exactly the limit
+        with pytest.raises(Enumerated):
             oracle_optimal(inst)
 
     def test_ties_resolve_to_lexicographically_smallest(self, star3):
