@@ -43,6 +43,7 @@ __all__ = [
     "BadEventReport",
     "TraceIndex",
     "path_partition",
+    "partition_pairs",
     "index_trace",
     "track_reaches",
     "merge_detours",
@@ -366,8 +367,23 @@ def _round_of(means: list[float], rate: float, z: float) -> int:
     return bisect_left(means, z)
 
 
+def partition_pairs(
+    inst: Instance, params: GrowthParams
+) -> dict[tuple[int, int], list[PathCell]]:
+    """:func:`path_partition` of every pair i < j.
+
+    The cells depend on the instance, ``delta`` and ``c2`` only, so one
+    result serves every trial of an experiment.
+    """
+    k = inst.k
+    return {(i, j): path_partition(inst, i, j, params) for i in range(k) for j in range(i + 1, k)}
+
+
 def detect_bad_events(
-    inst: Instance, trace: RunTrace, params: GrowthParams
+    inst: Instance,
+    trace: RunTrace,
+    params: GrowthParams,
+    cells: dict[tuple[int, int], list[PathCell]] | None = None,
 ) -> BadEventReport:
     """Scan a trace for the three bad-event families.
 
@@ -375,7 +391,12 @@ def detect_bad_events(
     early: a vertex assigned during or before the first round whose mean
     reaches c2 * D_v * delta / log k.
     many: a path cell reached by at least c3 * log k distinct terminals.
+
+    ``cells`` is :func:`partition_pairs` of the same instance and params,
+    computed here when omitted.
     """
+    if cells is None:
+        cells = partition_pairs(inst, params)
     index = index_trace(inst, trace)
     report = BadEventReport()
     nearest = inst.nearest_terminal_distances()
@@ -393,17 +414,15 @@ def detect_bad_events(
             report.early_events.append((event.vertex, event.round_mean, z))
 
     many_threshold = params.c3 * log_k
-    for i in range(inst.k):
-        for j in range(i + 1, inst.k):
-            cells = path_partition(inst, i, j, params)
-            log = track_reaches(inst, index, i, j, cells)
-            report.reach_logs[(i, j)] = log
-            for ci, cell in enumerate(cells):
-                distinct = len({reach.terminal for reach in log.reaches[ci]})
-                if distinct >= many_threshold:
-                    report.many_events.append(
-                        ((i, j), cell.start, cell.end, distinct, many_threshold)
-                    )
+    for (i, j), pair_cells in cells.items():
+        log = track_reaches(inst, index, i, j, pair_cells)
+        report.reach_logs[(i, j)] = log
+        for ci, cell in enumerate(pair_cells):
+            distinct = len({reach.terminal for reach in log.reaches[ci]})
+            if distinct >= many_threshold:
+                report.many_events.append(
+                    ((i, j), cell.start, cell.end, distinct, many_threshold)
+                )
     return report
 
 
@@ -480,12 +499,17 @@ def run_experiment(
     work = pre.minor if pre is not None else inst
 
     results: list[TrialResult] = []
+    cells = None
     for index in range(trials):
         trial_params = replace(params, seed=(params.seed + index) % 2**64)
         part, trace = run(work, trial_params)
         minor = contract(work, part)
         dist_result = distortion(work, minor)
-        report = detect_bad_events(work, trace, trial_params)
+        if cells is None:
+            # After the first run, where the per-trial analysis would first
+            # need them, so errors keep their order.
+            cells = partition_pairs(work, params)
+        report = detect_bad_events(work, trace, trial_params, cells)
 
         minor_dist = {(i, j): d1 for i, j, _, d1, _ in dist_result.pairs}
         pairs = 0

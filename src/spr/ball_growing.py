@@ -26,7 +26,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GraphError, NoNonTerminalsError, RoundCapExceededError
+from .errors import (
+    GraphError,
+    NoNonTerminalsError,
+    ParamOutOfRegimeError,
+    RoundCapExceededError,
+)
 from .graph import Instance
 from .partition import TerminalPartition
 
@@ -169,6 +174,10 @@ def _default_round_cap(inst: Instance, base_mean: float, rate: float) -> int:
         raise GraphError(
             f"edge weights span too wide a range: distance {reach!r} over "
             f"base mean {base_mean!r} overflows the round cap"
+        )
+    if rate <= 1.0:
+        raise ParamOutOfRegimeError(
+            f"growth rate {rate!r} does not exceed 1; the round means would never grow"
         )
     cap = 10 * math.ceil(math.log(ratio) / math.log(rate))
     return max(cap, 16)

@@ -70,4 +70,4 @@ class KappaTooLargeError(SprError):
 
 
 class ParamOutOfRegimeError(SprError):
-    """Tail-bound parameters fall outside the certified regime."""
+    """Parameters fall outside the regime a bound or a run can handle."""

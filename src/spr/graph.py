@@ -29,7 +29,7 @@ from .errors import (
     SelfLoopError,
 )
 
-__all__ = ["WeightedGraph", "Instance", "ShortestPath", "build_graph"]
+__all__ = ["WeightedGraph", "Skeleton", "Instance", "ShortestPath", "build_graph"]
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,9 @@ class WeightedGraph:
     float per vertex) serve :meth:`distance` and :meth:`eccentricity`;
     canonical parent arrays (on top of the same row) are built only for
     :meth:`shortest_path`, which needs a vertex sequence.
-    :meth:`shortest_paths` labels only what its targets need and caches
-    nothing.  The object is safe to share across concurrent trials because
-    nothing is mutated after the caches fill.
+    :meth:`skeleton` builds the search structure for target-bounded path
+    queries, which cache nothing.  The object is safe to share across
+    concurrent trials because nothing is mutated after the caches fill.
     """
 
     __slots__ = ("vertex_count", "edges", "adjacency", "_rows", "_labels")
@@ -93,16 +93,11 @@ class WeightedGraph:
 
     # -- plain distances and canonical shortest paths --------------------
 
-    def _dijkstra(self, s: int, targets: Iterable[int] | None = None) -> list[float]:
+    def _dijkstra(self, s: int) -> list[float]:
         """Plain Dijkstra: distance from s to every vertex.
 
         Float addition is monotone, so every entry is the minimum over all
         paths of the left-to-right float sum.
-
-        With ``targets`` the search stops at the first pop beyond the
-        farthest target's distance D.  Every vertex at most D away is then
-        settled, ties at D included, with the same value as in the full row;
-        the other entries are upper bounds above D, or inf.
         """
         adjacency = self.adjacency
         dist = [math.inf] * self.vertex_count
@@ -110,21 +105,10 @@ class WeightedGraph:
         heap = [(0.0, s)]
         pop = heapq.heappop
         push = heapq.heappush
-        # Pops at most ``limit`` away skip the target bookkeeping; with
-        # targets the limit stays below every distance until the last one
-        # is settled, and then becomes its distance.
-        pending = None if targets is None else set(targets)
-        limit = math.inf if targets is None else -1.0
         while heap:
             d, u = pop(heap)
             if d > dist[u]:
                 continue
-            if d > limit:
-                if not pending:
-                    break
-                pending.discard(u)
-                if not pending:
-                    limit = d
             for v, w in adjacency[u]:
                 nd = d + w
                 if nd < dist[v]:
@@ -145,9 +129,11 @@ class WeightedGraph:
         The closure holds every vertex on some shortest path from s to a
         target: each tight predecessor u (``dist[u] + w == dist[v]``) of a
         closure vertex v is in it, so ``targets=None`` (every vertex) skips
-        the walk.  ``dist`` must be exact up to the farthest target.  The
-        passes walk the closure in (distance, id) order, minimizing hop
-        count, then pick the parent whose canonical sequence is
+        the walk.  Only closure vertices and their neighbours are read:
+        each must hold its full-row distance, or any value above the
+        farthest target's distance when that one does.  The passes walk
+        the closure in (distance, id) order, minimizing hop count, then
+        pick the parent whose canonical sequence is
         lexicographically smallest.  Sequences are never materialized:
         vertices on the same hop level are ranked by (parent rank, vertex
         id), which orders equal-length sequences exactly as direct
@@ -241,19 +227,9 @@ class WeightedGraph:
         self._check_vertex(t)
         return ShortestPath(_walk(self._single_source(s), s, t), self._rows[s][t])
 
-    def shortest_paths(self, s: int, targets: Sequence[int]) -> list[tuple[int, ...]]:
-        """Vertex sequences of the canonical paths from s to each target.
-
-        Equal to ``shortest_path(s, t).vertices`` for each t.  Runs Dijkstra
-        only as far as the farthest target and labels only the targets'
-        shortest-path DAG, caching neither.  A weight lost to rounding raises
-        only where that DAG meets it.
-        """
-        self._check_vertex(s)
-        for t in targets:
-            self._check_vertex(t)
-        parent = self._label(s, self._dijkstra(s, targets), targets)
-        return [_walk(parent, s, t) for t in targets]
+    def skeleton(self, keep: Iterable[int]) -> Skeleton:
+        """The chain skeleton with ``keep`` among its branch vertices; uncached."""
+        return Skeleton(self, keep)
 
     def eccentricity(self, s: int) -> float:
         return max(self._distance_row(s))
@@ -272,6 +248,181 @@ def _walk(parent: list[int], s: int, t: int) -> tuple[int, ...]:
         seq.append(v)
     seq.reverse()
     return tuple(seq)
+
+
+class Skeleton:
+    """A graph's chains of degree-2 vertices folded into single edges.
+
+    Branch vertices are ``keep`` plus every vertex whose degree is not 2.
+    Each maximal chain of the other vertices becomes one skeleton edge
+    between its two end branch vertices that keeps the chain's interior
+    ids and weight sequence.  A chain back to its own branch vertex is an
+    edge, and so is each of several chains between the same two branch
+    vertices; nothing is pruned.  Built in one walk over the adjacency.
+
+    :meth:`shortest_paths` searches branch vertices only and fills in the
+    chain interiors that the canonical labelling reads, with the same
+    floats a full Dijkstra row holds there.
+    """
+
+    __slots__ = ("graph", "keep", "_links", "_chains")
+
+    def __init__(self, graph: WeightedGraph, keep: Iterable[int]):
+        keep = frozenset(keep)
+        for v in keep:
+            graph._check_vertex(v)
+        n = graph.vertex_count
+        adjacency = graph.adjacency
+        branch = bytearray(len(nbrs) != 2 for nbrs in adjacency)
+        for v in keep:
+            branch[v] = 1
+        # links[b]: the (branch neighbour, weight) edges of branch vertex b.
+        # chains[b]: [far end, weights, interior] per chain, read from b.
+        # Lists, not tuples: CPython keeps thousands of freed small tuples
+        # for reuse, and those would hold on to the memory of a freed input
+        # graph (measured: +5 MB peak RSS on a subdivided 18k-vertex run).
+        links: list = [()] * n
+        chains: list = [None] * n
+        seen = bytearray(n)
+        for b in range(n):
+            if not branch[b]:
+                continue
+            nbrs = adjacency[b]
+            direct = [edge for edge in nbrs if branch[edge[0]]]
+            links[b] = nbrs if len(direct) == len(nbrs) else direct
+            for x, w in nbrs:
+                if branch[x] or seen[x]:
+                    continue
+                inner = []
+                weights = [w]
+                prev, v = b, x
+                while not branch[v]:
+                    seen[v] = 1
+                    inner.append(v)
+                    (y, wy), (z, wz) = adjacency[v]
+                    if y == prev:
+                        y, wy = z, wz
+                    weights.append(wy)
+                    prev, v = v, y
+                if chains[b] is None:
+                    chains[b] = []
+                chains[b].append([v, weights, inner])
+                if chains[v] is None:
+                    chains[v] = []
+                chains[v].append([b, weights[::-1], inner[::-1]])
+        self.graph = graph
+        self.keep = keep
+        self._links = links
+        self._chains = chains
+
+    def _search(self, s: int, targets: Iterable[int]) -> list[float]:
+        """Dijkstra over branch vertices from s, as far as the farthest target.
+
+        Stops at the first pop beyond the farthest target's distance D, so
+        every branch vertex at most D away is settled, ties at D included.
+        A chain is relaxed by folding its weights left to right onto the
+        distance of the end it is read from, so each settled entry is the
+        float a full row holds.  Chain interiors stay inf.
+        """
+        links = self._links
+        chains = self._chains
+        dist = [math.inf] * self.graph.vertex_count
+        dist[s] = 0.0
+        heap = [(0.0, s)]
+        pop = heapq.heappop
+        push = heapq.heappush
+        # Pops at most ``limit`` away skip the target bookkeeping; the limit
+        # stays below every distance until the last target is settled, and
+        # then becomes its distance.
+        pending = set(targets)
+        limit = -1.0
+        while heap:
+            d, u = pop(heap)
+            if d > dist[u]:
+                continue
+            if d > limit:
+                if not pending:
+                    break
+                pending.discard(u)
+                if not pending:
+                    limit = d
+            for v, w in links[u]:
+                nd = d + w
+                if nd < dist[v]:
+                    dist[v] = nd
+                    push(heap, (nd, v))
+            folds = chains[u]
+            if folds:
+                for v, weights, _ in folds:
+                    nd = d
+                    for w in weights:
+                        nd += w
+                    if nd < dist[v]:
+                        dist[v] = nd
+                        push(heap, (nd, v))
+        return dist
+
+    def _fill_closure(self, dist: list[float], targets: Iterable[int]) -> None:
+        """Fill every chain incident to the targets' skeleton closure.
+
+        The closure walks tight edges back from the targets, inside chains
+        one vertex at a time, as :meth:`WeightedGraph._label` does.  Each
+        closure vertex and each of its neighbours then holds its full-row
+        distance, which is all the labelling reads.  An interior distance
+        is the smaller of the folds from either end.
+        """
+        links = self._links
+        chains = self._chains
+        inf = math.inf
+        closure = set(targets)
+        stack = list(closure)
+        while stack:
+            v = stack.pop()
+            dv = dist[v]
+            for u, w in links[v]:
+                if dist[u] + w == dv and u not in closure:
+                    closure.add(u)
+                    stack.append(u)
+            folds = chains[v]
+            if not folds:
+                continue
+            for end, weights, inner in folds:
+                if dist[inner[0]] == inf:
+                    d = dv
+                    for x, w in zip(inner, weights):
+                        d += w
+                        dist[x] = d
+                    d = dist[end]
+                    for x, w in zip(reversed(inner), reversed(weights)):
+                        d += w
+                        if d < dist[x]:
+                            dist[x] = d
+                d = dv
+                for x, w in zip(inner, weights):
+                    if dist[x] + w != d:
+                        break
+                    d = dist[x]
+                else:
+                    if dist[end] + weights[-1] == d and end not in closure:
+                        closure.add(end)
+                        stack.append(end)
+
+    def shortest_paths(self, s: int, targets: Sequence[int]) -> list[tuple[int, ...]]:
+        """Vertex sequences of the canonical paths from s to each target.
+
+        Equal to ``graph.shortest_path(s, t).vertices`` for each t; s and
+        every target must be in ``keep``.  Labels only the targets'
+        shortest-path DAG and caches nothing, so a weight lost to rounding
+        raises only where that DAG meets it, with the message full
+        labelling gives.
+        """
+        for v in (s, *targets):
+            if v not in self.keep:
+                raise GraphError(f"vertex {v} is not kept by this skeleton")
+        dist = self._search(s, targets)
+        self._fill_closure(dist, targets)
+        parent = self.graph._label(s, dist, targets)
+        return [_walk(parent, s, t) for t in targets]
 
 
 def build_graph(vertex_count: int, edge_list: Sequence[tuple[int, int, float]]) -> WeightedGraph:

@@ -80,13 +80,15 @@ def _reduce_pass(inst: Instance, to_original: list[int]):
     terms = inst.terminals
     k = len(terms)
 
+    skeleton = g.skeleton(terms)
     keep_vertices: set[int] = set(terms)
     keep_edges: set[tuple[int, int]] = set()
     for a in range(k - 1):
-        for path in g.shortest_paths(terms[a], terms[a + 1 :]):
+        for path in skeleton.shortest_paths(terms[a], terms[a + 1 :]):
             keep_vertices.update(path)
             for x, y in zip(path, path[1:]):
                 keep_edges.add((x, y) if x < y else (y, x))
+    del skeleton  # free before the op log below is built
 
     ops: list[ContractionOp] = []
     for u, v, _ in sorted(g.edges):

@@ -221,6 +221,89 @@ def subdivide(inst, parts=5):
     return Instance(build_graph(next_id, new_edges), inst.terminals)
 
 
+def subdivide_unevenly(inst, seed, max_parts=5, weights=None):
+    """Split each edge into 2..``max_parts`` segments (a random count per edge).
+
+    Each segment weighs the original weight, or a draw from ``weights``
+    when given.  New vertex ids follow :func:`subdivide`'s block order.
+    """
+    rng = random.Random(seed)
+    g = inst.graph
+    next_id = g.vertex_count
+    new_edges = []
+    for u, v, w in sorted(g.edges):
+        parts = rng.randint(2, max_parts)
+        chain = [u] + [next_id + i for i in range(parts - 1)] + [v]
+        next_id += parts - 1
+        for x, y in zip(chain, chain[1:]):
+            new_edges.append((x, y, w if weights is None else rng.choice(weights)))
+    return Instance(build_graph(next_id, new_edges), inst.terminals)
+
+
+def pendant_tree(seed, n, k, parts=3):
+    """A subdivided random tree whose terminals sit near its root.
+
+    Vertex v hangs off a random earlier vertex, so the high ids form
+    terminal-free pendant subtrees of chains.
+    """
+    tree = random_connected_instance(seed, n, 2, extra_factor=0.0)
+    terminals = random.Random(seed).sample(range(2 * k), k)
+    return subdivide(Instance(tree.graph, terminals), parts)
+
+
+def lollipop(stem=3, loop=4, weight=1.0, stem_weight=None):
+    """A path 0 .. stem, then a loop chain of ``loop`` vertices back to ``stem``.
+
+    The terminals are the path's ends; the loop's interior is one chain
+    whose two ends are the same branch vertex.  Loop edges weigh
+    ``weight``, path edges ``stem_weight`` (default ``weight``).
+    """
+    if stem_weight is None:
+        stem_weight = weight
+    edges = [(v, v + 1, stem_weight) for v in range(stem)]
+    ring = [stem] + list(range(stem + 1, stem + 1 + loop)) + [stem]
+    edges += [(x, y, weight) for x, y in zip(ring, ring[1:])]
+    return Instance(build_graph(stem + 1 + loop, edges), [0, stem])
+
+
+def parallel_chains(weight_lists):
+    """Terminals 0 and 1 joined by one chain per weight list.
+
+    Chains of equal length tie on distance, so hop count and then the
+    vertex sequence pick the canonical one.
+    """
+    edges = []
+    next_id = 2
+    for weights in weight_lists:
+        chain = [0] + list(range(next_id, next_id + len(weights) - 1)) + [1]
+        next_id += len(weights) - 1
+        edges += [(x, y, w) for x, y, w in zip(chain, chain[1:], weights)]
+    return Instance(build_graph(next_id, edges), [0, 1])
+
+
+def path_graph(weights, terminals):
+    """Vertices 0 .. len(weights) in a row, edge i weighing weights[i]."""
+    edges = [(v, v + 1, w) for v, w in enumerate(weights)]
+    return Instance(build_graph(len(weights) + 1, edges), terminals)
+
+
+def label_reads(g, row, targets):
+    """Every vertex the canonical labelling of ``targets`` reads from ``row``.
+
+    The labelling walks tight edges back from the targets and compares
+    each closure vertex's distance with its neighbours'.
+    """
+    closure = set(targets)
+    stack = list(closure)
+    while stack:
+        v = stack.pop()
+        for u, w in g.adjacency[v]:
+            if row[u] + w == row[v] and u not in closure:
+                closure.add(u)
+                stack.append(u)
+    return closure | {u for v in closure for u, _ in g.adjacency[v]}
+
+
 def random_valid_partition(inst, rng):
     """Grow cells by absorbing random frontier vertices; always valid."""
     n = inst.graph.vertex_count

@@ -558,6 +558,26 @@ class TestOnePassPerTrial:
         analysis.run_experiment(inst, GrowthParams(seed=1), trials=3)
         assert len(calls) == 3
 
+    def test_pair_cells_computed_once_per_experiment(self, monkeypatch):
+        calls = []
+        original = analysis.path_partition
+        monkeypatch.setattr(
+            analysis, "path_partition", lambda *args: calls.append(args[1:3]) or original(*args)
+        )
+        inst = random_connected_instance(8, n=40, k=6)
+        analysis.run_experiment(inst, GrowthParams(seed=1), trials=3)
+        assert sorted(calls) == [(i, j) for i in range(6) for j in range(i + 1, 6)]
+
+    def test_given_cells_match_computed_ones(self):
+        inst = random_connected_instance(4, n=30, k=5)
+        params = GrowthParams(seed=2)
+        _, trace = run(inst, params)
+        cells = analysis.partition_pairs(inst, params)
+        given_cells = detect_bad_events(inst, trace, params, cells)
+        computed = detect_bad_events(inst, trace, params)
+        assert given_cells == computed
+        assert given_cells.reach_logs.keys() == cells.keys()
+
 
 class TestDistortionBound:
     def test_default_coefficient(self):

@@ -5,7 +5,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spr import GrowthParams, WeightedGraph, format_graph_text, parse_graph_text
@@ -455,6 +455,63 @@ class TestFlagRanges:
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1
         assert f"argument {flag}:" in errors[0]
+
+    EXTREMES = [
+        *("nan", "-nan", "inf", "-inf", "-0", "0", "+1", "1_0", "\u0661"),
+        *("1e308", "-1e308", "5e-324", "1e-300", "0x10", "0x1p-3"),
+        *(str(2**64), str(2**64 - 1), "", " "),
+    ]
+    FLOAT_FLAGS = ("--delta", "--c1", "--c2", "--c3")
+    FLAGS = ("--seed", *FLOAT_FLAGS, "--max-rounds", "--trials")
+
+    @pytest.fixture(scope="class")
+    def four_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "star.txt"
+        path.write_text(STAR)
+        return str(path)
+
+    def check_flag_value(self, graph_file, flag, value):
+        kind = float if flag in self.FLOAT_FLAGS else int
+        try:
+            number = kind(value)
+        except ValueError:
+            number = None
+        if number is not None:
+            # A tiny delta leaves the growth rate barely above 1, and many
+            # trials take long; both are slow, not wrong.
+            if flag == "--delta" and 1e-16 <= number <= 1e-2:
+                return False
+            if flag == "--trials" and number > 3:
+                return False
+        if flag == "--trials":
+            argv = ["experiment", "--seed", "0", flag, value, "--graph", graph_file]
+        else:
+            seed = [] if flag == "--seed" else ["--seed", "0"]
+            argv = ["run", *seed, flag, value, graph_file]
+        code, _, err = invoke(argv)
+        assert code in (0, 1, 2), (flag, value)
+        assert "Traceback" not in err, (flag, value)
+        assert sum("error:" in line for line in err.splitlines()) <= 1, (flag, value)
+        return True
+
+    @pytest.mark.parametrize("flag", FLAGS)
+    def test_extreme_values_end_in_one_error_line(self, four_file, flag):
+        for value in self.EXTREMES:
+            self.check_flag_value(four_file, flag, value)
+
+    @given(flag=st.sampled_from(FLAGS), value=st.text(max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_fuzzed_values_end_in_one_error_line(self, four_file, flag, value):
+        assume(self.check_flag_value(four_file, flag, value))
+
+    def test_growth_rate_of_one_is_refused(self, star_file):
+        # 1 + 1e-300 / log 3 rounds to 1: the round means would never grow.
+        code, out, err = invoke(["run", "--seed", "0", "--delta", "1e-300", star_file])
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            "error: growth rate 1.0 does not exceed 1; the round means would never grow"
+        )
 
     def test_defaults_come_from_growth_params(self, star_file):
         args = _build_parser().parse_args(["run", star_file])

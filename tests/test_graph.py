@@ -1,5 +1,7 @@
+import inspect
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -18,10 +20,16 @@ from conftest import (
     NON_DYADIC_WEIGHTS,
     brute_canonical,
     floyd_warshall,
+    label_reads,
+    lollipop,
+    parallel_chains,
+    path_graph,
+    pendant_tree,
     random_connected_instance,
     restricted_distances,
     reweighted,
     subdivide,
+    subdivide_unevenly,
 )
 
 
@@ -148,7 +156,7 @@ def fresh(g):
 
 
 class TestShortestPaths:
-    """The target-bounded query against per-target queries on a second graph."""
+    """The skeleton's target-bounded query against per-target queries on a second graph."""
 
     @staticmethod
     def instances():
@@ -170,10 +178,10 @@ class TestShortestPaths:
                     targets.append(s)
                 g1, g2 = fresh(g), fresh(g)
                 expected = [g2.shortest_path(s, t).vertices for t in targets]
-                assert g1.shortest_paths(s, targets) == expected
+                assert g1.skeleton({s, *targets}).shortest_paths(s, targets) == expected
                 assert g1._rows == {} and g1._labels == {}
                 # Cached labels of s do not change the answer.
-                assert g2.shortest_paths(s, targets) == expected
+                assert g2.skeleton({s, *targets}).shortest_paths(s, targets) == expected
 
     def test_against_enumeration(self):
         for seed in range(40):
@@ -181,15 +189,15 @@ class TestShortestPaths:
             rng = random.Random(seed + 999)
             s = rng.randrange(8)
             targets = rng.sample(range(8), rng.randint(1, 8))
-            assert fresh(g).shortest_paths(s, targets) == [
+            assert fresh(g).skeleton({s, *targets}).shortest_paths(s, targets) == [
                 brute_canonical(g, s, t)[0] for t in targets
             ]
 
     def test_empty_and_out_of_range(self):
         g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        assert g.shortest_paths(1, []) == []
+        assert g.skeleton({1}).shortest_paths(1, []) == []
         with pytest.raises(GraphError):
-            g.shortest_paths(0, [3])
+            g.skeleton({0, 3}).shortest_paths(0, [3])
 
     def test_exact_minor_caches_nothing_on_its_input(self):
         for seed in range(5):
@@ -205,7 +213,7 @@ class TestShortestPaths:
         inst = Instance(build_graph(4, [(0, 1, 1e16), (1, 2, 0.5), (2, 3, 0.5)]), (0, 1))
         message = r"^edge \(2, 1\) of weight 0.5 is lost to rounding at distance 1e\+16 from vertex 0$"
         with pytest.raises(GraphError, match=message):
-            inst.graph.shortest_paths(0, [1])
+            inst.graph.skeleton({0, 1}).shortest_paths(0, [1])
         with pytest.raises(GraphError, match=message):
             exact_minor(inst)
 
@@ -218,14 +226,194 @@ class TestShortestPaths:
         with pytest.raises(GraphError, match=message):
             build_graph(5, edges).shortest_path(0, 3)
         with pytest.raises(GraphError, match=message):
-            build_graph(5, edges).shortest_paths(0, [3])
+            build_graph(5, edges).skeleton({0, 3}).shortest_paths(0, [3])
 
     def test_lost_edge_off_the_paths_is_not_read(self):
         # The lost edge (2, 3) is on no shortest path from 0 to 1.
         g = build_graph(4, [(0, 1, 1.0), (0, 2, 1e16), (2, 3, 0.5)])
-        assert g.shortest_paths(0, [1]) == [(0, 1)]
+        assert g.skeleton({0, 1}).shortest_paths(0, [1]) == [(0, 1)]
         with pytest.raises(GraphError, match=r"edge \(3, 2\) of weight 0.5"):
             g.shortest_path(0, 1)
+
+
+def check_skeleton(inst):
+    """Skeleton rows and paths against full rows and full labelling.
+
+    Each terminal is a source and the others its targets.  Within the
+    farthest target's distance the search and the closure fill must give
+    the full row's float at every vertex the labelling reads; with every
+    chain filled, at every vertex.  Beyond it every entry must stay above
+    that distance.
+    """
+    g = inst.graph
+    n = g.vertex_count
+    terms = list(inst.terminals)
+    sk = fresh(g).skeleton(terms)
+    branch = [v for v in range(n) if v in sk.keep or len(g.adjacency[v]) != 2]
+    for a, s in enumerate(terms):
+        targets = terms[:a] + terms[a + 1 :]
+        full = g._dijkstra(s)
+        far = max(full[t] for t in targets)
+        row = sk._search(s, targets)
+
+        def check_row(vertices):
+            for v in vertices:
+                if full[v] <= far:
+                    assert row[v] == full[v], (s, v)
+                else:
+                    assert row[v] > far, (s, v)
+
+        sk._fill_closure(row, targets)
+        check_row(label_reads(g, full, targets))
+        sk._fill_closure(row, [v for v in branch if full[v] <= far])
+        check_row(range(n))
+        reference = fresh(g)
+        expected = [reference.shortest_path(s, t).vertices for t in targets]
+        assert sk.shortest_paths(s, targets) == expected
+
+
+def raised(call):
+    with pytest.raises(GraphError) as info:
+        call()
+    return str(info.value)
+
+
+class TestSkeleton:
+    """Chain-folded search against full rows and per-target labelling."""
+
+    def test_subdivided(self):
+        for seed in range(8):
+            inst = random_connected_instance(seed, n=12, k=4)
+            check_skeleton(subdivide_unevenly(inst, seed))
+            check_skeleton(subdivide(inst, parts=2 + seed % 4))
+
+    def test_pendant_trees(self):
+        for seed in range(8):
+            check_skeleton(pendant_tree(seed, n=25, k=4))
+
+    def test_lollipop(self):
+        check_skeleton(lollipop())
+        check_skeleton(lollipop(stem=1, loop=2, weight=0.1))
+        inst = lollipop(stem=2, loop=3)
+        chains = inst.graph.skeleton(inst.terminals)._chains
+        assert sorted((end, inner) for end, _, inner in chains[2]) == [
+            (0, [1]),
+            (2, [3, 4, 5]),
+            (2, [5, 4, 3]),
+        ]
+
+    def test_parallel_chains(self):
+        weight_lists = [[1.0, 1.0, 1.0], [1.5, 1.5], [0.5, 2.0, 0.5], [1.5, 1.5]]
+        check_skeleton(parallel_chains(weight_lists))
+        check_skeleton(parallel_chains([[0.1, 0.2], [0.2, 0.1], [0.3]]))
+        inst = parallel_chains(weight_lists)
+        chains = inst.graph.skeleton(inst.terminals)._chains
+        assert sorted(inner for _, _, inner in chains[0]) == [[2, 3], [4], [5, 6], [7]]
+
+    def test_path_is_one_chain(self):
+        check_skeleton(path_graph([1.0] * 6, [0, 6]))
+        check_skeleton(path_graph(NON_DYADIC_WEIGHTS, [0, 6]))
+        chains = path_graph([1.0] * 6, [0, 6]).graph.skeleton([0, 6])._chains
+        assert chains[0] == [[6, [1.0] * 6, [1, 2, 3, 4, 5]]]
+
+    def test_terminals_inside_chains(self):
+        check_skeleton(path_graph([2.0, 1.0, 3.0, 1.0, 2.0, 1.0], [2, 5]))
+        check_skeleton(path_graph(NON_DYADIC_WEIGHTS, [4, 1, 3]))
+        for seed in range(6):
+            sub = subdivide(random_connected_instance(seed, n=10, k=2), parts=3)
+            rng = random.Random(seed)
+            terms = rng.sample(range(10, sub.graph.vertex_count), 3) + [rng.randrange(10)]
+            check_skeleton(Instance(sub.graph, terms))
+
+    def test_non_dyadic_weights(self):
+        for seed in range(8):
+            inst = random_connected_instance(seed, n=12, k=4)
+            check_skeleton(subdivide_unevenly(inst, seed, weights=NON_DYADIC_WEIGHTS))
+            check_skeleton(reweighted(pendant_tree(seed, n=20, k=3), NON_DYADIC_WEIGHTS, seed))
+
+    def test_lost_weight_on_a_chain_raises_as_full_labelling(self):
+        # 1e16 + 0.5 rounds to 1e16: the chain's interior sits at its
+        # entry vertex's distance.
+        message = r"^edge \(2, 1\) of weight 0.5 is lost to rounding at distance 1e\+16 from vertex 0$"
+        for inst in (
+            path_graph([1e16, 0.5, 0.5, 1.0], [0, 4]),
+            lollipop(stem=1, loop=3, weight=0.5, stem_weight=1e16),
+        ):
+            g = inst.graph
+            t = inst.terminals[1]
+            full = raised(lambda: fresh(g).shortest_path(0, t))
+            assert full == raised(lambda: g.skeleton(inst.terminals).shortest_paths(0, [t]))
+            assert re.match(message, full)
+            with pytest.raises(GraphError, match=message):
+                exact_minor(inst)
+
+    def test_branch_ties_at_the_farthest_target_are_settled(self):
+        # Branch vertices 1 (the target) and 2 both lie at 1e16; 3 is
+        # reached only through them, at 1e16 too, so a search that stopped
+        # at the target's pop would leave 3 unreached and miss its lost
+        # edge into the target.
+        edges = [(0, 1, 1e16), (0, 2, 1e16), (2, 3, 0.5), (1, 3, 0.5), (3, 4, 2.0), (2, 5, 2.0)]
+        g = build_graph(6, edges)
+        message = raised(lambda: fresh(g).shortest_path(0, 1))
+        assert message == "edge (3, 1) of weight 0.5 is lost to rounding at distance 1e+16 from vertex 0"
+        assert raised(lambda: g.skeleton([0, 1]).shortest_paths(0, [1])) == message
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_random_subdivided_float_weights(self, data):
+        n = data.draw(st.integers(min_value=2, max_value=7))
+        edges = {(data.draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+        for _ in range(data.draw(st.integers(0, n))):
+            u, v = sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+            edges.add((u, v))
+        weights = st.sampled_from(data.draw(st.sampled_from([NON_DYADIC_WEIGHTS, (1.0, 2.0, 3.0)])))
+        next_id = n
+        split = []
+        for u, v in sorted(edges):
+            parts = data.draw(st.integers(1, 4))
+            chain = [u] + list(range(next_id, next_id + parts - 1)) + [v]
+            next_id += parts - 1
+            split += [(x, y, data.draw(weights)) for x, y in zip(chain, chain[1:])]
+        k = data.draw(st.integers(2, min(4, next_id)))
+        terms = data.draw(st.lists(st.integers(0, next_id - 1), min_size=k, max_size=k, unique=True))
+        check_skeleton(Instance(build_graph(next_id, split), terms))
+
+    def test_keep_is_checked(self):
+        g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        for keep in ([3], [0, -1]):
+            with pytest.raises(GraphError):
+                g.skeleton(keep)
+        sk = g.skeleton([0, 2])
+        for s, targets in ((1, [2]), (0, [1]), (0, [2, 1])):
+            with pytest.raises(GraphError, match="not kept"):
+                sk.shortest_paths(s, targets)
+
+
+class TestOneBoundedSearch:
+    """exact_minor's only search is the skeleton's; nothing is cached."""
+
+    def test_exact_minor_starts_no_dijkstra(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a full Dijkstra row was computed")
+
+        monkeypatch.setattr(WeightedGraph, "_dijkstra", refuse)
+        for seed in range(4):
+            inst = random_connected_instance(seed, n=30, k=5)
+            exact_minor(subdivide(inst, parts=3))
+            exact_minor(inst)
+
+    def test_dijkstra_takes_no_targets(self):
+        assert list(inspect.signature(WeightedGraph._dijkstra).parameters) == ["self", "s"]
+        assert not hasattr(WeightedGraph, "shortest_paths")
+
+    def test_skeleton_is_not_cached_on_the_graph(self):
+        assert WeightedGraph.__slots__ == ("vertex_count", "edges", "adjacency", "_rows", "_labels")
+        inst = subdivide(random_connected_instance(1, n=20, k=4), parts=3)
+        g = inst.graph
+        sk = g.skeleton(inst.terminals)
+        sk.shortest_paths(inst.terminals[0], inst.terminals[1:])
+        assert g.skeleton(inst.terminals) is not sk
+        assert g._rows == {} and g._labels == {}
 
 
 class TestStorage:
