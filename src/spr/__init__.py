@@ -32,7 +32,7 @@ from .ball_growing import (
     compute_base_mean,
     replay_trace,
     run,
-    trace_to_dict,
+    trace_to_json,
 )
 from .graph import Instance, ShortestPath, WeightedGraph, build_graph
 from .partition import (

@@ -9,9 +9,10 @@ fixed and the unassigned set is refreshed after every single terminal, so a
 run is a deterministic function of (instance, seed).
 
 Randomness contract: the increment for (round, terminal) is derived from the
-first variate of a Philox stream keyed by ``[seed, round * 2**32 +
-terminal]``.  Draws therefore do not depend on evaluation order, and any
-single draw can be reproduced from the seed alone.
+first variate of a Philox4x64-10 stream keyed by ``[seed, round * 2**32 +
+terminal]``, the value numpy's ``Philox`` gives for that key.  Draws
+therefore do not depend on evaluation order, and any single draw can be
+reproduced from the seed alone.
 
 Round means are computed by repeated multiplication (``mean *= r``), so the
 recorded sequence is exactly what the float arithmetic produced.
@@ -20,11 +21,11 @@ recorded sequence is exactly what the float arithmetic produced.
 from __future__ import annotations
 
 import heapq
+import json
 import math
 import warnings
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import NamedTuple
 
 from .errors import (
     GraphError,
@@ -44,10 +45,13 @@ __all__ = [
     "compute_base_mean",
     "run",
     "replay_trace",
-    "trace_to_dict",
+    "trace_to_json",
 ]
 
 DELTA_ANALYZED_MAX = 0.5
+# A derived round cap above this is refused: at delta = 1/2 and k <= 10**9
+# the cap stays below 3 * 10**5, so only a tiny delta reaches it.
+MAX_DERIVED_ROUNDS = 10**6
 
 
 @dataclass(frozen=True)
@@ -94,8 +98,7 @@ class RoundRecord:
     draws: tuple[tuple[int, float], ...]  # (terminal, increment), index order
 
 
-@dataclass(frozen=True)
-class AssignmentEvent:
+class AssignmentEvent(NamedTuple):
     vertex: int
     terminal: int
     round_index: int
@@ -117,31 +120,45 @@ class RunTrace:
         return len(self.rounds)
 
 
+# Philox4x64 multipliers and Weyl key increments (Salmon, Moraes, Dror and
+# Shaw, "Parallel random numbers: as easy as 1, 2, 3", SC'11).
+_PHILOX_M0 = 0xD2E7470EE14C6C93
+_PHILOX_M1 = 0xCA5A826395121157
+_PHILOX_W0 = 0x9E3779B97F4A7C15
+_PHILOX_W1 = 0xBB67AE8584CAA73B
+_MASK64 = 2**64 - 1
+
+
 class SubstreamSampler:
     """One uniform variate per (round, terminal), order-independent.
 
-    The value for (round, terminal) is the first ``random()`` of a numpy
-    Philox generator keyed by ``[seed, round * 2**32 + terminal]``.  A
-    single bit generator is re-keyed in place, which is observably identical
-    to constructing a fresh Philox per key (covered by a test).
+    The value for (round, terminal) is the first ``random()`` of numpy's
+    ``Philox`` generator keyed by ``[seed, round * 2**32 + terminal]``,
+    computed here on Python ints: 10 Philox4x64 rounds on the counter
+    ``[1, 0, 0, 0]``, then the top 53 bits of the first output word.
     """
 
     def __init__(self, seed: int):
         self.seed = seed
-        self._bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-        self._gen = np.random.Generator(self._bitgen)
-        self._state = self._bitgen.state
+        # The seed's key word for rounds 2..10; round 1 uses the seed itself.
+        self._seed_keys = tuple((seed + r * _PHILOX_W0) & _MASK64 for r in range(1, 10))
 
     def uniform(self, round_index: int, terminal: int) -> float:
         if not 0 <= terminal < 2**32:
             raise ValueError("terminal index exceeds the key lane")
-        st = self._state
-        st["state"]["key"][0] = self.seed
-        st["state"]["key"][1] = (round_index << 32) | terminal
-        st["state"]["counter"][:] = 0
-        st["buffer_pos"] = 4
-        self._bitgen.state = st
-        return self._gen.random()
+        if not 0 <= round_index < 2**32:
+            raise ValueError("round index exceeds the key lane")
+        key = (round_index << 32) | terminal
+        # Round 1: counter [1, 0, 0, 0] makes both products constants.
+        x0, x1, x2, x3 = self.seed, 0, key, _PHILOX_M0
+        for seed_key in self._seed_keys:
+            key = (key + _PHILOX_W1) & _MASK64
+            p = _PHILOX_M0 * x0
+            q = _PHILOX_M1 * x2
+            x0, x1, x2, x3 = (
+                (q >> 64) ^ x1 ^ seed_key, q & _MASK64, (p >> 64) ^ x3 ^ key, p & _MASK64
+            )
+        return (x0 >> 11) * 2.0**-53
 
 
 def _exponential(mean: float, u: float) -> float:
@@ -150,21 +167,29 @@ def _exponential(mean: float, u: float) -> float:
 
 
 def compute_base_mean(inst: Instance, params: GrowthParams) -> float:
-    """Base round mean: (delta / (100 log k)) times the smallest D_v."""
-    best = inst.nearest_terminal_distances()
-    candidates = [
-        best[v] for v in range(inst.graph.vertex_count) if not inst.is_terminal(v)
-    ]
-    if not candidates:
+    """Base round mean: (delta / (100 log k)) times the smallest D_v.
+
+    The smallest D_v over the non-terminals is the lightest edge from a
+    terminal to a non-terminal, bit for bit: a shortest path from a
+    terminal leaves the terminal set along such an edge, and float
+    addition is monotone with ``0.0 + w == w``.  So no distance row is
+    built here.
+    """
+    adjacency = inst.graph.adjacency
+    is_terminal = inst.is_terminal
+    d_min = min(
+        (w for t in inst.terminals for v, w in adjacency[t] if not is_terminal(v)),
+        default=None,
+    )
+    if d_min is None:  # the graph is connected, so only when every vertex is a terminal
         raise NoNonTerminalsError("every vertex is a terminal")
-    d_min = min(candidates)
     base_mean = params.delta / (100.0 * math.log(inst.k)) * d_min
     if base_mean == 0.0:
         raise GraphError(f"base mean underflows to 0 at smallest D_v {d_min!r}")
     return base_mean
 
 
-def _default_round_cap(inst: Instance, base_mean: float, rate: float) -> int:
+def _default_round_cap(inst: Instance, params: GrowthParams, base_mean: float, rate: float) -> int:
     # Coarse upper bound on the largest pairwise distance: twice the
     # eccentricity of the first terminal.
     reach = 2.0 * inst.graph.eccentricity(inst.terminals[0])
@@ -180,6 +205,11 @@ def _default_round_cap(inst: Instance, base_mean: float, rate: float) -> int:
             f"growth rate {rate!r} does not exceed 1; the round means would never grow"
         )
     cap = 10 * math.ceil(math.log(ratio) / math.log(rate))
+    if cap > MAX_DERIVED_ROUNDS:
+        raise ParamOutOfRegimeError(
+            f"delta={params.delta!r} derives a round cap of {cap} rounds, over "
+            f"{MAX_DERIVED_ROUNDS}; raise --delta or pass --max-rounds"
+        )
     return max(cap, 16)
 
 
@@ -280,7 +310,7 @@ def _run_loop(inst, params, next_increment):
     rate = params.growth_rate(k)
     cap = params.max_rounds
     if cap is None:
-        cap = _default_round_cap(inst, base_mean, rate)
+        cap = _default_round_cap(inst, params, base_mean, rate)
 
     trace = RunTrace(params, base_mean, rate, cap)
     radii = [0.0] * k
@@ -312,46 +342,76 @@ def _run_loop(inst, params, next_increment):
     return TerminalPartition(assignment), trace
 
 
-def trace_to_dict(trace: RunTrace) -> dict:
-    """JSON-ready trace: params echo, per-round draws, per-vertex events."""
+# One event as ``json.dumps(..., indent=2, sort_keys=True)`` lays it out
+# inside the trace's "events" list, fields in sorted key order.
+_EVENT_TEMPLATE = (
+    "    {\n"
+    '      "mean": %s,\n'
+    '      "radius": %s,\n'
+    '      "round": %s,\n'
+    '      "terminal": %s,\n'
+    '      "vertex": %s\n'
+    "    }"
+)
+
+
+def trace_to_json(trace: RunTrace) -> str:
+    """The trace as indented JSON with sorted keys: params echo, per-round
+    draws, per-vertex events.
+
+    The head goes through ``json.dumps``; the events, which are most of
+    the trace, are formatted with one fixed template and spliced in.  The
+    text equals ``json.dumps`` of the whole trace.  A non-finite float
+    raises ``ValueError`` instead of writing NaN or Infinity.
+    """
     params = trace.params
-    return {
-        "schema_version": 1,
-        "params": {
-            "delta": params.delta,
-            "log_base": math.e,  # logs are natural; kept as a schema-v1 constant
-            "c1": params.c1,
-            "c2": params.c2,
-            "c3": params.c3,
-            "max_rounds": params.max_rounds,
-            "seed": params.seed,
-            # Schema-v1 keys of removed options, fixed so trace bytes stay identical.
-            "complete_final_round": False,
-            "increment_distribution": "exponential",
+    head = json.dumps(
+        {
+            "schema_version": 1,
+            "params": {
+                "delta": params.delta,
+                "log_base": math.e,  # logs are natural; kept as a schema-v1 constant
+                "c1": params.c1,
+                "c2": params.c2,
+                "c3": params.c3,
+                "max_rounds": params.max_rounds,
+                "seed": params.seed,
+                # Schema-v1 keys of removed options, fixed so trace bytes stay identical.
+                "complete_final_round": False,
+                "increment_distribution": "exponential",
+            },
+            "base_mean": trace.base_mean,
+            "growth_rate": trace.growth_rate,
+            "round_cap": trace.round_cap,
+            "total_rounds": trace.total_rounds,
+            "rounds": [
+                {
+                    "index": record.index,
+                    "mean": record.mean,
+                    "draws": [
+                        {"terminal": terminal, "value": value}
+                        for terminal, value in record.draws
+                    ],
+                }
+                for record in trace.rounds
+            ],
+            "events": [],
         },
-        "base_mean": trace.base_mean,
-        "growth_rate": trace.growth_rate,
-        "round_cap": trace.round_cap,
-        "total_rounds": trace.total_rounds,
-        "rounds": [
-            {
-                "index": record.index,
-                "mean": record.mean,
-                "draws": [
-                    {"terminal": terminal, "value": value}
-                    for terminal, value in record.draws
-                ],
-            }
-            for record in trace.rounds
-        ],
-        "events": [
-            {
-                "vertex": event.vertex,
-                "terminal": event.terminal,
-                "round": event.round_index,
-                "mean": event.round_mean,
-                "radius": event.radius,
-            }
-            for event in trace.events
-        ],
-    }
+        indent=2,
+        sort_keys=True,
+        allow_nan=False,
+    )
+    if not trace.events:
+        return head
+    r = float.__repr__  # what json writes for a float
+    events = ",\n".join(
+        [
+            _EVENT_TEMPLATE % (r(mean), r(radius), round_index, terminal, vertex)
+            for vertex, terminal, round_index, mean, radius in trace.events
+        ]
+    )
+    # A finite float or an int never spells "inf" or "nan", nor does any
+    # key of the template, so these two scans find every non-finite value.
+    if "inf" in events or "nan" in events:
+        raise ValueError("trace event holds a non-finite float")
+    return head.replace('"events": []', '"events": [\n' + events + "\n  ]", 1)

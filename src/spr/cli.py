@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .analysis import run_experiment
-from .ball_growing import GrowthParams, run, trace_to_dict
+from .ball_growing import GrowthParams, run, trace_to_json
 from .errors import InvalidPartitionError, SprError
 from .partition import TerminalPartition, contract, distortion, oracle_optimal
 from .preprocess import exact_minor, verify_exact
@@ -146,7 +146,7 @@ def cmd_run(args) -> int:
         }
     )
     if args.trace:
-        Path(args.trace).write_text(_dump_json(trace_to_dict(trace)) + "\n")
+        Path(args.trace).write_text(trace_to_json(trace) + "\n")
     return 0
 
 

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from numbers import Integral
 
 from .errors import KappaTooLargeError, ParamOutOfRegimeError
 
@@ -45,7 +44,7 @@ MIN_SAMPLES = 10_000
 
 
 def _check_shape(m: int) -> None:
-    if not isinstance(m, (int, np.integer)) or m < 1:
+    if not isinstance(m, Integral) or m < 1:
         raise ValueError(f"shape must be a positive integer, got {m!r}")
 
 
@@ -222,7 +221,13 @@ class MonteCarloResult:
 
 
 def monte_carlo_tail(query, n_samples: int, seed: int) -> MonteCarloResult:
-    """Empirical tail probability with its binomial standard error."""
+    """Empirical tail probability with its binomial standard error.
+
+    The only user of numpy in the package, imported here so that no other
+    command loads it.
+    """
+    import numpy as np
+
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
     rng = np.random.default_rng(seed)

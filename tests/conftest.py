@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's own algorithms:
 all-pairs distances come from Floyd-Warshall, canonical paths from
-exhaustive simple-path enumeration.
+exhaustive simple-path enumeration, and the trace JSON from ``json.dumps``
+of ``trace_to_dict``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,51 @@ def invoke(argv):
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def trace_to_dict(trace):
+    """JSON-ready trace: params echo, per-round draws, per-vertex events."""
+    params = trace.params
+    return {
+        "schema_version": 1,
+        "params": {
+            "delta": params.delta,
+            "log_base": math.e,  # logs are natural; kept as a schema-v1 constant
+            "c1": params.c1,
+            "c2": params.c2,
+            "c3": params.c3,
+            "max_rounds": params.max_rounds,
+            "seed": params.seed,
+            # Schema-v1 keys of removed options, fixed so trace bytes stay identical.
+            "complete_final_round": False,
+            "increment_distribution": "exponential",
+        },
+        "base_mean": trace.base_mean,
+        "growth_rate": trace.growth_rate,
+        "round_cap": trace.round_cap,
+        "total_rounds": trace.total_rounds,
+        "rounds": [
+            {
+                "index": record.index,
+                "mean": record.mean,
+                "draws": [
+                    {"terminal": terminal, "value": value}
+                    for terminal, value in record.draws
+                ],
+            }
+            for record in trace.rounds
+        ],
+        "events": [
+            {
+                "vertex": event.vertex,
+                "terminal": event.terminal,
+                "round": event.round_index,
+                "mean": event.round_mean,
+                "radius": event.radius,
+            }
+            for event in trace.events
+        ],
+    }
 
 
 def random_connected_instance(seed, n, k, wmax=10, extra_factor=1.0):

@@ -1,9 +1,12 @@
 import hashlib
 import json
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spr import (
     GrowthParams,
@@ -15,17 +18,30 @@ from spr import (
     distortion,
     replay_trace,
     run,
-    trace_to_dict,
+    trace_to_json,
     validate,
 )
-from spr.ball_growing import SubstreamSampler, _exponential
-from spr.errors import GraphError, NoNonTerminalsError, RoundCapExceededError
+from spr.ball_growing import (
+    AssignmentEvent,
+    RoundRecord,
+    RunTrace,
+    SubstreamSampler,
+    _default_round_cap,
+    _exponential,
+)
+from spr.errors import (
+    GraphError,
+    NoNonTerminalsError,
+    ParamOutOfRegimeError,
+    RoundCapExceededError,
+)
 
 from conftest import (
     NON_DYADIC_WEIGHTS,
     random_connected_instance,
     restricted_distances,
     reweighted,
+    trace_to_dict,
 )
 
 
@@ -53,6 +69,36 @@ class TestSubstreams:
                 )
                 fresh = np.random.Generator(np.random.Philox(key=key)).random()
                 assert sampler.uniform(round_index, terminal) == fresh
+
+    @staticmethod
+    def numpy_uniform(seed, round_index, terminal):
+        key = np.array([seed, (round_index << 32) | terminal], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key)).random()
+
+    def test_matches_numpy_philox_on_random_keys(self):
+        rng = random.Random(2024)
+        for _ in range(2000):
+            seed, round_index, terminal = rng.getrandbits(64), rng.getrandbits(32), rng.getrandbits(32)
+            assert SubstreamSampler(seed).uniform(round_index, terminal) == self.numpy_uniform(
+                seed, round_index, terminal
+            ), (seed, round_index, terminal)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+    def test_matches_numpy_philox_on_the_edge_lanes(self, seed):
+        sampler = SubstreamSampler(seed)
+        lanes = (0, 1, 2**31, 2**32 - 1)
+        for round_index in lanes:
+            for terminal in lanes:
+                expected = self.numpy_uniform(seed, round_index, terminal)
+                assert sampler.uniform(round_index, terminal) == expected, (round_index, terminal)
+
+    @pytest.mark.parametrize(
+        "round_index, terminal, lane",
+        [(0, 2**32, "terminal"), (0, -1, "terminal"), (2**32, 0, "round"), (-1, 0, "round")],
+    )
+    def test_keys_outside_their_lane_are_refused(self, round_index, terminal, lane):
+        with pytest.raises(ValueError, match=f"{lane} index exceeds the key lane"):
+            SubstreamSampler(5).uniform(round_index, terminal)
 
     def test_order_independent(self):
         a = SubstreamSampler(7)
@@ -88,18 +134,46 @@ class TestBaseMean:
         with pytest.raises(NoNonTerminalsError):
             compute_base_mean(inst, GrowthParams())
 
-    def test_reads_the_terminal_rows_that_distortion_reuses(self, monkeypatch):
+    def test_builds_only_the_terminal_rows_that_distortion_reads(self, monkeypatch):
         inst = random_connected_instance(2, n=40, k=5)
         params = GrowthParams(seed=1)
+        sources = []
+        dijkstra = WeightedGraph._dijkstra
+
+        def counted(graph, s):
+            sources.append(s)
+            return dijkstra(graph, s)
+
+        monkeypatch.setattr(WeightedGraph, "_dijkstra", counted)
         compute_base_mean(inst, params)
-        assert sorted(inst.graph._rows) == sorted(inst.terminals)
-
-        def no_search(*args):
-            raise AssertionError("a distance row was computed twice")
-
-        monkeypatch.setattr(WeightedGraph, "_dijkstra", no_search)
+        assert sources == []
         part, _ = run(inst, params)
         assert distortion(inst, contract(inst, part)).max_ratio >= 1.0
+        # Row t0 serves the round cap; contract and distortion read the rows
+        # of t0..t(k-2) once each, and t(k-1) is never a source.
+        assert sorted(sources) == sorted(inst.terminals[:-1])
+
+    @staticmethod
+    def row_minimum(inst):
+        """The smallest D_v over the non-terminals, from the k full terminal rows."""
+        rows = [inst.graph._dijkstra(t) for t in inst.terminals]
+        return min(min(column) for v, column in enumerate(zip(*rows)) if not inst.is_terminal(v))
+
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(3, 30),
+        k_share=st.floats(0.0, 1.0),
+        weights=st.sampled_from([None, NON_DYADIC_WEIGHTS, (1e16, 0.5, 1e-7), (0.1, 1e-300, 7.0)]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_minimum_equals_the_row_minimum(self, seed, n, k_share, weights):
+        k = 2 + int(k_share * (n - 3))
+        inst = random_connected_instance(seed, n=n, k=k)
+        if weights is not None:
+            inst = reweighted(inst, weights, seed)
+        params = GrowthParams()
+        expected = params.delta / (100.0 * math.log(k)) * self.row_minimum(inst)
+        assert compute_base_mean(inst, params) == expected
 
 
 class TestRun:
@@ -205,6 +279,18 @@ class TestRun:
             )
             assert trace.total_rounds <= cap
 
+    def test_derived_round_cap_over_a_million_is_refused(self, star3):
+        def derived_cap(delta):
+            params = GrowthParams(delta=delta)
+            base_mean = compute_base_mean(star3, params)
+            return _default_round_cap(star3, params, base_mean, params.growth_rate(star3.k))
+
+        assert derived_cap(1.8e-4) == 982_390
+        with pytest.raises(
+            ParamOutOfRegimeError, match="delta=0.00017 derives a round cap of 1043870 rounds"
+        ):
+            derived_cap(1.7e-4)
+
     def test_round_cap_overflow_raises(self):
         # Eccentricity 1e307 over a base mean of ~0.002 overflows the cap's log.
         edges = [(0, 3, 1e307), (1, 3, 0.5), (2, 3, 0.5)]
@@ -299,6 +385,82 @@ class TestRun:
             sort_keys=True,
         )
         assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+# Positive floats from subnormal to 1e16-scale, plus any finite value.
+trace_floats = st.one_of(
+    st.floats(min_value=5e-324, max_value=1e-300),
+    st.floats(min_value=1e15, max_value=1e17),
+    finite_floats,
+)
+ids = st.integers(0, 2**40)
+
+
+@st.composite
+def random_traces(draw):
+    """RunTraces with arbitrary finite floats: none, some or many events."""
+    params = GrowthParams(
+        delta=draw(st.floats(min_value=1e-3, max_value=0.5)),
+        c1=draw(st.floats(min_value=1e-3, max_value=1e6)),
+        max_rounds=draw(st.none() | st.integers(1, 10**6)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+    rounds = [
+        RoundRecord(index, draw(trace_floats), tuple(draw(st.lists(st.tuples(ids, trace_floats), max_size=3))))
+        for index in range(draw(st.integers(0, 4)))
+    ]
+    events = [
+        AssignmentEvent(*fields)
+        for fields in draw(st.lists(st.tuples(ids, ids, ids, trace_floats, trace_floats), max_size=6))
+    ]
+    base = draw(st.none() | trace_floats)
+    rate = None if base is None else draw(trace_floats)
+    return RunTrace(params, base, rate, draw(st.integers(0, 10**6)), rounds, events)
+
+
+def dumped(trace):
+    return json.dumps(trace_to_dict(trace), indent=2, sort_keys=True)
+
+
+class TestTraceJson:
+    @given(trace=random_traces())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_json_dumps_on_random_traces(self, trace):
+        assert trace_to_json(trace) == dumped(trace)
+
+    @pytest.mark.parametrize("weights", [None, NON_DYADIC_WEIGHTS, (1e16, 0.5, 3.0), (0.1, 1e-7, 2.0)])
+    @pytest.mark.parametrize("k", [2, 3, 7])
+    @pytest.mark.parametrize("max_rounds", [None, 10**5])
+    def test_equals_json_dumps_on_runs(self, weights, k, max_rounds):
+        inst = random_connected_instance(k * 11, n=35, k=k)
+        if weights is not None:
+            inst = reweighted(inst, weights, k)
+        _, trace = run(inst, GrowthParams(seed=k, max_rounds=max_rounds))
+        assert trace.events
+        assert trace_to_json(trace) == dumped(trace)
+
+    def test_equals_json_dumps_without_events(self):
+        inst = Instance(build_graph(3, [(0, 1, 1.0), (1, 2, 2.0)]), [0, 1, 2])
+        _, trace = run(inst, GrowthParams(seed=4))
+        assert trace.events == []
+        assert trace_to_json(trace) == dumped(trace)
+        assert json.loads(trace_to_json(trace))["events"] == []
+
+    @pytest.mark.parametrize("field", ["round_mean", "radius"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_event_float_raises(self, path3, field, value):
+        _, trace = run(path3, GrowthParams(seed=0))
+        (event,) = trace.events
+        trace.events[0] = event._replace(**{field: value})
+        with pytest.raises(ValueError, match="non-finite"):
+            trace_to_json(trace)
+
+    def test_non_finite_head_float_raises(self, path3):
+        _, trace = run(path3, GrowthParams(seed=0))
+        trace.base_mean = math.inf
+        with pytest.raises(ValueError):
+            trace_to_json(trace)
 
 
 class TestParams:

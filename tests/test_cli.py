@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -8,8 +10,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import spr
 from spr import GrowthParams, WeightedGraph, format_graph_text, parse_graph_text
-from spr import partition
+from spr import ball_growing, partition
 from spr.cli import _build_parser
 
 from conftest import invoke, random_connected_instance
@@ -476,13 +479,9 @@ class TestFlagRanges:
             number = kind(value)
         except ValueError:
             number = None
-        if number is not None:
-            # A tiny delta leaves the growth rate barely above 1, and many
-            # trials take long; both are slow, not wrong.
-            if flag == "--delta" and 1e-16 <= number <= 1e-2:
-                return False
-            if flag == "--trials" and number > 3:
-                return False
+        # Many trials take long, which is slow, not wrong.
+        if flag == "--trials" and number is not None and number > 3:
+            return False
         if flag == "--trials":
             argv = ["experiment", "--seed", "0", flag, value, "--graph", graph_file]
         else:
@@ -513,6 +512,25 @@ class TestFlagRanges:
             "error: growth rate 1.0 does not exceed 1; the round means would never grow"
         )
 
+    def test_runaway_round_cap_is_refused_at_once(self, star_file, monkeypatch):
+        def no_growth(*args):
+            raise AssertionError("the growth loop started")
+
+        monkeypatch.setattr(ball_growing._Frontier, "grow", no_growth)
+        code, out, err = invoke(["run", "--seed", "0", "--delta", "1e-8", star_file])
+        assert (code, out) == (1, "")
+        assert "Traceback" not in err
+        (line,) = [line for line in err.splitlines() if line.startswith("error:")]
+        assert "delta=1e-08" in line
+        assert "raise --delta or pass --max-rounds" in line
+
+    def test_explicit_max_rounds_is_honoured_at_a_tiny_delta(self, star_file):
+        code, out, err = invoke(
+            ["run", "--seed", "0", "--delta", "1e-8", "--max-rounds", "3", star_file]
+        )
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == "error: round cap 3 reached with 1 vertices unassigned"
+
     def test_defaults_come_from_growth_params(self, star_file):
         args = _build_parser().parse_args(["run", star_file])
         defaults = GrowthParams()
@@ -523,3 +541,40 @@ class TestFlagRanges:
             defaults.c3,
             defaults.max_rounds,
         )
+
+
+class TestNumpyOffThePipeline:
+    # In a fresh interpreter: the in-process CLI tests run where numpy is
+    # already imported.
+    SCRIPT = """
+import json, sys
+from spr.cli import main
+graph, part, out = sys.argv[1:4]
+commands = [
+    ["run", "--seed", "1", "--trace", out + "/trace.json", graph],
+    ["preprocess", graph, "-o", out + "/minor.txt"],
+    ["experiment", "--graph", graph, "--trials", "2", "--seed", "1"],
+    ["eval", graph, part],
+]
+codes = [main(argv) for argv in commands]
+before = "numpy" in sys.modules
+codes.append(main(["tailcheck", "--suite", "cdf", "--samples", "20000", "--seed", "4"]))
+print(json.dumps({"codes": codes, "numpy_before_tailcheck": before, "numpy_after": "numpy" in sys.modules}))
+"""
+
+    def test_only_tailcheck_imports_numpy(self, random_file, tmp_path):
+        part = tmp_path / "part.json"
+        assignment = spr.run(parse_graph_text(Path(random_file).read_text()), GrowthParams())[0].assignment
+        part.write_text(json.dumps({"assignment": list(assignment)}))
+        src = str(Path(spr.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, random_file, str(part), str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout.splitlines()[-1])
+        assert report == {"codes": [0, 0, 0, 0, 0], "numpy_before_tailcheck": False, "numpy_after": True}
