@@ -3,8 +3,9 @@
 Subcommands: preprocess, run, eval, experiment, tailcheck, oracle.
 Exit codes: 0 success, 1 validation failure, 2 usage error.  Results go to
 stdout as JSON (schema_version 1); diagnostics, including the effective
-seed of randomized commands, go to stderr.  Output is deterministic given
-flags and seed.
+seed of randomized commands, go to stderr.  Side files (trace, CSV,
+sidecar) are written before stdout, so a command that fails prints no
+result.  Output is deterministic given flags and seed.
 """
 
 from __future__ import annotations
@@ -104,8 +105,6 @@ def cmd_preprocess(args) -> int:
     text = format_graph_text(result.minor)
     if args.output:
         Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
 
     sidecar_path = args.sidecar
     if sidecar_path is None and args.output:
@@ -126,6 +125,9 @@ def cmd_preprocess(args) -> int:
             },
         }
         Path(sidecar_path).write_text(_dump_json(sidecar) + "\n")
+
+    if not args.output:
+        sys.stdout.write(text)
     return 0
 
 
@@ -137,6 +139,8 @@ def cmd_run(args) -> int:
     params = _params_from(args, seed)
     part, trace = run(inst, params)
     result = distortion(inst, contract(inst, part))
+    if args.trace:
+        Path(args.trace).write_text(trace_to_json(trace) + "\n")
     _emit(
         {
             "schema_version": 1,
@@ -145,8 +149,6 @@ def cmd_run(args) -> int:
             "distortion": result.max_ratio,
         }
     )
-    if args.trace:
-        Path(args.trace).write_text(trace_to_json(trace) + "\n")
     return 0
 
 
@@ -214,16 +216,6 @@ def cmd_experiment(args) -> int:
         }
         for t in report.trials
     ]
-    _emit(
-        {
-            "schema_version": 1,
-            "seed": seed,
-            "graph": report.graph_summary,
-            "preprocess": report.preprocess_summary,
-            "results": rows,
-            "summary": report.summary(),
-        }
-    )
     if args.csv:
         with open(args.csv, "w", newline="") as handle:
             writer = csv.writer(handle)
@@ -234,6 +226,16 @@ def cmd_experiment(args) -> int:
                 writer.writerow(
                     [t.trial, t.seed, t.distortion, t.rounds, t.far, t.early, t.many, t.detour_violations]
                 )
+    _emit(
+        {
+            "schema_version": 1,
+            "seed": seed,
+            "graph": report.graph_summary,
+            "preprocess": report.preprocess_summary,
+            "results": rows,
+            "summary": report.summary(),
+        }
+    )
     return 0
 
 

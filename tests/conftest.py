@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's own algorithms:
 all-pairs distances come from Floyd-Warshall, canonical paths from
-exhaustive simple-path enumeration, and the trace JSON from ``json.dumps``
-of ``trace_to_dict``.
+exhaustive simple-path enumeration, plain rows and the bounded skeleton
+search from a binary heap of (distance, vertex) pairs, and the trace JSON
+from ``json.dumps`` of ``trace_to_dict``.
 """
 
 from __future__ import annotations
@@ -118,6 +119,49 @@ def restricted_distances(g, allowed, center):
             if v in allowed and d + w < dist.get(v, math.inf):
                 dist[v] = d + w
                 heapq.heappush(heap, (d + w, v))
+    return dist
+
+
+def heap_dijkstra(g, s):
+    """Reference plain row: Dijkstra on a heap of (distance, vertex) pairs."""
+    n = g.vertex_count
+    dist = restricted_distances(g, range(n), s)
+    return [dist.get(v, math.inf) for v in range(n)]
+
+
+def heap_skeleton_search(sk, s, targets):
+    """Reference bounded search over ``sk``'s branch vertices, on a pair heap.
+
+    Pops in (distance, vertex) order.  Once the last target is settled at
+    distance D, it settles every vertex still popped at D and stops at the
+    first pop beyond D; every entry, tentative ones included, is returned.
+    """
+    dist = [math.inf] * sk.graph.vertex_count
+    dist[s] = 0.0
+    heap = [(0.0, s)]
+    pending = set(targets)
+    limit = -1.0
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        if d > limit:
+            if not pending:
+                break
+            pending.discard(u)
+            if not pending:
+                limit = d
+        # A chain's weights fold left to right onto d, as a full row sums them.
+        relaxed = [(v, d + w) for v, w in sk._links[u]]
+        for v, weights, _ in sk._chains[u] or ():
+            nd = d
+            for w in weights:
+                nd += w
+            relaxed.append((v, nd))
+        for v, nd in relaxed:
+            if nd < dist[v]:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
     return dist
 
 

@@ -41,6 +41,15 @@ def random_file(tmp_path):
     return str(path)
 
 
+def assert_failed_before_stdout(code, out, err):
+    """A failed side-file write leaves stdout empty and one error line."""
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert [line for line in lines if line.startswith("error:")] == lines[-1:]
+    assert "Traceback" not in err
+
+
 class TestRun:
     def test_happy_path(self, star_file):
         code, out, err = invoke(["run", "--seed", "7", star_file])
@@ -73,6 +82,10 @@ class TestRun:
         assert all("mean" in r and "draws" in r for r in trace["rounds"])
         assert all("vertex" in e and "terminal" in e for e in trace["events"])
 
+    def test_unwritable_trace_prints_no_result(self, star_file, tmp_path):
+        trace = tmp_path / "no" / "such" / "t.json"
+        assert_failed_before_stdout(*invoke(["run", "--seed", "1", "--trace", str(trace), star_file]))
+
     def test_random_seed_is_echoed(self, star_file):
         code, out, err = invoke(["run", star_file])
         assert code == 0
@@ -92,6 +105,10 @@ class TestPreprocess:
         assert sidecar["schema_version"] == 1
         assert sidecar["statistics"]["max_abs_deviation"] == 0.0
         assert len(sidecar["vertex_map"]) == 30
+
+    def test_unwritable_sidecar_prints_no_result(self, random_file, tmp_path):
+        sidecar = tmp_path / "no" / "such" / "s.json"
+        assert_failed_before_stdout(*invoke(["preprocess", random_file, "--sidecar", str(sidecar)]))
 
     def test_round_trip_is_canonical(self, random_file, tmp_path):
         out_path = tmp_path / "reduced.txt"
@@ -287,6 +304,11 @@ class TestValidateOnce:
 
 
 class TestExperiment:
+    def test_unwritable_csv_prints_no_result(self, random_file, tmp_path):
+        csv_path = tmp_path / "no" / "such" / "c.csv"
+        argv = ["experiment", "--graph", random_file, "--trials", "1", "--seed", "1", "--csv", str(csv_path)]
+        assert_failed_before_stdout(*invoke(argv))
+
     def test_small_experiment(self, random_file, tmp_path):
         csv_path = tmp_path / "trials.csv"
         code, out, _ = invoke(

@@ -20,6 +20,8 @@ from conftest import (
     NON_DYADIC_WEIGHTS,
     brute_canonical,
     floyd_warshall,
+    heap_dijkstra,
+    heap_skeleton_search,
     label_reads,
     lollipop,
     parallel_chains,
@@ -387,6 +389,57 @@ class TestSkeleton:
         for s, targets in ((1, [2]), (0, [1]), (0, [2, 1])):
             with pytest.raises(GraphError, match="not kept"):
                 sk.shortest_paths(s, targets)
+
+
+class TestLevelQueue:
+    """Both searches against the (distance, vertex) heap, every entry compared."""
+
+    @staticmethod
+    def instances():
+        for seed in range(6):
+            inst = random_connected_instance(seed, n=30, k=5)
+            yield inst
+            yield reweighted(inst, NON_DYADIC_WEIGHTS, seed)
+            yield subdivide(inst, parts=3)
+            yield subdivide_unevenly(inst, seed, weights=NON_DYADIC_WEIGHTS)
+            yield pendant_tree(seed, n=20, k=3)
+        yield lollipop()
+        yield lollipop(stem=1, loop=2, weight=0.1)
+        yield parallel_chains([[1.0, 1.0, 1.0], [1.5, 1.5], [0.5, 2.0, 0.5], [1.5, 1.5]])
+        yield parallel_chains([[0.1, 0.2], [0.2, 0.1], [0.3]])
+        yield TestLevelQueue.lost_at_the_target()
+
+    @staticmethod
+    def lost_at_the_target():
+        # 1e16 + 0.5 rounds to 1e16: branch vertex 2 is reached from the
+        # target 1 at the target's own distance, a second batch at D, and
+        # only through it do 3, 4 and 5 get their tentative entries.
+        edges = [(0, 1, 1e16), (1, 2, 0.5), (2, 3, 2.0), (2, 4, 4.0), (2, 5, 8.0)]
+        return Instance(build_graph(6, edges), [0, 1])
+
+    def test_rows_match_the_pair_heap(self):
+        for inst in self.instances():
+            g = inst.graph
+            for s in range(g.vertex_count):
+                assert g._dijkstra(s) == heap_dijkstra(g, s), s
+
+    def test_skeleton_search_matches_the_pair_heap(self):
+        for inst in self.instances():
+            terms = list(inst.terminals)
+            sk = inst.graph.skeleton(terms)
+            for a, s in enumerate(terms):
+                others = terms[:a] + terms[a + 1 :]
+                for targets in (others, others[:1], [], [s], terms, [s, *others[::-1]]):
+                    assert sk._search(s, targets) == heap_skeleton_search(sk, s, targets), (s, targets)
+
+    def test_second_batch_at_the_last_target_distance_is_settled(self):
+        inst = self.lost_at_the_target()
+        sk = inst.graph.skeleton(inst.terminals)
+        row = sk._search(0, [1])
+        assert row == heap_skeleton_search(sk, 0, [1])
+        assert row[:3] == [0.0, 1e16, 1e16]
+        # Stopping once no target is pending would leave these inf.
+        assert row[3:] == [1e16 + 2.0, 1e16 + 4.0, 1e16 + 8.0]
 
 
 class TestOneBoundedSearch:
