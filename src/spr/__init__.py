@@ -50,7 +50,6 @@ from .preprocess import (
     PreprocessReport,
     PreprocessResult,
     exact_minor,
-    replay_contraction_log,
     verify_exact,
 )
 from .tail_bounds import (

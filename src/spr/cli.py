@@ -4,14 +4,17 @@ Subcommands: preprocess, run, eval, experiment, tailcheck, oracle.
 Exit codes: 0 success, 1 validation failure, 2 usage error.  Results go to
 stdout as JSON (schema_version 1); diagnostics, including the effective
 seed of randomized commands, go to stderr.  Side files (trace, CSV,
-sidecar) are written before stdout, so a command that fails prints no
-result.  Output is deterministic given flags and seed.
+output graph, sidecar) are written under temporary names before stdout and
+renamed into place only once stdout is flushed, so a command that fails
+prints no result and leaves no side file.  Output is deterministic given
+flags and seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -41,8 +44,36 @@ def _dump_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _emit(payload) -> None:
-    print(_dump_json(payload))
+def _publish(text: str, side_files: dict[str, str]) -> None:
+    """Write ``text`` to stdout and each side file (path -> contents).
+
+    Each side file goes to a temporary name in its target directory, then
+    stdout is written and flushed, and only then are the temporary files
+    renamed into place.  On any failure they are removed.
+    """
+    staged: list[tuple[str, str]] = []
+    try:
+        for path, contents in side_files.items():
+            temp = f"{path}.{os.getpid()}.tmp"
+            try:
+                with open(temp, "x", newline="") as handle:
+                    staged.append((temp, path))
+                    handle.write(contents)
+            except OSError as exc:
+                exc.filename = path
+                raise
+        sys.stdout.write(text)
+        sys.stdout.flush()
+        for temp, path in staged:
+            os.replace(temp, path)
+    finally:
+        for temp, _ in staged:
+            if os.path.exists(temp):  # renamed already, unless something failed
+                os.remove(temp)
+
+
+def _emit(payload, side_files: dict[str, str] | None = None) -> None:
+    _publish(_dump_json(payload) + "\n", side_files or {})
 
 
 def _effective_seed(seed: int | None) -> int:
@@ -103,9 +134,7 @@ def cmd_preprocess(args) -> int:
     report = verify_exact(inst, result)
 
     text = format_graph_text(result.minor)
-    if args.output:
-        Path(args.output).write_text(text)
-
+    side_files = {args.output: text} if args.output else {}
     sidecar_path = args.sidecar
     if sidecar_path is None and args.output:
         sidecar_path = args.output + ".json"
@@ -124,10 +153,8 @@ def cmd_preprocess(args) -> int:
                 "max_abs_deviation": report.max_abs_deviation,
             },
         }
-        Path(sidecar_path).write_text(_dump_json(sidecar) + "\n")
-
-    if not args.output:
-        sys.stdout.write(text)
+        side_files[sidecar_path] = _dump_json(sidecar) + "\n"
+    _publish("" if args.output else text, side_files)
     return 0
 
 
@@ -139,15 +166,14 @@ def cmd_run(args) -> int:
     params = _params_from(args, seed)
     part, trace = run(inst, params)
     result = distortion(inst, contract(inst, part))
-    if args.trace:
-        Path(args.trace).write_text(trace_to_json(trace) + "\n")
     _emit(
         {
             "schema_version": 1,
             "assignment": list(part.assignment),
             "seed": seed,
             "distortion": result.max_ratio,
-        }
+        },
+        {args.trace: trace_to_json(trace) + "\n"} if args.trace else None,
     )
     return 0
 
@@ -216,16 +242,18 @@ def cmd_experiment(args) -> int:
         }
         for t in report.trials
     ]
+    side_files = {}
     if args.csv:
-        with open(args.csv, "w", newline="") as handle:
-            writer = csv.writer(handle)
+        table = io.StringIO(newline="")
+        writer = csv.writer(table)
+        writer.writerow(
+            ["trial", "seed", "distortion", "rounds", "far", "early", "many", "detour_violations"]
+        )
+        for t in report.trials:
             writer.writerow(
-                ["trial", "seed", "distortion", "rounds", "far", "early", "many", "detour_violations"]
+                [t.trial, t.seed, t.distortion, t.rounds, t.far, t.early, t.many, t.detour_violations]
             )
-            for t in report.trials:
-                writer.writerow(
-                    [t.trial, t.seed, t.distortion, t.rounds, t.far, t.early, t.many, t.detour_violations]
-                )
+        side_files[args.csv] = table.getvalue()
     _emit(
         {
             "schema_version": 1,
@@ -234,7 +262,8 @@ def cmd_experiment(args) -> int:
             "preprocess": report.preprocess_summary,
             "results": rows,
             "summary": report.summary(),
-        }
+        },
+        side_files,
     )
     return 0
 

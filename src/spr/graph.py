@@ -43,8 +43,11 @@ class ShortestPath:
 class WeightedGraph:
     """Immutable undirected graph with positive edge weights.
 
-    Construct through :func:`build_graph`, which validates the invariants
-    (positive finite weights, no self-loops, no duplicate edges, connected).
+    Input from outside goes through :func:`build_graph`, which validates
+    the invariants (positive finite weights, no self-loops, no duplicate
+    edges, connected).  The constructor checks nothing; it is called
+    directly only on a graph derived from a validated one, such as an
+    exact-minor pass graph.
     Edge weights live only in the adjacency lists, sorted by neighbor.
     Two per-source caches back the queries.  Plain distance rows (one
     float per vertex) serve :meth:`distance` and :meth:`eccentricity`;

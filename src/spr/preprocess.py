@@ -12,9 +12,11 @@ it on its own output is the identity.  A single pass can be unstable: the
 reduced graph re-breaks ties with new hop counts and vertex ids, which may
 route a canonical path around a previously kept branch vertex.
 
-Every step is recorded as a minor operation (delete-edge, delete-vertex,
-contract-edge); replaying the log on the original graph reproduces the
-reduced graph, which is how tests witness minor validity.
+The result certifies that it is a minor with a branch-set model: each input
+vertex maps to the minor vertex whose branch set holds it, or to None if it
+was deleted.  A suppressed vertex joins the branch set of the neighbor it
+is folded into, so every set is connected in the input, and every minor edge
+joins two sets that an input edge joins.
 """
 
 from __future__ import annotations
@@ -23,39 +25,23 @@ import heapq
 from dataclasses import dataclass
 
 from .errors import VerificationFailedError
-from .graph import Instance, build_graph
+from .graph import Instance, WeightedGraph
 
 __all__ = [
-    "ContractionOp",
     "PreprocessResult",
     "PreprocessReport",
     "exact_minor",
     "verify_exact",
-    "replay_contraction_log",
 ]
 
 FLOAT_REL_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class ContractionOp:
-    """One minor operation.
-
-    kind is one of "delete-edge", "delete-vertex", "contract-edge".
-    For contract-edge the operands are (v, a): vertex v is folded into its
-    neighbor a; each remaining edge (v, x) becomes (a, x) with w(v, x) +
-    w(v, a) added, and parallel edges keep the minimum weight.
-    """
-
-    kind: str
-    operands: tuple[int, ...]
 
 
 @dataclass
 class PreprocessResult:
     minor: Instance
     vertex_map: list[int | None]  # original vertex -> minor vertex, None if dropped
-    contraction_log: list[ContractionOp]
+    branch_of: list[int | None]  # original vertex -> minor vertex whose branch set holds it
     passes: int
 
     @property
@@ -70,11 +56,15 @@ class PreprocessReport:
     non_terminal_count: int
 
 
-def _reduce_pass(inst: Instance, to_original: list[int]):
-    """One reduction pass. Returns (retained ids sorted, ops, reduced adjacency).
+def _reduce_pass(inst: Instance) -> tuple[dict[int, dict[int, float]], list[int]]:
+    """One reduction pass. Returns (reduced adjacency, folds).
 
-    The ops name vertices by their ids in the original input, read from
-    ``to_original``; the retained ids and the adjacency use the pass's own.
+    Keeps the vertices and edges of the terminals' canonical paths, then
+    suppresses non-terminals of degree at most 2.  A vertex of degree 0 or 1
+    is deleted with its edge.  A vertex v of degree 2 is folded into its
+    lower-id neighbor a and joins a's branch set; its two edges become one
+    of summed weight.  ``folds`` lists the folds in the order they happened
+    as flat pairs ``[v, a, v, a, ...]`` of the pass's vertex ids.
     """
     g = inst.graph
     terms = inst.terminals
@@ -88,15 +78,7 @@ def _reduce_pass(inst: Instance, to_original: list[int]):
             keep_vertices.update(path)
             for x, y in zip(path, path[1:]):
                 keep_edges.add((x, y) if x < y else (y, x))
-    del skeleton  # free before the op log below is built
-
-    ops: list[ContractionOp] = []
-    for u, v, _ in sorted(g.edges):
-        if (u, v) not in keep_edges:
-            ops.append(ContractionOp("delete-edge", (to_original[u], to_original[v])))
-    for v in range(g.vertex_count):
-        if v not in keep_vertices:
-            ops.append(ContractionOp("delete-vertex", (to_original[v],)))
+    del skeleton  # free before the reduced adjacency is built
 
     adj: dict[int, dict[int, float]] = {v: {} for v in keep_vertices}
     for u, v in keep_edges:
@@ -116,6 +98,7 @@ def _reduce_pass(inst: Instance, to_original: list[int]):
             heapq.heappush(worklist, x)
             queued.add(x)
 
+    folds: list[int] = []
     while worklist:
         v = heapq.heappop(worklist)
         queued.discard(v)
@@ -125,21 +108,17 @@ def _reduce_pass(inst: Instance, to_original: list[int]):
         if degree > 2:
             continue
         if degree == 0:
-            ops.append(ContractionOp("delete-vertex", (to_original[v],)))
             del adj[v]
             continue
         if degree == 1:
-            (a, _), = adj[v].items()
-            ops.append(
-                ContractionOp("delete-edge", (to_original[min(v, a)], to_original[max(v, a)]))
-            )
-            ops.append(ContractionOp("delete-vertex", (to_original[v],)))
+            (a,) = adj[v]
             del adj[a][v]
             del adj[v]
             requeue(a)
             continue
         (a, wa), (b, wb) = sorted(adj[v].items())
-        ops.append(ContractionOp("contract-edge", (to_original[v], to_original[a])))
+        folds.append(v)
+        folds.append(a)
         merged = wa + wb
         del adj[a][v]
         del adj[b][v]
@@ -154,7 +133,7 @@ def _reduce_pass(inst: Instance, to_original: list[int]):
         requeue(a)
         requeue(b)
 
-    return sorted(adj), ops, adj
+    return adj, folds
 
 
 def exact_minor(inst: Instance) -> PreprocessResult:
@@ -162,71 +141,41 @@ def exact_minor(inst: Instance) -> PreprocessResult:
     original_n = inst.graph.vertex_count
     current = inst
     to_original = list(range(original_n))
-    log: list[ContractionOp] = []
+    branch_of: list[int | None] = list(range(original_n))
     passes = 0
     while True:
         passes += 1
-        retained, ops, adj = _reduce_pass(current, to_original)
-        log.extend(ops)
-        if not ops:
-            break
-        index_of = {v: i for i, v in enumerate(retained)}
+        g = current.graph
+        adj, folds = _reduce_pass(current)
+        if len(adj) == g.vertex_count and sum(map(len, adj.values())) == 2 * g.edge_count:
+            break  # nothing dropped or suppressed: a fixpoint
+        # Walk the folds backwards, so a vertex folded into one that was
+        # folded later lands where that one did.
+        owner = list(range(g.vertex_count))
+        for i in range(len(folds) - 2, -1, -2):
+            owner[folds[i]] = owner[folds[i + 1]]
+        retained = sorted(adj)
+        new_id: list[int | None] = [None] * g.vertex_count
+        for i, v in enumerate(retained):
+            new_id[v] = i
+        branch_of = [None if b is None else new_id[owner[b]] for b in branch_of]
         edges = sorted(
-            (index_of[u], index_of[v], w)
+            (new_id[u], new_id[v], w)
             for u in retained
             for v, w in adj[u].items()
             if u < v
         )
+        # The pass graph comes from a validated one, so it skips build_graph.
         current = Instance(
-            build_graph(len(retained), edges),
-            [index_of[t] for t in current.terminals],
+            WeightedGraph(len(retained), edges),
+            [new_id[t] for t in current.terminals],
         )
         to_original = [to_original[v] for v in retained]
 
     vertex_map: list[int | None] = [None] * original_n
     for minor_id, orig in enumerate(to_original):
         vertex_map[orig] = minor_id
-    return PreprocessResult(current, vertex_map, log, passes)
-
-
-def replay_contraction_log(graph, ops):
-    """Apply a contraction log to a graph; edges keyed by original vertex ids.
-
-    Returns the resulting adjacency {v: {u: w}}.  Used to witness that the
-    reduced graph really is a minor of the input.
-    """
-    adj: dict[int, dict[int, float]] = {v: {} for v in range(graph.vertex_count)}
-    for u, v, w in graph.edges:
-        adj[u][v] = w
-        adj[v][u] = w
-    for op in ops:
-        if op.kind == "delete-edge":
-            u, v = op.operands
-            del adj[u][v]
-            del adj[v][u]
-        elif op.kind == "delete-vertex":
-            (v,) = op.operands
-            for u in list(adj[v]):
-                del adj[u][v]
-            del adj[v]
-        elif op.kind == "contract-edge":
-            v, a = op.operands
-            base = adj[v].pop(a)
-            del adj[a][v]
-            for x, w in adj[v].items():
-                del adj[x][v]
-                merged = w + base
-                if x in adj[a]:
-                    if merged < adj[a][x]:
-                        adj[a][x] = merged
-                        adj[x][a] = merged
-                else:
-                    adj[a][x] = merged
-                    adj[x][a] = merged
-            del adj[v]
-        else:
-            raise ValueError(f"unknown contraction op {op.kind!r}")
-    return adj
+    return PreprocessResult(current, vertex_map, branch_of, passes)
 
 
 def verify_exact(inst: Instance, result: PreprocessResult) -> PreprocessReport:

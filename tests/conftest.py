@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the library's own algorithms:
 all-pairs distances come from Floyd-Warshall, canonical paths from
 exhaustive simple-path enumeration, plain rows and the bounded skeleton
-search from a binary heap of (distance, vertex) pairs, and the trace JSON
-from ``json.dumps`` of ``trace_to_dict``.
+search from a binary heap of (distance, vertex) pairs, the trace JSON
+from ``json.dumps`` of ``trace_to_dict``, and the exact minor's branch-set
+model from breadth-first search and Floyd-Warshall.
 """
 
 from __future__ import annotations
@@ -13,12 +14,14 @@ import heapq
 import io
 import math
 import random
+from collections import deque
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 from spr import Instance, TerminalPartition, build_graph
 from spr.cli import main
+from spr.preprocess import FLOAT_REL_TOL
 
 
 def invoke(argv):
@@ -261,6 +264,66 @@ def floyd_warshall(g):
                 if alt < row[b]:
                     row[b] = alt
     return dist
+
+
+def assert_minor_model(inst, result):
+    """Assert that ``result.branch_of`` models ``result.minor`` as a minor of ``inst``.
+
+    - Each minor vertex's branch set is non-empty, connected in the input
+      (breadth-first search inside the set) and holds the vertex that
+      ``vertex_map`` sends to it; terminals map to the minor's terminals.
+    - Every minor edge (a, b, w) has an input edge between sets a and b,
+      and w is the input distance between the two mapped vertices
+      (Floyd-Warshall): equal on integer weights, within FLOAT_REL_TOL on
+      floats.
+    - The minor is connected, with positive finite weights.
+    """
+    g = inst.graph
+    mg = result.minor.graph
+    branch_of = result.branch_of
+    assert len(branch_of) == len(result.vertex_map) == g.vertex_count
+    assert [result.vertex_map[t] for t in inst.terminals] == list(result.minor.terminals)
+    members = [set() for _ in range(mg.vertex_count)]
+    for v, b in enumerate(branch_of):
+        if b is not None:
+            assert 0 <= b < mg.vertex_count, f"vertex {v} maps to no minor vertex {b}"
+            members[b].add(v)
+    mapped = [None] * mg.vertex_count
+    for v, b in enumerate(result.vertex_map):
+        if b is not None:
+            assert branch_of[v] == b, f"vertex {v} maps to {b} outside branch set {b}"
+            mapped[b] = v
+    for b, inside in enumerate(members):
+        assert mapped[b] is not None, f"no vertex maps to minor vertex {b}"
+        seen = {mapped[b]}
+        queue = deque(seen)
+        while queue:
+            for x, _ in g.adjacency[queue.popleft()]:
+                if x in inside and x not in seen:
+                    seen.add(x)
+                    queue.append(x)
+        assert seen == inside, f"branch set {b} is not connected"
+
+    joined = {frozenset((branch_of[u], branch_of[v])) for u, v, _ in g.edges}
+    dist = floyd_warshall(g)
+    integer = all(w == int(w) for _, _, w in g.edges)
+    neighbors = [[] for _ in range(mg.vertex_count)]
+    for a, b, w in mg.edges:
+        assert frozenset((a, b)) in joined, f"no input edge joins branch sets {a} and {b}"
+        assert 0 < w < math.inf
+        d = dist[mapped[a]][mapped[b]]
+        close = w == d if integer else abs(w - d) <= FLOAT_REL_TOL * d
+        assert close, f"minor edge ({a}, {b}) weighs {w}; the input distance is {d}"
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    seen = {0}
+    queue = deque(seen)
+    while queue:
+        for x in neighbors[queue.popleft()]:
+            if x not in seen:
+                seen.add(x)
+                queue.append(x)
+    assert len(seen) == mg.vertex_count, "the minor is not connected"
 
 
 def all_simple_paths(g, s, t):

@@ -1,9 +1,12 @@
+import errno
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 import spr
 from spr import GrowthParams, WeightedGraph, format_graph_text, parse_graph_text
 from spr import ball_growing, partition
-from spr.cli import _build_parser
+from spr.cli import _build_parser, main
 
 from conftest import invoke, random_connected_instance
 
@@ -48,6 +51,28 @@ def assert_failed_before_stdout(code, out, err):
     lines = err.splitlines()
     assert [line for line in lines if line.startswith("error:")] == lines[-1:]
     assert "Traceback" not in err
+
+
+class FullStdout(io.StringIO):
+    """A stdout on a full disk: every write and flush fails."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def invoke_on_full_disk(argv):
+    """Run the CLI in-process with a stdout that cannot be written: (exit code, stderr)."""
+    err = io.StringIO()
+    with redirect_stdout(FullStdout()), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def file_names(directory):
+    return sorted(path.name for path in directory.iterdir())
 
 
 class TestRun:
@@ -86,6 +111,13 @@ class TestRun:
         trace = tmp_path / "no" / "such" / "t.json"
         assert_failed_before_stdout(*invoke(["run", "--seed", "1", "--trace", str(trace), star_file]))
 
+    def test_full_stdout_leaves_no_trace(self, star_file, tmp_path):
+        trace = tmp_path / "t.json"
+        code, err = invoke_on_full_disk(["run", "--seed", "1", "--trace", str(trace), star_file])
+        assert code == 1
+        assert err.splitlines()[-1] == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+        assert file_names(tmp_path) == ["star.txt"]
+
     def test_random_seed_is_echoed(self, star_file):
         code, out, err = invoke(["run", star_file])
         assert code == 0
@@ -105,10 +137,19 @@ class TestPreprocess:
         assert sidecar["schema_version"] == 1
         assert sidecar["statistics"]["max_abs_deviation"] == 0.0
         assert len(sidecar["vertex_map"]) == 30
+        assert file_names(tmp_path) == ["random.txt", "reduced.txt", "reduced.txt.json"]
 
     def test_unwritable_sidecar_prints_no_result(self, random_file, tmp_path):
         sidecar = tmp_path / "no" / "such" / "s.json"
         assert_failed_before_stdout(*invoke(["preprocess", random_file, "--sidecar", str(sidecar)]))
+
+    def test_unwritable_sidecar_leaves_no_output(self, random_file, tmp_path):
+        sidecar = tmp_path / "no" / "such" / "s.json"
+        argv = ["preprocess", random_file, "-o", str(tmp_path / "out.txt"), "--sidecar", str(sidecar)]
+        code, out, err = invoke(argv)
+        assert_failed_before_stdout(code, out, err)
+        assert str(sidecar) in err
+        assert file_names(tmp_path) == ["random.txt"]
 
     def test_round_trip_is_canonical(self, random_file, tmp_path):
         out_path = tmp_path / "reduced.txt"
@@ -308,6 +349,14 @@ class TestExperiment:
         csv_path = tmp_path / "no" / "such" / "c.csv"
         argv = ["experiment", "--graph", random_file, "--trials", "1", "--seed", "1", "--csv", str(csv_path)]
         assert_failed_before_stdout(*invoke(argv))
+
+    def test_full_stdout_leaves_no_csv(self, random_file, tmp_path):
+        csv_path = tmp_path / "c.csv"
+        argv = ["experiment", "--graph", random_file, "--trials", "1", "--seed", "1", "--csv", str(csv_path)]
+        code, err = invoke_on_full_disk(argv)
+        assert code == 1
+        assert err.splitlines()[-1] == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+        assert file_names(tmp_path) == ["random.txt"]
 
     def test_small_experiment(self, random_file, tmp_path):
         csv_path = tmp_path / "trials.csv"

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import pytest
@@ -9,7 +10,6 @@ from spr import (
     build_graph,
     exact_minor,
     format_graph_text,
-    replay_contraction_log,
     verify_exact,
 )
 from spr.errors import VerificationFailedError
@@ -17,24 +17,14 @@ from spr.preprocess import FLOAT_REL_TOL, PreprocessResult
 
 from conftest import (
     NON_DYADIC_WEIGHTS,
+    assert_minor_model,
     floyd_warshall,
     invoke,
     random_connected_instance,
     reweighted,
     subdivide,
+    subdivide_unevenly,
 )
-
-
-def minor_as_edge_set(result):
-    """Minor edges translated back to original vertex ids."""
-    to_original = [None] * result.minor.graph.vertex_count
-    for orig, minor_id in enumerate(result.vertex_map):
-        if minor_id is not None:
-            to_original[minor_id] = orig
-    return {
-        (min(to_original[u], to_original[v]), max(to_original[u], to_original[v])): w
-        for u, v, w in result.minor.graph.edges
-    }
 
 
 class TestExactMinor:
@@ -93,19 +83,13 @@ class TestExactMinor:
             assert twice.minor.terminals == once.minor.terminals
             assert twice.passes == 1  # nothing left to do
 
-    def test_contraction_log_replays_to_minor(self):
+    def test_branch_sets_model_the_minor(self):
         for seed in range(10):
             inst = random_connected_instance(seed, n=40, k=5)
-            result = exact_minor(inst)
-            adj = replay_contraction_log(inst.graph, result.contraction_log)
-            replayed_edges = {
-                (min(u, v), max(u, v)): w
-                for u in adj
-                for v, w in adj[u].items()
-            }
-            assert replayed_edges == minor_as_edge_set(result)
-            retained = {orig for orig, m in enumerate(result.vertex_map) if m is not None}
-            assert set(adj) == retained
+            assert_minor_model(inst, exact_minor(inst))
+            small = random_connected_instance(seed, n=20, k=4)  # Floyd-Warshall is cubic
+            for variant in (subdivide(small, parts=3), subdivide_unevenly(small, seed)):
+                assert_minor_model(variant, exact_minor(variant))
 
     def test_subdivision_does_not_grow_minor(self):
         for seed in range(6):
@@ -143,7 +127,7 @@ class TestVerifyExact:
                 build_graph(g.vertex_count, tampered_edges), result.minor.terminals
             ),
             vertex_map=result.vertex_map,
-            contraction_log=result.contraction_log,
+            branch_of=result.branch_of,
             passes=result.passes,
         )
         with pytest.raises(VerificationFailedError):
@@ -156,18 +140,11 @@ def golden_instance(weights):
 
 
 class TestGoldenDigest:
-    # sha256 of `spr preprocess` stdout followed by its sidecar JSON, and of
-    # repr(contraction_log), as the full-labelling preprocessing produced them
-    # (two passes each).
+    # sha256 of `spr preprocess` stdout followed by its sidecar JSON, as the
+    # full-labelling preprocessing produced them (two passes each).
     GOLDEN = {
-        "integer": (
-            "c84556f71391a3452ce078eec7e77bd34dc56550cd4b04ffa00eb517998e9616",
-            "1fed9d792fd193dec88c87ba375cdd3755f12a7220bf5575bb792ed3324a36fc",
-        ),
-        "non-dyadic": (
-            "4101d1e71fed5cb65d682a31d3790d2823806e7ed2721e1b79ed77e6dfa29bca",
-            "d57707d00527c28fe521c46184478291c7e7b4d870d6653d8a39d6ccc3af39b8",
-        ),
+        "integer": "c84556f71391a3452ce078eec7e77bd34dc56550cd4b04ffa00eb517998e9616",
+        "non-dyadic": "4101d1e71fed5cb65d682a31d3790d2823806e7ed2721e1b79ed77e6dfa29bca",
     }
 
     @pytest.mark.parametrize("weights", sorted(GOLDEN))
@@ -177,14 +154,53 @@ class TestGoldenDigest:
         code, out, _ = invoke(["preprocess", str(graph), "--sidecar", str(sidecar)])
         assert code == 0
         digest = hashlib.sha256(out.encode() + sidecar.read_bytes()).hexdigest()
-        assert digest == self.GOLDEN[weights][0]
+        assert digest == self.GOLDEN[weights]
 
     @pytest.mark.parametrize("weights", sorted(GOLDEN))
-    def test_contraction_log(self, weights):
-        result = exact_minor(golden_instance(weights))
+    def test_minor_model(self, weights):
+        inst = golden_instance(weights)
+        result = exact_minor(inst)
         assert result.passes == 2
-        digest = hashlib.sha256(repr(result.contraction_log).encode()).hexdigest()
-        assert digest == self.GOLDEN[weights][1]
+        assert_minor_model(inst, result)
+
+
+class TestMinorModelOracle:
+    """The oracle rejects a broken branch-set model.
+
+    On a star whose three arms are split in three, each terminal's set is
+    itself plus its arm's two inner vertices, and the center's set is the
+    center alone.
+    """
+
+    @pytest.fixture
+    def split_star(self, star3):
+        inst = subdivide(star3, parts=3)
+        result = exact_minor(inst)
+        assert result.branch_of == [0, 1, 2, 3, 0, 0, 1, 1, 2, 2]
+        assert_minor_model(inst, result)
+        return inst, result
+
+    def test_vertex_moved_to_a_non_adjacent_set(self, split_star):
+        inst, result = split_star
+        branch_of = list(result.branch_of)
+        branch_of[5] = 1  # beside vertex 4 and the center, far from set 1
+        with pytest.raises(AssertionError, match="branch set 1 is not connected"):
+            assert_minor_model(inst, dataclasses.replace(result, branch_of=branch_of))
+
+    def test_split_set(self, split_star):
+        inst, result = split_star
+        branch_of = list(result.branch_of)
+        branch_of[4] = None  # set 0 keeps 0 and 5, which only 4 joined
+        with pytest.raises(AssertionError, match="branch set 0 is not connected"):
+            assert_minor_model(inst, dataclasses.replace(result, branch_of=branch_of))
+
+    def test_minor_weight_raised_by_one(self, split_star):
+        inst, result = split_star
+        mg = result.minor.graph
+        raised = [(u, v, w + 1.0 if (u, v) == (0, 3) else w) for u, v, w in mg.edges]
+        minor = Instance(build_graph(mg.vertex_count, raised), result.minor.terminals)
+        with pytest.raises(AssertionError, match=r"minor edge \(0, 3\) weighs 4.0; the input distance is 3.0"):
+            assert_minor_model(inst, dataclasses.replace(result, minor=minor))
 
 
 class TestFloatWeights:
@@ -203,6 +219,7 @@ class TestFloatWeights:
             inst = subdivide(inst, parts=parts)
         inst = reweighted(inst, NON_DYADIC_WEIGHTS, seed)
         result = exact_minor(inst)
+        assert_minor_model(inst, result)
         again = exact_minor(result.minor)
         assert again.passes == 1
         assert again.minor.graph.edges == result.minor.graph.edges
