@@ -8,12 +8,17 @@ output graph, sidecar) are written under temporary names before stdout and
 renamed into place only once stdout is flushed, so a command that fails
 prints no result and leaves no side file.  Output is deterministic given
 flags and seed.
+
+Each command runs with the cyclic garbage collector off (see ``main``).
+``spr.analysis`` and ``spr.tail_bounds`` are imported inside the commands
+that use them, so the other commands do not pay for loading them.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -21,22 +26,10 @@ import os
 import sys
 from pathlib import Path
 
-from .analysis import run_experiment
 from .ball_growing import GrowthParams, run, trace_to_json
 from .errors import InvalidPartitionError, SprError
 from .partition import TerminalPartition, contract, distortion, oracle_optimal
 from .preprocess import exact_minor, verify_exact
-from .tail_bounds import (
-    MIN_SAMPLES,
-    ErlangQuery,
-    GeometricSumQuery,
-    erlang_cdf_lower,
-    lemma4_bound,
-    lemma4_bound_loose,
-    lemma5_bound,
-    lemma6_check,
-    monte_carlo_tail,
-)
 from .textio import format_graph_text, load_instance
 
 
@@ -115,8 +108,13 @@ def _checked(kind, requirement: str, ok):
 _SEED = _checked(int, "in [0, 2**64)", lambda x: 0 <= x < 2**64)
 _POSITIVE_INT = _checked(int, "a positive integer", lambda x: x >= 1)
 _POSITIVE_FLOAT = _checked(float, "positive and finite", lambda x: x > 0 and math.isfinite(x))
-_SAMPLES = _checked(int, f"at least {MIN_SAMPLES}", lambda x: x >= MIN_SAMPLES)
 _DEFAULTS = GrowthParams()
+
+
+def _samples(text: str) -> int:
+    from .tail_bounds import MIN_SAMPLES
+
+    return _checked(int, f"at least {MIN_SAMPLES}", lambda x: x >= MIN_SAMPLES)(text)
 
 
 def _add_param_flags(sub) -> None:
@@ -129,15 +127,17 @@ def _add_param_flags(sub) -> None:
 
 
 def cmd_preprocess(args) -> int:
+    sidecar_path = args.sidecar
+    if sidecar_path is None and args.output:
+        sidecar_path = args.output + ".json"
+    if args.output and os.path.realpath(sidecar_path) == os.path.realpath(args.output):
+        raise SprError(f"--sidecar {sidecar_path} names the --output file")
     inst = load_instance(args.graph)
     result = exact_minor(inst)
     report = verify_exact(inst, result)
 
     text = format_graph_text(result.minor)
     side_files = {args.output: text} if args.output else {}
-    sidecar_path = args.sidecar
-    if sidecar_path is None and args.output:
-        sidecar_path = args.output + ".json"
     if sidecar_path:
         sidecar = {
             "schema_version": 1,
@@ -223,6 +223,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    from .analysis import run_experiment
+
     inst = load_instance(args.graph)
     seed = _effective_seed(args.seed)
     params = _params_from(args, seed)
@@ -278,6 +280,14 @@ LEMMA6_GRID_C = (6.0, 8.0, 10.0)
 
 
 def _suite_lemma4(samples: int, seed: int) -> list[dict]:
+    from .tail_bounds import (
+        ErlangQuery,
+        erlang_cdf_lower,
+        lemma4_bound,
+        lemma4_bound_loose,
+        monte_carlo_tail,
+    )
+
     rows = []
     index = 0
     for m in LEMMA4_GRID_M:
@@ -304,6 +314,8 @@ def _suite_lemma4(samples: int, seed: int) -> list[dict]:
 
 
 def _suite_lemma5(samples: int, seed: int) -> list[dict]:
+    from .tail_bounds import GeometricSumQuery, lemma5_bound, monte_carlo_tail
+
     rows = []
     for index, k in enumerate(LEMMA5_GRID_K):
         query = GeometricSumQuery(a=1.0, delta=0.5, k=k, big_m=18.0)
@@ -325,6 +337,8 @@ def _suite_lemma5(samples: int, seed: int) -> list[dict]:
 
 
 def _suite_lemma6() -> list[dict]:
+    from .tail_bounds import lemma6_check
+
     rows = []
     for m in LEMMA6_GRID_M:
         for c in LEMMA6_GRID_C:
@@ -342,6 +356,8 @@ def _suite_lemma6() -> list[dict]:
 
 
 def _suite_cdf(samples: int, seed: int) -> list[dict]:
+    from .tail_bounds import ErlangQuery, erlang_cdf_lower, monte_carlo_tail
+
     rows = []
     index = 0
     for m in (1, 2, 5, 10):
@@ -425,7 +441,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tailcheck", help="certify the exponential tail bounds")
     p.add_argument("--suite", choices=["lemma4", "lemma5", "lemma6", "cdf"], required=True)
-    p.add_argument("--samples", type=_SAMPLES, default=None)
+    p.add_argument("--samples", type=_samples, default=None)
     p.add_argument("--seed", type=_SEED, default=None)
     p.set_defaults(handler=cmd_tailcheck)
 
@@ -437,16 +453,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    # A command allocates hundreds of thousands of small tuples and lists,
+    # but its only reference cycles are a fixed few hundred objects (the
+    # argument parser, the JSON encoders), so the cyclic collector's passes
+    # are pure cost.  It is off for the command only; the caller's setting
+    # is restored.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        return args.handler(args)
-    except (SprError, OSError, json.JSONDecodeError, UnicodeDecodeError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        parser = _build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
+        try:
+            return args.handler(args)
+        except (SprError, OSError, json.JSONDecodeError, UnicodeDecodeError, KeyError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -36,6 +36,8 @@ def parse_graph_text(text: str) -> Instance:
         n, m, k = (int(x) for x in header)
     except ValueError as exc:
         raise GraphFormatError(f"bad header {lines[0]!r}") from exc
+    if m < 0 or k < 0:
+        raise GraphFormatError(f"negative count in header {lines[0]!r}")
     if len(lines) != 2 + m:
         raise GraphFormatError(f"expected {m} edge lines, found {len(lines) - 2}")
 

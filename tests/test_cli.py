@@ -1,4 +1,5 @@
 import errno
+import gc
 import hashlib
 import io
 import json
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import spr
 from spr import GrowthParams, WeightedGraph, format_graph_text, parse_graph_text
-from spr import ball_growing, partition
+from spr import ball_growing, cli, partition
 from spr.cli import _build_parser, main
 
 from conftest import invoke, random_connected_instance
@@ -149,6 +150,19 @@ class TestPreprocess:
         code, out, err = invoke(argv)
         assert_failed_before_stdout(code, out, err)
         assert str(sidecar) in err
+        assert file_names(tmp_path) == ["random.txt"]
+
+    @pytest.mark.parametrize("spelling", ["same", "dotted"])
+    def test_sidecar_on_the_output_file_is_refused_at_once(self, random_file, tmp_path, monkeypatch, spelling):
+        def reached(inst):
+            raise AssertionError("preprocessing started")
+
+        monkeypatch.setattr(cli, "load_instance", reached)
+        out = str(tmp_path / "out.txt")
+        sidecar = out if spelling == "same" else f"{tmp_path}/./out.txt"
+        code, stdout, err = invoke(["preprocess", random_file, "-o", out, "--sidecar", sidecar])
+        assert (code, stdout) == (1, "")
+        assert err.splitlines() == [f"error: --sidecar {sidecar} names the --output file"]
         assert file_names(tmp_path) == ["random.txt"]
 
     def test_round_trip_is_canonical(self, random_file, tmp_path):
@@ -457,6 +471,22 @@ class TestUsage:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("5 -1 2\n", "error: negative count in header '5 -1 2'"),
+            ("3 -2 2\n", "error: negative count in header '3 -2 2'"),
+            ("3 2 -1\n0\n0 1 1\n1 2 1\n", "error: negative count in header '3 2 -1'"),
+        ],
+        ids=["m-past-the-lines", "m", "k"],
+    )
+    def test_negative_header_count_exits_one(self, tmp_path, text, line):
+        path = tmp_path / "neg.txt"
+        path.write_text(text)
+        code, out, err = invoke(["run", "--seed", "0", str(path)])
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [line]
+
     def test_crlf_and_comments_accepted(self, tmp_path):
         path = tmp_path / "crlf.txt"
         path.write_bytes(STAR.replace("\n", "\r\n").encode())
@@ -574,6 +604,13 @@ class TestFlagRanges:
     def test_fuzzed_values_end_in_one_error_line(self, four_file, flag, value):
         assume(self.check_flag_value(four_file, flag, value))
 
+    def test_samples_floor_is_named(self):
+        code, out, err = invoke(["tailcheck", "--suite", "lemma4", "--samples", "9999"])
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            "spr tailcheck: error: argument --samples: must be at least 10000, got 9999"
+        )
+
     def test_growth_rate_of_one_is_refused(self, star_file):
         # 1 + 1e-300 / log 3 rounds to 1: the round means would never grow.
         code, out, err = invoke(["run", "--seed", "0", "--delta", "1e-300", star_file])
@@ -614,38 +651,102 @@ class TestFlagRanges:
         )
 
 
+class TestCyclicGC:
+    """``main`` runs each command with the cyclic collector off."""
+
+    @pytest.fixture(params=[True, False], ids=["caller-enabled", "caller-disabled"])
+    def caller_gc(self, request):
+        was_enabled = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was_enabled else gc.disable)()
+
+    @pytest.mark.parametrize("case, code", [("success", 0), ("error", 1), ("usage", 2)])
+    def test_handler_runs_without_gc_and_state_is_restored(
+        self, caller_gc, star_file, tmp_path, monkeypatch, case, code
+    ):
+        seen = []
+        original = cli.cmd_run
+
+        def spy(args):
+            seen.append(gc.isenabled())
+            return original(args)
+
+        monkeypatch.setattr(cli, "cmd_run", spy)
+        graph = str(tmp_path / "missing.txt") if case == "error" else star_file
+        flags = ["--delta", "0"] if case == "usage" else ["--seed", "1"]
+        assert invoke(["run", *flags, graph])[0] == code
+        assert seen == ([] if case == "usage" else [False])
+        assert gc.isenabled() is caller_gc
+
+    def test_cyclic_garbage_does_not_grow_with_the_work(self, tmp_path):
+        # What a command leaves for the collector is the argument parser and
+        # the JSON encoders, a fixed few hundred objects.
+        small, large = str(tmp_path / "small.txt"), str(tmp_path / "large.txt")
+        Path(small).write_text(format_graph_text(random_connected_instance(5, n=30, k=4)))
+        Path(large).write_text(format_graph_text(random_connected_instance(5, n=300, k=8)))
+        run = ["run", "--seed", "1", "--no-preprocess", "--trace", str(tmp_path / "t.json")]
+        experiment = ["experiment", "--seed", "1", "--graph"]
+
+        def garbage(argv):
+            gc.collect()
+            assert invoke(argv)[0] == 0
+            return gc.collect()
+
+        for few, many in (
+            ([*run, small], [*run, large]),
+            ([*experiment, small, "--trials", "1"], [*experiment, large, "--trials", "4"]),
+        ):
+            garbage(few)  # warm-up: first-call caches
+            assert garbage(few) == garbage(many)
+
+
 class TestNumpyOffThePipeline:
-    # In a fresh interpreter: the in-process CLI tests run where numpy is
-    # already imported.
+    # Which optional modules each command loads, in order, in a fresh
+    # interpreter: the in-process CLI tests run where all are imported.
     SCRIPT = """
 import json, sys
 from spr.cli import main
-graph, part, out = sys.argv[1:4]
-commands = [
+graph, star, part, out = sys.argv[1:5]
+WATCHED = ("spr.analysis", "spr.tail_bounds", "statistics", "numpy")
+report = {}
+for argv in (
     ["run", "--seed", "1", "--trace", out + "/trace.json", graph],
     ["preprocess", graph, "-o", out + "/minor.txt"],
+    ["eval", star, part],
+    ["oracle", star],
     ["experiment", "--graph", graph, "--trials", "2", "--seed", "1"],
-    ["eval", graph, part],
-]
-codes = [main(argv) for argv in commands]
-before = "numpy" in sys.modules
-codes.append(main(["tailcheck", "--suite", "cdf", "--samples", "20000", "--seed", "4"]))
-print(json.dumps({"codes": codes, "numpy_before_tailcheck": before, "numpy_after": "numpy" in sys.modules}))
+    ["tailcheck", "--suite", "cdf", "--samples", "20000", "--seed", "4"],
+):
+    code = main(argv)
+    report[argv[0]] = [code, [name for name in WATCHED if name in sys.modules]]
+print(json.dumps(report))
 """
 
-    def test_only_tailcheck_imports_numpy(self, random_file, tmp_path):
-        part = tmp_path / "part.json"
-        assignment = spr.run(parse_graph_text(Path(random_file).read_text()), GrowthParams())[0].assignment
-        part.write_text(json.dumps({"assignment": list(assignment)}))
+    @pytest.fixture(scope="class")
+    def report(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("imports")
+        graph, star, part = out / "random.txt", out / "star.txt", out / "part.json"
+        graph.write_text(format_graph_text(random_connected_instance(21, n=30, k=4)))
+        star.write_text(STAR)
+        part.write_text(json.dumps({"assignment": [0, 1, 2, 0]}))
         src = str(Path(spr.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": src}
         result = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, random_file, str(part), str(tmp_path)],
+            [sys.executable, "-c", self.SCRIPT, str(graph), str(star), str(part), str(out)],
             capture_output=True,
             text=True,
-            env=env,
+            env={**os.environ, "PYTHONPATH": src},
             timeout=120,
         )
         assert result.returncode == 0, result.stderr
-        report = json.loads(result.stdout.splitlines()[-1])
-        assert report == {"codes": [0, 0, 0, 0, 0], "numpy_before_tailcheck": False, "numpy_after": True}
+        return json.loads(result.stdout.splitlines()[-1])
+
+    def test_pipeline_commands_skip_analysis_and_tail_bounds(self, report):
+        for command in ("run", "preprocess", "eval", "oracle"):
+            assert report[command] == [0, []], command
+
+    def test_experiment_loads_analysis(self, report):
+        assert report["experiment"] == [0, ["spr.analysis", "statistics"]]
+
+    def test_only_tailcheck_imports_numpy(self, report):
+        assert report["tailcheck"] == [0, ["spr.analysis", "spr.tail_bounds", "statistics", "numpy"]]

@@ -1,10 +1,9 @@
 """Export guard: every ``__all__`` name resolves, and the package root
 re-exports only names its modules list in ``__all__``."""
 
-import ast
 import importlib
 import pkgutil
-from pathlib import Path
+import sys
 
 import pytest
 
@@ -21,11 +20,18 @@ def test_all_names_resolve(name):
 
 
 def test_package_imports_are_exported():
-    tree = ast.parse(Path(spr.__file__).read_text())
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert imports
-    for node in imports:
-        assert node.level == 1, ast.unparse(node)
-        module = importlib.import_module(f"spr.{node.module}")
-        for alias in node.names:
-            assert alias.name in module.__all__, f"spr.{node.module}.{alias.name} is not in __all__"
+    # The root resolves its names lazily (PEP 562): each must come out of
+    # getattr as the very object its defining module lists in __all__.
+    assert spr.__all__
+    for name in spr.__all__:
+        value = getattr(spr, name)
+        module = sys.modules[value.__module__]
+        assert module.__name__.startswith("spr."), name
+        assert name in module.__all__, f"{module.__name__}.{name} is not in __all__"
+        assert getattr(module, name) is value
+    assert set(spr.__all__) <= set(dir(spr))
+    assert not hasattr(spr, "no_such_name")
+
+    namespace = {}
+    exec("from spr import *", namespace)
+    assert namespace.keys() - {"__builtins__"} == set(spr.__all__)
