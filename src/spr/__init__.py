@@ -43,7 +43,7 @@ _EXPORTS = {
         "run",
         "trace_to_json",
     ),
-    "graph": ("Instance", "ShortestPath", "WeightedGraph", "build_graph"),
+    "graph": ("Instance", "WeightedGraph", "build_graph"),
     "partition": (
         "DistortionResult",
         "OracleResult",

@@ -285,17 +285,16 @@ def merge_detours(reaches: list[Reach]) -> list[Reach]:
 
 def _make_detour(inst: Instance, path: tuple[int, ...], reach: Reach) -> TerminalDetour:
     """The reach's detour, both legs read from the terminal's canonical labels."""
-    graph = inst.graph
-    t = inst.terminals[reach.terminal]
-    back = graph.shortest_path(t, path[reach.q_min])
-    out = graph.shortest_path(t, path[reach.q_max])
+    j = reach.terminal
+    row = inst.row(j)
+    first, last = path[reach.q_min], path[reach.q_max]
     exit_vertex = path[reach.q_max + 1]
     return TerminalDetour(
         reach.q_min,
         reach.q_max,
-        reach.terminal,
-        back.vertices[::-1] + out.vertices[1:] + (exit_vertex,),
-        back.length + out.length + graph.edge_weight(path[reach.q_max], exit_vertex),
+        j,
+        inst.path(j, first)[::-1] + inst.path(j, last)[1:] + (exit_vertex,),
+        row[first] + row[last] + inst.graph.edge_weight(last, exit_vertex),
     )
 
 
@@ -406,7 +405,7 @@ def detect_bad_events(
     for event in trace.events:
         dv = nearest[event.vertex]
         far_threshold = params.c1 * dv
-        dist = inst.graph.distance(inst.terminals[event.terminal], event.vertex)
+        dist = inst.row(event.terminal)[event.vertex]
         if dist >= far_threshold:
             report.far_events.append((event.vertex, event.terminal, dist, far_threshold))
         z = params.c2 * dv * params.delta / log_k

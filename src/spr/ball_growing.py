@@ -192,7 +192,7 @@ def compute_base_mean(inst: Instance, params: GrowthParams) -> float:
 def _default_round_cap(inst: Instance, params: GrowthParams, base_mean: float, rate: float) -> int:
     # Coarse upper bound on the largest pairwise distance: twice the
     # eccentricity of the first terminal.
-    reach = 2.0 * inst.graph.eccentricity(inst.terminals[0])
+    reach = 2.0 * max(inst.row(0))
     n = inst.graph.vertex_count
     ratio = n * reach / base_mean
     if not math.isfinite(ratio):

@@ -10,14 +10,13 @@ prints no result and leaves no side file.  Output is deterministic given
 flags and seed.
 
 Each command runs with the cyclic garbage collector off (see ``main``).
-``spr.analysis`` and ``spr.tail_bounds`` are imported inside the commands
-that use them, so the other commands do not pay for loading them.
+``spr.analysis``, ``spr.tail_bounds`` and ``csv`` are imported inside the
+commands that use them, so the other commands do not pay for loading them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import io
 import json
@@ -246,6 +245,8 @@ def cmd_experiment(args) -> int:
     ]
     side_files = {}
     if args.csv:
+        import csv
+
         table = io.StringIO(newline="")
         writer = csv.writer(table)
         writer.writerow(

@@ -4,8 +4,8 @@ The canonical path between two vertices is the minimum over all shortest
 paths under the order (length, hop count, lexicographic vertex sequence).
 This tie-break is deterministic across platforms and yields a consistent
 path system: any subpath of a canonical path is itself the canonical path
-between its endpoints.  Directed queries matter: ``shortest_path(s, t)``
-is canonical for the direction s -> t.
+between its endpoints.  Directed queries matter: ``Instance.path(j, v)``
+is canonical for the direction from terminal j to v.
 
 Weights are 64-bit floats.  Integer-valued weights make every distance an
 exact integer sum, which the exactness tests rely on.  Graphs whose weights
@@ -18,7 +18,6 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -29,15 +28,7 @@ from .errors import (
     SelfLoopError,
 )
 
-__all__ = ["WeightedGraph", "Skeleton", "Instance", "ShortestPath", "build_graph"]
-
-
-@dataclass(frozen=True)
-class ShortestPath:
-    """A canonical shortest path: vertex sequence from source to target."""
-
-    vertices: tuple[int, ...]
-    length: float
+__all__ = ["WeightedGraph", "Skeleton", "Instance", "build_graph"]
 
 
 class WeightedGraph:
@@ -49,16 +40,12 @@ class WeightedGraph:
     directly only on a graph derived from a validated one, such as an
     exact-minor pass graph.
     Edge weights live only in the adjacency lists, sorted by neighbor.
-    Two per-source caches back the queries.  Plain distance rows (one
-    float per vertex) serve :meth:`distance` and :meth:`eccentricity`;
-    canonical parent arrays (on top of the same row) are built only for
-    :meth:`shortest_path`, which needs a vertex sequence.
-    :meth:`skeleton` builds the search structure for target-bounded path
-    queries, which cache nothing.  The object is safe to share across
-    concurrent trials because nothing is mutated after the caches fill.
+    The graph caches nothing and is never mutated: terminal rows and
+    labels are kept by :class:`Instance`, and :meth:`skeleton` builds the
+    search structure for target-bounded path queries.
     """
 
-    __slots__ = ("vertex_count", "edges", "adjacency", "_rows", "_labels")
+    __slots__ = ("vertex_count", "edges", "adjacency")
 
     def __init__(self, vertex_count: int, edges: Sequence[tuple[int, int, float]]):
         self.vertex_count = vertex_count
@@ -72,8 +59,6 @@ class WeightedGraph:
         for lst in adj:
             lst.sort()
         self.adjacency = tuple(tuple(lst) for lst in adj)
-        self._rows: dict[int, list[float]] = {}
-        self._labels: dict[int, list[int]] = {}
 
     # -- basic queries -------------------------------------------------
 
@@ -138,13 +123,6 @@ class WeightedGraph:
                         else:
                             bucket.append(v)
         return dist
-
-    def _distance_row(self, s: int) -> list[float]:
-        """Distances from s to every vertex; cached per source, never mutated."""
-        row = self._rows.get(s)
-        if row is None:
-            row = self._rows[s] = self._dijkstra(s)
-        return row
 
     def _label(self, s: int, dist: list[float], targets: Iterable[int] | None) -> list[int]:
         """Canonical parents from s on the ancestor closure of ``targets``.
@@ -226,36 +204,9 @@ class WeightedGraph:
 
         return parent
 
-    def _single_source(self, s: int) -> list[int]:
-        """Canonical parents of every vertex from s, on the cached plain row; cached."""
-        parent = self._labels.get(s)
-        if parent is None:
-            parent = self._labels[s] = self._label(s, self._distance_row(s), None)
-        return parent
-
-    def distance(self, s: int, t: int) -> float:
-        """Length of the shortest path between s and t."""
-        self._check_vertex(s)
-        self._check_vertex(t)
-        return self._distance_row(s)[t]
-
-    def shortest_path(self, s: int, t: int) -> ShortestPath:
-        """Canonical shortest path from s to t.
-
-        Ties are broken by hop count, then by the lexicographically
-        smallest vertex sequence read from s.  Labels every vertex from s
-        and caches the labels.
-        """
-        self._check_vertex(s)
-        self._check_vertex(t)
-        return ShortestPath(_walk(self._single_source(s), s, t), self._rows[s][t])
-
     def skeleton(self, keep: Iterable[int]) -> Skeleton:
         """The chain skeleton with ``keep`` among its branch vertices; uncached."""
         return Skeleton(self, keep)
-
-    def eccentricity(self, s: int) -> float:
-        return max(self._distance_row(s))
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.vertex_count:
@@ -453,7 +404,7 @@ class Skeleton:
     def shortest_paths(self, s: int, targets: Sequence[int]) -> list[tuple[int, ...]]:
         """Vertex sequences of the canonical paths from s to each target.
 
-        Equal to ``graph.shortest_path(s, t).vertices`` for each t; s and
+        Equal to the paths that labelling every vertex from s gives; s and
         every target must be in ``keep``.  Labels only the targets'
         shortest-path DAG and caches nothing, so a weight lost to rounding
         raises only where that DAG meets it, with the message full
@@ -525,10 +476,16 @@ class Instance:
     """A connected weighted graph together with an ordered terminal set.
 
     Terminal order is fixed: index j names the j-th terminal for the whole
-    run.  Immutable; shares the graph's distance cache.
+    run.  The instance owns every query whose source is a terminal, and
+    caches each answer on first use: terminal j's plain distance row and
+    canonical labels, the terminal-pair distances, the terminal-to-terminal
+    paths and the nearest-terminal distances.  The graph caches nothing.
     """
 
-    __slots__ = ("graph", "terminals", "_terminal_set", "_nearest_distances", "_terminal_paths")
+    __slots__ = (
+        "graph", "terminals", "_terminal_set", "_rows", "_labels",
+        "_terminal_distances", "_terminal_paths", "_nearest_distances",
+    )
 
     def __init__(self, graph: WeightedGraph, terminals: Sequence[int]):
         terminals = tuple(terminals)
@@ -542,8 +499,11 @@ class Instance:
         self.graph = graph
         self.terminals = terminals
         self._terminal_set = frozenset(terminals)
-        self._nearest_distances: list[float] | None = None
+        self._rows: dict[int, list[float]] = {}
+        self._labels: dict[int, list[int]] = {}
+        self._terminal_distances: dict[tuple[int, int], float] | None = None
         self._terminal_paths: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._nearest_distances: list[float] | None = None
 
     @property
     def k(self) -> int:
@@ -555,6 +515,45 @@ class Instance:
     def non_terminals(self) -> list[int]:
         return [v for v in range(self.graph.vertex_count) if v not in self._terminal_set]
 
+    def _terminal(self, j: int) -> int:
+        """The vertex of terminal j; a negative j is out of range, not wrapped."""
+        if not 0 <= j < self.k:
+            raise GraphError(f"terminal index {j} out of range [0, {self.k})")
+        return self.terminals[j]
+
+    def row(self, j: int) -> list[float]:
+        """Plain distances from terminal j to every vertex; cached, never mutated."""
+        row = self._rows.get(j)
+        if row is None:
+            row = self._rows[j] = self.graph._dijkstra(self._terminal(j))
+        return row
+
+    def path(self, j: int, v: int) -> tuple[int, ...]:
+        """Canonical vertex sequence from terminal j to v; its length is ``row(j)[v]``.
+
+        Walks terminal j's canonical parents of every vertex, built once on row j.
+        """
+        s = self._terminal(j)
+        self.graph._check_vertex(v)
+        parent = self._labels.get(j)
+        if parent is None:
+            parent = self._labels[j] = self.graph._label(s, self.row(j), None)
+        return _walk(parent, s, v)
+
+    def terminal_distances(self) -> dict[tuple[int, int], float]:
+        """d(t_i, t_j) for every pair i < j, keyed (i, j) in that order; cached.
+
+        Entry (i, j) is read from row i, so rows t0..t(k-2) are built and
+        t(k-1) is never a source.  The shape is that of
+        ``TerminalMinor.all_distances()``.
+        """
+        if self._terminal_distances is None:
+            t, k = self.terminals, self.k
+            self._terminal_distances = {
+                (i, j): self.row(i)[t[j]] for i in range(k - 1) for j in range(i + 1, k)
+            }
+        return self._terminal_distances
+
     def terminal_path(self, i: int, j: int) -> tuple[int, ...]:
         """Vertex sequence of the canonical path from terminal i to terminal j.
 
@@ -563,17 +562,15 @@ class Instance:
         """
         path = self._terminal_paths.get((i, j))
         if path is None:
-            path = self.graph.shortest_path(self.terminals[i], self.terminals[j]).vertices
-            self._terminal_paths[(i, j)] = path
+            path = self._terminal_paths[(i, j)] = self.path(i, self._terminal(j))
         return path
 
     def nearest_terminal_distances(self) -> list[float]:
         """Per vertex: distance to the nearest terminal (0.0 at terminals).
 
-        The elementwise minimum of the k cached terminal rows, which
-        ``contract`` and ``distortion`` read as well.  Cached.
+        The elementwise minimum of the k cached terminal rows.  Cached.
         """
         if self._nearest_distances is None:
-            rows = [self.graph._distance_row(t) for t in self.terminals]
+            rows = map(self.row, range(self.k))
             self._nearest_distances = list(map(min, zip(*rows)))
         return self._nearest_distances

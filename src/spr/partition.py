@@ -149,10 +149,8 @@ def contract(inst: Instance, partition: TerminalPartition) -> TerminalMinor:
         a, b = assignment[u], assignment[v]
         if a != b:
             crossing.add((a, b) if a < b else (b, a))
-    edges = tuple(
-        (i, j, inst.graph.distance(inst.terminals[i], inst.terminals[j]))
-        for i, j in sorted(crossing)
-    )
+    source = inst.terminal_distances()
+    edges = tuple((i, j, source[(i, j)]) for i, j in sorted(crossing))
     return TerminalMinor(tuple(inst.terminals), edges)
 
 
@@ -164,17 +162,14 @@ class DistortionResult:
 
 def distortion(inst: Instance, minor: TerminalMinor) -> DistortionResult:
     """Worst and per-pair ratio of minor distance over source distance."""
-    k = inst.k
     minor_dist = minor.all_distances()
     rows = []
     worst = 1.0
-    for i in range(k):
-        for j in range(i + 1, k):
-            d0 = inst.graph.distance(inst.terminals[i], inst.terminals[j])
-            d1 = minor_dist[(i, j)]
-            ratio = d1 / d0
-            worst = max(worst, ratio)
-            rows.append((i, j, d0, d1, ratio))
+    for (i, j), d0 in inst.terminal_distances().items():
+        d1 = minor_dist[(i, j)]
+        ratio = d1 / d0
+        worst = max(worst, ratio)
+        rows.append((i, j, d0, d1, ratio))
     return DistortionResult(worst, tuple(rows))
 
 

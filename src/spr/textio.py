@@ -38,6 +38,8 @@ def parse_graph_text(text: str) -> Instance:
         raise GraphFormatError(f"bad header {lines[0]!r}") from exc
     if m < 0 or k < 0:
         raise GraphFormatError(f"negative count in header {lines[0]!r}")
+    if len(lines) == 1:
+        raise GraphFormatError(f"missing terminal line after header {lines[0]!r}")
     if len(lines) != 2 + m:
         raise GraphFormatError(f"expected {m} edge lines, found {len(lines) - 2}")
 

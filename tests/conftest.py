@@ -177,7 +177,7 @@ def replay_reaches(inst, trace, i, j, cells):
     ci's reaches as (order, terminal, q_min, q_max) and ``cover`` maps each
     deactivated interior index to the reach that deactivated it.
     """
-    path = inst.graph.shortest_path(inst.terminals[i], inst.terminals[j]).vertices
+    path = inst.path(i, inst.terminals[j])
     last = len(path) - 1
     reaches = [[] for _ in cells]
     cover = {}
@@ -218,7 +218,7 @@ def replay_reaches(inst, trace, i, j, cells):
 
 
 def eager_walk_length(inst, path, cells, cover):
-    """Detour walk length with each inbound leg labelled from its path vertex.
+    """Detour walk length with each inbound leg read from its path vertex's row.
 
     Chains the covering reaches cell by cell, fuses abutting ones through
     the same terminal, and sums the legs in the order the walk takes them.
@@ -237,7 +237,7 @@ def eager_walk_length(inst, path, cells, cover):
     total = g.edge_weight(path[0], path[1])
     for terminal, q_min, q_max in chain:
         t = inst.terminals[terminal]
-        legs = g.shortest_path(path[q_min], t).length + g.shortest_path(t, path[q_max]).length
+        legs = heap_dijkstra(g, path[q_min])[t] + heap_dijkstra(g, t)[path[q_max]]
         total += legs + g.edge_weight(path[q_max], path[q_max + 1])
     return total
 

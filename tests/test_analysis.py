@@ -95,9 +95,7 @@ class TestPathPartition:
             inst = exact_minor(random_connected_instance(seed, n=40, k=5)).minor
             for i in range(inst.k):
                 for j in range(i + 1, inst.k):
-                    path = inst.graph.shortest_path(
-                        inst.terminals[i], inst.terminals[j]
-                    ).vertices
+                    path = inst.path(i, inst.terminals[j])
                     cells = path_partition(inst, i, j, PARAMS)
                     covered = []
                     for cell in cells:
@@ -114,7 +112,7 @@ class TestPathPartition:
             for i in range(inst.k):
                 for j in range(i + 1, inst.k):
                     cells = path_partition(inst, i, j, PARAMS)
-                    d = inst.graph.distance(inst.terminals[i], inst.terminals[j])
+                    d = inst.terminal_distances()[(i, j)]
                     assert d >= 0.5 * sum(c.threshold for c in cells)
 
 
@@ -417,8 +415,8 @@ class TestBuildDetourPath:
             report = detect_bad_events(inst, trace, params)
             for (i, j), log in report.reach_logs.items():
                 build_detour_path(inst, i, j, log)
-            assert inst.graph._labels
-            assert set(inst.graph._labels) <= set(inst.terminals)
+            assert inst._labels
+            assert set(inst._labels) <= set(range(inst.k))
 
     def test_detour_dominates_contracted_distance(self):
         for seed in range(8):

@@ -270,9 +270,7 @@ class TestRun:
             params = GrowthParams(seed=seed)
             _, trace = run(inst, params)
             n = inst.graph.vertex_count
-            w_max = max(
-                inst.graph.distance(a, b) for a in range(n) for b in range(a + 1, n)
-            )
+            w_max = max(Instance(inst.graph, range(n)).terminal_distances().values())
             rate = params.growth_rate(inst.k)
             cap = 10 * math.ceil(
                 math.log(n * w_max / trace.base_mean) / math.log(rate)

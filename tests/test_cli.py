@@ -487,6 +487,22 @@ class TestUsage:
         assert (code, out) == (1, "")
         assert err.splitlines() == [line]
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("0 0 0\n", "error: missing terminal line after header '0 0 0'"),
+            ("2 1 2\n", "error: missing terminal line after header '2 1 2'"),
+            ("3 2 2\n0 2\n0 1 1\n", "error: expected 2 edge lines, found 1"),
+        ],
+        ids=["empty-header", "header-only", "few-edges"],
+    )
+    def test_missing_lines_exit_one(self, tmp_path, text, line):
+        path = tmp_path / "short.txt"
+        path.write_text(text)
+        code, out, err = invoke(["run", "--seed", "0", str(path)])
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [line]
+
     def test_crlf_and_comments_accepted(self, tmp_path):
         path = tmp_path / "crlf.txt"
         path.write_bytes(STAR.replace("\n", "\r\n").encode())
@@ -708,7 +724,7 @@ class TestNumpyOffThePipeline:
 import json, sys
 from spr.cli import main
 graph, star, part, out = sys.argv[1:5]
-WATCHED = ("spr.analysis", "spr.tail_bounds", "statistics", "numpy")
+WATCHED = ("spr.analysis", "spr.tail_bounds", "statistics", "numpy", "csv")
 report = {}
 for argv in (
     ["run", "--seed", "1", "--trace", out + "/trace.json", graph],

@@ -44,7 +44,7 @@ class TestBuildGraph:
 
     def test_single_edge(self):
         g = build_graph(2, [(0, 1, 2.5)])
-        assert g.distance(0, 1) == 2.5
+        assert Instance(g, [0, 1]).row(0)[1] == 2.5
 
     def test_disconnected(self):
         with pytest.raises(DisconnectedError):
@@ -92,69 +92,77 @@ class TestBuildGraph:
         build_graph(3, [(0, 1, 8e307), (1, 2, 8e307)])
 
 
+def everywhere(g):
+    """An instance whose terminal j is vertex j, so any vertex can be a source."""
+    return Instance(g, range(g.vertex_count))
+
+
 class TestShortestPath:
     def test_path_graph(self):
-        g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        sp = g.shortest_path(0, 2)
-        assert sp.vertices == (0, 1, 2)
-        assert sp.length == 2.0
+        inst = Instance(build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)]), [0, 2])
+        assert inst.path(0, 2) == (0, 1, 2)
+        assert inst.row(0)[2] == 2.0
 
     def test_cycle_tie_break(self):
         # Both 0-1-2 and 0-3-2 have length 2 and two hops; the
         # lexicographically smaller sequence wins.
         g = build_graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)])
-        assert g.shortest_path(0, 2).vertices == (0, 1, 2)
-        assert g.shortest_path(2, 0).vertices == (2, 1, 0)
+        inst = Instance(g, [0, 2])
+        assert inst.path(0, 2) == (0, 1, 2)
+        assert inst.path(1, 0) == (2, 1, 0)
 
     def test_hop_count_beats_sequence(self):
         # 0-3 direct (weight 2) vs 0-1-3 (1+1): same length, fewer hops wins.
         g = build_graph(4, [(0, 3, 2.0), (0, 1, 1.0), (1, 3, 1.0), (1, 2, 5.0)])
-        assert g.shortest_path(0, 3).vertices == (0, 3)
+        assert Instance(g, [0, 3]).path(0, 3) == (0, 3)
 
     def test_identity(self):
-        g = build_graph(2, [(0, 1, 1.0)])
-        sp = g.shortest_path(1, 1)
-        assert sp.vertices == (1,)
-        assert sp.length == 0.0
+        inst = Instance(build_graph(2, [(0, 1, 1.0)]), [0, 1])
+        assert inst.path(1, 1) == (1,)
+        assert inst.row(1)[1] == 0.0
 
     def test_against_enumeration(self):
         for seed in range(40):
-            inst = random_connected_instance(seed, n=8, k=2, wmax=4)
-            g = inst.graph
+            inst = everywhere(random_connected_instance(seed, n=8, k=2, wmax=4).graph)
             rng = random.Random(seed + 999)
             for _ in range(6):
                 s, t = rng.randrange(8), rng.randrange(8)
-                seq, length = brute_canonical(g, s, t)
-                sp = g.shortest_path(s, t)
-                assert sp.vertices == seq
-                assert sp.length == length
+                seq, length = brute_canonical(inst.graph, s, t)
+                assert inst.path(s, t) == seq
+                assert inst.row(s)[t] == length
 
     def test_swallowed_weight_raises(self):
         # 1e16 + 0.5 rounds to 1e16, so the hop/parent pass would see vertices
         # 1 and 2 at one distance joined by a tight edge.
-        g = build_graph(3, [(0, 2, 1e16), (1, 2, 0.5)])
+        inst = Instance(build_graph(3, [(0, 2, 1e16), (1, 2, 0.5)]), [0, 1])
         with pytest.raises(GraphError, match=r"edge \(2, 1\) of weight 0.5 is lost to rounding"):
-            g.shortest_path(0, 1)
-        assert g.distance(0, 1) == 1e16  # plain distances stay defined
-        assert g.shortest_path(1, 0).vertices == (1, 2, 0)
+            inst.path(0, 1)
+        assert inst.row(0)[1] == 1e16  # plain distances stay defined
+        assert inst.path(1, 0) == (1, 2, 0)
 
     def test_canonical_subpath_property(self):
         for seed in range(25):
-            inst = random_connected_instance(seed, n=20, k=2)
-            g = inst.graph
+            inst = everywhere(random_connected_instance(seed, n=20, k=2).graph)
             rng = random.Random(seed)
             for _ in range(10):
                 s, t = rng.randrange(20), rng.randrange(20)
-                sp = g.shortest_path(s, t)
-                v = rng.choice(sp.vertices)
-                left = g.shortest_path(s, v)
-                right = g.shortest_path(v, t)
-                assert left.vertices + right.vertices[1:] == sp.vertices
+                path = inst.path(s, t)
+                v = rng.choice(path)
+                assert inst.path(s, v) + inst.path(v, t)[1:] == path
 
-
-def fresh(g):
-    """A copy of ``g`` with empty caches."""
-    return build_graph(g.vertex_count, g.edges)
+    def test_out_of_range_indices_raise(self):
+        inst = Instance(build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)]), [2, 0])
+        for j in (-1, -2, 2):
+            with pytest.raises(GraphError, match=f"terminal index {j} out of range"):
+                inst.row(j)
+            with pytest.raises(GraphError, match=f"terminal index {j} out of range"):
+                inst.path(j, 1)
+            with pytest.raises(GraphError, match=f"terminal index {j} out of range"):
+                inst.terminal_path(0, j)
+        for v in (-1, 3):
+            with pytest.raises(GraphError, match=f"vertex {v} out of range"):
+                inst.path(0, v)
+        assert inst._rows == {} and inst._labels == {}
 
 
 class TestShortestPaths:
@@ -178,12 +186,12 @@ class TestShortestPaths:
                 targets = rng.sample(range(n), rng.randint(1, min(n, 6)))
                 if rng.random() < 0.3:
                     targets.append(s)
-                g1, g2 = fresh(g), fresh(g)
-                expected = [g2.shortest_path(s, t).vertices for t in targets]
-                assert g1.skeleton({s, *targets}).shortest_paths(s, targets) == expected
-                assert g1._rows == {} and g1._labels == {}
-                # Cached labels of s do not change the answer.
-                assert g2.skeleton({s, *targets}).shortest_paths(s, targets) == expected
+                inst = everywhere(g)
+                found = g.skeleton({s, *targets}).shortest_paths(s, targets)
+                assert inst._rows == {} and inst._labels == {}
+                assert found == [inst.path(s, t) for t in targets]
+                # Labels of s cached on an instance do not change the answer.
+                assert g.skeleton({s, *targets}).shortest_paths(s, targets) == found
 
     def test_against_enumeration(self):
         for seed in range(40):
@@ -191,7 +199,7 @@ class TestShortestPaths:
             rng = random.Random(seed + 999)
             s = rng.randrange(8)
             targets = rng.sample(range(8), rng.randint(1, 8))
-            assert fresh(g).skeleton({s, *targets}).shortest_paths(s, targets) == [
+            assert g.skeleton({s, *targets}).shortest_paths(s, targets) == [
                 brute_canonical(g, s, t)[0] for t in targets
             ]
 
@@ -205,8 +213,9 @@ class TestShortestPaths:
         for seed in range(5):
             inst = subdivide(random_connected_instance(seed, n=30, k=5), parts=3)
             exact_minor(inst)
-            assert inst.graph._rows == {}
-            assert inst.graph._labels == {}
+            assert inst._rows == {}
+            assert inst._labels == {}
+            assert inst._terminal_distances is None and inst._terminal_paths == {}
 
     def test_lost_edge_at_farthest_target_raises(self):
         # Vertex 2 lies at the target's distance 1e16 (1e16 + 0.5 rounds
@@ -226,7 +235,7 @@ class TestShortestPaths:
         edges = [(0, 3, 1e16), (1, 3, 0.5), (1, 2, 0.5), (0, 4, 1e16), (2, 4, 0.5)]
         message = r"^edge \(2, 1\) of weight 0.5 is lost to rounding"
         with pytest.raises(GraphError, match=message):
-            build_graph(5, edges).shortest_path(0, 3)
+            Instance(build_graph(5, edges), [0, 3]).path(0, 3)
         with pytest.raises(GraphError, match=message):
             build_graph(5, edges).skeleton({0, 3}).shortest_paths(0, [3])
 
@@ -235,7 +244,7 @@ class TestShortestPaths:
         g = build_graph(4, [(0, 1, 1.0), (0, 2, 1e16), (2, 3, 0.5)])
         assert g.skeleton({0, 1}).shortest_paths(0, [1]) == [(0, 1)]
         with pytest.raises(GraphError, match=r"edge \(3, 2\) of weight 0.5"):
-            g.shortest_path(0, 1)
+            Instance(g, [0, 1]).path(0, 1)
 
 
 def check_skeleton(inst):
@@ -250,7 +259,7 @@ def check_skeleton(inst):
     g = inst.graph
     n = g.vertex_count
     terms = list(inst.terminals)
-    sk = fresh(g).skeleton(terms)
+    sk = g.skeleton(terms)
     branch = [v for v in range(n) if v in sk.keep or len(g.adjacency[v]) != 2]
     for a, s in enumerate(terms):
         targets = terms[:a] + terms[a + 1 :]
@@ -269,9 +278,7 @@ def check_skeleton(inst):
         check_row(label_reads(g, full, targets))
         sk._fill_closure(row, [v for v in branch if full[v] <= far])
         check_row(range(n))
-        reference = fresh(g)
-        expected = [reference.shortest_path(s, t).vertices for t in targets]
-        assert sk.shortest_paths(s, targets) == expected
+        assert sk.shortest_paths(s, targets) == [inst.path(a, t) for t in targets]
 
 
 def raised(call):
@@ -343,7 +350,7 @@ class TestSkeleton:
         ):
             g = inst.graph
             t = inst.terminals[1]
-            full = raised(lambda: fresh(g).shortest_path(0, t))
+            full = raised(lambda: inst.path(0, t))
             assert full == raised(lambda: g.skeleton(inst.terminals).shortest_paths(0, [t]))
             assert re.match(message, full)
             with pytest.raises(GraphError, match=message):
@@ -356,7 +363,7 @@ class TestSkeleton:
         # edge into the target.
         edges = [(0, 1, 1e16), (0, 2, 1e16), (2, 3, 0.5), (1, 3, 0.5), (3, 4, 2.0), (2, 5, 2.0)]
         g = build_graph(6, edges)
-        message = raised(lambda: fresh(g).shortest_path(0, 1))
+        message = raised(lambda: Instance(g, [0, 1]).path(0, 1))
         assert message == "edge (3, 1) of weight 0.5 is lost to rounding at distance 1e+16 from vertex 0"
         assert raised(lambda: g.skeleton([0, 1]).shortest_paths(0, [1])) == message
 
@@ -442,6 +449,39 @@ class TestLevelQueue:
         assert row[3:] == [1e16 + 2.0, 1e16 + 4.0, 1e16 + 8.0]
 
 
+class TestTerminalDistances:
+    """The terminal-pair table against pair-heap rows, bit for bit."""
+
+    @staticmethod
+    def instances():
+        for seed in range(8):
+            inst = random_connected_instance(seed, n=30, k=2 + seed % 5)
+            yield inst
+            yield reweighted(inst, NON_DYADIC_WEIGHTS, seed)
+            yield subdivide(inst, parts=3)
+            yield subdivide_unevenly(inst, seed, weights=NON_DYADIC_WEIGHTS)
+
+    def test_matches_heap_rows_bit_for_bit(self):
+        for inst in self.instances():
+            terms = inst.terminals
+            expected = {}
+            for i in range(inst.k - 1):
+                row = heap_dijkstra(inst.graph, terms[i])
+                for j in range(i + 1, inst.k):
+                    expected[(i, j)] = row[terms[j]]
+            table = inst.terminal_distances()
+            assert list(table) == list(expected)
+            assert [d.hex() for d in table.values()] == [d.hex() for d in expected.values()]
+            # Rows t0..t(k-2) only; t(k-1) is never a source.
+            assert sorted(inst._rows) == list(range(inst.k - 1))
+
+    def test_read_from_the_lower_terminal(self):
+        inst = path_graph([0.1, 0.2, 0.3], [0, 3])
+        assert inst.terminal_distances() == {(0, 1): 0.6000000000000001}
+        # Folded from t1 the same path sums to 0.3 + 0.2 + 0.1 == 0.6.
+        assert inst.row(1)[0] == 0.6
+
+
 class TestOneBoundedSearch:
     """exact_minor's only search is the skeleton's; nothing is cached."""
 
@@ -460,13 +500,13 @@ class TestOneBoundedSearch:
         assert not hasattr(WeightedGraph, "shortest_paths")
 
     def test_skeleton_is_not_cached_on_the_graph(self):
-        assert WeightedGraph.__slots__ == ("vertex_count", "edges", "adjacency", "_rows", "_labels")
+        assert WeightedGraph.__slots__ == ("vertex_count", "edges", "adjacency")
         inst = subdivide(random_connected_instance(1, n=20, k=4), parts=3)
         g = inst.graph
         sk = g.skeleton(inst.terminals)
         sk.shortest_paths(inst.terminals[0], inst.terminals[1:])
         assert g.skeleton(inst.terminals) is not sk
-        assert g._rows == {} and g._labels == {}
+        assert inst._rows == {} and inst._labels == {}
 
 
 class TestStorage:
@@ -475,8 +515,6 @@ class TestStorage:
             "vertex_count",
             "edges",
             "adjacency",
-            "_rows",
-            "_labels",
         }
         n = 6
         g = build_graph(n, [(0, v, float(v)) for v in range(1, n)] + [(2, 4, 0.5)])
@@ -489,31 +527,31 @@ class TestStorage:
 
     def test_labels_are_cached_parent_arrays(self):
         g = random_connected_instance(3, n=30, k=2).graph
-        path = g.shortest_path(4, 17).vertices
-        parent = g._labels[4]
+        inst = Instance(g, [4, 17])
+        path = inst.path(0, 17)
+        parent = inst._labels[0]
         assert isinstance(parent, list) and len(parent) == g.vertex_count
         assert all(parent[v] == u for u, v in zip(path, path[1:]))
 
 
 class TestDistance:
     def test_examples(self):
-        g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        assert g.distance(0, 2) == 2.0
-        assert g.distance(1, 1) == 0.0
-        assert build_graph(2, [(0, 1, 2.5)]).distance(0, 1) == 2.5
+        inst = everywhere(build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)]))
+        assert inst.row(0)[2] == 2.0
+        assert inst.row(1)[1] == 0.0
+        assert Instance(build_graph(2, [(0, 1, 2.5)]), [0, 1]).row(0)[1] == 2.5
 
     def test_metric_properties_integer_weights(self):
         for seed in range(15):
-            inst = random_connected_instance(seed, n=25, k=2)
-            g = inst.graph
-            oracle = floyd_warshall(g)
+            inst = everywhere(random_connected_instance(seed, n=25, k=2).graph)
+            oracle = floyd_warshall(inst.graph)
             rng = random.Random(seed)
             for _ in range(20):
                 a, b, c = (rng.randrange(25) for _ in range(3))
-                dab, dba = g.distance(a, b), g.distance(b, a)
+                dab, dba = inst.row(a)[b], inst.row(b)[a]
                 assert dab == dba  # integer sums are exact
                 assert dab == oracle[a][b]
-                assert g.distance(a, c) <= dab + g.distance(b, c)
+                assert inst.row(a)[c] <= dab + inst.row(b)[c]
 
 
 def restricted_ball(g, allowed, center, radius):
@@ -534,9 +572,10 @@ class TestRestrictedBall:
             inst = random_connected_instance(seed, n=20, k=2)
             g = inst.graph
             everything = set(range(20))
+            rows = everywhere(g)
             for c in random.Random(seed).sample(range(20), 5):
                 dist = restricted_distances(g, everything, c)
-                assert dist == {v: g.distance(c, v) for v in range(20)}
+                assert dist == {v: rows.row(c)[v] for v in range(20)}
 
 
 class TestNearestTerminal:
@@ -561,8 +600,9 @@ class TestInstance:
     def test_nearest_terminal_is_minimum(self, seed):
         inst = random_connected_instance(seed, n=15, k=3)
         best = inst.nearest_terminal_distances()
+        rows = [heap_dijkstra(inst.graph, t) for t in inst.terminals]
         for v in range(15):
-            assert best[v] == min(inst.graph.distance(t, v) for t in inst.terminals)
+            assert best[v] == min(row[v] for row in rows)
 
 
 HUGE_WEIGHTS = (1e16, 3e16, 0.5, 1.0, 2.0, 3.0)  # 1e16 + 1.0 rounds to 1e16
@@ -594,6 +634,7 @@ class TestNearestTerminalFloatWeights:
         n, edges, terminals = instance
         inst = Instance(build_graph(n, edges), terminals)
         nearest = inst.nearest_terminal_distances()
+        rows = [heap_dijkstra(inst.graph, t) for t in terminals]
         for v in range(n):
-            low = min(inst.graph.distance(t, v) for t in terminals)
+            low = min(row[v] for row in rows)
             assert nearest[v].hex() == low.hex()

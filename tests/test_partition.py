@@ -133,7 +133,7 @@ class TestDistortion:
                 assert touched == set(range(inst.k))  # no isolated terminal
                 for i in range(inst.k):
                     for j in range(i + 1, inst.k):
-                        d0 = inst.graph.distance(inst.terminals[i], inst.terminals[j])
+                        d0 = inst.terminal_distances()[(i, j)]
                         assert dists[(i, j)] >= d0
                 checked += 1
         assert checked == 1000

@@ -37,10 +37,9 @@ class TestExactMinor:
     def test_star_keeps_center(self, star3):
         result = exact_minor(star3)
         assert result.non_terminal_count == 1
-        mg = result.minor.graph
         for a in range(3):
             for b in range(a + 1, 3):
-                assert mg.distance(result.minor.terminals[a], result.minor.terminals[b]) == 2.0
+                assert result.minor.terminal_distances()[(a, b)] == 2.0
 
     def test_two_terminals_always_single_edge(self):
         for seed in range(10):
@@ -48,7 +47,7 @@ class TestExactMinor:
             result = exact_minor(inst)
             assert result.minor.graph.vertex_count == 2
             assert result.non_terminal_count == 0
-            d = inst.graph.distance(*inst.terminals)
+            d = inst.terminal_distances()[(0, 1)]
             assert result.minor.graph.edges == ((0, 1, d),)
 
     def test_exact_distances_and_size(self):
@@ -57,11 +56,10 @@ class TestExactMinor:
             inst = random_connected_instance(seed, n=60, k=k)
             result = exact_minor(inst)
             oracle = floyd_warshall(inst.graph)
-            mg = result.minor.graph
             for a in range(k):
                 for b in range(a + 1, k):
                     d0 = oracle[inst.terminals[a]][inst.terminals[b]]
-                    d1 = mg.distance(result.minor.terminals[a], result.minor.terminals[b])
+                    d1 = result.minor.terminal_distances()[(a, b)]
                     assert d1 == d0  # bit-equal on integer weights
             assert result.non_terminal_count <= k**4
 

@@ -1,7 +1,7 @@
 import pytest
 
 from spr import format_graph_text, parse_graph_text
-from spr.errors import GraphFormatError
+from spr.errors import DuplicateEdgeError, GraphFormatError, SelfLoopError
 
 from conftest import random_connected_instance
 
@@ -54,3 +54,17 @@ def test_weights_round_trip_shortest_form():
 def test_malformed_inputs(text):
     with pytest.raises(GraphFormatError):
         parse_graph_text(text)
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("4 4 2\n0 3\n1 1 1.0\n0 1 1.0\n1 2 1.0\n1 0 2.0\n", SelfLoopError, "self-loop at vertex 1"),
+        ("4 4 2\n0 3\n0 1 1.0\n1 2 1.0\n1 0 2.0\n2 2 1.0\n", DuplicateEdgeError, "duplicate edge (0, 1)"),
+    ],
+    ids=["self-loop-first", "duplicate-first"],
+)
+def test_first_faulty_edge_line_decides_the_message(text, error, message):
+    with pytest.raises(error) as info:
+        parse_graph_text(text)
+    assert str(info.value) == message
