@@ -17,6 +17,7 @@ commands that use them, so the other commands do not pay for loading them.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import io
 import json
@@ -41,8 +42,12 @@ def _publish(text: str, side_files: dict[str, str]) -> None:
 
     Each side file goes to a temporary name in its target directory, then
     stdout is written and flushed, and only then are the temporary files
-    renamed into place.  On any failure they are removed.
+    renamed into place.  On any failure they are removed.  A target that
+    is a directory is refused before anything is staged or written.
     """
+    for path in side_files:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     staged: list[tuple[str, str]] = []
     try:
         for path, contents in side_files.items():

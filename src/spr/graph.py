@@ -39,21 +39,19 @@ class WeightedGraph:
     edges, connected).  The constructor checks nothing; it is called
     directly only on a graph derived from a validated one, such as an
     exact-minor pass graph.
-    Edge weights live only in the adjacency lists, sorted by neighbor.
+    The adjacency lists, sorted by neighbor, are the only copy of the edges.
     The graph caches nothing and is never mutated: terminal rows and
     labels are kept by :class:`Instance`, and :meth:`skeleton` builds the
     search structure for target-bounded path queries.
     """
 
-    __slots__ = ("vertex_count", "edges", "adjacency")
+    __slots__ = ("vertex_count", "adjacency")
 
-    def __init__(self, vertex_count: int, edges: Sequence[tuple[int, int, float]]):
+    def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int, float]]):
         self.vertex_count = vertex_count
-        self.edges = tuple(
-            (u, v, float(w)) if u < v else (v, u, float(w)) for u, v, w in edges
-        )
         adj: list[list[tuple[int, float]]] = [[] for _ in range(vertex_count)]
-        for u, v, w in self.edges:
+        for u, v, w in edges:
+            w = float(w)
             adj[u].append((v, w))
             adj[v].append((u, w))
         for lst in adj:
@@ -73,11 +71,16 @@ class WeightedGraph:
         return row[i][1]
 
     @property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """Each edge once as ``(u, v, w)``, u < v, sorted; derived from the adjacency."""
+        return tuple((u, v, w) for u, nbrs in enumerate(self.adjacency) for v, w in nbrs if u < v)
+
+    @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self.adjacency)) // 2
 
     def is_integer_weighted(self) -> bool:
-        return all(w == int(w) for _, _, w in self.edges)
+        return all(w == int(w) for nbrs in self.adjacency for _, w in nbrs)
 
     # -- plain distances and canonical shortest paths --------------------
 

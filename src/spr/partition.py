@@ -145,10 +145,12 @@ def contract(inst: Instance, partition: TerminalPartition) -> TerminalMinor:
         )
     assignment = partition.assignment
     crossing: set[tuple[int, int]] = set()
-    for u, v, _ in inst.graph.edges:
-        a, b = assignment[u], assignment[v]
-        if a != b:
-            crossing.add((a, b) if a < b else (b, a))
+    for u, nbrs in enumerate(inst.graph.adjacency):
+        a = assignment[u]
+        for v, _ in nbrs:
+            b = assignment[v]
+            if a < b:  # read from both ends; the end in the lower cell records it
+                crossing.add((a, b))
     source = inst.terminal_distances()
     edges = tuple((i, j, source[(i, j)]) for i, j in sorted(crossing))
     return TerminalMinor(tuple(inst.terminals), edges)

@@ -159,12 +159,7 @@ def exact_minor(inst: Instance) -> PreprocessResult:
         for i, v in enumerate(retained):
             new_id[v] = i
         branch_of = [None if b is None else new_id[owner[b]] for b in branch_of]
-        edges = sorted(
-            (new_id[u], new_id[v], w)
-            for u in retained
-            for v, w in adj[u].items()
-            if u < v
-        )
+        edges = ((new_id[u], new_id[v], w) for u in retained for v, w in adj[u].items() if u < v)
         # The pass graph comes from a validated one, so it skips build_graph.
         current = Instance(
             WeightedGraph(len(retained), edges),

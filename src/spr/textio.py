@@ -40,6 +40,10 @@ def parse_graph_text(text: str) -> Instance:
         raise GraphFormatError(f"negative count in header {lines[0]!r}")
     if len(lines) == 1:
         raise GraphFormatError(f"missing terminal line after header {lines[0]!r}")
+    if k < 2:
+        raise GraphFormatError(
+            f"header {lines[0]!r} has k = {k}; an instance needs at least two terminals"
+        )
     if len(lines) != 2 + m:
         raise GraphFormatError(f"expected {m} edge lines, found {len(lines) - 2}")
 
@@ -73,7 +77,7 @@ def format_graph_text(inst: Instance) -> str:
     g = inst.graph
     out = [f"{g.vertex_count} {g.edge_count} {inst.k}"]
     out.append(" ".join(str(t) for t in inst.terminals))
-    for u, v, w in sorted(g.edges):
+    for u, v, w in g.edges:
         out.append(f"{u} {v} {_format_weight(w)}")
     return "\n".join(out) + "\n"
 

@@ -76,6 +76,16 @@ def file_names(directory):
     return sorted(path.name for path in directory.iterdir())
 
 
+def assert_directory_target_refused(argv, directory, tmp_path, listing):
+    """A side file aimed at a directory: no result, one error naming it, nothing left."""
+    code, out, err = invoke(argv)
+    assert_failed_before_stdout(code, out, err)
+    message = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(directory)!r}"
+    assert err.splitlines()[-1] == f"error: {message}"
+    assert file_names(tmp_path) == listing
+    assert file_names(directory) == []
+
+
 class TestRun:
     def test_happy_path(self, star_file):
         code, out, err = invoke(["run", "--seed", "7", star_file])
@@ -119,6 +129,12 @@ class TestRun:
         assert err.splitlines()[-1] == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
         assert file_names(tmp_path) == ["star.txt"]
 
+    def test_trace_on_a_directory_prints_no_result(self, star_file, tmp_path):
+        target = tmp_path / "dir"
+        target.mkdir()
+        argv = ["run", "--seed", "1", "--trace", str(target), star_file]
+        assert_directory_target_refused(argv, target, tmp_path, ["dir", "star.txt"])
+
     def test_random_seed_is_echoed(self, star_file):
         code, out, err = invoke(["run", star_file])
         assert code == 0
@@ -151,6 +167,12 @@ class TestPreprocess:
         assert_failed_before_stdout(code, out, err)
         assert str(sidecar) in err
         assert file_names(tmp_path) == ["random.txt"]
+
+    def test_sidecar_on_a_directory_leaves_no_output(self, random_file, tmp_path):
+        target = tmp_path / "dir"
+        target.mkdir()
+        argv = ["preprocess", random_file, "-o", str(tmp_path / "out.txt"), "--sidecar", str(target)]
+        assert_directory_target_refused(argv, target, tmp_path, ["dir", "random.txt"])
 
     @pytest.mark.parametrize("spelling", ["same", "dotted"])
     def test_sidecar_on_the_output_file_is_refused_at_once(self, random_file, tmp_path, monkeypatch, spelling):
@@ -372,6 +394,12 @@ class TestExperiment:
         assert err.splitlines()[-1] == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
         assert file_names(tmp_path) == ["random.txt"]
 
+    def test_csv_on_a_directory_prints_no_result(self, random_file, tmp_path):
+        target = tmp_path / "dir"
+        target.mkdir()
+        argv = ["experiment", "--graph", random_file, "--trials", "1", "--seed", "1", "--csv", str(target)]
+        assert_directory_target_refused(argv, target, tmp_path, ["dir", "random.txt"])
+
     def test_small_experiment(self, random_file, tmp_path):
         csv_path = tmp_path / "trials.csv"
         code, out, _ = invoke(
@@ -502,6 +530,19 @@ class TestUsage:
         code, out, err = invoke(["run", "--seed", "0", str(path)])
         assert (code, out) == (1, "")
         assert err.splitlines() == [line]
+
+    @pytest.mark.parametrize(
+        "text, k", [("3 2 0\n\n0 1 1\n1 2 1\n", 0), ("3 2 1\n0\n0 1 1\n1 2 1\n", 1)], ids=["k0", "k1"]
+    )
+    def test_too_few_terminals_are_refused_at_the_header(self, tmp_path, text, k):
+        path = tmp_path / "few.txt"
+        path.write_text(text)
+        code, out, err = invoke(["run", "--seed", "0", str(path)])
+        assert (code, out) == (1, "")
+        header = text.splitlines()[0]
+        assert err.splitlines() == [
+            f"error: header {header!r} has k = {k}; an instance needs at least two terminals"
+        ]
 
     def test_crlf_and_comments_accepted(self, tmp_path):
         path = tmp_path / "crlf.txt"

@@ -500,7 +500,7 @@ class TestOneBoundedSearch:
         assert not hasattr(WeightedGraph, "shortest_paths")
 
     def test_skeleton_is_not_cached_on_the_graph(self):
-        assert WeightedGraph.__slots__ == ("vertex_count", "edges", "adjacency")
+        assert WeightedGraph.__slots__ == ("vertex_count", "adjacency")
         inst = subdivide(random_connected_instance(1, n=20, k=4), parts=3)
         g = inst.graph
         sk = g.skeleton(inst.terminals)
@@ -511,11 +511,7 @@ class TestOneBoundedSearch:
 
 class TestStorage:
     def test_edge_weight_reads_the_adjacency(self):
-        assert set(WeightedGraph.__slots__) == {
-            "vertex_count",
-            "edges",
-            "adjacency",
-        }
+        assert set(WeightedGraph.__slots__) == {"vertex_count", "adjacency"}
         n = 6
         g = build_graph(n, [(0, v, float(v)) for v in range(1, n)] + [(2, 4, 0.5)])
         for v in range(1, n):
@@ -524,6 +520,22 @@ class TestStorage:
         for u, v in [(1, 2), (3, 3), (0, 0), (-1, 0), (0, -1), (-1, -1), (n, 0), (0, n), (5, n)]:
             with pytest.raises(KeyError):
                 g.edge_weight(u, v)
+
+    def test_edge_order_and_orientation_do_not_matter(self):
+        for seed in range(6):
+            base = random_connected_instance(seed, n=25, k=3).graph
+            n, ordered = base.vertex_count, sorted(base.edges)
+            assert list(base.edges) == ordered and all(u < v for u, v, _ in ordered)
+            rng = random.Random(seed)
+            shuffled = rng.sample(ordered, len(ordered))
+            mixed = [(v, u, w) if rng.random() < 0.5 else (u, v, w) for u, v, w in shuffled]
+            graphs = [build_graph(n, edges) for edges in (ordered, shuffled, ordered[::-1], mixed)]
+            graphs.append(WeightedGraph(n, iter(mixed)))
+            for g in graphs:
+                assert g.adjacency == base.adjacency
+                assert g.edges == tuple(ordered)
+                assert g.edge_count == len(ordered)
+                assert all(list(nbrs) == sorted(nbrs) for nbrs in g.adjacency)
 
     def test_labels_are_cached_parent_arrays(self):
         g = random_connected_instance(3, n=30, k=2).graph

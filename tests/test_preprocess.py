@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from spr import (
     build_graph,
     exact_minor,
     format_graph_text,
+    load_instance,
     verify_exact,
 )
 from spr.errors import VerificationFailedError
@@ -133,8 +135,15 @@ class TestVerifyExact:
 
 
 def golden_instance(weights):
-    inst = subdivide(random_connected_instance(5, n=40, k=6), parts=3)
-    return inst if weights == "integer" else reweighted(inst, NON_DYADIC_WEIGHTS, 1)
+    """The integer instance is generated; the non-dyadic one is stored.
+
+    The stored file is the integer instance with each weight redrawn from
+    NON_DYADIC_WEIGHTS, drawn in the order the edges were generated in, so
+    its pinned digest does not depend on the order ``reweighted`` reads.
+    """
+    if weights == "integer":
+        return subdivide(random_connected_instance(5, n=40, k=6), parts=3)
+    return load_instance(Path(__file__).parent / "data" / "golden-non-dyadic.txt")
 
 
 class TestGoldenDigest:

@@ -1,7 +1,14 @@
 import pytest
 
 from spr import format_graph_text, parse_graph_text
-from spr.errors import DuplicateEdgeError, GraphFormatError, SelfLoopError
+from spr.errors import (
+    DisconnectedError,
+    DuplicateEdgeError,
+    GraphError,
+    GraphFormatError,
+    NonPositiveWeightError,
+    SelfLoopError,
+)
 
 from conftest import random_connected_instance
 
@@ -56,13 +63,41 @@ def test_malformed_inputs(text):
         parse_graph_text(text)
 
 
+OUT_OF_RANGE = ("2 9 1.0", GraphError, "edge (2, 9) has an endpoint out of range")
+BAD_WEIGHT = ("1 2 -1", NonPositiveWeightError, "edge (1, 2) has weight -1.0")
+DUPLICATE = ("1 0 2.0", DuplicateEdgeError, "duplicate edge (0, 1)")
+FAULT_PAIRS = [
+    (OUT_OF_RANGE, BAD_WEIGHT, "range-then-weight"),
+    (BAD_WEIGHT, OUT_OF_RANGE, "weight-then-range"),
+    (OUT_OF_RANGE, DUPLICATE, "range-then-duplicate"),
+    (DUPLICATE, OUT_OF_RANGE, "duplicate-then-range"),
+    (BAD_WEIGHT, DUPLICATE, "weight-then-duplicate"),
+    (DUPLICATE, BAD_WEIGHT, "duplicate-then-weight"),
+]
+
+
+def two_fault_file(first, second):
+    """Five edge lines on four vertices; the faulty ones are the second and third."""
+    return f"4 5 2\n0 3\n0 1 1.0\n{first}\n{second}\n1 3 1.0\n2 3 1.0\n"
+
+
 @pytest.mark.parametrize(
     "text, error, message",
     [
         ("4 4 2\n0 3\n1 1 1.0\n0 1 1.0\n1 2 1.0\n1 0 2.0\n", SelfLoopError, "self-loop at vertex 1"),
         ("4 4 2\n0 3\n0 1 1.0\n1 2 1.0\n1 0 2.0\n2 2 1.0\n", DuplicateEdgeError, "duplicate edge (0, 1)"),
+        *[(two_fault_file(a[0], b[0]), a[1], a[2]) for a, b, _ in FAULT_PAIRS],
+        # A per-edge fault decides before the count of too few edges.
+        ("5 2 2\n0 4\n0 1 1.0\n1 2 0\n", NonPositiveWeightError, "edge (1, 2) has weight 0.0"),
+        ("5 2 2\n0 4\n0 1 1.0\n1 2 1.0\n", DisconnectedError, "5 vertices need at least 4 edges, got 2"),
     ],
-    ids=["self-loop-first", "duplicate-first"],
+    ids=[
+        "self-loop-first",
+        "duplicate-first",
+        *[ids for _, _, ids in FAULT_PAIRS],
+        "bad-weight-with-too-few-edges",
+        "too-few-edges-alone",
+    ],
 )
 def test_first_faulty_edge_line_decides_the_message(text, error, message):
     with pytest.raises(error) as info:
