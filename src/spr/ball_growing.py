@@ -343,16 +343,17 @@ def _run_loop(inst, params, next_increment):
 
 
 # One event as ``json.dumps(..., indent=2, sort_keys=True)`` lays it out
-# inside the trace's "events" list, fields in sorted key order.
-_EVENT_TEMPLATE = (
+# inside the trace's "events" list, fields in sorted key order: the head,
+# shared by every event of one draw, then the vertex, then the close.
+_EVENT_HEAD = (
     "    {\n"
     '      "mean": %s,\n'
     '      "radius": %s,\n'
     '      "round": %s,\n'
     '      "terminal": %s,\n'
-    '      "vertex": %s\n'
-    "    }"
+    '      "vertex": '
 )
+_EVENT_CLOSE = "\n    },\n"
 
 
 def trace_to_json(trace: RunTrace) -> str:
@@ -360,9 +361,14 @@ def trace_to_json(trace: RunTrace) -> str:
     draws, per-vertex events.
 
     The head goes through ``json.dumps``; the events, which are most of
-    the trace, are formatted with one fixed template and spliced in.  The
-    text equals ``json.dumps`` of the whole trace.  A non-finite float
-    raises ``ValueError`` instead of writing NaN or Infinity.
+    the trace, are spliced in from a fixed template.  Every event of one
+    draw holds the same terminal, round, mean and radius objects, so the
+    template's head is formatted, and its floats checked, once per run of
+    consecutive events that hold identical objects; each event then adds
+    only its vertex.  Grouping on identity, not equality, keeps 0.0 and
+    -0.0 apart.  The pieces are joined once.  The text equals
+    ``json.dumps`` of the whole trace.  A non-finite float raises
+    ``ValueError`` instead of writing NaN or Infinity.
     """
     params = trace.params
     head = json.dumps(
@@ -403,15 +409,22 @@ def trace_to_json(trace: RunTrace) -> str:
     )
     if not trace.events:
         return head
+    before, _, after = head.partition('"events": []')
+    parts = [before, '"events": [\n']
+    append = parts.append
     r = float.__repr__  # what json writes for a float
-    events = ",\n".join(
-        [
-            _EVENT_TEMPLATE % (r(mean), r(radius), round_index, terminal, vertex)
-            for vertex, terminal, round_index, mean, radius in trace.events
-        ]
-    )
-    # A finite float or an int never spells "inf" or "nan", nor does any
-    # key of the template, so these two scans find every non-finite value.
-    if "inf" in events or "nan" in events:
-        raise ValueError("trace event holds a non-finite float")
-    return head.replace('"events": []', '"events": [\n' + events + "\n  ]", 1)
+    isfinite = math.isfinite
+    # The current draw's objects; a fresh sentinel matches no event.
+    t0 = r0 = m0 = x0 = object()
+    for vertex, terminal, round_index, mean, radius in trace.events:
+        if not (terminal is t0 and round_index is r0 and mean is m0 and radius is x0):
+            if not (isfinite(mean) and isfinite(radius)):
+                raise ValueError("trace event holds a non-finite float")
+            t0, r0, m0, x0 = terminal, round_index, mean, radius
+            event_head = _EVENT_HEAD % (r(mean), r(radius), round_index, terminal)
+        append(event_head)
+        append(str(vertex))
+        append(_EVENT_CLOSE)
+    parts[-1] = "\n    }\n  ]"
+    parts.append(after)
+    return "".join(parts)

@@ -84,12 +84,12 @@ class WeightedGraph:
 
     # -- plain distances and canonical shortest paths --------------------
 
-    def _dijkstra(self, s: int) -> list[float]:
-        """Plain Dijkstra: distance from s to every vertex.
+    def _dijkstra(self, s: int, targets: Iterable[int] | None = None) -> list[float]:
+        """Plain Dijkstra from s: every vertex, or as far as the farthest target.
 
-        Float addition is monotone, so every entry is the minimum over all
-        paths of the left-to-right float sum, whatever order the vertices
-        at one distance settle in.
+        Float addition is monotone, so every settled entry is the minimum
+        over all paths of the left-to-right float sum, whatever order the
+        vertices at one distance settle in.
 
         The queue is a level queue (Dial's bucket idea): a heap of the
         distinct tentative distances, each with the list of vertices
@@ -102,6 +102,13 @@ class WeightedGraph:
         on two 150x150 grids).  An entry whose vertex has since moved
         closer is stale and skipped.  A weight lost to rounding
         (``d + w == d``) lands in a fresh list at d, pushed again.
+
+        With ``targets``, the stop rule is :meth:`Skeleton._search`'s.  Let
+        D be the distance at which the last target settles: every vertex at
+        most D away is settled, including a later batch at D that a weight
+        lost to rounding creates, and the search stops at the first
+        distance beyond D.  Each target's entry is then the float the full
+        row holds; entries beyond D are tentative or inf.
         """
         adjacency = self.adjacency
         dist = [math.inf] * self.vertex_count
@@ -110,9 +117,27 @@ class WeightedGraph:
         heap = [0.0]
         pop = heapq.heappop
         push = heapq.heappush
+        # Levels at most ``limit`` away skip the target bookkeeping; with no
+        # targets that is every level.  Otherwise the limit stays below every
+        # distance until the last target is settled, and then becomes its
+        # distance.  A stale entry's vertex was settled earlier, so
+        # discarding it from ``pending`` is a no-op.
+        if targets is None:
+            pending = None
+            limit = math.inf
+        else:
+            pending = set(targets)
+            limit = -1.0
         while heap:
             d = pop(heap)
-            for u in levels.pop(d):
+            level = levels.pop(d)
+            if d > limit:
+                if not pending:
+                    break
+                pending.difference_update(level)
+                if not pending:
+                    limit = d
+            for u in level:
                 if dist[u] != d:
                     continue
                 for v, w in adjacency[u]:
@@ -295,17 +320,17 @@ class Skeleton:
     def _search(self, s: int, targets: Iterable[int]) -> list[float]:
         """Dijkstra over branch vertices from s, as far as the farthest target.
 
-        Uses :meth:`WeightedGraph._dijkstra`'s level queue.  Let D be the
-        distance at which the last target settles.  Every branch vertex at
-        most D away is settled, including a later batch at D that a weight
-        lost to rounding creates, and the search stops at the first
-        distance beyond D.  So the same vertices relax their neighbours as
-        on a heap of (distance, vertex) pairs, and the tentative entries
-        beyond D, which the closure fill and the labelling read, are the
-        same floats.  A chain is relaxed by folding its weights left to
-        right onto the distance of the end it is read from, so each
-        settled entry is the float a full row holds.  Chain interiors stay
-        inf.
+        Uses :meth:`WeightedGraph._dijkstra`'s level queue and its stop
+        rule: let D be the distance at which the last target settles.
+        Every branch vertex at most D away is settled, including a later
+        batch at D that a weight lost to rounding creates, and the search
+        stops at the first distance beyond D.  So the same vertices relax
+        their neighbours as on a heap of (distance, vertex) pairs, and the
+        tentative entries beyond D, which the closure fill and the
+        labelling read, are the same floats.  A chain is relaxed by folding
+        its weights left to right onto the distance of the end it is read
+        from, so each settled entry is the float a full row holds.  Chain
+        interiors stay inf.
         """
         links = self._links
         chains = self._chains
@@ -315,10 +340,7 @@ class Skeleton:
         heap = [0.0]
         pop = heapq.heappop
         push = heapq.heappush
-        # Levels at most ``limit`` away skip the target bookkeeping; the
-        # limit stays below every distance until the last target is
-        # settled, and then becomes its distance.  A stale entry's vertex
-        # was settled earlier, so discarding it from ``pending`` is a no-op.
+        # The stop rule's bookkeeping, as in ``WeightedGraph._dijkstra``.
         pending = set(targets)
         limit = -1.0
         while heap:
@@ -546,15 +568,24 @@ class Instance:
     def terminal_distances(self) -> dict[tuple[int, int], float]:
         """d(t_i, t_j) for every pair i < j, keyed (i, j) in that order; cached.
 
-        Entry (i, j) is read from row i, so rows t0..t(k-2) are built and
-        t(k-1) is never a source.  The shape is that of
-        ``TerminalMinor.all_distances()``.
+        Entry (i, j) is read from a search from t_i, so t(k-1) is never a
+        source and every entry is the float row i holds.  A cached row i
+        is read as it is (row t0, after a run: the round cap builds it).
+        Otherwise the search from t_i stops once t_(i+1)..t_(k-1) are
+        settled (``_dijkstra(s, targets)``); such a bounded row is not
+        cached, since ``row`` and ``path`` need full rows.  The shape is
+        that of ``TerminalMinor.all_distances()``.
         """
         if self._terminal_distances is None:
             t, k = self.terminals, self.k
-            self._terminal_distances = {
-                (i, j): self.row(i)[t[j]] for i in range(k - 1) for j in range(i + 1, k)
-            }
+            table = {}
+            for i in range(k - 1):
+                row = self._rows.get(i)
+                if row is None:
+                    row = self.graph._dijkstra(t[i], t[i + 1 :])
+                for j in range(i + 1, k):
+                    table[(i, j)] = row[t[j]]
+            self._terminal_distances = table
         return self._terminal_distances
 
     def terminal_path(self, i: int, j: int) -> tuple[int, ...]:

@@ -176,6 +176,10 @@ def exact_minor(inst: Instance) -> PreprocessResult:
 def verify_exact(inst: Instance, result: PreprocessResult) -> PreprocessReport:
     """Recompute all terminal distances in both graphs and compare.
 
+    The distances come from plain searches bounded at the later terminals
+    (``Instance.terminal_distances``), never from the skeleton search that
+    built the minor, so the check shares no search with what it certifies.
+
     Integer-weight inputs must match bit-for-bit; float inputs within 1e-9
     relative.  Also checks the non-terminal count against k^4.  Raises
     VerificationFailedError naming the offending pair.

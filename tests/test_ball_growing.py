@@ -137,21 +137,24 @@ class TestBaseMean:
     def test_builds_only_the_terminal_rows_that_distortion_reads(self, monkeypatch):
         inst = random_connected_instance(2, n=40, k=5)
         params = GrowthParams(seed=1)
-        sources = []
+        searches = []
         dijkstra = WeightedGraph._dijkstra
 
-        def counted(graph, s):
-            sources.append(s)
-            return dijkstra(graph, s)
+        def counted(graph, s, targets=None):
+            searches.append((s, None if targets is None else tuple(targets)))
+            return dijkstra(graph, s, targets)
 
         monkeypatch.setattr(WeightedGraph, "_dijkstra", counted)
         compute_base_mean(inst, params)
-        assert sources == []
+        assert searches == []
         part, _ = run(inst, params)
         assert distortion(inst, contract(inst, part)).max_ratio >= 1.0
-        # Row t0 serves the round cap; contract and distortion read the rows
-        # of t0..t(k-2) once each, and t(k-1) is never a source.
-        assert sorted(sources) == sorted(inst.terminals[:-1])
+        # Row t0 is one full search, for the round cap, and contract and
+        # distortion reuse it.  t1..t(k-2) each get one search bounded at
+        # the later terminals; t(k-1) is never a source.
+        t = inst.terminals
+        assert searches == [(t[0], None)] + [(t[i], t[i + 1 :]) for i in range(1, inst.k - 1)]
+        assert list(inst._rows) == [0]
 
     @staticmethod
     def row_minimum(inst):
@@ -408,10 +411,28 @@ def random_traces(draw):
         RoundRecord(index, draw(trace_floats), tuple(draw(st.lists(st.tuples(ids, trace_floats), max_size=3))))
         for index in range(draw(st.integers(0, 4)))
     ]
-    events = [
-        AssignmentEvent(*fields)
-        for fields in draw(st.lists(st.tuples(ids, ids, ids, trace_floats, trace_floats), max_size=6))
-    ]
+    # Events come in runs, one per draw: every event of a run holds the
+    # same terminal, round, mean and radius objects, as in a real trace.
+    # A run may reuse the previous run's mean object, as the next
+    # terminal's draw in one round does, or its terminal, round and mean
+    # objects, so that only the radius tells the two runs apart.
+    events = []
+    for terminal, round_index, mean, radius, vertices, reuse in draw(
+        st.lists(
+            st.tuples(
+                ids, ids, trace_floats, trace_floats,
+                st.lists(ids, min_size=1, max_size=4),
+                st.sampled_from(["none", "mean", "all but radius"]),
+            ),
+            max_size=6,
+        )
+    ):
+        if events and reuse != "none":
+            last = events[-1]
+            mean = last.round_mean
+            if reuse == "all but radius":
+                terminal, round_index = last.terminal, last.round_index
+        events.extend(AssignmentEvent(v, terminal, round_index, mean, radius) for v in vertices)
     base = draw(st.none() | trace_floats)
     rate = None if base is None else draw(trace_floats)
     return RunTrace(params, base, rate, draw(st.integers(0, 10**6)), rounds, events)
@@ -437,6 +458,29 @@ class TestTraceJson:
         _, trace = run(inst, GrowthParams(seed=k, max_rounds=max_rounds))
         assert trace.events
         assert trace_to_json(trace) == dumped(trace)
+
+    def test_events_of_one_draw_share_their_field_objects(self):
+        inst = random_connected_instance(5, n=60, k=4)
+        _, trace = run(inst, GrowthParams(seed=3))
+        draws = {}
+        for event in trace.events:
+            key = (event.round_index, event.terminal)
+            first = draws.setdefault(key, event)
+            assert first.round_mean is event.round_mean and first.radius is event.radius
+        assert len(draws) < len(trace.events)
+
+    def test_equal_but_distinct_floats_are_not_merged(self):
+        # 0.0 == -0.0, but json writes them apart; grouping on equality
+        # would write the second event's mean as 0.0.
+        terminal, round_index, radius = 3, 7, 1.5
+        events = [
+            AssignmentEvent(10, terminal, round_index, 0.0, radius),
+            AssignmentEvent(11, terminal, round_index, -0.0, radius),
+        ]
+        trace = RunTrace(GrowthParams(), 0.5, 1.25, 16, [], events)
+        text = trace_to_json(trace)
+        assert text == dumped(trace)
+        assert '"mean": 0.0' in text and '"mean": -0.0' in text
 
     def test_equals_json_dumps_without_events(self):
         inst = Instance(build_graph(3, [(0, 1, 1.0), (1, 2, 2.0)]), [0, 1, 2])

@@ -439,6 +439,48 @@ class TestLevelQueue:
                 for targets in (others, others[:1], [], [s], terms, [s, *others[::-1]]):
                     assert sk._search(s, targets) == heap_skeleton_search(sk, s, targets), (s, targets)
 
+    def test_bounded_rows_match_the_pair_heap(self):
+        rng = random.Random(0)
+        instances = list(self.instances())
+        instances += [
+            reweighted(random_connected_instance(seed, n=30, k=5), (1e16, 0.5, 3.0), seed)
+            for seed in range(6)
+        ]
+        for inst in instances:
+            g = inst.graph
+            n = g.vertex_count
+            # Every vertex is a branch vertex: the reference is a bounded
+            # search on the pair heap over the whole graph.
+            reference = g.skeleton(range(n))
+            terms = list(inst.terminals)
+            for s in sorted({*terms, *rng.sample(range(n), 3)}):
+                full = heap_dijkstra(g, s)
+                for targets in (terms, terms[1:], [], [s], rng.sample(range(n), 3), list(range(n))):
+                    row = g._dijkstra(s, targets)
+                    assert row == heap_skeleton_search(reference, s, targets), (s, targets)
+                    assert [row[t].hex() for t in targets] == [full[t].hex() for t in targets]
+
+    def test_bounded_row_stops_beyond_the_last_target(self):
+        inst = path_graph([1.0, 2.0, 3.0, 4.0], [0, 4])
+        row = inst.graph._dijkstra(0, [1])
+        # Vertex 1 settles at 1.0 and relaxes 2; the next level is beyond.
+        assert row == [0.0, 1.0, 3.0, math.inf, math.inf]
+        # The source is settled, so it relaxes its edges; with no target
+        # the search stops before it.
+        assert inst.graph._dijkstra(0, [0]) == [0.0, 1.0, math.inf, math.inf, math.inf]
+        assert inst.graph._dijkstra(0, []) == [0.0] + [math.inf] * 4
+
+    def test_target_in_the_second_batch_at_the_last_distance(self):
+        inst = self.lost_at_the_target()
+        g = inst.graph
+        full = heap_dijkstra(g, 0)
+        # 1e16 + 0.5 == 1e16: target 2 settles in a second batch at D.
+        row = g._dijkstra(0, [1, 2])
+        assert row[1] == row[2] == full[2] == 1e16
+        assert row == full
+        # With target 1 alone, the second batch at D is settled too.
+        assert g._dijkstra(0, [1]) == full
+
     def test_second_batch_at_the_last_target_distance_is_settled(self):
         inst = self.lost_at_the_target()
         sk = inst.graph.skeleton(inst.terminals)
@@ -472,8 +514,8 @@ class TestTerminalDistances:
             table = inst.terminal_distances()
             assert list(table) == list(expected)
             assert [d.hex() for d in table.values()] == [d.hex() for d in expected.values()]
-            # Rows t0..t(k-2) only; t(k-1) is never a source.
-            assert sorted(inst._rows) == list(range(inst.k - 1))
+            # Each search is bounded at the later terminals, so no row is cached.
+            assert inst._rows == {}
 
     def test_read_from_the_lower_terminal(self):
         inst = path_graph([0.1, 0.2, 0.3], [0, 3])
@@ -495,8 +537,10 @@ class TestOneBoundedSearch:
             exact_minor(subdivide(inst, parts=3))
             exact_minor(inst)
 
-    def test_dijkstra_takes_no_targets(self):
-        assert list(inspect.signature(WeightedGraph._dijkstra).parameters) == ["self", "s"]
+    def test_dijkstra_takes_optional_targets(self):
+        parameters = inspect.signature(WeightedGraph._dijkstra).parameters
+        assert list(parameters) == ["self", "s", "targets"]
+        assert parameters["targets"].default is None
         assert not hasattr(WeightedGraph, "shortest_paths")
 
     def test_skeleton_is_not_cached_on_the_graph(self):

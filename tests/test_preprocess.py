@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from spr import (
     Instance,
+    WeightedGraph,
     build_graph,
     exact_minor,
     format_graph_text,
@@ -117,6 +118,18 @@ class TestVerifyExact:
             report = verify_exact(inst, result)
             assert report.max_abs_deviation == 0.0
             assert report.non_terminal_count <= inst.k**4
+
+    def test_builds_no_skeleton(self, monkeypatch):
+        # The check must not share the search whose output it certifies.
+        def refuse(*args):
+            raise AssertionError("verify_exact built a skeleton")
+
+        for seed in range(4):
+            inst = subdivide(random_connected_instance(seed, n=30, k=5), parts=3)
+            result = exact_minor(inst)
+            with monkeypatch.context() as patch:
+                patch.setattr(WeightedGraph, "skeleton", refuse)
+                assert verify_exact(inst, result).max_abs_deviation == 0.0
 
     def test_tampered_weight_fails(self, star3):
         result = exact_minor(star3)
