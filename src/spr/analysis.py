@@ -502,6 +502,10 @@ def run_experiment(
     for index in range(trials):
         trial_params = replace(params, seed=(params.seed + index) % 2**64)
         part, trace = run(work, trial_params)
+        # The analysis reads all k full rows (cached after the first
+        # trial); built first, ``contract`` reads its terminal distances
+        # from them instead of running bounded searches.
+        work.nearest_terminal_distances()
         minor = contract(work, part)
         dist_result = distortion(work, minor)
         if cells is None:

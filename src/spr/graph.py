@@ -85,72 +85,8 @@ class WeightedGraph:
     # -- plain distances and canonical shortest paths --------------------
 
     def _dijkstra(self, s: int, targets: Iterable[int] | None = None) -> list[float]:
-        """Plain Dijkstra from s: every vertex, or as far as the farthest target.
-
-        Float addition is monotone, so every settled entry is the minimum
-        over all paths of the left-to-right float sum, whatever order the
-        vertices at one distance settle in.
-
-        The queue is a level queue (Dial's bucket idea): a heap of the
-        distinct tentative distances, each with the list of vertices
-        pushed at it, so a relaxation to a known distance is one list
-        append.  Its gain depends on the number of vertices per distinct
-        distance: 34 to 116 in a row of the benchmark's graphs, whose
-        weights are integers 1..10, where rows take ~40% less time than on
-        a heap of (distance, vertex) pairs.  With every distance distinct,
-        as with uniform float weights, a row takes ~10% more (+7% and +13%
-        on two 150x150 grids).  An entry whose vertex has since moved
-        closer is stale and skipped.  A weight lost to rounding
-        (``d + w == d``) lands in a fresh list at d, pushed again.
-
-        With ``targets``, the stop rule is :meth:`Skeleton._search`'s.  Let
-        D be the distance at which the last target settles: every vertex at
-        most D away is settled, including a later batch at D that a weight
-        lost to rounding creates, and the search stops at the first
-        distance beyond D.  Each target's entry is then the float the full
-        row holds; entries beyond D are tentative or inf.
-        """
-        adjacency = self.adjacency
-        dist = [math.inf] * self.vertex_count
-        dist[s] = 0.0
-        levels = {0.0: [s]}
-        heap = [0.0]
-        pop = heapq.heappop
-        push = heapq.heappush
-        # Levels at most ``limit`` away skip the target bookkeeping; with no
-        # targets that is every level.  Otherwise the limit stays below every
-        # distance until the last target is settled, and then becomes its
-        # distance.  A stale entry's vertex was settled earlier, so
-        # discarding it from ``pending`` is a no-op.
-        if targets is None:
-            pending = None
-            limit = math.inf
-        else:
-            pending = set(targets)
-            limit = -1.0
-        while heap:
-            d = pop(heap)
-            level = levels.pop(d)
-            if d > limit:
-                if not pending:
-                    break
-                pending.difference_update(level)
-                if not pending:
-                    limit = d
-            for u in level:
-                if dist[u] != d:
-                    continue
-                for v, w in adjacency[u]:
-                    nd = d + w
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        bucket = levels.get(nd)
-                        if bucket is None:
-                            levels[nd] = [v]
-                            push(heap, nd)
-                        else:
-                            bucket.append(v)
-        return dist
+        """Plain row from s, full or bounded at ``targets``; see :func:`_level_search`."""
+        return _level_search(self.adjacency, None, s, targets)
 
     def _label(self, s: int, dist: list[float], targets: Iterable[int] | None) -> list[int]:
         """Canonical parents from s on the ancestor closure of ``targets``.
@@ -241,6 +177,96 @@ class WeightedGraph:
             raise GraphError(f"vertex {v} out of range [0, {self.vertex_count})")
 
 
+def _level_search(
+    links: Sequence, chains: Sequence | None, s: int, targets: Iterable[int] | None
+) -> list[float]:
+    """Dijkstra from s over ``links``: every vertex, or as far as the farthest target.
+
+    ``links[u]`` holds u's (neighbour, weight) edges.  ``chains`` is None
+    for a plain search; a skeleton passes its chain folds, and each chain
+    is relaxed by folding its weights left to right onto the distance of
+    the end it is read from, so each settled entry is the float a full
+    row holds.  Chain interiors stay inf.  Float addition is monotone, so
+    every settled entry is the minimum over all paths of the left-to-right
+    float sum, whatever order the vertices at one distance settle in.
+
+    The queue is a level queue (Dial's bucket idea): a heap of the
+    distinct tentative distances, each with the list of vertices pushed
+    at it, so a relaxation to a known distance is one list append.  Its
+    gain depends on the number of vertices per distinct distance: 34 to
+    116 in a row of the benchmark's graphs, whose weights are integers
+    1..10, where rows take ~40% less time than on a heap of (distance,
+    vertex) pairs.  With every distance distinct, as with uniform float
+    weights, a row takes ~10% more (+7% and +13% on two 150x150 grids).
+    An entry whose vertex has since moved closer is stale and skipped.  A
+    weight lost to rounding (``d + w == d``) lands in a fresh list at d,
+    pushed again.
+
+    With ``targets``, let D be the distance at which the last target
+    settles: every vertex at most D away is settled, including a later
+    batch at D that a weight lost to rounding creates, and the search
+    stops at the first distance beyond D.  So the same vertices relax
+    their neighbours as on a heap of (distance, vertex) pairs: each
+    target's entry is the float the full row holds, and the tentative
+    entries beyond D, which the skeleton's closure fill and the labelling
+    read, are the same floats.
+    """
+    dist = [math.inf] * len(links)
+    dist[s] = 0.0
+    levels = {0.0: [s]}
+    heap = [0.0]
+    pop = heapq.heappop
+    push = heapq.heappush
+    # Levels at most ``limit`` away skip the target bookkeeping; with no
+    # targets that is every level.  Otherwise the limit stays below every
+    # distance until the last target is settled, and then becomes its
+    # distance.  A stale entry's vertex was settled earlier, so
+    # discarding it from ``pending`` is a no-op.
+    if targets is None:
+        pending = None
+        limit = math.inf
+    else:
+        pending = set(targets)
+        limit = -1.0
+    while heap:
+        d = pop(heap)
+        level = levels.pop(d)
+        if d > limit:
+            if not pending:
+                break
+            pending.difference_update(level)
+            if not pending:
+                limit = d
+        for u in level:
+            if dist[u] != d:
+                continue
+            for v, w in links[u]:
+                nd = d + w
+                if nd < dist[v]:
+                    dist[v] = nd
+                    bucket = levels.get(nd)
+                    if bucket is None:
+                        levels[nd] = [v]
+                        push(heap, nd)
+                    else:
+                        bucket.append(v)
+            # Tested per settled vertex, so a plain search reads no chains.
+            if chains is not None and (folds := chains[u]):
+                for v, weights, _ in folds:
+                    nd = d
+                    for w in weights:
+                        nd += w
+                    if nd < dist[v]:
+                        dist[v] = nd
+                        bucket = levels.get(nd)
+                        if bucket is None:
+                            levels[nd] = [v]
+                            push(heap, nd)
+                        else:
+                            bucket.append(v)
+    return dist
+
+
 def _walk(parent: list[int], s: int, t: int) -> tuple[int, ...]:
     """The vertex sequence s -> t read backwards along canonical parents."""
     seq = [t]
@@ -317,70 +343,6 @@ class Skeleton:
         self._links = links
         self._chains = chains
 
-    def _search(self, s: int, targets: Iterable[int]) -> list[float]:
-        """Dijkstra over branch vertices from s, as far as the farthest target.
-
-        Uses :meth:`WeightedGraph._dijkstra`'s level queue and its stop
-        rule: let D be the distance at which the last target settles.
-        Every branch vertex at most D away is settled, including a later
-        batch at D that a weight lost to rounding creates, and the search
-        stops at the first distance beyond D.  So the same vertices relax
-        their neighbours as on a heap of (distance, vertex) pairs, and the
-        tentative entries beyond D, which the closure fill and the
-        labelling read, are the same floats.  A chain is relaxed by folding
-        its weights left to right onto the distance of the end it is read
-        from, so each settled entry is the float a full row holds.  Chain
-        interiors stay inf.
-        """
-        links = self._links
-        chains = self._chains
-        dist = [math.inf] * self.graph.vertex_count
-        dist[s] = 0.0
-        levels = {0.0: [s]}
-        heap = [0.0]
-        pop = heapq.heappop
-        push = heapq.heappush
-        # The stop rule's bookkeeping, as in ``WeightedGraph._dijkstra``.
-        pending = set(targets)
-        limit = -1.0
-        while heap:
-            d = pop(heap)
-            level = levels.pop(d)
-            if d > limit:
-                if not pending:
-                    break
-                pending.difference_update(level)
-                if not pending:
-                    limit = d
-            for u in level:
-                if dist[u] != d:
-                    continue
-                for v, w in links[u]:
-                    nd = d + w
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        bucket = levels.get(nd)
-                        if bucket is None:
-                            levels[nd] = [v]
-                            push(heap, nd)
-                        else:
-                            bucket.append(v)
-                folds = chains[u]
-                if folds:
-                    for v, weights, _ in folds:
-                        nd = d
-                        for w in weights:
-                            nd += w
-                        if nd < dist[v]:
-                            dist[v] = nd
-                            bucket = levels.get(nd)
-                            if bucket is None:
-                                levels[nd] = [v]
-                                push(heap, nd)
-                            else:
-                                bucket.append(v)
-        return dist
-
     def _fill_closure(self, dist: list[float], targets: Iterable[int]) -> None:
         """Fill every chain incident to the targets' skeleton closure.
 
@@ -438,7 +400,7 @@ class Skeleton:
         for v in (s, *targets):
             if v not in self.keep:
                 raise GraphError(f"vertex {v} is not kept by this skeleton")
-        dist = self._search(s, targets)
+        dist = _level_search(self._links, self._chains, s, targets)
         self._fill_closure(dist, targets)
         parent = self.graph._label(s, dist, targets)
         return [_walk(parent, s, t) for t in targets]

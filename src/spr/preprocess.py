@@ -177,8 +177,10 @@ def verify_exact(inst: Instance, result: PreprocessResult) -> PreprocessReport:
     """Recompute all terminal distances in both graphs and compare.
 
     The distances come from plain searches bounded at the later terminals
-    (``Instance.terminal_distances``), never from the skeleton search that
-    built the minor, so the check shares no search with what it certifies.
+    (``Instance.terminal_distances``).  The check builds no ``Skeleton``,
+    folds no chain and runs no reduction pass: of what built the minor it
+    shares only the level-queue loop, which the pair-heap oracles in the
+    tests judge on its own.
 
     Integer-weight inputs must match bit-for-bit; float inputs within 1e-9
     relative.  Also checks the non-terminal count against k^4.  Raises

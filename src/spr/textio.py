@@ -38,12 +38,12 @@ def parse_graph_text(text: str) -> Instance:
         raise GraphFormatError(f"bad header {lines[0]!r}") from exc
     if m < 0 or k < 0:
         raise GraphFormatError(f"negative count in header {lines[0]!r}")
-    if len(lines) == 1:
-        raise GraphFormatError(f"missing terminal line after header {lines[0]!r}")
     if k < 2:
         raise GraphFormatError(
             f"header {lines[0]!r} has k = {k}; an instance needs at least two terminals"
         )
+    if len(lines) == 1:
+        raise GraphFormatError(f"missing terminal line after header {lines[0]!r}")
     if len(lines) != 2 + m:
         raise GraphFormatError(f"expected {m} edge lines, found {len(lines) - 2}")
 

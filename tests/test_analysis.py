@@ -10,6 +10,7 @@ from spr import (
     Instance,
     Reach,
     TerminalMinor,
+    WeightedGraph,
     build_detour_path,
     build_graph,
     contract,
@@ -565,6 +566,20 @@ class TestOnePassPerTrial:
         inst = random_connected_instance(8, n=40, k=6)
         analysis.run_experiment(inst, GrowthParams(seed=1), trials=3)
         assert sorted(calls) == [(i, j) for i in range(6) for j in range(i + 1, 6)]
+
+    def test_builds_each_full_row_once_and_no_bounded_row(self, monkeypatch):
+        searches = []
+        dijkstra = WeightedGraph._dijkstra
+
+        def counted(graph, s, targets=None):
+            searches.append((s, targets))
+            return dijkstra(graph, s, targets)
+
+        monkeypatch.setattr(WeightedGraph, "_dijkstra", counted)
+        inst = random_connected_instance(8, n=40, k=6)
+        analysis.run_experiment(inst, GrowthParams(seed=1), trials=3)
+        assert all(targets is None for _, targets in searches)
+        assert len({s for s, _ in searches}) == len(searches) == inst.k
 
     def test_given_cells_match_computed_ones(self):
         inst = random_connected_instance(4, n=30, k=5)

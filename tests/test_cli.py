@@ -518,11 +518,12 @@ class TestUsage:
     @pytest.mark.parametrize(
         "text, line",
         [
-            ("0 0 0\n", "error: missing terminal line after header '0 0 0'"),
+            ("0 0 0\n", "error: header '0 0 0' has k = 0; an instance needs at least two terminals"),
             ("2 1 2\n", "error: missing terminal line after header '2 1 2'"),
+            ("3 2 0\n", "error: header '3 2 0' has k = 0; an instance needs at least two terminals"),
             ("3 2 2\n0 2\n0 1 1\n", "error: expected 2 edge lines, found 1"),
         ],
-        ids=["empty-header", "header-only", "few-edges"],
+        ids=["empty-header", "header-only", "header-only-k0", "few-edges"],
     )
     def test_missing_lines_exit_one(self, tmp_path, text, line):
         path = tmp_path / "short.txt"

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spr import Instance, WeightedGraph, build_graph, exact_minor
+from spr import graph as graph_module
 from spr.errors import (
     DisconnectedError,
     DuplicateEdgeError,
@@ -33,6 +34,11 @@ from conftest import (
     subdivide,
     subdivide_unevenly,
 )
+
+
+def skeleton_search(sk, s, targets):
+    """The bounded search ``Skeleton.shortest_paths`` runs, with its tentative entries."""
+    return graph_module._level_search(sk._links, sk._chains, s, targets)
 
 
 class TestBuildGraph:
@@ -265,7 +271,7 @@ def check_skeleton(inst):
         targets = terms[:a] + terms[a + 1 :]
         full = g._dijkstra(s)
         far = max(full[t] for t in targets)
-        row = sk._search(s, targets)
+        row = skeleton_search(sk, s, targets)
 
         def check_row(vertices):
             for v in vertices:
@@ -437,7 +443,7 @@ class TestLevelQueue:
             for a, s in enumerate(terms):
                 others = terms[:a] + terms[a + 1 :]
                 for targets in (others, others[:1], [], [s], terms, [s, *others[::-1]]):
-                    assert sk._search(s, targets) == heap_skeleton_search(sk, s, targets), (s, targets)
+                    assert skeleton_search(sk, s, targets) == heap_skeleton_search(sk, s, targets), (s, targets)
 
     def test_bounded_rows_match_the_pair_heap(self):
         rng = random.Random(0)
@@ -484,7 +490,7 @@ class TestLevelQueue:
     def test_second_batch_at_the_last_target_distance_is_settled(self):
         inst = self.lost_at_the_target()
         sk = inst.graph.skeleton(inst.terminals)
-        row = sk._search(0, [1])
+        row = skeleton_search(sk, 0, [1])
         assert row == heap_skeleton_search(sk, 0, [1])
         assert row[:3] == [0.0, 1e16, 1e16]
         # Stopping once no target is pending would leave these inf.
@@ -528,14 +534,21 @@ class TestOneBoundedSearch:
     """exact_minor's only search is the skeleton's; nothing is cached."""
 
     def test_exact_minor_starts_no_dijkstra(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a full Dijkstra row was computed")
+        search = graph_module._level_search
+        chained = []
 
-        monkeypatch.setattr(WeightedGraph, "_dijkstra", refuse)
+        def skeleton_only(links, chains, s, targets):
+            if chains is None:
+                raise AssertionError("a plain Dijkstra row was computed")
+            chained.append(s)
+            return search(links, chains, s, targets)
+
+        monkeypatch.setattr(graph_module, "_level_search", skeleton_only)
         for seed in range(4):
             inst = random_connected_instance(seed, n=30, k=5)
             exact_minor(subdivide(inst, parts=3))
             exact_minor(inst)
+        assert chained
 
     def test_dijkstra_takes_optional_targets(self):
         parameters = inspect.signature(WeightedGraph._dijkstra).parameters
