@@ -283,39 +283,35 @@ def merge_detours(reaches: list[Reach]) -> list[Reach]:
     return merged
 
 
+def _detour_length(inst: Instance, path: tuple[int, ...], reach: Reach) -> float:
+    """Length of the reach's detour: into its terminal, back out, then the exit edge."""
+    row = inst.row(reach.terminal)
+    first, last = path[reach.q_min], path[reach.q_max]
+    return row[first] + row[last] + inst.graph.edge_weight(last, path[reach.q_max + 1])
+
+
 def _make_detour(inst: Instance, path: tuple[int, ...], reach: Reach) -> TerminalDetour:
     """The reach's detour, both legs read from the terminal's canonical labels."""
     j = reach.terminal
-    row = inst.row(j)
     first, last = path[reach.q_min], path[reach.q_max]
-    exit_vertex = path[reach.q_max + 1]
     return TerminalDetour(
         reach.q_min,
         reach.q_max,
         j,
-        inst.path(j, first)[::-1] + inst.path(j, last)[1:] + (exit_vertex,),
-        row[first] + row[last] + inst.graph.edge_weight(last, exit_vertex),
+        inst.path(j, first)[::-1] + inst.path(j, last)[1:] + (path[reach.q_max + 1],),
+        _detour_length(inst, path, reach),
     )
 
 
-def build_detour_path(inst: Instance, i: int, j: int, log: ReachLog) -> DetourPath:
-    """Concatenate deactivating detours into a terminal-to-terminal walk.
+def _detour_chain(log: ReachLog) -> list[Reach]:
+    """The merged deactivating reaches a pair's witness walk detours through.
 
     Within each cell the chain follows the reach that deactivated the
     current index, which always resumes exactly where the previous detour
-    stopped; cells abut, so the chain spans the whole interior.  The walk
-    starts with the first path edge and is generally not simple.  Its length
-    is an upper bound on the contracted distance of the pair.  Detours are
-    built once per merged range of this chain, each rooted at its terminal.
+    stopped; cells abut, so the chain spans the whole interior.
     """
-    path = log.path
-    last = len(path) - 1
-    if last < 2:
-        w = inst.graph.edge_weight(path[0], path[1])
-        return DetourPath((path[0], path[1]), w, ())
     if not log.fully_deactivated:
         raise IncompleteCellsError(f"pair {log.pair} has active cells left")
-
     chain: list[Reach] = []
     for cell in log.cells:
         pos = cell.start
@@ -327,14 +323,39 @@ def build_detour_path(inst: Instance, i: int, j: int, log: ReachLog) -> DetourPa
                 )
             chain.append(reach)
             pos = reach.q_max + 1
+    return merge_detours(chain)
 
-    detours = tuple(_make_detour(inst, path, reach) for reach in merge_detours(chain))
+
+def build_detour_path(inst: Instance, i: int, j: int, log: ReachLog) -> DetourPath:
+    """Concatenate deactivating detours into a terminal-to-terminal walk.
+
+    The walk starts with the first path edge, follows :func:`_detour_chain`
+    and is generally not simple.  Its length is an upper bound on the
+    contracted distance of the pair.  Detours are built once per merged
+    range of the chain, each rooted at its terminal.
+    """
+    path = log.path
+    if len(path) < 3:
+        w = inst.graph.edge_weight(path[0], path[1])
+        return DetourPath((path[0], path[1]), w, ())
+    detours = tuple(_make_detour(inst, path, reach) for reach in _detour_chain(log))
     vertices = [path[0]]
     total = inst.graph.edge_weight(path[0], path[1])
     for detour in detours:
         vertices.extend(detour.vertices if len(vertices) == 1 else detour.vertices[1:])
         total += detour.length
     return DetourPath(tuple(vertices), total, detours)
+
+
+def _detour_path_length(inst: Instance, log: ReachLog) -> float:
+    """``build_detour_path(...).length``, the same float, without the walk."""
+    path = log.path
+    total = inst.graph.edge_weight(path[0], path[1])
+    if len(path) < 3:
+        return total
+    for reach in _detour_chain(log):
+        total += _detour_length(inst, path, reach)
+    return total
 
 
 @dataclass
@@ -514,14 +535,14 @@ def run_experiment(
             cells = partition_pairs(work, params)
         report = detect_bad_events(work, trace, trial_params, cells)
 
-        minor_dist = {(i, j): d1 for i, j, _, d1, _ in dist_result.pairs}
         pairs = 0
         violations = 0
         slack = math.inf
-        for (i, j), log in sorted(report.reach_logs.items()):
-            walk = build_detour_path(work, i, j, log)
+        # Both in (i, j) order: the logs sorted, the distortion rows as built.
+        logs = sorted(report.reach_logs.items())
+        for (_, log), (_, _, _, d1, _) in zip(logs, dist_result.pairs, strict=True):
             pairs += 1
-            margin = walk.length - minor_dist[(i, j)]
+            margin = _detour_path_length(work, log) - d1
             slack = min(slack, margin)
             if margin < 0:
                 violations += 1

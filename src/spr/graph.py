@@ -18,6 +18,8 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -80,7 +82,7 @@ class WeightedGraph:
         return sum(map(len, self.adjacency)) // 2
 
     def is_integer_weighted(self) -> bool:
-        return all(w == int(w) for nbrs in self.adjacency for _, w in nbrs)
+        return all(map(float.is_integer, map(itemgetter(1), chain.from_iterable(self.adjacency))))
 
     # -- plain distances and canonical shortest paths --------------------
 
@@ -183,12 +185,14 @@ def _level_search(
     """Dijkstra from s over ``links``: every vertex, or as far as the farthest target.
 
     ``links[u]`` holds u's (neighbour, weight) edges.  ``chains`` is None
-    for a plain search; a skeleton passes its chain folds, and each chain
-    is relaxed by folding its weights left to right onto the distance of
-    the end it is read from, so each settled entry is the float a full
-    row holds.  Chain interiors stay inf.  Float addition is monotone, so
-    every settled entry is the minimum over all paths of the left-to-right
-    float sum, whatever order the vertices at one distance settle in.
+    for a plain search and for a skeleton whose chains are single links
+    (the integer-weight rule of :class:`Skeleton`).  Otherwise a skeleton
+    passes its chain folds, and each chain is relaxed by folding its
+    weights left to right onto the distance of the end it is read from,
+    so each settled entry is the float a full row holds.  Chain interiors
+    stay inf.  Float addition is monotone, so every settled entry is the
+    minimum over all paths of the left-to-right float sum, whatever order
+    the vertices at one distance settle in.
 
     The queue is a level queue (Dial's bucket idea): a heap of the
     distinct tentative distances, each with the list of vertices pushed
@@ -291,9 +295,18 @@ class Skeleton:
     :meth:`shortest_paths` searches branch vertices only and fills in the
     chain interiors that the canonical labelling reads, with the same
     floats a full Dijkstra row holds there.
+
+    The search folds a chain's weights left to right onto the distance of
+    the end it is read from, as a full row sums them.  Where every weight
+    is an integer and the weights sum to at most 2^52, every distance is
+    an integer of at most 2^52 and every partial fold one of at most 2^53,
+    so each addition is exact and the fold equals the distance plus the
+    chain's total.  On such a graph each chain end is one (far end, total)
+    link beside the direct edges, and the search is the plain loop; on any
+    other graph it folds weight by weight.
     """
 
-    __slots__ = ("graph", "keep", "_links", "_chains")
+    __slots__ = ("graph", "keep", "_links", "_chains", "_search")
 
     def __init__(self, graph: WeightedGraph, keep: Iterable[int]):
         keep = frozenset(keep)
@@ -342,6 +355,20 @@ class Skeleton:
         self.keep = keep
         self._links = links
         self._chains = chains
+        # The (links, chains) the level search reads.  The adjacency counts
+        # each edge twice and fsum rounds the doubled total once, so it is
+        # at most 2^53 exactly when the weights sum to at most 2^52.
+        exact = graph.is_integer_weighted() and (
+            math.fsum(map(itemgetter(1), chain.from_iterable(adjacency))) <= 2.0**53
+        )
+        if exact:
+            search = links[:]
+            for b, folds in enumerate(chains):
+                if folds:
+                    search[b] = links[b] + [(end, sum(weights)) for end, weights, _ in folds]
+            self._search = (search, None)
+        else:
+            self._search = (links, chains)
 
     def _fill_closure(self, dist: list[float], targets: Iterable[int]) -> None:
         """Fill every chain incident to the targets' skeleton closure.
@@ -400,7 +427,7 @@ class Skeleton:
         for v in (s, *targets):
             if v not in self.keep:
                 raise GraphError(f"vertex {v} is not kept by this skeleton")
-        dist = _level_search(self._links, self._chains, s, targets)
+        dist = _level_search(*self._search, s, targets)
         self._fill_closure(dist, targets)
         parent = self.graph._label(s, dist, targets)
         return [_walk(parent, s, t) for t in targets]

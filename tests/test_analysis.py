@@ -348,6 +348,25 @@ class TestBuildDetourPath:
         assert not log.fully_deactivated
         with pytest.raises(IncompleteCellsError):
             build_detour_path(inst, 0, 1, log)
+        with pytest.raises(IncompleteCellsError):
+            analysis._detour_path_length(inst, log)
+
+    def test_length_without_the_walk_is_the_same_float(self):
+        complete = incomplete = 0
+        for inst, trace, params in oracle_cases():
+            index = index_trace(inst, trace)
+            for i in range(inst.k):
+                for j in range(i + 1, inst.k):
+                    log = track_reaches(inst, index, i, j, path_partition(inst, i, j, params))
+                    if not log.fully_deactivated and len(log.path) > 2:
+                        with pytest.raises(IncompleteCellsError):
+                            analysis._detour_path_length(inst, log)
+                        incomplete += 1
+                        continue
+                    walk = build_detour_path(inst, i, j, log)
+                    assert analysis._detour_path_length(inst, log).hex() == walk.length.hex()
+                    complete += 1
+        assert complete > 300 and incomplete > 0
 
     def test_walk_edges_sum_to_length(self):
         for seed in range(6):
@@ -580,6 +599,32 @@ class TestOnePassPerTrial:
         analysis.run_experiment(inst, GrowthParams(seed=1), trials=3)
         assert all(targets is None for _, targets in searches)
         assert len({s for s, _ in searches}) == len(searches) == inst.k
+
+    def test_slack_from_lengths_builds_no_walk(self, monkeypatch):
+        def no_walk(*args):
+            raise AssertionError("a detour walk was built")
+
+        integer = random_connected_instance(8, n=40, k=6)
+        floats = reweighted(random_connected_instance(9, n=40, k=6), NON_DYADIC_WEIGHTS, 9)
+        for seed, inst in enumerate((integer, floats)):
+            params = GrowthParams(seed=seed)
+            work = exact_minor(inst).minor
+            expected = []
+            for trial in range(3):
+                trial_params = GrowthParams(seed=seed + trial)
+                part, trace = run(work, trial_params)
+                minor_dist = contract(work, part).all_distances()
+                logs = detect_bad_events(work, trace, trial_params).reach_logs
+                expected.append(
+                    min(
+                        build_detour_path(work, i, j, log).length - minor_dist[(i, j)]
+                        for (i, j), log in logs.items()
+                    )
+                )
+            with monkeypatch.context() as patch:
+                patch.setattr(analysis, "_make_detour", no_walk)
+                report = analysis.run_experiment(inst, params, trials=3)
+            assert [t.min_detour_slack.hex() for t in report.trials] == [x.hex() for x in expected]
 
     def test_given_cells_match_computed_ones(self):
         inst = random_connected_instance(4, n=30, k=5)

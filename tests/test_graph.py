@@ -38,7 +38,16 @@ from conftest import (
 
 def skeleton_search(sk, s, targets):
     """The bounded search ``Skeleton.shortest_paths`` runs, with its tentative entries."""
-    return graph_module._level_search(sk._links, sk._chains, s, targets)
+    return graph_module._level_search(*sk._search, s, targets)
+
+
+def assert_matches_the_pair_heap(sk, terms):
+    """Every entry of each terminal's skeleton search equals the pair heap's, bit for bit."""
+    for a, s in enumerate(terms):
+        others = terms[:a] + terms[a + 1 :]
+        for targets in (others, others[:1], [], [s], terms, [s, *others[::-1]]):
+            found = [d.hex() for d in skeleton_search(sk, s, targets)]
+            assert found == [d.hex() for d in heap_skeleton_search(sk, s, targets)], (s, targets)
 
 
 class TestBuildGraph:
@@ -438,12 +447,7 @@ class TestLevelQueue:
 
     def test_skeleton_search_matches_the_pair_heap(self):
         for inst in self.instances():
-            terms = list(inst.terminals)
-            sk = inst.graph.skeleton(terms)
-            for a, s in enumerate(terms):
-                others = terms[:a] + terms[a + 1 :]
-                for targets in (others, others[:1], [], [s], terms, [s, *others[::-1]]):
-                    assert skeleton_search(sk, s, targets) == heap_skeleton_search(sk, s, targets), (s, targets)
+            assert_matches_the_pair_heap(inst.graph.skeleton(inst.terminals), list(inst.terminals))
 
     def test_bounded_rows_match_the_pair_heap(self):
         rng = random.Random(0)
@@ -497,6 +501,66 @@ class TestLevelQueue:
         assert row[3:] == [1e16 + 2.0, 1e16 + 4.0, 1e16 + 8.0]
 
 
+class TestChainTotals:
+    """Which search a skeleton runs, judged by the pair heap's weight-by-weight folds.
+
+    On integer weights summing to at most 2^52 each chain end is one link
+    of the chain's total and the search is the plain loop; on any other
+    graph it folds each chain's weights.  The pair heap reads the
+    skeleton's direct links and folds, never the totals.
+    """
+
+    @staticmethod
+    def folds(sk):
+        links, chains = sk._search
+        return links is sk._links and chains is sk._chains
+
+    def test_subdivided_integer_graphs_search_chain_totals(self):
+        for seed in range(6):
+            inst = random_connected_instance(seed, n=30, k=5)
+            for sub in (subdivide(inst, parts=3), subdivide_unevenly(inst, seed), pendant_tree(seed, n=20, k=3)):
+                sk = sub.graph.skeleton(sub.terminals)
+                links, chains = sk._search
+                assert chains is None
+                # One total per chain end, after the direct links.
+                assert list(map(len, links)) == [
+                    len(direct) + len(folds or ()) for direct, folds in zip(sk._links, sk._chains)
+                ]
+                # The closure fill and the pair heap read direct edges only.
+                assert all(set(direct) <= set(nbrs) for direct, nbrs in zip(sk._links, sub.graph.adjacency))
+                assert_matches_the_pair_heap(sk, list(sub.terminals))
+
+    def test_non_dyadic_floats_fold(self):
+        for seed in range(6):
+            inst = random_connected_instance(seed, n=30, k=5)
+            for sub in (
+                subdivide_unevenly(inst, seed, weights=NON_DYADIC_WEIGHTS),
+                reweighted(pendant_tree(seed, n=20, k=3), NON_DYADIC_WEIGHTS, seed),
+            ):
+                sk = sub.graph.skeleton(sub.terminals)
+                assert self.folds(sk)
+                assert_matches_the_pair_heap(sk, list(sub.terminals))
+
+    def test_integer_weights_past_2_to_the_52_fold(self):
+        big = 2.0**53
+        # At d = 2^53 the left fold loses each 1.0; d plus the total does not.
+        assert (big + 1.0) + 1.0 == big != big + (1.0 + 1.0)
+        # Branch vertex 1 sits at 2^53, and the chain 1 - 2 - 3 weighs [1, 1].
+        inst = path_graph([big, 1.0, 1.0], [0, 1, 3])
+        sk = inst.graph.skeleton(inst.terminals)
+        assert self.folds(sk)
+        assert skeleton_search(sk, 0, [3])[3] == big
+        assert_matches_the_pair_heap(sk, list(inst.terminals))
+
+    def test_the_bound_is_a_total_of_2_to_the_52(self):
+        # Weights [2^52 - 2, 1, 1] sum to 2^52; [2^52 - 1, 1, 1] to one more.
+        for first, totals in ((2.0**52 - 2, True), (2.0**52 - 1, False)):
+            inst = path_graph([first, 1.0, 1.0], [0, 1, 3])
+            sk = inst.graph.skeleton(inst.terminals)
+            assert (sk._search[1] is None) is totals
+            assert_matches_the_pair_heap(sk, list(inst.terminals))
+
+
 class TestTerminalDistances:
     """The terminal-pair table against pair-heap rows, bit for bit."""
 
@@ -534,21 +598,34 @@ class TestOneBoundedSearch:
     """exact_minor's only search is the skeleton's; nothing is cached."""
 
     def test_exact_minor_starts_no_dijkstra(self, monkeypatch):
+        # Every search must read the links of a skeleton built so far, never
+        # a pass graph's adjacency; integer inputs search chain totals
+        # (no folds), float inputs fold.
         search = graph_module._level_search
-        chained = []
+        build = graph_module.Skeleton.__init__
+        skeletons = []
+        folded = []
+
+        def recording_build(sk, graph, keep):
+            build(sk, graph, keep)
+            skeletons.append(sk)
 
         def skeleton_only(links, chains, s, targets):
-            if chains is None:
+            if any(links is sk.graph.adjacency for sk in skeletons):
                 raise AssertionError("a plain Dijkstra row was computed")
-            chained.append(s)
+            if not any(links is sk._search[0] for sk in skeletons):
+                raise AssertionError("a search read no skeleton's links")
+            folded.append(chains is not None)
             return search(links, chains, s, targets)
 
+        monkeypatch.setattr(graph_module.Skeleton, "__init__", recording_build)
         monkeypatch.setattr(graph_module, "_level_search", skeleton_only)
         for seed in range(4):
             inst = random_connected_instance(seed, n=30, k=5)
             exact_minor(subdivide(inst, parts=3))
             exact_minor(inst)
-        assert chained
+            exact_minor(reweighted(inst, NON_DYADIC_WEIGHTS, seed))
+        assert set(folded) == {False, True}
 
     def test_dijkstra_takes_optional_targets(self):
         parameters = inspect.signature(WeightedGraph._dijkstra).parameters
@@ -593,6 +670,16 @@ class TestStorage:
                 assert g.edges == tuple(ordered)
                 assert g.edge_count == len(ordered)
                 assert all(list(nbrs) == sorted(nbrs) for nbrs in g.adjacency)
+
+    def test_is_integer_weighted(self):
+        for weights, integer in (
+            ([1.0, 2.0, 3.0], True),
+            ([2.0**60, 1.0], True),
+            ([1.0, 2.5, 3.0], False),
+            ([1e-300, 1.0], False),
+            (NON_DYADIC_WEIGHTS, False),
+        ):
+            assert path_graph(weights, [0, len(weights)]).graph.is_integer_weighted() is integer
 
     def test_labels_are_cached_parent_arrays(self):
         g = random_connected_instance(3, n=30, k=2).graph
