@@ -7,10 +7,11 @@ path system: any subpath of a canonical path is itself the canonical path
 between its endpoints.  Directed queries matter: ``Instance.path(j, v)``
 is canonical for the direction from terminal j to v.
 
-Weights are 64-bit floats.  Integer-valued weights make every distance an
-exact integer sum, which the exactness tests rely on.  Graphs whose weights
-sum past the float range are rejected, and a canonical path query raises
-where a weight is lost to rounding beside a much longer distance.
+Weights are 64-bit floats.  Integer weights summing to at most 2^52
+(:meth:`WeightedGraph.is_exact`) make every distance an exact integer sum,
+which the exactness tests rely on.  Graphs whose weights sum past the
+float range are rejected, and a canonical path query raises where a
+weight is lost to rounding beside a much longer distance.
 """
 
 from __future__ import annotations
@@ -84,23 +85,36 @@ class WeightedGraph:
     def is_integer_weighted(self) -> bool:
         return all(map(float.is_integer, map(itemgetter(1), chain.from_iterable(self.adjacency))))
 
+    def is_exact(self) -> bool:
+        """Integer weights summing to at most 2^52, so every path sum is exact.
+
+        Every distance is then an integer of at most 2^52, and every partial
+        sum along a path one of at most 2^53, so no float addition rounds.
+        The adjacency counts each edge twice and fsum rounds the doubled
+        total once, so it is at most 2^53 exactly when the weights sum to
+        at most 2^52.
+        """
+        return self.is_integer_weighted() and (
+            math.fsum(map(itemgetter(1), chain.from_iterable(self.adjacency))) <= 2.0**53
+        )
+
     # -- plain distances and canonical shortest paths --------------------
 
     def _dijkstra(self, s: int, targets: Iterable[int] | None = None) -> list[float]:
         """Plain row from s, full or bounded at ``targets``; see :func:`_level_search`."""
-        return _level_search(self.adjacency, None, s, targets)
+        return _level_search(self.adjacency, s, targets)
 
-    def _label(self, s: int, dist: list[float], targets: Iterable[int] | None) -> list[int]:
-        """Canonical parents from s on the ancestor closure of ``targets``.
+    def _label(self, s: int, dist: list[float], closure: Iterable[int] | None) -> list[int]:
+        """Canonical parents from s on ``closure``; ``None`` means every vertex.
 
-        The closure holds every vertex on some shortest path from s to a
-        target: each tight predecessor u (``dist[u] + w == dist[v]``) of a
-        closure vertex v is in it, so ``targets=None`` (every vertex) skips
-        the walk.  Only closure vertices and their neighbours are read:
-        each must hold its full-row distance, or any value above the
-        farthest target's distance when that one does.  The passes walk
-        the closure in (distance, id) order, minimizing hop count, then
-        pick the parent whose canonical sequence is
+        A closure holds every tight predecessor u (``dist[u] + w ==
+        dist[v]``) of each of its vertices v, such as the vertices on some
+        shortest path from s to a set of targets, which
+        :meth:`Skeleton._fill_closure` returns.  Only closure vertices and
+        their neighbours are read: each must hold its full-row distance, or
+        any value above the farthest target's distance when that one does.
+        The passes walk the closure in (distance, id) order, minimizing hop
+        count, then pick the parent whose canonical sequence is
         lexicographically smallest.  Sequences are never materialized:
         vertices on the same hop level are ranked by (parent rank, vertex
         id), which orders equal-length sequences exactly as direct
@@ -111,18 +125,8 @@ class WeightedGraph:
         """
         n = self.vertex_count
         adjacency = self.adjacency
-        if targets is None:
+        if closure is None:
             closure = range(n)
-        else:
-            closure = set(targets)
-            stack = list(closure)
-            while stack:
-                v = stack.pop()
-                dv = dist[v]
-                for u, w in adjacency[v]:
-                    if dist[u] + w == dv and u not in closure:
-                        closure.add(u)
-                        stack.append(u)
         order = sorted(closure, key=lambda v: (dist[v], v))
 
         hop = [0] * n
@@ -179,20 +183,13 @@ class WeightedGraph:
             raise GraphError(f"vertex {v} out of range [0, {self.vertex_count})")
 
 
-def _level_search(
-    links: Sequence, chains: Sequence | None, s: int, targets: Iterable[int] | None
-) -> list[float]:
+def _level_search(links: Sequence, s: int, targets: Iterable[int] | None) -> list[float]:
     """Dijkstra from s over ``links``: every vertex, or as far as the farthest target.
 
-    ``links[u]`` holds u's (neighbour, weight) edges.  ``chains`` is None
-    for a plain search and for a skeleton whose chains are single links
-    (the integer-weight rule of :class:`Skeleton`).  Otherwise a skeleton
-    passes its chain folds, and each chain is relaxed by folding its
-    weights left to right onto the distance of the end it is read from,
-    so each settled entry is the float a full row holds.  Chain interiors
-    stay inf.  Float addition is monotone, so every settled entry is the
-    minimum over all paths of the left-to-right float sum, whatever order
-    the vertices at one distance settle in.
+    ``links[u]`` holds u's (neighbour, weight) edges: a graph's adjacency,
+    or a skeleton's search links.  Float addition is monotone, so every
+    settled entry is the minimum over all paths of the left-to-right float
+    sum, whatever order the vertices at one distance settle in.
 
     The queue is a level queue (Dial's bucket idea): a heap of the
     distinct tentative distances, each with the list of vertices pushed
@@ -254,20 +251,6 @@ def _level_search(
                         push(heap, nd)
                     else:
                         bucket.append(v)
-            # Tested per settled vertex, so a plain search reads no chains.
-            if chains is not None and (folds := chains[u]):
-                for v, weights, _ in folds:
-                    nd = d
-                    for w in weights:
-                        nd += w
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        bucket = levels.get(nd)
-                        if bucket is None:
-                            levels[nd] = [v]
-                            push(heap, nd)
-                        else:
-                            bucket.append(v)
     return dist
 
 
@@ -285,25 +268,25 @@ def _walk(parent: list[int], s: int, t: int) -> tuple[int, ...]:
 class Skeleton:
     """A graph's chains of degree-2 vertices folded into single edges.
 
-    Branch vertices are ``keep`` plus every vertex whose degree is not 2.
-    Each maximal chain of the other vertices becomes one skeleton edge
+    The chain rule: a graph has chains only where their totals are exact,
+    that is when :meth:`WeightedGraph.is_exact` holds.  There each partial
+    sum along a chain is exact, so the left-to-right fold a full row holds
+    equals the distance of the end it is read from plus the chain's total.
+    Branch vertices are then ``keep`` plus every vertex whose degree is
+    not 2; on any other graph every vertex is a branch vertex, and the
+    skeleton has no chains.
+
+    Each maximal chain of non-branch vertices becomes one skeleton edge
     between its two end branch vertices that keeps the chain's interior
     ids and weight sequence.  A chain back to its own branch vertex is an
     edge, and so is each of several chains between the same two branch
     vertices; nothing is pruned.  Built in one walk over the adjacency.
+    The search links are the direct edges plus one (far end, total) link
+    per chain end.
 
     :meth:`shortest_paths` searches branch vertices only and fills in the
     chain interiors that the canonical labelling reads, with the same
     floats a full Dijkstra row holds there.
-
-    The search folds a chain's weights left to right onto the distance of
-    the end it is read from, as a full row sums them.  Where every weight
-    is an integer and the weights sum to at most 2^52, every distance is
-    an integer of at most 2^52 and every partial fold one of at most 2^53,
-    so each addition is exact and the fold equals the distance plus the
-    chain's total.  On such a graph each chain end is one (far end, total)
-    link beside the direct edges, and the search is the plain loop; on any
-    other graph it folds weight by weight.
     """
 
     __slots__ = ("graph", "keep", "_links", "_chains", "_search")
@@ -314,7 +297,8 @@ class Skeleton:
             graph._check_vertex(v)
         n = graph.vertex_count
         adjacency = graph.adjacency
-        branch = bytearray(len(nbrs) != 2 for nbrs in adjacency)
+        exact = graph.is_exact()
+        branch = bytearray(not exact or len(nbrs) != 2 for nbrs in adjacency)
         for v in keep:
             branch[v] = 1
         # links[b]: the (branch neighbour, weight) edges of branch vertex b.
@@ -355,29 +339,24 @@ class Skeleton:
         self.keep = keep
         self._links = links
         self._chains = chains
-        # The (links, chains) the level search reads.  The adjacency counts
-        # each edge twice and fsum rounds the doubled total once, so it is
-        # at most 2^53 exactly when the weights sum to at most 2^52.
-        exact = graph.is_integer_weighted() and (
-            math.fsum(map(itemgetter(1), chain.from_iterable(adjacency))) <= 2.0**53
-        )
-        if exact:
-            search = links[:]
-            for b, folds in enumerate(chains):
-                if folds:
-                    search[b] = links[b] + [(end, sum(weights)) for end, weights, _ in folds]
-            self._search = (search, None)
-        else:
-            self._search = (links, chains)
+        # The links the level search reads: each chain end adds its total.
+        search = links[:]
+        for b, folds in enumerate(chains):
+            if folds:
+                search[b] = links[b] + [(end, sum(weights)) for end, weights, _ in folds]
+        self._search = search
 
-    def _fill_closure(self, dist: list[float], targets: Iterable[int]) -> None:
-        """Fill every chain incident to the targets' skeleton closure.
+    def _fill_closure(self, dist: list[float], targets: Iterable[int]) -> set[int]:
+        """Fill every chain incident to the targets' closure; return the closure.
 
-        The closure walks tight edges back from the targets, inside chains
-        one vertex at a time, as :meth:`WeightedGraph._label` does.  Each
-        closure vertex and each of its neighbours then holds its full-row
-        distance, which is all the labelling reads.  An interior distance
-        is the smaller of the folds from either end.
+        The closure holds the targets and every tight predecessor u
+        (``dist[u] + w == dist[v]``) of its vertices v: the branch vertices
+        and chain interiors on some shortest path from the source to a
+        target.  It is walked back from the targets, inside chains one
+        vertex at a time.  Each closure vertex and each of its neighbours
+        then holds its full-row distance, which is all the labelling of
+        the closure reads.  An interior distance is the smaller of the
+        folds from either end.
         """
         links = self._links
         chains = self._chains
@@ -409,11 +388,13 @@ class Skeleton:
                 for x, w in zip(inner, weights):
                     if dist[x] + w != d:
                         break
+                    closure.add(x)
                     d = dist[x]
                 else:
                     if dist[end] + weights[-1] == d and end not in closure:
                         closure.add(end)
                         stack.append(end)
+        return closure
 
     def shortest_paths(self, s: int, targets: Sequence[int]) -> list[tuple[int, ...]]:
         """Vertex sequences of the canonical paths from s to each target.
@@ -427,9 +408,9 @@ class Skeleton:
         for v in (s, *targets):
             if v not in self.keep:
                 raise GraphError(f"vertex {v} is not kept by this skeleton")
-        dist = _level_search(*self._search, s, targets)
-        self._fill_closure(dist, targets)
-        parent = self.graph._label(s, dist, targets)
+        dist = _level_search(self._search, s, targets)
+        closure = self._fill_closure(dist, targets)
+        parent = self.graph._label(s, dist, closure)
         return [_walk(parent, s, t) for t in targets]
 
 

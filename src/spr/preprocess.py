@@ -182,14 +182,15 @@ def verify_exact(inst: Instance, result: PreprocessResult) -> PreprocessReport:
     shares only the level-queue loop, which the pair-heap oracles in the
     tests judge on its own.
 
-    Integer-weight inputs must match bit-for-bit; float inputs within 1e-9
+    Exact inputs (integer weights summing to at most 2^52, where no path
+    sum rounds) must match bit-for-bit; any other input within 1e-9
     relative.  Also checks the non-terminal count against k^4.  Raises
     VerificationFailedError naming the offending pair.
     """
     k = inst.k
     if result.minor.k != k:
         raise VerificationFailedError("terminal count changed during preprocessing")
-    integer = inst.graph.is_integer_weighted()
+    exact = inst.graph.is_exact()
     minor_dist = result.minor.terminal_distances()
 
     max_abs = 0.0
@@ -211,7 +212,7 @@ def verify_exact(inst: Instance, result: PreprocessResult) -> PreprocessReport:
         raise VerificationFailedError(
             f"{non_terminals} non-terminals exceed the bound {bound}"
         )
-    if (integer and max_abs != 0.0) or (not integer and max_rel > FLOAT_REL_TOL):
+    if (exact and max_abs != 0.0) or (not exact and max_rel > FLOAT_REL_TOL):
         raise VerificationFailedError(
             f"terminal pair {worst} deviates by {max_abs}", pair=worst
         )

@@ -440,11 +440,11 @@ def path_graph(weights, terminals):
     return Instance(build_graph(len(weights) + 1, edges), terminals)
 
 
-def label_reads(g, row, targets):
-    """Every vertex the canonical labelling of ``targets`` reads from ``row``.
+def tight_closure(g, row, targets):
+    """The targets and every tight predecessor of its vertices, on ``row``.
 
-    The labelling walks tight edges back from the targets and compares
-    each closure vertex's distance with its neighbours'.
+    Walks tight edges (``row[u] + w == row[v]``) back from the targets
+    over the whole adjacency, one vertex at a time.
     """
     closure = set(targets)
     stack = list(closure)
@@ -454,6 +454,16 @@ def label_reads(g, row, targets):
             if row[u] + w == row[v] and u not in closure:
                 closure.add(u)
                 stack.append(u)
+    return closure
+
+
+def label_reads(g, row, targets):
+    """Every vertex the canonical labelling of ``targets`` reads from ``row``.
+
+    The labelling compares the distance of each vertex of the targets'
+    tight closure with its neighbours'.
+    """
+    closure = tight_closure(g, row, targets)
     return closure | {u for v in closure for u, _ in g.adjacency[v]}
 
 

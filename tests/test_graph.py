@@ -33,12 +33,13 @@ from conftest import (
     reweighted,
     subdivide,
     subdivide_unevenly,
+    tight_closure,
 )
 
 
 def skeleton_search(sk, s, targets):
     """The bounded search ``Skeleton.shortest_paths`` runs, with its tentative entries."""
-    return graph_module._level_search(*sk._search, s, targets)
+    return graph_module._level_search(sk._search, s, targets)
 
 
 def assert_matches_the_pair_heap(sk, terms):
@@ -269,7 +270,8 @@ def check_skeleton(inst):
     farthest target's distance the search and the closure fill must give
     the full row's float at every vertex the labelling reads; with every
     chain filled, at every vertex.  Beyond it every entry must stay above
-    that distance.
+    that distance.  The closure the fill returns must be the tight
+    closure that walking the full row vertex by vertex gives.
     """
     g = inst.graph
     n = g.vertex_count
@@ -289,9 +291,10 @@ def check_skeleton(inst):
                 else:
                     assert row[v] > far, (s, v)
 
-        sk._fill_closure(row, targets)
+        assert sk._fill_closure(row, targets) == tight_closure(g, full, targets), s
         check_row(label_reads(g, full, targets))
-        sk._fill_closure(row, [v for v in branch if full[v] <= far])
+        within = [v for v in branch if full[v] <= far]
+        assert sk._fill_closure(row, within) == tight_closure(g, full, within), s
         check_row(range(n))
         assert sk.shortest_paths(s, targets) == [inst.path(a, t) for t in targets]
 
@@ -330,7 +333,10 @@ class TestSkeleton:
         weight_lists = [[1.0, 1.0, 1.0], [1.5, 1.5], [0.5, 2.0, 0.5], [1.5, 1.5]]
         check_skeleton(parallel_chains(weight_lists))
         check_skeleton(parallel_chains([[0.1, 0.2], [0.2, 0.1], [0.3]]))
-        inst = parallel_chains(weight_lists)
+        # The weights above are not all integers, so only the doubled,
+        # integer-weight copy has chains.
+        inst = parallel_chains([[2 * w for w in weights] for weights in weight_lists])
+        check_skeleton(inst)
         chains = inst.graph.skeleton(inst.terminals)._chains
         assert sorted(inner for _, _, inner in chains[0]) == [[2, 3], [4], [5, 6], [7]]
 
@@ -502,35 +508,33 @@ class TestLevelQueue:
 
 
 class TestChainTotals:
-    """Which search a skeleton runs, judged by the pair heap's weight-by-weight folds.
+    """Which graphs have chains, judged by the pair heap's weight-by-weight folds.
 
     On integer weights summing to at most 2^52 each chain end is one link
-    of the chain's total and the search is the plain loop; on any other
-    graph it folds each chain's weights.  The pair heap reads the
-    skeleton's direct links and folds, never the totals.
+    of the chain's total; any other graph has no chains, and its search
+    is the plain bounded search.  The pair heap reads the skeleton's
+    direct links and folds, never the totals.
     """
 
     @staticmethod
-    def folds(sk):
-        links, chains = sk._search
-        return links is sk._links and chains is sk._chains
+    def has_chains(sk):
+        return any(sk._chains)
 
     def test_subdivided_integer_graphs_search_chain_totals(self):
         for seed in range(6):
             inst = random_connected_instance(seed, n=30, k=5)
             for sub in (subdivide(inst, parts=3), subdivide_unevenly(inst, seed), pendant_tree(seed, n=20, k=3)):
                 sk = sub.graph.skeleton(sub.terminals)
-                links, chains = sk._search
-                assert chains is None
+                assert self.has_chains(sk)
                 # One total per chain end, after the direct links.
-                assert list(map(len, links)) == [
+                assert list(map(len, sk._search)) == [
                     len(direct) + len(folds or ()) for direct, folds in zip(sk._links, sk._chains)
                 ]
                 # The closure fill and the pair heap read direct edges only.
                 assert all(set(direct) <= set(nbrs) for direct, nbrs in zip(sk._links, sub.graph.adjacency))
                 assert_matches_the_pair_heap(sk, list(sub.terminals))
 
-    def test_non_dyadic_floats_fold(self):
+    def test_non_dyadic_floats_have_no_chains(self):
         for seed in range(6):
             inst = random_connected_instance(seed, n=30, k=5)
             for sub in (
@@ -538,17 +542,19 @@ class TestChainTotals:
                 reweighted(pendant_tree(seed, n=20, k=3), NON_DYADIC_WEIGHTS, seed),
             ):
                 sk = sub.graph.skeleton(sub.terminals)
-                assert self.folds(sk)
+                assert not self.has_chains(sk)
+                # Every vertex is a branch vertex, linked by all its edges.
+                assert sk._search == sk._links == list(sub.graph.adjacency)
                 assert_matches_the_pair_heap(sk, list(sub.terminals))
 
-    def test_integer_weights_past_2_to_the_52_fold(self):
+    def test_integer_weights_past_2_to_the_52_have_no_chains(self):
         big = 2.0**53
         # At d = 2^53 the left fold loses each 1.0; d plus the total does not.
         assert (big + 1.0) + 1.0 == big != big + (1.0 + 1.0)
-        # Branch vertex 1 sits at 2^53, and the chain 1 - 2 - 3 weighs [1, 1].
+        # Branch vertex 1 sits at 2^53, and the path 1 - 2 - 3 weighs [1, 1].
         inst = path_graph([big, 1.0, 1.0], [0, 1, 3])
         sk = inst.graph.skeleton(inst.terminals)
-        assert self.folds(sk)
+        assert not self.has_chains(sk)
         assert skeleton_search(sk, 0, [3])[3] == big
         assert_matches_the_pair_heap(sk, list(inst.terminals))
 
@@ -556,8 +562,9 @@ class TestChainTotals:
         # Weights [2^52 - 2, 1, 1] sum to 2^52; [2^52 - 1, 1, 1] to one more.
         for first, totals in ((2.0**52 - 2, True), (2.0**52 - 1, False)):
             inst = path_graph([first, 1.0, 1.0], [0, 1, 3])
+            assert inst.graph.is_exact() is totals
             sk = inst.graph.skeleton(inst.terminals)
-            assert (sk._search[1] is None) is totals
+            assert self.has_chains(sk) is totals
             assert_matches_the_pair_heap(sk, list(inst.terminals))
 
 
@@ -599,24 +606,21 @@ class TestOneBoundedSearch:
 
     def test_exact_minor_starts_no_dijkstra(self, monkeypatch):
         # Every search must read the links of a skeleton built so far, never
-        # a pass graph's adjacency; integer inputs search chain totals
-        # (no folds), float inputs fold.
+        # a pass graph's adjacency.
         search = graph_module._level_search
         build = graph_module.Skeleton.__init__
         skeletons = []
-        folded = []
 
         def recording_build(sk, graph, keep):
             build(sk, graph, keep)
             skeletons.append(sk)
 
-        def skeleton_only(links, chains, s, targets):
+        def skeleton_only(links, s, targets):
             if any(links is sk.graph.adjacency for sk in skeletons):
                 raise AssertionError("a plain Dijkstra row was computed")
-            if not any(links is sk._search[0] for sk in skeletons):
+            if not any(links is sk._search for sk in skeletons):
                 raise AssertionError("a search read no skeleton's links")
-            folded.append(chains is not None)
-            return search(links, chains, s, targets)
+            return search(links, s, targets)
 
         monkeypatch.setattr(graph_module.Skeleton, "__init__", recording_build)
         monkeypatch.setattr(graph_module, "_level_search", skeleton_only)
@@ -625,7 +629,6 @@ class TestOneBoundedSearch:
             exact_minor(subdivide(inst, parts=3))
             exact_minor(inst)
             exact_minor(reweighted(inst, NON_DYADIC_WEIGHTS, seed))
-        assert set(folded) == {False, True}
 
     def test_dijkstra_takes_optional_targets(self):
         parameters = inspect.signature(WeightedGraph._dijkstra).parameters
@@ -680,6 +683,21 @@ class TestStorage:
             (NON_DYADIC_WEIGHTS, False),
         ):
             assert path_graph(weights, [0, len(weights)]).graph.is_integer_weighted() is integer
+
+    def test_is_exact(self):
+        # Integer weights summing to at most 2^52, checked on the sum, not
+        # on the largest weight or on any one path.
+        for weights, exact in (
+            ([1.0, 2.0, 3.0], True),
+            ([2.0**52 - 3, 1.0, 2.0], True),
+            ([2.0**52 - 3, 2.0, 2.0], False),
+            ([2.0**51, 2.0**51], True),
+            ([2.0**51, 2.0**51, 1.0], False),
+            ([2.0**60, 1.0], False),
+            ([1.0, 2.5, 3.0], False),
+            (NON_DYADIC_WEIGHTS, False),
+        ):
+            assert path_graph(weights, [0, len(weights)]).graph.is_exact() is exact
 
     def test_labels_are_cached_parent_arrays(self):
         g = random_connected_instance(3, n=30, k=2).graph

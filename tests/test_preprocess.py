@@ -146,6 +146,29 @@ class TestVerifyExact:
         with pytest.raises(VerificationFailedError):
             verify_exact(star3, tampered)
 
+    def test_integer_sums_past_2_to_the_53_use_the_relative_rule(self, tmp_path):
+        # The weights are integers but sum past 2^52, so sums round: the
+        # input's row folds 2^53 + 3 + 3 to 2^53 + 8, while the minor's
+        # edge is 2^53 + (3 + 3) = 2^53 + 6.
+        path = tmp_path / "g.txt"
+        path.write_text("4 3 2\n0 3\n0 2 9007199254740992\n2 1 3\n1 3 3\n")
+        code, _, err = invoke(["preprocess", str(path)])
+        assert (code, err) == (0, "")
+        inst = load_instance(path)
+        assert inst.graph.is_integer_weighted() and not inst.graph.is_exact()
+        result = exact_minor(inst)
+        report = verify_exact(inst, result)
+        assert report.max_abs_deviation == 2.0
+        assert report.max_rel_deviation <= FLOAT_REL_TOL
+        # A minor weight planted off by 2^40 is still caught.
+        g = result.minor.graph
+        planted = [(u, v, w + 2.0**40) for u, v, w in g.edges]
+        tampered = dataclasses.replace(
+            result, minor=Instance(build_graph(g.vertex_count, planted), result.minor.terminals)
+        )
+        with pytest.raises(VerificationFailedError, match=r"terminal pair \(0, 1\)"):
+            verify_exact(inst, tampered)
+
 
 def golden_instance(weights):
     """The integer instance is generated; the non-dyadic one is stored.
