@@ -57,17 +57,15 @@ _EXPORTS = {
     ),
     "preprocess": ("PreprocessReport", "PreprocessResult", "exact_minor", "verify_exact"),
     "tail_bounds": (
-        "ErlangQuery",
-        "GeometricSumQuery",
-        "Lemma6Result",
-        "MonteCarloResult",
         "erlang_cdf_lower",
         "erlang_tail_upper",
         "lemma4_bound",
         "lemma4_bound_loose",
         "lemma5_bound",
-        "lemma6_check",
-        "monte_carlo_tail",
+        "lemma5_threshold",
+        "lemma6_bound",
+        "monte_carlo_geometric",
+        "monte_carlo_lower",
     ),
     "textio": ("format_graph_text", "load_instance", "parse_graph_text"),
 }

@@ -80,7 +80,7 @@ class GrowthParams:
         if self.delta > DELTA_ANALYZED_MAX:
             warnings.warn(
                 f"delta={self.delta} is outside the analyzed regime (> 1/2)",
-                stacklevel=2,
+                stacklevel=3,
             )
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ValueError("max_rounds must be positive")

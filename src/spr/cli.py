@@ -281,17 +281,18 @@ def cmd_experiment(args) -> int:
 LEMMA4_GRID_M = (1, 2, 5, 10, 20)
 LEMMA4_GRID_KAPPA = (0.02, 0.05, 0.1, 0.25)
 LEMMA5_GRID_K = (4, 10)
+LEMMA5_M = 18.0
+LEMMA5_DELTA = 0.5
 LEMMA6_GRID_M = (5, 10, 30, 50)
 LEMMA6_GRID_C = (6.0, 8.0, 10.0)
 
 
 def _suite_lemma4(samples: int, seed: int) -> list[dict]:
     from .tail_bounds import (
-        ErlangQuery,
         erlang_cdf_lower,
         lemma4_bound,
         lemma4_bound_loose,
-        monte_carlo_tail,
+        monte_carlo_lower,
     )
 
     rows = []
@@ -301,10 +302,10 @@ def _suite_lemma4(samples: int, seed: int) -> list[dict]:
             exact = erlang_cdf_lower(m, kappa * m)
             loose = lemma4_bound_loose(m, kappa)
             tight = lemma4_bound(m, kappa)
-            mc = monte_carlo_tail(ErlangQuery(m, 1.0, kappa * m), samples, seed + index)
+            mc, _ = monte_carlo_lower(m, kappa * m, samples, seed + index)
             index += 1
             sigma = math.sqrt(exact * (1.0 - exact) / samples)
-            ok = exact <= loose and exact <= tight and abs(mc.probability - exact) <= 3.0 * sigma
+            ok = exact <= loose and exact <= tight and abs(mc - exact) <= 3.0 * sigma
             rows.append(
                 {
                     "m": m,
@@ -312,7 +313,7 @@ def _suite_lemma4(samples: int, seed: int) -> list[dict]:
                     "exact": exact,
                     "bound_loose": loose,
                     "bound": tight,
-                    "monte_carlo": mc.probability,
+                    "monte_carlo": mc,
                     "pass": ok,
                 }
             )
@@ -320,49 +321,49 @@ def _suite_lemma4(samples: int, seed: int) -> list[dict]:
 
 
 def _suite_lemma5(samples: int, seed: int) -> list[dict]:
-    from .tail_bounds import GeometricSumQuery, lemma5_bound, monte_carlo_tail
+    from .tail_bounds import lemma5_bound, lemma5_threshold, monte_carlo_geometric
 
     rows = []
     for index, k in enumerate(LEMMA5_GRID_K):
-        query = GeometricSumQuery(a=1.0, delta=0.5, k=k, big_m=18.0)
-        mc = monte_carlo_tail(query, samples, seed + index)
-        bound = lemma5_bound(18.0, 0.5, k)
+        mc, std_error = monte_carlo_geometric(LEMMA5_DELTA, k, LEMMA5_M, samples, seed + index)
+        bound = lemma5_bound(LEMMA5_M, LEMMA5_DELTA, k)
         rows.append(
             {
                 "k": k,
-                "M": 18.0,
-                "delta": 0.5,
-                "threshold": query.threshold,
-                "empirical": mc.probability,
-                "std_error": mc.std_error,
+                "M": LEMMA5_M,
+                "delta": LEMMA5_DELTA,
+                "threshold": lemma5_threshold(LEMMA5_M, LEMMA5_DELTA, k),
+                "empirical": mc,
+                "std_error": std_error,
                 "bound": bound,
-                "pass": mc.probability <= bound + 3.0 * mc.std_error,
+                "pass": mc <= bound + 3.0 * std_error,
             }
         )
     return rows
 
 
 def _suite_lemma6() -> list[dict]:
-    from .tail_bounds import lemma6_check
+    from .tail_bounds import erlang_tail_upper, lemma6_bound
 
     rows = []
     for m in LEMMA6_GRID_M:
         for c in LEMMA6_GRID_C:
-            result = lemma6_check(m, c)
+            exact = erlang_tail_upper(m, c * m)
+            bound = lemma6_bound(m, c)
             rows.append(
                 {
                     "m": m,
                     "C": c,
-                    "exact": result.exact_tail,
-                    "bound": result.bound,
-                    "pass": result.holds,
+                    "exact": exact,
+                    "bound": bound,
+                    "pass": exact <= bound,
                 }
             )
     return rows
 
 
 def _suite_cdf(samples: int, seed: int) -> list[dict]:
-    from .tail_bounds import ErlangQuery, erlang_cdf_lower, monte_carlo_tail
+    from .tail_bounds import erlang_cdf_lower, monte_carlo_lower
 
     rows = []
     index = 0
@@ -371,17 +372,17 @@ def _suite_cdf(samples: int, seed: int) -> list[dict]:
         for factor in (0.25, 0.5, 1.0, 2.0):
             x = factor * m
             exact = erlang_cdf_lower(m, x)
-            mc = monte_carlo_tail(ErlangQuery(m, 1.0, x), samples, seed + index)
+            mc, _ = monte_carlo_lower(m, x, samples, seed + index)
             index += 1
             sigma = math.sqrt(exact * (1.0 - exact) / samples)
-            ok = exact >= previous and abs(mc.probability - exact) <= 3.0 * sigma
+            ok = exact >= previous and abs(mc - exact) <= 3.0 * sigma
             previous = exact
             rows.append(
                 {
                     "m": m,
                     "x": x,
                     "exact": exact,
-                    "monte_carlo": mc.probability,
+                    "monte_carlo": mc,
                     "pass": ok,
                 }
             )
@@ -474,7 +475,7 @@ def main(argv=None) -> int:
             return exc.code if isinstance(exc.code, int) else 2
         try:
             return args.handler(args)
-        except (SprError, OSError, json.JSONDecodeError, UnicodeDecodeError, KeyError) as exc:
+        except (SprError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     finally:

@@ -1,51 +1,61 @@
 """Tail bounds for sums of independent exponential random variables.
 
-A sum of m independent exponentials with equal mean 1 is Erlang(m, 1); its
-CDF is the regularized lower incomplete gamma function.  Mean-1 sums are the
+A sum of m independent exponentials with mean 1 is Erlang(m, 1); its CDF is
+the regularized lower incomplete gamma function.  Mean-1 sums are the
 extremal case for both directions (scaling reduces general means to 1), so
-the certified checks all reduce to Erlang tails:
+every function here takes mean-1 sums and the certified checks all reduce
+to Erlang tails:
 
-- lower tail at kappa*m, kappa <= 1/4, against (4 / (3 sqrt(2 pi m))) (3 kappa)^m;
-- upper tail at C*m, C >= 6, against exp(-C m / 2);
-- the infinite geometric-mean sum (means A, A/r, A/r^2, ...) exceeding
-  M * A * log(k) / delta, against 2 * k^-(M / (12 delta) + 3).
+- Lemma 4: lower tail at kappa*m, kappa <= 1/4, against
+  (4 / (3 sqrt(2 pi m))) (3 kappa)^m;
+- Lemma 5: the infinite geometric-mean sum (means 1, 1/r, 1/r^2, ...,
+  r = 1 + delta / ln k) exceeding M ln(k) / delta, against
+  2 * k^-(M / (12 delta) + 3);
+- Lemma 6: upper tail at C*m, C >= 6, against exp(-C m / 2).
 
 The incomplete gamma function is evaluated by its power series for
-x < m + 1 and by a Lentz continued fraction otherwise, to 1e-12 absolute.
-A Monte Carlo estimator serves as the independent cross-check.
+x < m + 1 and by a Lentz continued fraction otherwise.  Both are tested to
+1e-12 absolute for shapes m <= 1000; the error grows with the shape past
+that, and either evaluation raises ParamOutOfRegimeError rather than return
+a value it has not converged to within _MAX_ITER terms.  Two Monte Carlo
+estimators, one per sum, serve as the independent cross-check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from numbers import Integral
 
 from .errors import KappaTooLargeError, ParamOutOfRegimeError
 
 __all__ = [
-    "ErlangQuery",
-    "GeometricSumQuery",
-    "MonteCarloResult",
-    "Lemma6Result",
     "erlang_cdf_lower",
     "erlang_tail_upper",
     "lemma4_bound",
     "lemma4_bound_loose",
     "lemma5_bound",
-    "lemma6_check",
-    "monte_carlo_tail",
+    "lemma5_threshold",
+    "lemma6_bound",
+    "monte_carlo_lower",
+    "monte_carlo_geometric",
 ]
 
 _REL_EPS = 1e-15
 _MAX_ITER = 10_000
-_TRUNCATION_BUDGET = 1e-12  # discarded tail mean, relative to A
+_TRUNCATION_BUDGET = 1e-12  # discarded tail mean of the geometric-mean sum
 MIN_SAMPLES = 10_000
 
 
 def _check_shape(m: int) -> None:
     if not isinstance(m, Integral) or m < 1:
         raise ValueError(f"shape must be a positive integer, got {m!r}")
+
+
+def _unconverged(method: str, m: int, x: float) -> ParamOutOfRegimeError:
+    return ParamOutOfRegimeError(
+        f"incomplete gamma {method} did not converge in {_MAX_ITER} terms at "
+        f"m={m}, x={x}; shapes up to 1000 are tested"
+    )
 
 
 def _lower_series(m: int, x: float) -> float:
@@ -59,6 +69,8 @@ def _lower_series(m: int, x: float) -> float:
         total += term
         if term < total * _REL_EPS:
             break
+    else:
+        raise _unconverged("power series", m, x)
     return total * math.exp(-x + m * math.log(x) - math.lgamma(m))
 
 
@@ -83,6 +95,8 @@ def _upper_contfrac(m: int, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _REL_EPS:
             break
+    else:
+        raise _unconverged("continued fraction", m, x)
     return math.exp(-x + m * math.log(x) - math.lgamma(m)) * h
 
 
@@ -102,12 +116,12 @@ def _erlang_tails(m: int, x: float) -> tuple[float, float]:
 
 
 def erlang_cdf_lower(m: int, x: float) -> float:
-    """P[Erlang(m, 1) <= x], to 1e-12 absolute."""
+    """P[Erlang(m, 1) <= x], to 1e-12 absolute for m <= 1000."""
     return _erlang_tails(m, x)[0]
 
 
 def erlang_tail_upper(m: int, x: float) -> float:
-    """P[Erlang(m, 1) >= x]; evaluated directly so tiny tails keep precision."""
+    """P[Erlang(m, 1) >= x] for m <= 1000, evaluated directly so tiny tails keep precision."""
     return _erlang_tails(m, x)[1]
 
 
@@ -146,112 +160,86 @@ def lemma5_bound(M: float, delta: float, k: int) -> float:
     return 2.0 * k ** -(M / (12.0 * delta) + 3.0)
 
 
-@dataclass(frozen=True)
-class Lemma6Result:
-    exact_tail: float
-    bound: float
-    holds: bool
+def lemma5_threshold(M: float, delta: float, k: int) -> float:
+    """Threshold M ln(k) / delta of the geometric-mean sum's upper tail."""
+    _check_lemma5_regime(M, delta, k)
+    return M * math.log(k) / delta
 
 
-def lemma6_check(m: int, C: float) -> Lemma6Result:
-    """Exact Erlang upper tail at C*m against exp(-C m / 2)."""
-    exact = erlang_tail_upper(m, C * m)
-    bound = math.exp(-C * m / 2.0)
-    return Lemma6Result(exact, bound, exact <= bound)
+def lemma6_bound(m: int, C: float) -> float:
+    """Bound exp(-C m / 2) for the Erlang(m, 1) upper tail at C*m, C >= 6."""
+    _check_shape(m)
+    return math.exp(-C * m / 2.0)
 
 
-@dataclass(frozen=True)
-class ErlangQuery:
-    """Sum of ``shape`` independent exponentials with mean ``a`` each;
-    the Monte Carlo estimate is the lower tail P[sum <= threshold]."""
-
-    shape: int
-    a: float
-    threshold: float
-
-    def __post_init__(self):
-        _check_shape(self.shape)
-        if self.a <= 0:
-            raise ValueError("mean must be positive")
-        if self.threshold < 0:
-            raise ValueError("threshold must be nonnegative")
+def _geometric_terms(delta: float, k: int) -> tuple[float, int]:
+    """Decay ratio r = 1 + delta / ln k of the geometric-mean sum, and the
+    number of terms to simulate so the discarded tail mean is below 1e-12."""
+    r = 1.0 + delta / math.log(k)
+    # Tail mean after N terms is 1 / (r^(N-1) (r - 1)); push it
+    # below the budget so dominance checks stay sound.
+    need = math.log(1.0 / (_TRUNCATION_BUDGET * (r - 1.0))) / math.log(r)
+    return r, int(math.ceil(need)) + 1
 
 
-@dataclass(frozen=True)
-class GeometricSumQuery:
-    """Sum of independent exponentials with means a, a/r, a/r^2, ...;
-    the Monte Carlo estimate is the upper tail at M * a * log(k) / delta.
+def _generator(n_samples: int, seed: int):
+    """numpy's default generator for ``seed``, once ``n_samples`` is checked.
 
-    The decay ratio ``r`` is 1 + delta / ln k.  ``truncation`` is the number
-    of simulated terms, chosen so the discarded tail mean is below 1e-12 * a.
-    """
-
-    a: float
-    delta: float
-    k: int
-    big_m: float
-
-    def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError("mean must be positive")
-        _check_lemma5_regime(self.big_m, self.delta, self.k)
-
-    @property
-    def r(self) -> float:
-        return 1.0 + self.delta / math.log(self.k)
-
-    @property
-    def truncation(self) -> int:
-        # Tail mean after N terms is a / (r^(N-1) (r - 1)); push it
-        # below the budget so dominance checks stay sound.
-        r = self.r
-        need = math.log(1.0 / (_TRUNCATION_BUDGET * (r - 1.0))) / math.log(r)
-        return int(math.ceil(need)) + 1
-
-    @property
-    def threshold(self) -> float:
-        return self.big_m * self.a * math.log(self.k) / self.delta
-
-
-@dataclass(frozen=True)
-class MonteCarloResult:
-    probability: float
-    std_error: float
-    samples: int
-
-
-def monte_carlo_tail(query, n_samples: int, seed: int) -> MonteCarloResult:
-    """Empirical tail probability with its binomial standard error.
-
-    The only user of numpy in the package, imported here so that no other
-    command loads it.
+    The Monte Carlo estimators are the only users of numpy in the package,
+    and import it inside the function so that no other command loads it.
     """
     import numpy as np
 
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
-    rng = np.random.default_rng(seed)
+    return np.random.default_rng(seed)
 
-    if isinstance(query, ErlangQuery):
-        hits = 0
-        chunk = max(1, int(20_000_000 // max(query.shape, 1)))
-        remaining = n_samples
-        while remaining > 0:
-            rows = min(chunk, remaining)
-            sums = query.a * rng.standard_exponential((rows, query.shape)).sum(axis=1)
-            hits += int(np.count_nonzero(sums <= query.threshold))
-            remaining -= rows
-        p = hits / n_samples
-    elif isinstance(query, GeometricSumQuery):
-        totals = np.zeros(n_samples)
-        mean = query.a
-        r = query.r
-        for _ in range(query.truncation):
-            totals += mean * rng.standard_exponential(n_samples)
-            mean /= r
-        p = float(np.count_nonzero(totals >= query.threshold)) / n_samples
-    else:
-        raise TypeError(f"unsupported query {type(query).__name__}")
 
-    std_error = math.sqrt(p * (1.0 - p) / n_samples)
-    return MonteCarloResult(p, std_error, n_samples)
+def _estimate(hits: int, n_samples: int) -> tuple[float, float]:
+    """Empirical probability and its binomial standard error."""
+    p = hits / n_samples
+    return p, math.sqrt(p * (1.0 - p) / n_samples)
+
+
+def monte_carlo_lower(m: int, x: float, n_samples: int, seed: int) -> tuple[float, float]:
+    """Monte Carlo estimate of P[Erlang(m, 1) <= x]: (probability, std_error).
+
+    Draws row-major (rows, m) blocks of at most 20 million values.
+    """
+    import numpy as np
+
+    _check_shape(m)
+    if x < 0:
+        raise ValueError("threshold must be nonnegative")
+    rng = _generator(n_samples, seed)
+    hits = 0
+    chunk = max(1, 20_000_000 // m)
+    remaining = n_samples
+    while remaining > 0:
+        rows = min(chunk, remaining)
+        sums = rng.standard_exponential((rows, m)).sum(axis=1)
+        hits += int(np.count_nonzero(sums <= x))
+        remaining -= rows
+    return _estimate(hits, n_samples)
+
+
+def monte_carlo_geometric(
+    delta: float, k: int, M: float, n_samples: int, seed: int
+) -> tuple[float, float]:
+    """Monte Carlo estimate of the upper tail at lemma5_threshold(M, delta, k)
+    of the sum of independent exponentials with means 1, 1/r, 1/r^2, ...:
+    (probability, std_error).
+
+    Draws one vector of ``n_samples`` exponentials per simulated term.
+    """
+    import numpy as np
+
+    threshold = lemma5_threshold(M, delta, k)
+    rng = _generator(n_samples, seed)
+    r, terms = _geometric_terms(delta, k)
+    totals = np.zeros(n_samples)
+    mean = 1.0
+    for _ in range(terms):
+        totals += mean * rng.standard_exponential(n_samples)
+        mean /= r
+    return _estimate(int(np.count_nonzero(totals >= threshold)), n_samples)

@@ -20,20 +20,20 @@ from spr import (
     distortion,
     distortion_bound_coefficient,
     erlang_cdf_lower,
+    erlang_tail_upper,
     exact_minor,
     index_trace,
     lemma4_bound_loose,
     lemma5_bound,
-    lemma6_check,
-    monte_carlo_tail,
+    lemma6_bound,
+    monte_carlo_geometric,
+    monte_carlo_lower,
     oracle_optimal,
     path_partition,
     run,
     track_reaches,
     validate,
     verify_exact,
-    ErlangQuery,
-    GeometricSumQuery,
     format_graph_text,
 )
 from spr.cli import main as cli_main
@@ -202,12 +202,10 @@ def test_criterion_6_lemma4_certification():
             exact = erlang_cdf_lower(m, kappa * m)
             if exact > lemma4_bound_loose(m, kappa):
                 failures.append(f"(m={m}, kappa={kappa}) exact above (3k)^m")
-            mc = monte_carlo_tail(
-                ErlangQuery(m, 1.0, kappa * m), 100_000, seed=600 + index
-            )
+            mc, _ = monte_carlo_lower(m, kappa * m, 100_000, seed=600 + index)
             index += 1
             sigma = math.sqrt(exact * (1.0 - exact) / 100_000)
-            if abs(mc.probability - exact) > 3.0 * sigma:
+            if abs(mc - exact) > 3.0 * sigma:
                 failures.append(f"(m={m}, kappa={kappa}) Monte Carlo off by >3 sigma")
     elapsed = time.perf_counter() - started
     if elapsed >= 10.0:
@@ -219,21 +217,20 @@ def test_criterion_7_lemma6_certification():
     failures = []
     for m in (5, 10, 30, 50):
         for c in (6.0, 8.0, 10.0):
-            result = lemma6_check(m, c)
-            if not result.holds:
-                failures.append(f"(m={m}, C={c}): {result.exact_tail} > {result.bound}")
+            exact, bound = erlang_tail_upper(m, c * m), lemma6_bound(m, c)
+            if exact > bound:
+                failures.append(f"(m={m}, C={c}): {exact} > {bound}")
     report("7 lemma 6 certification", not failures, "; ".join(failures))
 
 
 def test_criterion_8_lemma5_dominance():
     failures = []
     for index, k in enumerate((4, 10)):
-        query = GeometricSumQuery(a=1.0, delta=0.5, k=k, big_m=18.0)
-        mc = monte_carlo_tail(query, 1_000_000, seed=800 + index)
+        mc, std_error = monte_carlo_geometric(0.5, k, 18.0, 1_000_000, seed=800 + index)
         bound = lemma5_bound(18.0, 0.5, k)
         assert bound == 2.0 / k**6
-        if mc.probability > bound + 3.0 * mc.std_error:
-            failures.append(f"k={k}: {mc.probability} > {bound}")
+        if mc > bound + 3.0 * std_error:
+            failures.append(f"k={k}: {mc} > {bound}")
     report("8 lemma 5 dominance", not failures, "; ".join(failures))
 
 

@@ -507,8 +507,10 @@ class TestTraceJson:
 
 class TestParams:
     def test_delta_outside_regime_warns(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             GrowthParams(delta=0.75)
+        # The warning names the caller's line, not the generated __init__.
+        assert [w.filename for w in record] == [__file__]
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):

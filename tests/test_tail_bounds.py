@@ -6,16 +6,17 @@ from hypothesis import strategies as st
 from scipy import special
 
 from spr import (
-    ErlangQuery,
-    GeometricSumQuery,
     erlang_cdf_lower,
     erlang_tail_upper,
     lemma4_bound,
     lemma4_bound_loose,
     lemma5_bound,
-    lemma6_check,
-    monte_carlo_tail,
+    lemma5_threshold,
+    lemma6_bound,
+    monte_carlo_geometric,
+    monte_carlo_lower,
 )
+from spr import tail_bounds
 from spr.errors import KappaTooLargeError, ParamOutOfRegimeError
 
 
@@ -29,7 +30,7 @@ class TestErlangCdf:
         assert erlang_tail_upper(2, 0.0) == 1.0
 
     def test_against_scipy_grid(self):
-        for m in (1, 2, 3, 5, 10, 20, 50, 60):
+        for m in (1, 2, 3, 5, 10, 20, 50, 60, 200, 1000):
             for x in (0.01, 0.25, 0.5 * m, float(m), m + 0.999, m + 1.0, 2.0 * m, 6.0 * m):
                 mine = erlang_cdf_lower(m, x)
                 ref = float(special.gammainc(m, x))
@@ -68,6 +69,17 @@ class TestErlangCdf:
         with pytest.raises(ValueError):
             erlang_cdf_lower(2, -1.0)
 
+    def test_unconverged_series_raises(self):
+        # The series needs more than 10,000 terms here; cut off, it read
+        # 0.49926 where the CDF is 0.50004.
+        with pytest.raises(ParamOutOfRegimeError, match="power series did not converge"):
+            erlang_cdf_lower(10**7, 1e7)
+
+    def test_unconverged_continued_fraction_raises(self, monkeypatch):
+        monkeypatch.setattr(tail_bounds, "_MAX_ITER", 3)
+        with pytest.raises(ParamOutOfRegimeError, match="continued fraction did not converge"):
+            erlang_tail_upper(50, 300.0)
+
 
 class TestLemma4:
     def test_loose_values(self):
@@ -96,6 +108,7 @@ class TestLemma4:
 
 class TestLemma5:
     def test_reference_values(self):
+        assert lemma5_threshold(18.0, 0.5, 4) == 36.0 * math.log(4)
         assert lemma5_bound(18, 0.5, 4) == pytest.approx(2 * 4.0**-6, rel=1e-12)
         assert lemma5_bound(18, 0.5, 4) == pytest.approx(4.8828125e-4, rel=1e-9)
         assert lemma5_bound(18, 0.5, 10) == pytest.approx(2e-6, rel=1e-12)
@@ -105,86 +118,78 @@ class TestLemma5:
             assert lemma5_bound(36, 0.5, k) == pytest.approx(2.0 * k**-9.0, rel=1e-12)
 
     def test_regime_guards(self):
-        with pytest.raises(ParamOutOfRegimeError):
-            lemma5_bound(17.9, 0.5, 4)
-        with pytest.raises(ParamOutOfRegimeError):
-            lemma5_bound(18, 0.6, 4)
-        with pytest.raises(ParamOutOfRegimeError):
-            lemma5_bound(18, 0.5, 2)
+        for guarded in (lemma5_bound, lemma5_threshold):
+            with pytest.raises(ParamOutOfRegimeError):
+                guarded(17.9, 0.5, 4)
+            with pytest.raises(ParamOutOfRegimeError):
+                guarded(18, 0.6, 4)
+            with pytest.raises(ParamOutOfRegimeError):
+                guarded(18, 0.5, 2)
 
 
 class TestLemma6:
     def test_reference_points(self):
-        assert lemma6_check(30, 6.0).holds
-        assert lemma6_check(5, 10.0).holds
+        assert erlang_tail_upper(30, 180.0) <= lemma6_bound(30, 6.0)
+        assert erlang_tail_upper(5, 50.0) <= lemma6_bound(5, 10.0)
 
     def test_m1_closed_form(self):
-        result = lemma6_check(1, 6.0)
-        assert result.exact_tail == pytest.approx(math.exp(-6.0), rel=1e-10)
-        assert result.bound == pytest.approx(math.exp(-3.0), rel=1e-12)
-        assert result.holds
+        exact = erlang_tail_upper(1, 6.0)
+        bound = lemma6_bound(1, 6.0)
+        assert exact == pytest.approx(math.exp(-6.0), rel=1e-10)
+        assert bound == pytest.approx(math.exp(-3.0), rel=1e-12)
+        assert exact <= bound
 
     def test_grid(self):
         for m in (5, 10, 30, 50):
             for c in (6.0, 8.0, 10.0):
-                result = lemma6_check(m, c)
-                assert result.holds, (m, c, result)
-                assert result.exact_tail > 0.0  # no underflow to zero
+                exact, bound = erlang_tail_upper(m, c * m), lemma6_bound(m, c)
+                assert exact <= bound, (m, c, exact, bound)
+                assert exact > 0.0  # no underflow to zero
 
 
 class TestMonteCarlo:
     def test_erlang_m1_matches_closed_form(self):
-        result = monte_carlo_tail(ErlangQuery(1, 1.0, 1.0), 100_000, seed=7)
+        probability, _ = monte_carlo_lower(1, 1.0, 100_000, seed=7)
         exact = 1 - math.exp(-1)
         sigma = math.sqrt(exact * (1 - exact) / 100_000)
-        assert abs(result.probability - exact) <= 3 * sigma
+        assert abs(probability - exact) <= 3 * sigma
 
     def test_erlang_bounded_by_lemma4(self):
-        result = monte_carlo_tail(ErlangQuery(5, 1.0, 1.25), 100_000, seed=11)
-        assert result.probability <= lemma4_bound(5, 0.25) + 3 * result.std_error
+        probability, std_error = monte_carlo_lower(5, 1.25, 100_000, seed=11)
+        assert probability <= lemma4_bound(5, 0.25) + 3 * std_error
 
     def test_geometric_sum_bounded_by_lemma5(self):
-        query = GeometricSumQuery(a=1.0, delta=0.5, k=4, big_m=18.0)
-        result = monte_carlo_tail(query, 100_000, seed=3)
-        assert result.probability <= lemma5_bound(18.0, 0.5, 4) + 3 * result.std_error
-
-    def test_scaling_property(self):
-        # mean-A sums at threshold A*x behave like mean-1 sums at x
-        exact = erlang_cdf_lower(4, 3.0)
-        result = monte_carlo_tail(ErlangQuery(4, 7.0, 21.0), 100_000, seed=5)
-        sigma = math.sqrt(exact * (1 - exact) / 100_000)
-        assert abs(result.probability - exact) <= 3 * sigma
+        probability, std_error = monte_carlo_geometric(0.5, 4, 18.0, 100_000, seed=3)
+        assert probability <= lemma5_bound(18.0, 0.5, 4) + 3 * std_error
 
     def test_sample_floor(self):
         with pytest.raises(ValueError):
-            monte_carlo_tail(ErlangQuery(1, 1.0, 1.0), 9_999, seed=0)
+            monte_carlo_lower(1, 1.0, 9_999, seed=0)
+        with pytest.raises(ValueError):
+            monte_carlo_geometric(0.5, 4, 18.0, 9_999, seed=0)
 
     def test_deterministic_in_seed(self):
-        query = ErlangQuery(3, 1.0, 2.0)
-        a = monte_carlo_tail(query, 20_000, seed=42)
-        b = monte_carlo_tail(query, 20_000, seed=42)
+        a = monte_carlo_lower(3, 2.0, 20_000, seed=42)
+        b = monte_carlo_lower(3, 2.0, 20_000, seed=42)
         assert a == b
 
     def test_truncation_budget(self):
-        query = GeometricSumQuery(a=1.0, delta=0.5, k=4, big_m=18.0)
-        r = query.r
-        discarded = 1.0 / (r ** (query.truncation - 1) * (r - 1.0))
+        r, terms = tail_bounds._geometric_terms(0.5, 4)
+        discarded = 1.0 / (r ** (terms - 1) * (r - 1.0))
         assert discarded < 1e-12
 
 
 class TestQueries:
     def test_geometric_defaults(self):
-        query = GeometricSumQuery(a=2.0, delta=0.5, k=10, big_m=20.0)
-        assert query.r == pytest.approx(1 + 0.5 / math.log(10), rel=1e-12)
-        assert query.threshold == pytest.approx(20.0 * 2.0 * math.log(10) / 0.5, rel=1e-12)
-
-    def test_ratio_and_truncation_are_derived(self):
-        for name in ("r", "truncation"):
-            with pytest.raises(TypeError):
-                GeometricSumQuery(a=1.0, delta=0.5, k=4, big_m=18.0, **{name: 2})
+        r, _ = tail_bounds._geometric_terms(0.5, 10)
+        assert r == pytest.approx(1 + 0.5 / math.log(10), rel=1e-12)
+        threshold = lemma5_threshold(20.0, 0.5, 10)
+        assert threshold == pytest.approx(20.0 * math.log(10) / 0.5, rel=1e-12)
 
     def test_guards(self):
         with pytest.raises(ParamOutOfRegimeError):
-            GeometricSumQuery(a=1.0, delta=0.7, k=10, big_m=20.0)
+            monte_carlo_geometric(0.7, 10, 20.0, 10_000, seed=0)
         with pytest.raises(ValueError):
-            ErlangQuery(3, -1.0, 2.0)
+            monte_carlo_lower(3, -1.0, 10_000, seed=0)
+        with pytest.raises(ValueError):
+            monte_carlo_lower(0, 2.0, 10_000, seed=0)
