@@ -10,10 +10,14 @@ absorbing terminal.  Chaining the deactivating reaches end-to-end (and
 merging consecutive ones through the same terminal) yields a witness walk
 whose length bounds the contracted distance of the pair from above.
 
-A trial's trace is validated and indexed by vertex once (:func:`index_trace`);
-each pair then visits only the batches that assign its interior vertices.
-Detours are built only for the merged chain a witness walk uses, one per
-merged range, from the terminals' canonical labels.
+A trial's trace is validated and indexed by vertex once (:func:`index_trace`).
+A reach never leaves its cell, so a cell's replay depends only on its vertex
+sequence and the trace; pairs share most of their cells, and each trial
+replays every distinct cell once (:func:`_replay_cell`), visiting only the
+batches that assign its vertices.  The many-event counts and the witness
+walks' lengths are read from those replays; reach logs and walks are built
+only when a caller asks for them, one detour per merged range, from the
+terminals' canonical labels.
 
 Also here: the bad-event detectors over traces (assigned to a far terminal;
 assigned too early relative to the vertex's terminal distance; too many
@@ -26,7 +30,9 @@ import math
 import statistics
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import groupby
+from operator import itemgetter
 
 from .ball_growing import GrowthParams, RunTrace, run
 from .errors import IncompleteCellsError, TraceMismatchError
@@ -209,57 +215,115 @@ def index_trace(inst: Instance, trace: RunTrace) -> TraceIndex:
     return TraceIndex(batch_of, batch_terminal)
 
 
+def _replay_cell(index: TraceIndex, vertices: tuple[int, ...]):
+    """Replay a trial's batches against one cell's vertex sequence.
+
+    Returns ``(reaches, cover)``.  ``reaches`` lists the cell's reaches in
+    batch order as ``(batch, terminal, first, last)``, positions counted
+    from the cell's first vertex: a batch that hits active positions
+    deactivates the whole range between its first and last such hit.  A
+    batch touching only inactive positions is not a reach.  ``cover[q]``
+    is the index in ``reaches`` of the reach that deactivated position q,
+    or None while q stays active.  A reach never leaves its cell, so the
+    result depends on the vertex sequence and the trace only.
+    """
+    batch_of = index.batch_of
+    hits = sorted((batch_of[v], q) for q, v in enumerate(vertices) if batch_of[v] >= 0)
+    reaches = []
+    cover = [None] * len(vertices)
+    for batch, group in groupby(hits, key=itemgetter(0)):
+        active = [q for _, q in group if cover[q] is None]
+        if active:
+            r = len(reaches)
+            reaches.append((batch, index.batch_terminal[batch], active[0], active[-1]))
+            for q in range(active[0], active[-1] + 1):
+                if cover[q] is None:
+                    cover[q] = r
+    return reaches, cover
+
+
+def _cover_chain(reaches, cover):
+    """The deactivating reaches that tile a cell, as (terminal, first, last).
+
+    Following the reach that deactivated the current position always
+    resumes exactly where the previous one stopped.  None if a position
+    is still active.
+    """
+    if None in cover:
+        return None
+    chain = []
+    pos = 0
+    while pos < len(cover):
+        _, terminal, first, last = reaches[cover[pos]]
+        if first != pos:
+            raise AssertionError("deactivation chain broke; cover ranges must tile each cell")
+        chain.append((terminal, first, last))
+        pos = last + 1
+    return chain
+
+
+def _replay_pairs(inst: Instance, index: TraceIndex, cells: dict[tuple[int, int], list[PathCell]]):
+    """Every pair's cells replayed, each distinct vertex sequence once.
+
+    Maps each pair to one ``(reaches, cover, distinct, chain)`` per cell:
+    :func:`_replay_cell`'s result, the number of distinct terminals that
+    reach the cell, and its :func:`_cover_chain`.  Pairs share most of
+    their cells, so the replays are shared too.
+    """
+    memo = {}
+    replays = {}
+    for (i, j), pair_cells in cells.items():
+        path = inst.terminal_path(i, j)
+        pair_replays = replays[(i, j)] = []
+        for cell in pair_cells:
+            vertices = path[cell.start : cell.end + 1]
+            replay = memo.get(vertices)
+            if replay is None:
+                reaches, cover = _replay_cell(index, vertices)
+                replay = memo[vertices] = (
+                    reaches,
+                    cover,
+                    len({reach[1] for reach in reaches}),
+                    _cover_chain(reaches, cover),
+                )
+            pair_replays.append(replay)
+    return replays
+
+
+def _reach_log(pair, path, cells, replays) -> ReachLog:
+    """A pair's :class:`ReachLog` from its cells' replays, in cell order.
+
+    ``order`` numbers the pair's reaches by (batch, cell index).
+    """
+    log = ReachLog(pair, path, cells, [[] for _ in cells], {}, True)
+    numbered = sorted(
+        (reach[0], ci, r) for ci, replay in enumerate(replays) for r, reach in enumerate(replay[0])
+    )
+    for order, (_, ci, r) in enumerate(numbered):
+        _, terminal, first, last = replays[ci][0][r]
+        start = cells[ci].start
+        log.reaches[ci].append(Reach(order, terminal, start + first, start + last))
+    for cell, replay, reaches in zip(cells, replays, log.reaches):
+        for offset, r in enumerate(replay[1]):
+            if r is not None:
+                log.cover[cell.start + offset] = reaches[r]
+    # The cover holds every deactivated interior index and nothing else.
+    log.fully_deactivated = len(log.cover) == len(path) - 2
+    return log
+
+
 def track_reaches(
     inst: Instance, index: TraceIndex, i: int, j: int, cells: list[PathCell]
 ) -> ReachLog:
     """Replay a trial's batches against one pair's cells and log every reach.
 
-    Batches are processed in run order, after one batch per interior vertex
-    that is itself a terminal, so those trigger their own singleton reaches
-    up front.  A batch touching only inactive vertices of a cell is not a
-    reach.  Only batches that assign an interior vertex can reach a cell, so
-    the interior indices are grouped by batch and nothing else is visited.
+    Each cell is replayed on its own (:func:`_replay_cell`).  Batches run
+    in run order, after one batch per interior vertex that is itself a
+    terminal, so those trigger their own singleton reaches up front.
     """
     path = inst.terminal_path(i, j)
-    last = len(path) - 1
-    log = ReachLog((i, j), path, cells, [[] for _ in cells], {}, True)
-    if last < 2:
-        return log
-
-    cell_at = [-1] * last
-    for ci, cell in enumerate(cells):
-        for q in range(cell.start, cell.end + 1):
-            cell_at[q] = ci
-    batch_of = index.batch_of
-    hits = sorted(
-        (batch_of[path[q]], q)
-        for q in range(1, last)
-        if cell_at[q] >= 0 and batch_of[path[q]] >= 0
-    )
-    active = [False] + [True] * (last - 1)
-    order = 0
-    for batch, group in groupby(hits, key=lambda hit: hit[0]):
-        spans: dict[int, list[int]] = {}  # cell -> [first, last] active hit
-        for _, q in group:
-            if active[q]:
-                span = spans.get(cell_at[q])
-                if span is None:
-                    spans[cell_at[q]] = [q, q]
-                else:
-                    span[1] = q
-        terminal = index.batch_terminal[batch]
-        for ci in sorted(spans):
-            q_min, q_max = spans[ci]
-            reach = Reach(order, terminal, q_min, q_max)
-            order += 1
-            log.reaches[ci].append(reach)
-            for q in range(q_min, q_max + 1):
-                if active[q]:
-                    active[q] = False
-                    log.cover[q] = reach
-
-    log.fully_deactivated = not any(active[1:last])
-    return log
+    replays = [_replay_cell(index, path[cell.start : cell.end + 1]) for cell in cells]
+    return _reach_log((i, j), path, cells, replays)
 
 
 def merge_detours(reaches: list[Reach]) -> list[Reach]:
@@ -283,11 +347,13 @@ def merge_detours(reaches: list[Reach]) -> list[Reach]:
     return merged
 
 
-def _detour_length(inst: Instance, path: tuple[int, ...], reach: Reach) -> float:
-    """Length of the reach's detour: into its terminal, back out, then the exit edge."""
-    row = inst.row(reach.terminal)
-    first, last = path[reach.q_min], path[reach.q_max]
-    return row[first] + row[last] + inst.graph.edge_weight(last, path[reach.q_max + 1])
+def _detour_length(
+    inst: Instance, path: tuple[int, ...], terminal: int, q_min: int, q_max: int
+) -> float:
+    """Length of the detour for [q_min, q_max]: into the terminal, back out, then the exit edge."""
+    row = inst.row(terminal)
+    first, last = path[q_min], path[q_max]
+    return row[first] + row[last] + inst.graph.edge_weight(last, path[q_max + 1])
 
 
 def _make_detour(inst: Instance, path: tuple[int, ...], reach: Reach) -> TerminalDetour:
@@ -299,7 +365,7 @@ def _make_detour(inst: Instance, path: tuple[int, ...], reach: Reach) -> Termina
         reach.q_max,
         j,
         inst.path(j, first)[::-1] + inst.path(j, last)[1:] + (path[reach.q_max + 1],),
-        _detour_length(inst, path, reach),
+        _detour_length(inst, path, j, reach.q_min, reach.q_max),
     )
 
 
@@ -347,14 +413,28 @@ def build_detour_path(inst: Instance, i: int, j: int, log: ReachLog) -> DetourPa
     return DetourPath(tuple(vertices), total, detours)
 
 
-def _detour_path_length(inst: Instance, log: ReachLog) -> float:
-    """``build_detour_path(...).length``, the same float, without the walk."""
-    path = log.path
+def _pair_detour_length(inst: Instance, pair, cells, replays) -> float:
+    """``build_detour_path(...).length``, the same float, from the cells' replays.
+
+    The sum starts at the first path edge and follows the cells' cover
+    chains in order.  Consecutive entries through one terminal fuse into
+    one detour; the chains tile the interior, so they always abut, as
+    :func:`merge_detours` requires.
+    """
+    path = inst.terminal_path(*pair)
     total = inst.graph.edge_weight(path[0], path[1])
-    if len(path) < 3:
-        return total
-    for reach in _detour_chain(log):
-        total += _detour_length(inst, path, reach)
+    runs = []  # [terminal, q_min, q_max] of each fused detour
+    for cell, (_, _, _, chain) in zip(cells, replays):
+        if chain is None:
+            raise IncompleteCellsError(f"pair {pair} has active cells left")
+        start = cell.start
+        for terminal, first, last in chain:
+            if runs and runs[-1][0] == terminal:
+                runs[-1][2] = start + last
+            else:
+                runs.append([terminal, start + first, start + last])
+    for terminal, q_min, q_max in runs:
+        total += _detour_length(inst, path, terminal, q_min, q_max)
     return total
 
 
@@ -365,7 +445,20 @@ class BadEventReport:
     many_events: list[tuple[tuple[int, int], int, int, int, float]] = field(
         default_factory=list
     )
-    reach_logs: dict[tuple[int, int], ReachLog] = field(default_factory=dict)
+    # (instance, cells, replays) of the trial, as :func:`detect_bad_events`
+    # replayed them; ``reach_logs`` is assembled from them on first read.
+    _replayed: tuple | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def reach_logs(self) -> dict[tuple[int, int], ReachLog]:
+        """Each pair's :class:`ReachLog`, as :func:`track_reaches` logs it."""
+        if self._replayed is None:
+            return {}
+        inst, cells, replays = self._replayed
+        return {
+            pair: _reach_log(pair, inst.terminal_path(*pair), pair_cells, replays[pair])
+            for pair, pair_cells in cells.items()
+        }
 
     def counts(self) -> dict[str, int]:
         return {
@@ -418,7 +511,8 @@ def detect_bad_events(
     if cells is None:
         cells = partition_pairs(inst, params)
     index = index_trace(inst, trace)
-    report = BadEventReport()
+    far_events = []
+    early_events = []
     nearest = inst.nearest_terminal_distances()
     log_k = math.log(inst.k)
     means = [trace.base_mean]
@@ -428,22 +522,19 @@ def detect_bad_events(
         far_threshold = params.c1 * dv
         dist = inst.row(event.terminal)[event.vertex]
         if dist >= far_threshold:
-            report.far_events.append((event.vertex, event.terminal, dist, far_threshold))
+            far_events.append((event.vertex, event.terminal, dist, far_threshold))
         z = params.c2 * dv * params.delta / log_k
         if event.round_index <= _round_of(means, trace.growth_rate, z):
-            report.early_events.append((event.vertex, event.round_mean, z))
+            early_events.append((event.vertex, event.round_mean, z))
 
     many_threshold = params.c3 * log_k
-    for (i, j), pair_cells in cells.items():
-        log = track_reaches(inst, index, i, j, pair_cells)
-        report.reach_logs[(i, j)] = log
-        for ci, cell in enumerate(pair_cells):
-            distinct = len({reach.terminal for reach in log.reaches[ci]})
+    many_events = []
+    replays = _replay_pairs(inst, index, cells)
+    for pair, pair_cells in cells.items():
+        for cell, (_, _, distinct, _) in zip(pair_cells, replays[pair]):
             if distinct >= many_threshold:
-                report.many_events.append(
-                    ((i, j), cell.start, cell.end, distinct, many_threshold)
-                )
-    return report
+                many_events.append((pair, cell.start, cell.end, distinct, many_threshold))
+    return BadEventReport(far_events, early_events, many_events, (inst, cells, replays))
 
 
 def distortion_bound_coefficient(params: GrowthParams) -> float:
@@ -538,11 +629,13 @@ def run_experiment(
         pairs = 0
         violations = 0
         slack = math.inf
-        # Both in (i, j) order: the logs sorted, the distortion rows as built.
-        logs = sorted(report.reach_logs.items())
-        for (_, log), (_, _, _, d1, _) in zip(logs, dist_result.pairs, strict=True):
+        replays = report._replayed[2]
+        # Both in (i, j) order: the cells sorted, the distortion rows as built.
+        for (pair, pair_cells), (_, _, _, d1, _) in zip(
+            sorted(cells.items()), dist_result.pairs, strict=True
+        ):
             pairs += 1
-            margin = _detour_path_length(work, log) - d1
+            margin = _pair_detour_length(work, pair, pair_cells, replays[pair]) - d1
             slack = min(slack, margin)
             if margin < 0:
                 violations += 1

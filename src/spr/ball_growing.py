@@ -23,6 +23,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import struct
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -136,29 +137,69 @@ class SubstreamSampler:
     ``Philox`` generator keyed by ``[seed, round * 2**32 + terminal]``,
     computed here on Python ints: 10 Philox4x64 rounds on the counter
     ``[1, 0, 0, 0]``, then the top 53 bits of the first output word.
+
+    A round's terminals are computed together: lane j of each Python int
+    holds terminal j's state in bits [128 j, 128 j + 64).  A lane's product
+    with a 64-bit multiplier stays below 2**128 and its key sum below
+    2**65, so no carry reaches the next lane, and one big-int operation
+    advances every lane.  :meth:`uniform` is the one-lane case.
     """
 
     def __init__(self, seed: int):
         self.seed = seed
         # The seed's key word for rounds 2..10; round 1 uses the seed itself.
         self._seed_keys = tuple((seed + r * _PHILOX_W0) & _MASK64 for r in range(1, 10))
+        self._lanes = {}  # lane count -> its constants, see _lane_constants
 
     def uniform(self, round_index: int, terminal: int) -> float:
         if not 0 <= terminal < 2**32:
             raise ValueError("terminal index exceeds the key lane")
         if not 0 <= round_index < 2**32:
             raise ValueError("round index exceeds the key lane")
-        key = (round_index << 32) | terminal
+        return self._philox((round_index << 32) | terminal, 1)[0]
+
+    def uniforms(self, round_index: int, k: int) -> list[float]:
+        """``[uniform(round_index, j) for j in range(k)]``, in one pass."""
+        if not 0 <= k - 1 < 2**32:
+            raise ValueError("terminal index exceeds the key lane")
+        if not 0 <= round_index < 2**32:
+            raise ValueError("round index exceeds the key lane")
+        return self._philox(round_index << 32, k)
+
+    def _lane_constants(self, n: int):
+        """n lanes' constants: the lane units, the keys' lane offsets 0..n-1,
+        the 64-bit lane mask, the Weyl key increment and seed keys in every
+        lane, and the reader of each lane's low word."""
+        constants = self._lanes.get(n)
+        if constants is None:
+            ones = int.from_bytes((b"\x01" + bytes(15)) * n, "little")
+            constants = self._lanes[n] = (
+                ones,
+                sum(j << (128 * j) for j in range(n)),
+                _MASK64 * ones,
+                _PHILOX_W1 * ones,
+                tuple(seed_key * ones for seed_key in self._seed_keys),
+                struct.Struct("<" + "Q8x" * n).unpack,
+            )
+        return constants
+
+    def _philox(self, base_key: int, n: int) -> list[float]:
+        """The uniforms of the n keys ``base_key + j``, lane j holding key j."""
+        ones, offsets, mask, w1, seed_keys, unpack = self._lane_constants(n)
+        key = base_key * ones + offsets
         # Round 1: counter [1, 0, 0, 0] makes both products constants.
-        x0, x1, x2, x3 = self.seed, 0, key, _PHILOX_M0
-        for seed_key in self._seed_keys:
-            key = (key + _PHILOX_W1) & _MASK64
+        x0, x1, x2, x3 = self.seed * ones, 0, key, _PHILOX_M0 * ones
+        for seed_key in seed_keys:
+            key = (key + w1) & mask
             p = _PHILOX_M0 * x0
             q = _PHILOX_M1 * x2
             x0, x1, x2, x3 = (
-                (q >> 64) ^ x1 ^ seed_key, q & _MASK64, (p >> 64) ^ x3 ^ key, p & _MASK64
+                ((q >> 64) & mask) ^ x1 ^ seed_key,
+                q & mask,
+                ((p >> 64) & mask) ^ x3 ^ key,
+                p & mask,
             )
-        return (x0 >> 11) * 2.0**-53
+        return [(x >> 11) * 2.0**-53 for x in unpack(x0.to_bytes(16 * n, "little"))]
 
 
 def _exponential(mean: float, u: float) -> float:
@@ -267,12 +308,18 @@ def run(inst: Instance, params: GrowthParams) -> tuple[TerminalPartition, RunTra
     """Grow balls until every vertex is assigned; return partition and trace.
 
     Deterministic in (inst, params.seed).  When coverage completes in the
-    middle of a round, the remaining terminals of that round draw nothing.
+    middle of a round, the remaining terminals of that round draw nothing:
+    their uniforms are computed with the round's first draw but never
+    recorded.
     """
     sampler = SubstreamSampler(params.seed)
+    uniforms = []
 
     def next_increment(round_index: int, terminal: int, mean: float) -> float:
-        return _exponential(mean, sampler.uniform(round_index, terminal))
+        nonlocal uniforms
+        if terminal == 0:  # a round's first draw: compute all k of its uniforms
+            uniforms = sampler.uniforms(round_index, inst.k)
+        return _exponential(mean, uniforms[terminal])
 
     return _run_loop(inst, params, next_increment)
 

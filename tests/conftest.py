@@ -4,8 +4,9 @@ The oracles here deliberately avoid the library's own algorithms:
 all-pairs distances come from Floyd-Warshall, canonical paths from
 exhaustive simple-path enumeration, plain rows and the bounded skeleton
 search from a binary heap of (distance, vertex) pairs, the trace JSON
-from ``json.dumps`` of ``trace_to_dict``, and the exact minor's branch-set
-model from breadth-first search and Floyd-Warshall.
+from ``json.dumps`` of ``trace_to_dict``, the exact minor's branch-set
+model from breadth-first search and Floyd-Warshall, and the bad-event
+analysis from a per-event reach replay of each pair on its own.
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ import math
 import random
 from collections import deque
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 
 import pytest
 
-from spr import Instance, TerminalPartition, build_graph
+from spr import Instance, TerminalPartition, build_graph, contract, exact_minor, path_partition, run
 from spr.cli import main
 from spr.preprocess import FLOAT_REL_TOL
 
@@ -217,11 +219,10 @@ def replay_reaches(inst, trace, i, j, cells):
     return reaches, cover, not any(active[1:last])
 
 
-def eager_walk_length(inst, path, cells, cover):
-    """Detour walk length with each inbound leg read from its path vertex's row.
+def fused_cover_chain(cells, cover):
+    """The covering reaches cell by cell, abutting ones through one terminal fused.
 
-    Chains the covering reaches cell by cell, fuses abutting ones through
-    the same terminal, and sums the legs in the order the walk takes them.
+    Returns [terminal, q_min, q_max] per detour, in walk order.
     """
     chain = []
     for cell in cells:
@@ -233,13 +234,58 @@ def eager_walk_length(inst, path, cells, cover):
             else:
                 chain.append([terminal, q_min, q_max])
             pos = q_max + 1
+    return chain
+
+
+def eager_walk_length(inst, path, cells, cover):
+    """Detour walk length with each inbound leg read from its path vertex's row.
+
+    Sums the legs of :func:`fused_cover_chain` in the order the walk takes them.
+    """
     g = inst.graph
     total = g.edge_weight(path[0], path[1])
-    for terminal, q_min, q_max in chain:
+    for terminal, q_min, q_max in fused_cover_chain(cells, cover):
         t = inst.terminals[terminal]
         legs = heap_dijkstra(g, path[q_min])[t] + heap_dijkstra(g, t)[path[q_max]]
         total += legs + g.edge_weight(path[q_max], path[q_max + 1])
     return total
+
+
+def per_pair_experiment(inst, params, trials, preprocess=True):
+    """Per trial of ``run_experiment``: (many, detour_violations, min_detour_slack).
+
+    The literal per-pair loop: every pair's cells are replayed on their own
+    by :func:`replay_reaches`, a cell counts as a many event when at least
+    c3 ln k distinct terminals reach it, and each pair's detour length adds,
+    per detour of :func:`fused_cover_chain`, both legs from the terminal's
+    row plus the exit edge, in walk order after the first path edge.
+    """
+    work = exact_minor(inst).minor if preprocess else inst
+    threshold = params.c3 * math.log(work.k)
+    g = work.graph
+    results = []
+    for trial in range(trials):
+        trial_params = replace(params, seed=params.seed + trial)
+        part, trace = run(work, trial_params)
+        minor_dist = contract(work, part).all_distances()
+        many = violations = 0
+        slack = math.inf
+        for i in range(work.k):
+            for j in range(i + 1, work.k):
+                path = work.terminal_path(i, j)
+                cells = path_partition(work, i, j, trial_params)
+                reaches, cover, _ = replay_reaches(work, trace, i, j, cells)
+                many += sum(len({reach[1] for reach in cell}) >= threshold for cell in reaches)
+                length = g.edge_weight(path[0], path[1])
+                for terminal, q_min, q_max in fused_cover_chain(cells, cover):
+                    row = work.row(terminal)
+                    exit_edge = g.edge_weight(path[q_max], path[q_max + 1])
+                    length += row[path[q_min]] + row[path[q_max]] + exit_edge
+                margin = length - minor_dist[(i, j)]
+                slack = min(slack, margin)
+                violations += margin < 0
+        results.append((many, violations, slack))
+    return results
 
 
 def floyd_warshall(g):

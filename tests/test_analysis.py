@@ -1,5 +1,7 @@
 import math
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,7 @@ from spr.errors import IncompleteCellsError, TraceMismatchError
 from conftest import (
     NON_DYADIC_WEIGHTS,
     eager_walk_length,
+    per_pair_experiment,
     random_connected_instance,
     replay_reaches,
     reweighted,
@@ -193,7 +196,7 @@ class TestTrackReaches:
         assert middle[0].order == 0  # before any trace event
 
     def test_matches_literal_replay(self):
-        pairs = interior_terminal_pairs = 0
+        pairs = interior_terminal_pairs = wide_cells = many_cells = shared_cells = 0
         for inst, trace, params in oracle_cases():
             index = index_trace(inst, trace)
             for i in range(inst.k):
@@ -212,7 +215,12 @@ class TestTrackReaches:
                     assert log.fully_deactivated == complete
                     pairs += 1
                     interior_terminal_pairs += any(inst.is_terminal(v) for v in log.path[1:-1])
+                    wide_cells += sum(cell.end > cell.start for cell in cells)
+                    distinct = [len({r[1] for r in cell}) for cell in reaches]
+                    many_cells += sum(d >= params.c3 * math.log(inst.k) for d in distinct)
+                    shared_cells += sum(d >= 2 for d in distinct)
         assert pairs > 500 and interior_terminal_pairs > 20
+        assert wide_cells > 200 and many_cells > 1000 and shared_cells > 100
 
     def test_trace_mismatch(self, path3):
         cases = [
@@ -247,13 +255,17 @@ def synthetic_trace(inst, seed, keep=1.0):
     return make_trace(inst, events)
 
 
+# c2 = 5 and 40 give multi-vertex cells; c3 = 1/2 lets a cell's terminals be many.
+CELL_PARAMS = [GrowthParams(c2=c2, c3=0.5, seed=0) for c2 in (1.0 / 27.0, 5.0, 40.0)]
+
+
 def oracle_cases():
-    """(instance, trace, params) triples the one-pass tracker must replay exactly."""
-    wide = GrowthParams(c2=40.0, seed=0)  # multi-vertex cells
+    """(instance, trace, params) triples the per-cell replay must reproduce exactly."""
+    narrow, _, wide = CELL_PARAMS
     for seed in range(7):
         base = random_connected_instance(seed + 400, n=24, k=2 + seed)
         for inst in (base, exact_minor(base).minor, reweighted(base, NON_DYADIC_WEIGHTS, seed)):
-            for params in (PARAMS, wide):
+            for params in CELL_PARAMS:
                 _, trace = run(inst, GrowthParams(seed=seed + 11))
                 yield inst, trace, params
                 yield inst, synthetic_trace(inst, seed, keep=0.8), params
@@ -263,7 +275,7 @@ def oracle_cases():
     )
     for seed in range(4):
         yield line, synthetic_trace(line, seed), wide
-        yield line, synthetic_trace(line, seed, keep=0.5), PARAMS
+        yield line, synthetic_trace(line, seed, keep=0.5), narrow
     inst = heavy_path()
     for events in (
         [(1, 0, 0), (2, 0, 0), (3, 0, 0)],
@@ -273,7 +285,7 @@ def oracle_cases():
         [(1, 0, 0)],
     ):
         trace = make_trace(inst, [AssignmentEvent(v, t, r, 0.001, 501.0) for v, t, r in events])
-        yield inst, trace, PARAMS
+        yield inst, trace, narrow
 
 
 def _reach(q_min, q_max, terminal):
@@ -348,24 +360,27 @@ class TestBuildDetourPath:
         assert not log.fully_deactivated
         with pytest.raises(IncompleteCellsError):
             build_detour_path(inst, 0, 1, log)
-        with pytest.raises(IncompleteCellsError):
-            analysis._detour_path_length(inst, log)
+        replays = analysis._replay_pairs(inst, index_trace(inst, trace), {(0, 1): cells})
+        with pytest.raises(IncompleteCellsError, match=r"^pair \(0, 1\) has active cells left$"):
+            analysis._pair_detour_length(inst, (0, 1), cells, replays[(0, 1)])
 
     def test_length_without_the_walk_is_the_same_float(self):
         complete = incomplete = 0
         for inst, trace, params in oracle_cases():
             index = index_trace(inst, trace)
-            for i in range(inst.k):
-                for j in range(i + 1, inst.k):
-                    log = track_reaches(inst, index, i, j, path_partition(inst, i, j, params))
-                    if not log.fully_deactivated and len(log.path) > 2:
-                        with pytest.raises(IncompleteCellsError):
-                            analysis._detour_path_length(inst, log)
-                        incomplete += 1
-                        continue
-                    walk = build_detour_path(inst, i, j, log)
-                    assert analysis._detour_path_length(inst, log).hex() == walk.length.hex()
-                    complete += 1
+            cells = analysis.partition_pairs(inst, params)
+            replays = analysis._replay_pairs(inst, index, cells)
+            for pair, pair_cells in cells.items():
+                log = track_reaches(inst, index, *pair, pair_cells)
+                if not log.fully_deactivated and len(log.path) > 2:
+                    with pytest.raises(IncompleteCellsError):
+                        analysis._pair_detour_length(inst, pair, pair_cells, replays[pair])
+                    incomplete += 1
+                    continue
+                walk = build_detour_path(inst, *pair, log)
+                length = analysis._pair_detour_length(inst, pair, pair_cells, replays[pair])
+                assert length.hex() == walk.length.hex()
+                complete += 1
         assert complete > 300 and incomplete > 0
 
     def test_walk_edges_sum_to_length(self):
@@ -555,6 +570,81 @@ class TestRoundOf:
         assert _round_of([base_mean], rate, z) == self.literal(base_mean, rate, z)
 
 
+def experiment_instances():
+    """An integer and a non-dyadic float instance, each run raw and preprocessed."""
+    integer = random_connected_instance(8, n=40, k=6)
+    floats = reweighted(random_connected_instance(9, n=40, k=6), NON_DYADIC_WEIGHTS, 9)
+    for inst in (integer, floats):
+        for preprocess in (False, True):
+            yield inst, preprocess
+
+
+class TestReplayOncePerCell:
+    def test_experiment_matches_per_pair_oracle(self):
+        wide_cells = many = 0
+        for inst, preprocess in experiment_instances():
+            work = exact_minor(inst).minor if preprocess else inst
+            for params in CELL_PARAMS:
+                params = replace(params, seed=3)
+                report = analysis.run_experiment(inst, params, trials=2, preprocess=preprocess)
+                got = [
+                    (t.many, t.detour_violations, t.min_detour_slack.hex()) for t in report.trials
+                ]
+                expected = [
+                    (m, v, slack.hex())
+                    for m, v, slack in per_pair_experiment(inst, params, 2, preprocess)
+                ]
+                assert got == expected
+                cells = analysis.partition_pairs(work, params).values()
+                wide_cells += sum(cell.end > cell.start for pair in cells for cell in pair)
+                many += sum(t.many for t in report.trials)
+        assert wide_cells > 30 and many > 100
+
+    def test_runs_without_reach_objects(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a Reach or ReachLog was built")
+
+        for inst, preprocess in experiment_instances():
+            params = replace(CELL_PARAMS[2], seed=1)
+            expected = analysis.run_experiment(inst, params, trials=2, preprocess=preprocess)
+            with monkeypatch.context() as patch:
+                patch.setattr(analysis, "Reach", refused)
+                patch.setattr(analysis, "ReachLog", refused)
+                report = analysis.run_experiment(inst, params, trials=2, preprocess=preprocess)
+                work = exact_minor(inst).minor if preprocess else inst
+                _, trace = run(work, params)
+                bad_events = detect_bad_events(work, trace, params)
+                with pytest.raises(AssertionError, match="was built"):
+                    bad_events.reach_logs
+            assert report.trials == expected.trials
+
+    def test_each_distinct_cell_replayed_once_per_trial(self, monkeypatch):
+        replayed = []
+        replay_cell = analysis._replay_cell
+
+        def counting(index, vertices):
+            replayed.append(vertices)
+            return replay_cell(index, vertices)
+
+        monkeypatch.setattr(analysis, "_replay_cell", counting)
+        inst = exact_minor(random_connected_instance(8, n=40, k=6)).minor
+        params = CELL_PARAMS[2]
+        cells = analysis.partition_pairs(inst, params)
+        sequences = [
+            inst.terminal_path(*pair)[cell.start : cell.end + 1]
+            for pair, pair_cells in cells.items()
+            for cell in pair_cells
+        ]
+        assert len(set(sequences)) < len(sequences)  # pairs share cells
+        analysis.run_experiment(inst, params, trials=3, preprocess=False)
+        assert Counter(replayed) == {vertices: 3 for vertices in sequences}
+        # track_reaches replays through the same function, each of its cells once.
+        replayed.clear()
+        _, trace = run(inst, params)
+        track_reaches(inst, index_trace(inst, trace), 0, 1, cells[(0, 1)])
+        assert replayed == sequences[: len(cells[(0, 1)])]
+
+
 class TestOnePassPerTrial:
     def test_trace_checked_once_per_trial(self, monkeypatch):
         calls = []
@@ -634,6 +724,7 @@ class TestOnePassPerTrial:
         given_cells = detect_bad_events(inst, trace, params, cells)
         computed = detect_bad_events(inst, trace, params)
         assert given_cells == computed
+        assert given_cells.reach_logs == computed.reach_logs
         assert given_cells.reach_logs.keys() == cells.keys()
 
 

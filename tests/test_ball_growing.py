@@ -100,6 +100,23 @@ class TestSubstreams:
         with pytest.raises(ValueError, match=f"{lane} index exceeds the key lane"):
             SubstreamSampler(5).uniform(round_index, terminal)
 
+    @pytest.mark.parametrize("k", [1, 8, 32, 64])
+    def test_round_lanes_match_numpy_philox(self, k):
+        for seed in (0, 99, 2**64 - 1):
+            sampler = SubstreamSampler(seed)
+            for round_index in (0, 1, 453, 2**32 - 1):
+                expected = [self.numpy_uniform(seed, round_index, j) for j in range(k)]
+                assert sampler.uniforms(round_index, k) == expected, (seed, round_index)
+
+    @pytest.mark.parametrize(
+        "round_index, k, lane",
+        [(0, 2**32 + 1, "terminal"), (0, 0, "terminal"), (2**32, 1, "round"), (-1, 4, "round")],
+    )
+    def test_rounds_outside_their_lanes_are_refused(self, round_index, k, lane):
+        # Refused before any lane is built.
+        with pytest.raises(ValueError, match=f"{lane} index exceeds the key lane"):
+            SubstreamSampler(5).uniforms(round_index, k)
+
     def test_order_independent(self):
         a = SubstreamSampler(7)
         b = SubstreamSampler(7)

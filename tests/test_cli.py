@@ -450,6 +450,20 @@ class TestExperiment:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_golden_digest_non_dyadic(self, tmp_path):
+        # Float weights whose sums round, so min_slack pins the order of the
+        # detour additions; wide cells and a small c3 give many events.
+        graph = Path(__file__).parent / "data" / "golden-non-dyadic.txt"
+        table = tmp_path / "trials.csv"
+        code, out, _ = invoke(
+            ["experiment", "--graph", str(graph), "--trials", "3", "--seed", "2",
+             "--no-preprocess", "--c2", "5", "--c3", "0.5", "--csv", str(table)]
+        )
+        assert code == 0
+        assert '"many": 85' in out
+        digest = hashlib.sha256(out.encode() + table.read_bytes()).hexdigest()
+        assert digest == "341e3c250c9791addc7257fd4abf52bb10fb06e720ed7063a4ea86c1292a89d9"
+
 
 class TestTailcheck:
     def test_lemma6_suite(self):

@@ -69,11 +69,24 @@ class TestErlangCdf:
         with pytest.raises(ValueError):
             erlang_cdf_lower(2, -1.0)
 
-    def test_unconverged_series_raises(self):
-        # The series needs more than 10,000 terms here; cut off, it read
-        # 0.49926 where the CDF is 0.50004.
+    def test_unconverged_series_raises(self, monkeypatch):
+        monkeypatch.setattr(tail_bounds, "_MAX_ITER", 3)
         with pytest.raises(ParamOutOfRegimeError, match="power series did not converge"):
-            erlang_cdf_lower(10**7, 1e7)
+            erlang_cdf_lower(50, 40.0)
+
+    def test_shapes_past_the_tested_range_are_refused(self):
+        # Evaluated, this read 0.4997056535 where scipy gives 0.4997056346.
+        for tail in (erlang_cdf_lower, erlang_tail_upper):
+            with pytest.raises(ParamOutOfRegimeError, match="shape m=10000000 exceeds 1000"):
+                tail(10**7, 10**7 + 2)
+
+    def test_largest_tested_shape_is_accepted(self):
+        assert erlang_tail_upper(1000, 1002.0) == pytest.approx(
+            special.gammaincc(1000, 1002.0), abs=1e-12
+        )
+        assert erlang_cdf_lower(1000, 900.0) == pytest.approx(
+            special.gammainc(1000, 900.0), abs=1e-12
+        )
 
     def test_unconverged_continued_fraction_raises(self, monkeypatch):
         monkeypatch.setattr(tail_bounds, "_MAX_ITER", 3)
