@@ -17,18 +17,14 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "analysis": (
         "BadEventReport",
-        "DetourPath",
         "PathCell",
         "Reach",
         "ReachLog",
-        "TerminalDetour",
         "TraceIndex",
-        "build_detour_path",
         "detect_bad_events",
         "distortion_bound",
         "distortion_bound_coefficient",
         "index_trace",
-        "merge_detours",
         "path_partition",
         "run_experiment",
         "track_reaches",

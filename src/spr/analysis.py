@@ -7,7 +7,7 @@ then records, per cell, which terminals "reach" it: an assignment batch that
 hits still-active cell vertices deactivates the whole index range between
 its first and last hit, and its detour bypasses that range through the
 absorbing terminal.  Chaining the deactivating reaches end-to-end (and
-merging consecutive ones through the same terminal) yields a witness walk
+fusing consecutive ones through the same terminal) gives a witness walk
 whose length bounds the contracted distance of the pair from above.
 
 A trial's trace is validated and indexed by vertex once (:func:`index_trace`).
@@ -15,9 +15,10 @@ A reach never leaves its cell, so a cell's replay depends only on its vertex
 sequence and the trace; pairs share most of their cells, and each trial
 replays every distinct cell once (:func:`_replay_cell`), visiting only the
 batches that assign its vertices.  The many-event counts and the witness
-walks' lengths are read from those replays; reach logs and walks are built
-only when a caller asks for them, one detour per merged range, from the
-terminals' canonical labels.
+walks' lengths (:func:`_pair_detour_length`) are read from those replays:
+``spr experiment`` sums each walk's detours and builds no walk.  The walks
+themselves exist only in the test suite, as the oracle for those lengths.
+Reach logs are built only when a caller asks for them.
 
 Also here: the bad-event detectors over traces (assigned to a far terminal;
 assigned too early relative to the vertex's terminal distance; too many
@@ -42,18 +43,14 @@ from .preprocess import exact_minor
 
 __all__ = [
     "PathCell",
-    "TerminalDetour",
     "Reach",
     "ReachLog",
-    "DetourPath",
     "BadEventReport",
     "TraceIndex",
     "path_partition",
     "partition_pairs",
     "index_trace",
     "track_reaches",
-    "merge_detours",
-    "build_detour_path",
     "detect_bad_events",
     "distortion_bound",
     "distortion_bound_coefficient",
@@ -84,22 +81,6 @@ class PathCell:
 
 
 @dataclass(frozen=True)
-class TerminalDetour:
-    """Replacement walk for indices [q_min, q_max]: into the terminal and back.
-
-    The walk is inbound (v_{q_min} -> t), outbound (t -> v_{q_max}), then the
-    path edge to v_{q_max + 1}.  The inbound leg is the canonical
-    t -> v_{q_min} path reversed.
-    """
-
-    q_min: int
-    q_max: int
-    terminal: int
-    vertices: tuple[int, ...]
-    length: float
-
-
-@dataclass(frozen=True)
 class Reach:
     order: int
     terminal: int
@@ -115,13 +96,6 @@ class ReachLog:
     reaches: list[list[Reach]]  # indexed like cells
     cover: dict[int, Reach]  # interior index -> the reach that deactivated it
     fully_deactivated: bool
-
-
-@dataclass(frozen=True)
-class DetourPath:
-    vertices: tuple[int, ...]
-    length: float
-    detours: tuple[TerminalDetour, ...]
 
 
 @dataclass(frozen=True)
@@ -326,27 +300,6 @@ def track_reaches(
     return _reach_log((i, j), path, cells, replays)
 
 
-def merge_detours(reaches: list[Reach]) -> list[Reach]:
-    """Fuse consecutive reaches with adjacent ranges and the same terminal.
-
-    Merging replaces the middle excursion with a single pass through the
-    shared terminal; it repeats until no adjacent same-terminal pair is
-    left.  Ranges that do not abut are never merged.  A merged reach keeps
-    the first one's order and spans from its q_min to the last one's q_max.
-    """
-    merged: list[Reach] = []
-    for reach in reaches:
-        while (
-            merged
-            and merged[-1].terminal == reach.terminal
-            and merged[-1].q_max + 1 == reach.q_min
-        ):
-            first = merged.pop()
-            reach = Reach(first.order, first.terminal, first.q_min, reach.q_max)
-        merged.append(reach)
-    return merged
-
-
 def _detour_length(
     inst: Instance, path: tuple[int, ...], terminal: int, q_min: int, q_max: int
 ) -> float:
@@ -356,70 +309,15 @@ def _detour_length(
     return row[first] + row[last] + inst.graph.edge_weight(last, path[q_max + 1])
 
 
-def _make_detour(inst: Instance, path: tuple[int, ...], reach: Reach) -> TerminalDetour:
-    """The reach's detour, both legs read from the terminal's canonical labels."""
-    j = reach.terminal
-    first, last = path[reach.q_min], path[reach.q_max]
-    return TerminalDetour(
-        reach.q_min,
-        reach.q_max,
-        j,
-        inst.path(j, first)[::-1] + inst.path(j, last)[1:] + (path[reach.q_max + 1],),
-        _detour_length(inst, path, j, reach.q_min, reach.q_max),
-    )
-
-
-def _detour_chain(log: ReachLog) -> list[Reach]:
-    """The merged deactivating reaches a pair's witness walk detours through.
-
-    Within each cell the chain follows the reach that deactivated the
-    current index, which always resumes exactly where the previous detour
-    stopped; cells abut, so the chain spans the whole interior.
-    """
-    if not log.fully_deactivated:
-        raise IncompleteCellsError(f"pair {log.pair} has active cells left")
-    chain: list[Reach] = []
-    for cell in log.cells:
-        pos = cell.start
-        while pos <= cell.end:
-            reach = log.cover[pos]
-            if reach.q_min != pos:
-                raise AssertionError(
-                    "deactivation chain broke; cover ranges must tile each cell"
-                )
-            chain.append(reach)
-            pos = reach.q_max + 1
-    return merge_detours(chain)
-
-
-def build_detour_path(inst: Instance, i: int, j: int, log: ReachLog) -> DetourPath:
-    """Concatenate deactivating detours into a terminal-to-terminal walk.
-
-    The walk starts with the first path edge, follows :func:`_detour_chain`
-    and is generally not simple.  Its length is an upper bound on the
-    contracted distance of the pair.  Detours are built once per merged
-    range of the chain, each rooted at its terminal.
-    """
-    path = log.path
-    if len(path) < 3:
-        w = inst.graph.edge_weight(path[0], path[1])
-        return DetourPath((path[0], path[1]), w, ())
-    detours = tuple(_make_detour(inst, path, reach) for reach in _detour_chain(log))
-    vertices = [path[0]]
-    total = inst.graph.edge_weight(path[0], path[1])
-    for detour in detours:
-        vertices.extend(detour.vertices if len(vertices) == 1 else detour.vertices[1:])
-        total += detour.length
-    return DetourPath(tuple(vertices), total, detours)
-
-
 def _pair_detour_length(inst: Instance, pair, cells, replays) -> float:
-    """``build_detour_path(...).length``, the same float, from the cells' replays.
+    """Length of the pair's witness walk, summed from the cells' replays.
 
     The sum starts at the first path edge and follows the cells' cover
     chains in order.  Consecutive entries through one terminal fuse into
-    one detour; the chains tile the interior, so they always abut, as
-    :func:`merge_detours` requires.
+    one detour, which replaces the excursion between them with a single
+    pass through that terminal; the chains tile the interior, so
+    consecutive entries always abut.  Raises
+    :class:`IncompleteCellsError` if a cell has an active vertex left.
     """
     path = inst.terminal_path(*pair)
     total = inst.graph.edge_weight(path[0], path[1])

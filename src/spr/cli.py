@@ -184,9 +184,10 @@ def cmd_run(args) -> int:
 
 def cmd_eval(args) -> int:
     inst = load_instance(args.graph)
-    text = Path(args.partition).read_text()
     try:
-        payload = json.loads(text)
+        payload = json.loads(Path(args.partition).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InvalidPartitionError(f"{args.partition}: {exc}") from None
     except RecursionError:
         raise InvalidPartitionError(f"{args.partition}: JSON nested too deeply") from None
     if not (isinstance(payload, dict) and isinstance(payload.get("assignment"), list)):
@@ -475,7 +476,7 @@ def main(argv=None) -> int:
             return exc.code if isinstance(exc.code, int) else 2
         try:
             return args.handler(args)
-        except (SprError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (SprError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     finally:

@@ -62,7 +62,7 @@ class TraceMismatchError(SprError):
 
 
 class IncompleteCellsError(SprError):
-    """Detour construction requires every path cell to be fully deactivated."""
+    """A detour length needs every path cell of the pair fully deactivated."""
 
 
 class KappaTooLargeError(SprError):

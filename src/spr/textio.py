@@ -5,7 +5,7 @@ Line 2: k space-separated 0-based terminal ids.
 Then m lines ``u v w`` with w a decimal literal.
 
 Anything after ``#`` on a line is a comment; blank lines are skipped.
-Both LF and CRLF line endings are accepted.  Writing is canonical:
+Both LF and CRLF line endings are accepted, and files are read as UTF-8.  Writing is canonical:
 edges sorted by endpoints, weights in the shortest decimal form that
 round-trips.
 """
@@ -83,4 +83,8 @@ def format_graph_text(inst: Instance) -> str:
 
 
 def load_instance(path: str | Path) -> Instance:
-    return parse_graph_text(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{path}: {exc}") from None
+    return parse_graph_text(text)

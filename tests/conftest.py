@@ -237,6 +237,27 @@ def fused_cover_chain(cells, cover):
     return chain
 
 
+def detour_walk(inst, path, cells, cover):
+    """The pair's witness walk through the absorbing terminals: (vertices, length, detours).
+
+    The walk takes the first path edge, then per detour [terminal, q_min,
+    q_max] of :func:`fused_cover_chain` goes from v_{q_min} into the
+    terminal along its canonical path reversed, out along its canonical
+    path to v_{q_max}, and over the exit edge to v_{q_max + 1}.  The length
+    adds each detour's legs from the terminal's row, in walk order.
+    """
+    g = inst.graph
+    vertices = list(path[:2])
+    length = g.edge_weight(path[0], path[1])
+    detours = fused_cover_chain(cells, cover)
+    for terminal, q_min, q_max in detours:
+        first, last, after = path[q_min], path[q_max], path[q_max + 1]
+        vertices += inst.path(terminal, first)[-2::-1] + inst.path(terminal, last)[1:] + (after,)
+        row = inst.row(terminal)
+        length += row[first] + row[last] + g.edge_weight(last, after)
+    return tuple(vertices), length, detours
+
+
 def eager_walk_length(inst, path, cells, cover):
     """Detour walk length with each inbound leg read from its path vertex's row.
 
@@ -256,13 +277,11 @@ def per_pair_experiment(inst, params, trials, preprocess=True):
 
     The literal per-pair loop: every pair's cells are replayed on their own
     by :func:`replay_reaches`, a cell counts as a many event when at least
-    c3 ln k distinct terminals reach it, and each pair's detour length adds,
-    per detour of :func:`fused_cover_chain`, both legs from the terminal's
-    row plus the exit edge, in walk order after the first path edge.
+    c3 ln k distinct terminals reach it, and each pair's detour length is
+    that of its :func:`detour_walk`.
     """
     work = exact_minor(inst).minor if preprocess else inst
     threshold = params.c3 * math.log(work.k)
-    g = work.graph
     results = []
     for trial in range(trials):
         trial_params = replace(params, seed=params.seed + trial)
@@ -276,12 +295,7 @@ def per_pair_experiment(inst, params, trials, preprocess=True):
                 cells = path_partition(work, i, j, trial_params)
                 reaches, cover, _ = replay_reaches(work, trace, i, j, cells)
                 many += sum(len({reach[1] for reach in cell}) >= threshold for cell in reaches)
-                length = g.edge_weight(path[0], path[1])
-                for terminal, q_min, q_max in fused_cover_chain(cells, cover):
-                    row = work.row(terminal)
-                    exit_edge = g.edge_weight(path[q_max], path[q_max + 1])
-                    length += row[path[q_min]] + row[path[q_max]] + exit_edge
-                margin = length - minor_dist[(i, j)]
+                margin = detour_walk(work, path, cells, cover)[1] - minor_dist[(i, j)]
                 slack = min(slack, margin)
                 violations += margin < 0
         results.append((many, violations, slack))

@@ -15,7 +15,6 @@ import pytest
 
 from spr import (
     GrowthParams,
-    build_detour_path,
     contract,
     distortion,
     distortion_bound_coefficient,
@@ -29,17 +28,16 @@ from spr import (
     monte_carlo_geometric,
     monte_carlo_lower,
     oracle_optimal,
-    path_partition,
     run,
-    track_reaches,
     validate,
     verify_exact,
     format_graph_text,
 )
+from spr.analysis import _pair_detour_length, _replay_pairs, partition_pairs
 from spr.cli import main as cli_main
 from spr.errors import VerificationFailedError
 
-from conftest import random_connected_instance, subdivide
+from conftest import detour_walk, random_connected_instance, replay_reaches, subdivide
 
 RUNS_PER_GRAPH = 50
 CORPUS_SIZE = 20
@@ -244,24 +242,23 @@ def test_criterion_9_detour_dominance():
             params = GrowthParams(seed=index * 97 + s)
             part, trace = run(inst, params)
             runs += 1
-            minor = contract(inst, part)
-            minor_dist = minor.all_distances()
-            trace_index = index_trace(inst, trace)
-            for i in range(inst.k):
-                for j in range(i + 1, inst.k):
-                    cells = path_partition(inst, i, j, params)
-                    log = track_reaches(inst, trace_index, i, j, cells)
-                    if not log.fully_deactivated:
-                        failures.append(f"run {runs}: pair ({i},{j}) incomplete")
-                        continue
-                    walk = build_detour_path(inst, i, j, log)
-                    if walk.length < minor_dist[(i, j)]:
-                        failures.append(
-                            f"run {runs}: detour {walk.length} < {minor_dist[(i, j)]}"
-                        )
-                    for a, b in zip(walk.detours, walk.detours[1:]):
-                        if a.terminal == b.terminal:
-                            failures.append(f"run {runs}: consecutive same terminal")
+            minor_dist = contract(inst, part).all_distances()
+            cells = partition_pairs(inst, params)
+            replays = _replay_pairs(inst, index_trace(inst, trace), cells)
+            for (i, j), pair_cells in cells.items():
+                _, cover, complete = replay_reaches(inst, trace, i, j, pair_cells)
+                if not complete:
+                    failures.append(f"run {runs}: pair ({i},{j}) incomplete")
+                    continue
+                _, length, detours = detour_walk(inst, inst.terminal_path(i, j), pair_cells, cover)
+                summed = _pair_detour_length(inst, (i, j), pair_cells, replays[(i, j)])
+                if summed != length:
+                    failures.append(f"run {runs}: summed length {summed} != walk {length}")
+                if length < minor_dist[(i, j)]:
+                    failures.append(f"run {runs}: detour {length} < {minor_dist[(i, j)]}")
+                for a, b in zip(detours, detours[1:]):
+                    if a[0] == b[0]:
+                        failures.append(f"run {runs}: consecutive same terminal")
     report("9 detour dominance", runs == 100 and not failures, f"{runs} traced runs; " + "; ".join(failures[:3]))
 
 

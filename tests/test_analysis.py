@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 from spr import (
     GrowthParams,
     Instance,
-    Reach,
     TerminalMinor,
     WeightedGraph,
-    build_detour_path,
     build_graph,
     contract,
     detect_bad_events,
@@ -21,7 +19,6 @@ from spr import (
     distortion_bound_coefficient,
     exact_minor,
     index_trace,
-    merge_detours,
     path_partition,
     run,
     track_reaches,
@@ -33,6 +30,7 @@ from spr.errors import IncompleteCellsError, TraceMismatchError
 
 from conftest import (
     NON_DYADIC_WEIGHTS,
+    detour_walk,
     eager_walk_length,
     per_pair_experiment,
     random_connected_instance,
@@ -288,81 +286,103 @@ def oracle_cases():
         yield inst, trace, narrow
 
 
-def _reach(q_min, q_max, terminal):
-    return Reach(q_min, terminal, q_min, q_max)
+def detour_length(inst, index, pair, cells):
+    """``_pair_detour_length`` of one pair, its cells replayed on their own."""
+    replays = analysis._replay_pairs(inst, index, {pair: cells})
+    return analysis._pair_detour_length(inst, pair, cells, replays[pair])
+
+
+def walk_weight(inst, vertices):
+    return sum(inst.graph.edge_weight(x, y) for x, y in zip(vertices, vertices[1:]))
+
+
+def fused_runs(ranges):
+    """The fused-run check: a chain of reaches, summed and walked.
+
+    ``ranges`` lists (terminal, q_min, q_max) reaches, one batch each in
+    list order, that tile the interior of t0 -500- v1 -1- ... -1- vm -500-
+    t1; terminals 2 and 3 hang off v1 and vm by weight-500 edges, so the
+    interior is one cell.  ``_pair_detour_length`` must be the oracle
+    walk's length, the same float, and the walk's edges must sum to it.
+    Returns the walk's detours as (terminal, q_min, q_max).
+    """
+    m = max(q_max for _, _, q_max in ranges)
+    edges = [(0, 1, 500.0), (m, m + 1, 500.0), (1, m + 2, 500.0), (m, m + 3, 500.0)]
+    edges += [(q, q + 1, 1.0) for q in range(1, m)]
+    inst = Instance(build_graph(m + 4, edges), [0, m + 1, m + 2, m + 3])
+    events = [
+        AssignmentEvent(q, terminal, r, 0.001, 1.0)
+        for r, (terminal, q_min, q_max) in enumerate(ranges)
+        for q in range(q_min, q_max + 1)
+    ]
+    trace = make_trace(inst, events)
+    cells = path_partition(inst, 0, 1, CELL_PARAMS[2])
+    assert [(cell.start, cell.end) for cell in cells] == [(1, m)]
+    _, cover, complete = replay_reaches(inst, trace, 0, 1, cells)
+    assert complete
+    vertices, length, detours = detour_walk(inst, inst.terminal_path(0, 1), cells, cover)
+    assert detour_length(inst, index_trace(inst, trace), (0, 1), cells).hex() == length.hex()
+    assert walk_weight(inst, vertices) == length
+    return [tuple(detour) for detour in detours]
 
 
 class TestMergeDetours:
+    """Consecutive detours through one terminal fuse into one."""
+
     def test_adjacent_same_terminal_merge(self):
-        merged = merge_detours([_reach(1, 2, 5), _reach(3, 4, 5)])
-        assert len(merged) == 1
-        assert (merged[0].q_min, merged[0].q_max, merged[0].terminal) == (1, 4, 5)
+        assert fused_runs([(2, 1, 2), (2, 3, 4)]) == [(2, 1, 4)]
 
     def test_distinct_terminals_unchanged(self):
-        detours = [_reach(1, 2, 5), _reach(3, 4, 6)]
-        assert merge_detours(detours) == detours
+        detours = [(2, 1, 2), (3, 3, 4)]
+        assert fused_runs(detours) == detours
 
     def test_alternating_terminals_unchanged(self):
-        detours = [
-            _reach(1, 1, 5),
-            _reach(2, 2, 6),
-            _reach(3, 3, 5),
-        ]
-        assert merge_detours(detours) == detours
+        detours = [(2, 1, 1), (3, 2, 2), (2, 3, 3)]
+        assert fused_runs(detours) == detours
 
     def test_merge_cascades(self):
-        merged = merge_detours(
-            [
-                _reach(1, 1, 5),
-                _reach(2, 2, 5),
-                _reach(3, 3, 5),
-            ]
-        )
-        assert len(merged) == 1
-        assert (merged[0].q_min, merged[0].q_max) == (1, 3)
+        assert fused_runs([(2, 1, 1), (2, 2, 2), (2, 3, 3)]) == [(2, 1, 3)]
 
     def test_non_adjacent_ranges_never_merge(self):
-        detours = [_reach(1, 2, 5), _reach(4, 4, 5)]
-        assert merge_detours(detours) == detours
+        # Terminal 2's two reaches leave v3 between them to a later batch.
+        assert fused_runs([(2, 1, 2), (2, 4, 4), (3, 3, 3)]) == [(2, 1, 2), (3, 3, 3), (2, 4, 4)]
 
     @given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=12))
     @settings(max_examples=60, deadline=None)
     def test_abutting_chain_has_no_adjacent_duplicates(self, labels):
-        detours = [_reach(i + 1, i + 1, label) for i, label in enumerate(labels)]
-        merged = merge_detours(detours)
-        for a, b in zip(merged, merged[1:]):
-            assert a.terminal != b.terminal
-        assert merged[0].q_min == 1
-        assert merged[-1].q_max == len(labels)
+        detours = fused_runs([(label, q, q) for q, label in enumerate(labels, 1)])
+        for a, b in zip(detours, detours[1:]):
+            assert a[0] != b[0]
+        assert detours[0][1] == 1
+        assert detours[-1][2] == len(labels)
 
 
 class TestBuildDetourPath:
+    """``_pair_detour_length`` against the witness walk that conftest builds."""
+
     def test_path3_detour(self, path3):
         trace = make_trace(path3, [AssignmentEvent(1, 0, 0, 0.007, 0.9)])
-        log = track_reaches(path3, index_trace(path3, trace), 0, 1, path_partition(path3, 0, 1, PARAMS))
-        walk = build_detour_path(path3, 0, 1, log)
-        assert walk.vertices == (0, 1, 0, 1, 2)
-        assert walk.length == 4.0
+        cells = path_partition(path3, 0, 1, PARAMS)
+        _, cover, _ = replay_reaches(path3, trace, 0, 1, cells)
+        vertices, length, _ = detour_walk(path3, path3.terminal_path(0, 1), cells, cover)
+        assert vertices == (0, 1, 0, 1, 2)
+        assert length == 4.0
+        assert detour_length(path3, index_trace(path3, trace), (0, 1), cells) == 4.0
 
     def test_no_interior_degenerates_to_edge(self):
         inst = Instance(build_graph(2, [(0, 1, 3.0)]), [0, 1])
         trace = make_trace(inst, [])
-        log = track_reaches(inst, index_trace(inst, trace), 0, 1, [])
-        walk = build_detour_path(inst, 0, 1, log)
-        assert walk.vertices == (0, 1)
-        assert walk.length == 3.0
+        assert detour_walk(inst, inst.terminal_path(0, 1), [], {}) == ((0, 1), 3.0, [])
+        assert detour_length(inst, index_trace(inst, trace), (0, 1), []) == 3.0
 
     def test_incomplete_cells_raise(self):
         inst = heavy_path()
         cells = path_partition(inst, 0, 1, PARAMS)
         trace = make_trace(inst, [AssignmentEvent(1, 0, 0, 0.001, 500.5)])
-        log = track_reaches(inst, index_trace(inst, trace), 0, 1, cells)
-        assert not log.fully_deactivated
-        with pytest.raises(IncompleteCellsError):
-            build_detour_path(inst, 0, 1, log)
-        replays = analysis._replay_pairs(inst, index_trace(inst, trace), {(0, 1): cells})
+        assert not track_reaches(inst, index_trace(inst, trace), 0, 1, cells).fully_deactivated
+        assert not replay_reaches(inst, trace, 0, 1, cells)[2]
         with pytest.raises(IncompleteCellsError, match=r"^pair \(0, 1\) has active cells left$"):
-            analysis._pair_detour_length(inst, (0, 1), cells, replays[(0, 1)])
+            detour_length(inst, index_trace(inst, trace), (0, 1), cells)
 
     def test_length_without_the_walk_is_the_same_float(self):
         complete = incomplete = 0
@@ -371,15 +391,15 @@ class TestBuildDetourPath:
             cells = analysis.partition_pairs(inst, params)
             replays = analysis._replay_pairs(inst, index, cells)
             for pair, pair_cells in cells.items():
-                log = track_reaches(inst, index, *pair, pair_cells)
-                if not log.fully_deactivated and len(log.path) > 2:
+                _, cover, covered = replay_reaches(inst, trace, *pair, pair_cells)
+                if not covered:
                     with pytest.raises(IncompleteCellsError):
                         analysis._pair_detour_length(inst, pair, pair_cells, replays[pair])
                     incomplete += 1
                     continue
-                walk = build_detour_path(inst, *pair, log)
+                _, walk_length, _ = detour_walk(inst, inst.terminal_path(*pair), pair_cells, cover)
                 length = analysis._pair_detour_length(inst, pair, pair_cells, replays[pair])
-                assert length.hex() == walk.length.hex()
+                assert length.hex() == walk_length.hex()
                 complete += 1
         assert complete > 300 and incomplete > 0
 
@@ -391,13 +411,10 @@ class TestBuildDetourPath:
             for i in range(inst.k):
                 for j in range(i + 1, inst.k):
                     cells = path_partition(inst, i, j, PARAMS)
-                    log = track_reaches(inst, index, i, j, cells)
-                    walk = build_detour_path(inst, i, j, log)
-                    total = sum(
-                        inst.graph.edge_weight(x, y)
-                        for x, y in zip(walk.vertices, walk.vertices[1:])
-                    )
-                    assert total == walk.length
+                    _, cover, _ = replay_reaches(inst, trace, i, j, cells)
+                    vertices, length, _ = detour_walk(inst, inst.terminal_path(i, j), cells, cover)
+                    assert walk_weight(inst, vertices) == length
+                    assert detour_length(inst, index, (i, j), cells) == length
 
     def test_lazy_walk_matches_eager_length(self):
         checked = 0
@@ -406,50 +423,30 @@ class TestBuildDetourPath:
             integer = inst.graph.is_integer_weighted()
             for i in range(inst.k):
                 for j in range(i + 1, inst.k):
-                    log = track_reaches(inst, index, i, j, path_partition(inst, i, j, params))
-                    if not log.fully_deactivated:
+                    cells = path_partition(inst, i, j, params)
+                    _, cover, complete = replay_reaches(inst, trace, i, j, cells)
+                    if not complete:
                         continue
-                    walk = build_detour_path(inst, i, j, log)
-                    _, cover, _ = replay_reaches(inst, trace, i, j, log.cells)
-                    eager = eager_walk_length(inst, log.path, log.cells, cover)
+                    length = detour_length(inst, index, (i, j), cells)
+                    eager = eager_walk_length(inst, inst.terminal_path(i, j), cells, cover)
                     if integer:
-                        assert walk.length == eager
+                        assert length == eager
                     else:
-                        assert walk.length == pytest.approx(eager, rel=1e-12)
+                        assert length == pytest.approx(eager, rel=1e-12)
                     checked += 1
         assert checked > 300
-
-    def test_one_detour_per_merged_range(self, monkeypatch):
-        calls = []
-        make_detour = analysis._make_detour
-
-        def counting(inst, path, reach):
-            calls.append(reach)
-            return make_detour(inst, path, reach)
-
-        monkeypatch.setattr(analysis, "_make_detour", counting)
-        chained = merged = 0
-        for seed in range(4):
-            inst = exact_minor(random_connected_instance(seed + 30, n=60, k=6)).minor
-            params = GrowthParams(seed=seed)
-            _, trace = run(inst, params)
-            report = detect_bad_events(inst, trace, params)
-            for (i, j), log in report.reach_logs.items():
-                calls.clear()
-                walk = build_detour_path(inst, i, j, log)
-                assert len(calls) == len(walk.detours)
-                chained += len(set(log.cover.values()))
-                merged += len(walk.detours)
-        assert merged < chained  # some chains do merge
 
     def test_only_terminals_are_labelled(self):
         for seed in range(4):
             inst = exact_minor(random_connected_instance(seed + 30, n=60, k=6)).minor
             params = GrowthParams(seed=seed)
             _, trace = run(inst, params)
-            report = detect_bad_events(inst, trace, params)
-            for (i, j), log in report.reach_logs.items():
-                build_detour_path(inst, i, j, log)
+            cells = analysis.partition_pairs(inst, params)
+            replays = analysis._replay_pairs(inst, index_trace(inst, trace), cells)
+            for pair, pair_cells in cells.items():
+                analysis._pair_detour_length(inst, pair, pair_cells, replays[pair])
+                _, cover, _ = replay_reaches(inst, trace, *pair, pair_cells)
+                detour_walk(inst, inst.terminal_path(*pair), pair_cells, cover)
             assert inst._labels
             assert set(inst._labels) <= set(range(inst.k))
 
@@ -458,26 +455,24 @@ class TestBuildDetourPath:
             inst = exact_minor(random_connected_instance(seed, n=40, k=5)).minor
             params = GrowthParams(seed=seed * 7 + 1)
             part, trace = run(inst, params)
-            minor = contract(inst, part)
-            minor_dist = minor.all_distances()
+            minor_dist = contract(inst, part).all_distances()
             index = index_trace(inst, trace)
             for i in range(inst.k):
                 for j in range(i + 1, inst.k):
                     cells = path_partition(inst, i, j, params)
-                    log = track_reaches(inst, index, i, j, cells)
-                    walk = build_detour_path(inst, i, j, log)
-                    assert walk.length >= minor_dist[(i, j)]
-                    for a, b in zip(walk.detours, walk.detours[1:]):
-                        assert a.terminal != b.terminal
+                    _, cover, _ = replay_reaches(inst, trace, i, j, cells)
+                    _, length, detours = detour_walk(inst, inst.terminal_path(i, j), cells, cover)
+                    assert detour_length(inst, index, (i, j), cells) == length >= minor_dist[(i, j)]
+                    for a, b in zip(detours, detours[1:]):
+                        assert a[0] != b[0]
 
     def test_star_pair_detour(self, star3):
         params = GrowthParams(seed=11)
         part, trace = run(star3, params)
         minor = contract(star3, part)
         cells = path_partition(star3, 1, 2, params)
-        log = track_reaches(star3, index_trace(star3, trace), 1, 2, cells)
-        walk = build_detour_path(star3, 1, 2, log)
-        assert walk.length >= minor.all_distances()[(1, 2)]
+        length = detour_length(star3, index_trace(star3, trace), (1, 2), cells)
+        assert length >= minor.all_distances()[(1, 2)]
 
 
 class TestDetectBadEvents:
@@ -690,10 +685,7 @@ class TestOnePassPerTrial:
         assert all(targets is None for _, targets in searches)
         assert len({s for s, _ in searches}) == len(searches) == inst.k
 
-    def test_slack_from_lengths_builds_no_walk(self, monkeypatch):
-        def no_walk(*args):
-            raise AssertionError("a detour walk was built")
-
+    def test_slack_from_lengths_builds_no_walk(self):
         integer = random_connected_instance(8, n=40, k=6)
         floats = reweighted(random_connected_instance(9, n=40, k=6), NON_DYADIC_WEIGHTS, 9)
         for seed, inst in enumerate((integer, floats)):
@@ -704,16 +696,13 @@ class TestOnePassPerTrial:
                 trial_params = GrowthParams(seed=seed + trial)
                 part, trace = run(work, trial_params)
                 minor_dist = contract(work, part).all_distances()
-                logs = detect_bad_events(work, trace, trial_params).reach_logs
-                expected.append(
-                    min(
-                        build_detour_path(work, i, j, log).length - minor_dist[(i, j)]
-                        for (i, j), log in logs.items()
-                    )
-                )
-            with monkeypatch.context() as patch:
-                patch.setattr(analysis, "_make_detour", no_walk)
-                report = analysis.run_experiment(inst, params, trials=3)
+                slack = math.inf
+                for pair, cells in analysis.partition_pairs(work, trial_params).items():
+                    _, cover, _ = replay_reaches(work, trace, *pair, cells)
+                    walk_length = detour_walk(work, work.terminal_path(*pair), cells, cover)[1]
+                    slack = min(slack, walk_length - minor_dist[pair])
+                expected.append(slack)
+            report = analysis.run_experiment(inst, params, trials=3)
             assert [t.min_detour_slack.hex() for t in report.trials] == [x.hex() for x in expected]
 
     def test_given_cells_match_computed_ones(self):

@@ -277,11 +277,34 @@ class TestEval:
         graph, part = tmp_path / "g.txt", tmp_path / "p.json"
         graph.write_bytes(graph_bytes)
         part.write_bytes(part_bytes)
+        bad = part if graph_bytes == STAR.encode() else graph
         code, out, err = invoke(["eval", str(graph), str(part)])
         assert (code, out) == (1, "")
         assert err.splitlines() == [
-            "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+            f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
         ]
+
+    def test_utf8_files_read_under_an_ascii_locale(self, tmp_path):
+        graph, part = tmp_path / "g.txt", tmp_path / "p.json"
+        graph.write_text("# caf\u00e9\n" + STAR, encoding="utf-8")
+        part.write_text('{"assignment": [0, 1, 2, 0], "note": "\u00e9"}', encoding="utf-8")
+        src = str(Path(spr.__file__).resolve().parent.parent)
+        result = subprocess.run(
+            [sys.executable, "-m", "spr.cli", "eval", str(graph), str(part)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src, "LC_ALL": "C", "PYTHONUTF8": "0"},
+            timeout=120,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        assert json.loads(result.stdout)["distortion"] == 2.0
+
+    def test_non_json_partition_exits_one(self, star_file, tmp_path):
+        part = tmp_path / "part.txt"
+        part.write_text("assignment = [0, 1, 2, 0]\n")
+        code, out, err = invoke(["eval", star_file, str(part)])
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"error: {part}: Expecting value: line 1 column 1 (char 0)"]
 
     def test_deeply_nested_json_exits_one(self, star_file, tmp_path):
         part = tmp_path / "deep.json"
