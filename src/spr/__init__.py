@@ -18,8 +18,6 @@ _EXPORTS = {
     "analysis": (
         "BadEventReport",
         "PathCell",
-        "Reach",
-        "ReachLog",
         "TraceIndex",
         "detect_bad_events",
         "distortion_bound",
@@ -27,7 +25,6 @@ _EXPORTS = {
         "index_trace",
         "path_partition",
         "run_experiment",
-        "track_reaches",
     ),
     "ball_growing": (
         "AssignmentEvent",

@@ -16,9 +16,8 @@ sequence and the trace; pairs share most of their cells, and each trial
 replays every distinct cell once (:func:`_replay_cell`), visiting only the
 batches that assign its vertices.  The many-event counts and the witness
 walks' lengths (:func:`_pair_detour_length`) are read from those replays:
-``spr experiment`` sums each walk's detours and builds no walk.  The walks
-themselves exist only in the test suite, as the oracle for those lengths.
-Reach logs are built only when a caller asks for them.
+``spr experiment`` sums each walk's detours and builds no walk and no reach
+log.  Both exist only in the test suite, as the oracles for those replays.
 
 Also here: the bad-event detectors over traces (assigned to a far terminal;
 assigned too early relative to the vertex's terminal distance; too many
@@ -31,7 +30,6 @@ import math
 import statistics
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 
@@ -43,14 +41,11 @@ from .preprocess import exact_minor
 
 __all__ = [
     "PathCell",
-    "Reach",
-    "ReachLog",
     "BadEventReport",
     "TraceIndex",
     "path_partition",
     "partition_pairs",
     "index_trace",
-    "track_reaches",
     "detect_bad_events",
     "distortion_bound",
     "distortion_bound_coefficient",
@@ -78,24 +73,6 @@ class PathCell:
     external_length: float
     threshold: float
     is_final: bool
-
-
-@dataclass(frozen=True)
-class Reach:
-    order: int
-    terminal: int
-    q_min: int
-    q_max: int
-
-
-@dataclass
-class ReachLog:
-    pair: tuple[int, int]
-    path: tuple[int, ...]
-    cells: list[PathCell]
-    reaches: list[list[Reach]]  # indexed like cells
-    cover: dict[int, Reach]  # interior index -> the reach that deactivated it
-    fully_deactivated: bool
 
 
 @dataclass(frozen=True)
@@ -129,9 +106,11 @@ def path_partition(
     last = len(path) - 1
     if last < 2:
         return []
-    prefix = [0.0]
-    for x, y in zip(path, path[1:]):
-        prefix.append(prefix[-1] + inst.graph.edge_weight(x, y))
+    # The canonical labels take only tight parents (dist[u] + w == dist[v]),
+    # so the left fold of the edge weights along the path is the source's
+    # row, bit for bit.
+    row = inst.row(i)
+    prefix = [row[v] for v in path]
     nearest = inst.nearest_terminal_distances()
     scale = params.c2 * params.delta / (5.0 * math.log(inst.k))
 
@@ -264,42 +243,6 @@ def _replay_pairs(inst: Instance, index: TraceIndex, cells: dict[tuple[int, int]
     return replays
 
 
-def _reach_log(pair, path, cells, replays) -> ReachLog:
-    """A pair's :class:`ReachLog` from its cells' replays, in cell order.
-
-    ``order`` numbers the pair's reaches by (batch, cell index).
-    """
-    log = ReachLog(pair, path, cells, [[] for _ in cells], {}, True)
-    numbered = sorted(
-        (reach[0], ci, r) for ci, replay in enumerate(replays) for r, reach in enumerate(replay[0])
-    )
-    for order, (_, ci, r) in enumerate(numbered):
-        _, terminal, first, last = replays[ci][0][r]
-        start = cells[ci].start
-        log.reaches[ci].append(Reach(order, terminal, start + first, start + last))
-    for cell, replay, reaches in zip(cells, replays, log.reaches):
-        for offset, r in enumerate(replay[1]):
-            if r is not None:
-                log.cover[cell.start + offset] = reaches[r]
-    # The cover holds every deactivated interior index and nothing else.
-    log.fully_deactivated = len(log.cover) == len(path) - 2
-    return log
-
-
-def track_reaches(
-    inst: Instance, index: TraceIndex, i: int, j: int, cells: list[PathCell]
-) -> ReachLog:
-    """Replay a trial's batches against one pair's cells and log every reach.
-
-    Each cell is replayed on its own (:func:`_replay_cell`).  Batches run
-    in run order, after one batch per interior vertex that is itself a
-    terminal, so those trigger their own singleton reaches up front.
-    """
-    path = inst.terminal_path(i, j)
-    replays = [_replay_cell(index, path[cell.start : cell.end + 1]) for cell in cells]
-    return _reach_log((i, j), path, cells, replays)
-
-
 def _detour_length(
     inst: Instance, path: tuple[int, ...], terminal: int, q_min: int, q_max: int
 ) -> float:
@@ -343,20 +286,6 @@ class BadEventReport:
     many_events: list[tuple[tuple[int, int], int, int, int, float]] = field(
         default_factory=list
     )
-    # (instance, cells, replays) of the trial, as :func:`detect_bad_events`
-    # replayed them; ``reach_logs`` is assembled from them on first read.
-    _replayed: tuple | None = field(default=None, repr=False, compare=False)
-
-    @cached_property
-    def reach_logs(self) -> dict[tuple[int, int], ReachLog]:
-        """Each pair's :class:`ReachLog`, as :func:`track_reaches` logs it."""
-        if self._replayed is None:
-            return {}
-        inst, cells, replays = self._replayed
-        return {
-            pair: _reach_log(pair, inst.terminal_path(*pair), pair_cells, replays[pair])
-            for pair, pair_cells in cells.items()
-        }
 
     def counts(self) -> dict[str, int]:
         return {
@@ -408,6 +337,11 @@ def detect_bad_events(
     """
     if cells is None:
         cells = partition_pairs(inst, params)
+    return _bad_events(inst, trace, params, cells)[0]
+
+
+def _bad_events(inst, trace, params, cells):
+    """:func:`detect_bad_events`' report and the :func:`_replay_pairs` replays it read."""
     index = index_trace(inst, trace)
     far_events = []
     early_events = []
@@ -432,7 +366,7 @@ def detect_bad_events(
         for cell, (_, _, distinct, _) in zip(pair_cells, replays[pair]):
             if distinct >= many_threshold:
                 many_events.append((pair, cell.start, cell.end, distinct, many_threshold))
-    return BadEventReport(far_events, early_events, many_events, (inst, cells, replays))
+    return BadEventReport(far_events, early_events, many_events), replays
 
 
 def distortion_bound_coefficient(params: GrowthParams) -> float:
@@ -522,12 +456,11 @@ def run_experiment(
             # After the first run, where the per-trial analysis would first
             # need them, so errors keep their order.
             cells = partition_pairs(work, params)
-        report = detect_bad_events(work, trace, trial_params, cells)
+        report, replays = _bad_events(work, trace, trial_params, cells)
 
         pairs = 0
         violations = 0
         slack = math.inf
-        replays = report._replayed[2]
         # Both in (i, j) order: the cells sorted, the distortion rows as built.
         for (pair, pair_cells), (_, _, _, d1, _) in zip(
             sorted(cells.items()), dist_result.pairs, strict=True

@@ -42,27 +42,34 @@ def _publish(text: str, side_files: dict[str, str]) -> None:
 
     Each side file goes to a temporary name in its target directory, then
     stdout is written and flushed, and only then are the temporary files
-    renamed into place.  On any failure they are removed.  A target that
-    is a directory is refused before anything is staged or written.
+    renamed into place.  On any failure they are removed.  A symlinked
+    path is resolved first, so the link stays and its target gets the
+    bytes.  An existing target that is not a regular file (a directory,
+    FIFO, socket or device) is refused before anything is staged or
+    written: renaming onto it would replace it.
     """
-    for path in side_files:
+    targets = []
+    for path, contents in side_files.items():
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if os.path.exists(path) and not os.path.isfile(path):
+            raise SprError(f"{path} is not a regular file")
+        targets.append((path, os.path.realpath(path), contents))
     staged: list[tuple[str, str]] = []
     try:
-        for path, contents in side_files.items():
-            temp = f"{path}.{os.getpid()}.tmp"
+        for path, real, contents in targets:
+            temp = f"{real}.{os.getpid()}.tmp"
             try:
                 with open(temp, "x", newline="") as handle:
-                    staged.append((temp, path))
+                    staged.append((temp, real))
                     handle.write(contents)
             except OSError as exc:
                 exc.filename = path
                 raise
         sys.stdout.write(text)
         sys.stdout.flush()
-        for temp, path in staged:
-            os.replace(temp, path)
+        for temp, real in staged:
+            os.replace(temp, real)
     finally:
         for temp, _ in staged:
             if os.path.exists(temp):  # renamed already, unless something failed

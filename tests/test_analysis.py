@@ -21,7 +21,6 @@ from spr import (
     index_trace,
     path_partition,
     run,
-    track_reaches,
 )
 from spr import analysis
 from spr.analysis import _round_of
@@ -55,6 +54,38 @@ def heavy_path():
     """t0 -500- a -1- b -1- c -500- t1: one big cell over the interior."""
     edges = [(0, 1, 500.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 500.0)]
     return Instance(build_graph(5, edges), [0, 4])
+
+
+def numbered_reaches(inst, index, i, j, cells):
+    """The pair's reaches from ``_replay_pairs``, in :func:`replay_reaches`' shape.
+
+    ``order`` numbers the pair's reaches by (batch, cell index) and
+    positions become path indices.  The pair is fully deactivated when
+    every cell has a cover chain, the condition ``_pair_detour_length``
+    reads.
+    """
+    replays = analysis._replay_pairs(inst, index, {(i, j): cells})[(i, j)]
+    numbered = sorted(
+        (reach[0], ci, r) for ci, replay in enumerate(replays) for r, reach in enumerate(replay[0])
+    )
+    reaches = [[None] * len(replay[0]) for replay in replays]
+    for order, (_, ci, r) in enumerate(numbered):
+        _, terminal, first, last = replays[ci][0][r]
+        reaches[ci][r] = (order, terminal, cells[ci].start + first, cells[ci].start + last)
+    cover = {
+        cell.start + q: cell_reaches[r]
+        for cell, replay, cell_reaches in zip(cells, replays, reaches)
+        for q, r in enumerate(replay[1])
+        if r is not None
+    }
+    return reaches, cover, all(replay[3] is not None for replay in replays)
+
+
+def oracle_checked_reaches(inst, trace, i, j, cells):
+    """:func:`numbered_reaches`, asserted equal to the literal replay."""
+    got = numbered_reaches(inst, index_trace(inst, trace), i, j, cells)
+    assert got == replay_reaches(inst, trace, i, j, cells)
+    return got
 
 
 class TestPathPartition:
@@ -117,6 +148,25 @@ class TestPathPartition:
                     d = inst.terminal_distances()[(i, j)]
                     assert d >= 0.5 * sum(c.threshold for c in cells)
 
+    def test_lengths_are_the_per_edge_fold_on_floats(self):
+        wide = 0
+        params = GrowthParams(c2=40.0, seed=0)
+        for seed in range(4):
+            inst = reweighted(random_connected_instance(seed, n=40, k=5), NON_DYADIC_WEIGHTS, seed)
+            for i in range(inst.k):
+                for j in range(i + 1, inst.k):
+                    path = inst.terminal_path(i, j)
+                    fold = [0.0]
+                    for x, y in zip(path, path[1:]):
+                        fold.append(fold[-1] + inst.graph.edge_weight(x, y))
+                    for cell in path_partition(inst, i, j, params):
+                        internal = fold[cell.end] - fold[cell.start]
+                        external = fold[cell.end + 1] - fold[cell.start - 1]
+                        assert cell.internal_length.hex() == internal.hex()
+                        assert cell.external_length.hex() == external.hex()
+                        wide += cell.end > cell.start
+        assert wide > 20
+
 
 class TestTrackReaches:
     def test_whole_interior_in_one_event(self):
@@ -130,11 +180,9 @@ class TestTrackReaches:
                 AssignmentEvent(3, 0, 0, 0.001, 501.0),
             ],
         )
-        log = track_reaches(inst, index_trace(inst, trace), 0, 1, cells)
-        assert log.fully_deactivated
-        (reaches,) = log.reaches
-        assert len(reaches) == 1
-        assert (reaches[0].q_min, reaches[0].q_max) == (1, 3)
+        (reaches,), _, complete = oracle_checked_reaches(inst, trace, 0, 1, cells)
+        assert complete
+        assert [reach[2:] for reach in reaches] == [(1, 3)]
 
     def test_two_batches_same_cell_two_reaches(self):
         inst = heavy_path()
@@ -147,14 +195,9 @@ class TestTrackReaches:
                 AssignmentEvent(2, 0, 2, 0.003, 502.0),
             ],
         )
-        log = track_reaches(inst, index_trace(inst, trace), 0, 1, cells)
-        (reaches,) = log.reaches
-        assert [(r.terminal, r.q_min, r.q_max) for r in reaches] == [
-            (0, 1, 1),
-            (1, 3, 3),
-            (0, 2, 2),
-        ]
-        assert log.fully_deactivated
+        (reaches,), _, complete = oracle_checked_reaches(inst, trace, 0, 1, cells)
+        assert reaches == [(0, 0, 1, 1), (1, 1, 3, 3), (2, 0, 2, 2)]
+        assert complete
 
     def test_inactive_vertex_triggers_no_reach(self):
         inst = heavy_path()
@@ -169,11 +212,9 @@ class TestTrackReaches:
                 AssignmentEvent(2, 1, 1, 0.002, 501.0),
             ],
         )
-        log = track_reaches(inst, index_trace(inst, trace), 0, 1, cells)
-        (reaches,) = log.reaches
-        assert len(reaches) == 1
-        assert (reaches[0].q_min, reaches[0].q_max) == (1, 3)
-        assert log.fully_deactivated
+        (reaches,), _, complete = oracle_checked_reaches(inst, trace, 0, 1, cells)
+        assert [reach[2:] for reach in reaches] == [(1, 3)]
+        assert complete
 
     def test_interior_terminal_counts_as_initial_reach(self):
         # t0 - v - t2 - w - t1 on a line; t2 sits inside SP(t0, t1)
@@ -187,11 +228,11 @@ class TestTrackReaches:
                 AssignmentEvent(3, 1, 0, 0.001, 1.2),
             ],
         )
-        log = track_reaches(inst, index_trace(inst, trace), 0, 1, cells)
-        assert log.fully_deactivated
-        middle = [r for rs in log.reaches for r in rs if r.q_min == 2]
-        assert middle and middle[0].terminal == 2  # the interior terminal itself
-        assert middle[0].order == 0  # before any trace event
+        reaches, _, complete = oracle_checked_reaches(inst, trace, 0, 1, cells)
+        assert complete
+        middle = [reach for cell in reaches for reach in cell if reach[2] == 2]
+        assert middle and middle[0][1] == 2  # the interior terminal itself
+        assert middle[0][0] == 0  # before any trace event
 
     def test_matches_literal_replay(self):
         pairs = interior_terminal_pairs = wide_cells = many_cells = shared_cells = 0
@@ -200,19 +241,11 @@ class TestTrackReaches:
             for i in range(inst.k):
                 for j in range(i + 1, inst.k):
                     cells = path_partition(inst, i, j, params)
-                    log = track_reaches(inst, index, i, j, cells)
                     reaches, cover, complete = replay_reaches(inst, trace, i, j, cells)
-                    as_tuples = [
-                        [(r.order, r.terminal, r.q_min, r.q_max) for r in cell]
-                        for cell in log.reaches
-                    ]
-                    assert as_tuples == reaches
-                    assert {
-                        q: (r.order, r.terminal, r.q_min, r.q_max) for q, r in log.cover.items()
-                    } == cover
-                    assert log.fully_deactivated == complete
+                    assert numbered_reaches(inst, index, i, j, cells) == (reaches, cover, complete)
                     pairs += 1
-                    interior_terminal_pairs += any(inst.is_terminal(v) for v in log.path[1:-1])
+                    path = inst.terminal_path(i, j)
+                    interior_terminal_pairs += any(inst.is_terminal(v) for v in path[1:-1])
                     wide_cells += sum(cell.end > cell.start for cell in cells)
                     distinct = [len({r[1] for r in cell}) for cell in reaches]
                     many_cells += sum(d >= params.c3 * math.log(inst.k) for d in distinct)
@@ -379,8 +412,7 @@ class TestBuildDetourPath:
         inst = heavy_path()
         cells = path_partition(inst, 0, 1, PARAMS)
         trace = make_trace(inst, [AssignmentEvent(1, 0, 0, 0.001, 500.5)])
-        assert not track_reaches(inst, index_trace(inst, trace), 0, 1, cells).fully_deactivated
-        assert not replay_reaches(inst, trace, 0, 1, cells)[2]
+        assert not oracle_checked_reaches(inst, trace, 0, 1, cells)[2]
         with pytest.raises(IncompleteCellsError, match=r"^pair \(0, 1\) has active cells left$"):
             detour_length(inst, index_trace(inst, trace), (0, 1), cells)
 
@@ -595,24 +627,6 @@ class TestReplayOncePerCell:
                 many += sum(t.many for t in report.trials)
         assert wide_cells > 30 and many > 100
 
-    def test_runs_without_reach_objects(self, monkeypatch):
-        def refused(*args):
-            raise AssertionError("a Reach or ReachLog was built")
-
-        for inst, preprocess in experiment_instances():
-            params = replace(CELL_PARAMS[2], seed=1)
-            expected = analysis.run_experiment(inst, params, trials=2, preprocess=preprocess)
-            with monkeypatch.context() as patch:
-                patch.setattr(analysis, "Reach", refused)
-                patch.setattr(analysis, "ReachLog", refused)
-                report = analysis.run_experiment(inst, params, trials=2, preprocess=preprocess)
-                work = exact_minor(inst).minor if preprocess else inst
-                _, trace = run(work, params)
-                bad_events = detect_bad_events(work, trace, params)
-                with pytest.raises(AssertionError, match="was built"):
-                    bad_events.reach_logs
-            assert report.trials == expected.trials
-
     def test_each_distinct_cell_replayed_once_per_trial(self, monkeypatch):
         replayed = []
         replay_cell = analysis._replay_cell
@@ -633,10 +647,10 @@ class TestReplayOncePerCell:
         assert len(set(sequences)) < len(sequences)  # pairs share cells
         analysis.run_experiment(inst, params, trials=3, preprocess=False)
         assert Counter(replayed) == {vertices: 3 for vertices in sequences}
-        # track_reaches replays through the same function, each of its cells once.
+        # One pair's reaches replay through the same function, each cell once.
         replayed.clear()
         _, trace = run(inst, params)
-        track_reaches(inst, index_trace(inst, trace), 0, 1, cells[(0, 1)])
+        oracle_checked_reaches(inst, trace, 0, 1, cells[(0, 1)])
         assert replayed == sequences[: len(cells[(0, 1)])]
 
 
@@ -705,7 +719,12 @@ class TestOnePassPerTrial:
             report = analysis.run_experiment(inst, params, trials=3)
             assert [t.min_detour_slack.hex() for t in report.trials] == [x.hex() for x in expected]
 
-    def test_given_cells_match_computed_ones(self):
+    def test_given_cells_match_computed_ones(self, monkeypatch):
+        replays = []
+        replay_pairs = analysis._replay_pairs
+        monkeypatch.setattr(
+            analysis, "_replay_pairs", lambda *args: replays.append(replay_pairs(*args)) or replays[-1]
+        )
         inst = random_connected_instance(4, n=30, k=5)
         params = GrowthParams(seed=2)
         _, trace = run(inst, params)
@@ -713,8 +732,9 @@ class TestOnePassPerTrial:
         given_cells = detect_bad_events(inst, trace, params, cells)
         computed = detect_bad_events(inst, trace, params)
         assert given_cells == computed
-        assert given_cells.reach_logs == computed.reach_logs
-        assert given_cells.reach_logs.keys() == cells.keys()
+        assert len(replays) == 2
+        assert replays[0] == replays[1]
+        assert replays[0].keys() == cells.keys()
 
 
 class TestDistortionBound:

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -135,6 +136,28 @@ class TestRun:
         target.mkdir()
         argv = ["run", "--seed", "1", "--trace", str(target), star_file]
         assert_directory_target_refused(argv, target, tmp_path, ["dir", "star.txt"])
+
+    def test_trace_through_a_symlink_writes_its_target(self, star_file, tmp_path):
+        plain = tmp_path / "plain.json"
+        assert invoke(["run", "--seed", "1", "--trace", str(plain), star_file])[0] == 0
+        real = tmp_path / "real.json"
+        real.write_text("old\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(real)
+        assert invoke(["run", "--seed", "1", "--trace", str(link), star_file])[0] == 0
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert real.read_bytes() == plain.read_bytes()
+        assert file_names(tmp_path) == ["link.json", "plain.json", "real.json", "star.txt"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+    def test_trace_on_a_fifo_prints_no_result(self, star_file, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        code, out, err = invoke(["run", "--seed", "1", "--trace", str(fifo), star_file])
+        assert_failed_before_stdout(code, out, err)
+        assert err.splitlines()[-1] == f"error: {fifo} is not a regular file"
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert file_names(tmp_path) == ["fifo", "star.txt"]
 
     def test_random_seed_is_echoed(self, star_file):
         code, out, err = invoke(["run", star_file])
