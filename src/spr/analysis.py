@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import statistics
+import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from itertools import groupby
@@ -79,11 +80,11 @@ class PathCell:
 class TraceIndex:
     """One trial's trace, validated and keyed by vertex.
 
-    A batch is one (round, terminal) run of consecutive assignment events.
-    Batch h < k stands for terminal h itself, which counts as assigned
-    before the first round; the trace's batches follow from k on, in run
-    order.  ``batch_of[v]`` is the batch that assigns v (-1 if none does)
-    and ``batch_terminal[b]`` the terminal index batch b absorbs into.
+    A batch is one draw's assignment event.  Batch h < k stands for
+    terminal h itself, which counts as assigned before the first round;
+    the trace's events follow from k on, in run order.  ``batch_of[v]``
+    is the batch that assigns v (-1 if none does) and
+    ``batch_terminal[b]`` the terminal index batch b absorbs into.
     """
 
     batch_of: list[int]
@@ -150,21 +151,19 @@ def index_trace(inst: Instance, trace: RunTrace) -> TraceIndex:
     for h, t in enumerate(inst.terminals):
         batch_of[t] = h
     batch_terminal = list(range(k))
-    key = None
     for event in trace.events:
-        v = event.vertex
-        if not 0 <= v < n:
-            raise TraceMismatchError(f"event vertex {v} out of range")
-        if batch_of[v] >= 0:
-            if batch_of[v] < k:
-                raise TraceMismatchError(f"terminal {v} has an assignment event")
-            raise TraceMismatchError(f"vertex {v} assigned twice")
         if not 0 <= event.terminal < k:
             raise TraceMismatchError(f"event terminal {event.terminal} out of range")
-        if (event.round_index, event.terminal) != key:
-            key = (event.round_index, event.terminal)
-            batch_terminal.append(event.terminal)
-        batch_of[v] = len(batch_terminal) - 1
+        batch = len(batch_terminal)
+        batch_terminal.append(event.terminal)
+        for v in event.vertices:
+            if not 0 <= v < n:
+                raise TraceMismatchError(f"event vertex {v} out of range")
+            if batch_of[v] >= 0:
+                if batch_of[v] < k:
+                    raise TraceMismatchError(f"terminal {v} has an assignment event")
+                raise TraceMismatchError(f"vertex {v} assigned twice")
+            batch_of[v] = batch
     return TraceIndex(batch_of, batch_terminal)
 
 
@@ -319,29 +318,22 @@ def partition_pairs(
     return {(i, j): path_partition(inst, i, j, params) for i in range(k) for j in range(i + 1, k)}
 
 
-def detect_bad_events(
-    inst: Instance,
-    trace: RunTrace,
-    params: GrowthParams,
-    cells: dict[tuple[int, int], list[PathCell]] | None = None,
-) -> BadEventReport:
+def detect_bad_events(inst: Instance, trace: RunTrace, params: GrowthParams) -> BadEventReport:
     """Scan a trace for the three bad-event families.
 
     far: a vertex assigned to a terminal at distance >= c1 * D_v.
     early: a vertex assigned during or before the first round whose mean
     reaches c2 * D_v * delta / log k.
     many: a path cell reached by at least c3 * log k distinct terminals.
-
-    ``cells`` is :func:`partition_pairs` of the same instance and params,
-    computed here when omitted.
     """
-    if cells is None:
-        cells = partition_pairs(inst, params)
-    return _bad_events(inst, trace, params, cells)[0]
+    return _bad_events(inst, trace, params, partition_pairs(inst, params))[0]
 
 
 def _bad_events(inst, trace, params, cells):
-    """:func:`detect_bad_events`' report and the :func:`_replay_pairs` replays it read."""
+    """:func:`detect_bad_events`' report and the :func:`_replay_pairs` replays it read.
+
+    ``cells`` is :func:`partition_pairs` of the same instance and params.
+    """
     index = index_trace(inst, trace)
     far_events = []
     early_events = []
@@ -350,14 +342,16 @@ def _bad_events(inst, trace, params, cells):
     means = [trace.base_mean]
 
     for event in trace.events:
-        dv = nearest[event.vertex]
-        far_threshold = params.c1 * dv
-        dist = inst.row(event.terminal)[event.vertex]
-        if dist >= far_threshold:
-            far_events.append((event.vertex, event.terminal, dist, far_threshold))
-        z = params.c2 * dv * params.delta / log_k
-        if event.round_index <= _round_of(means, trace.growth_rate, z):
-            early_events.append((event.vertex, event.round_mean, z))
+        row = inst.row(event.terminal)
+        for v in event.vertices:
+            dv = nearest[v]
+            far_threshold = params.c1 * dv
+            dist = row[v]
+            if dist >= far_threshold:
+                far_events.append((v, event.terminal, dist, far_threshold))
+            z = params.c2 * dv * params.delta / log_k
+            if event.round_index <= _round_of(means, trace.growth_rate, z):
+                early_events.append((v, event.round_mean, z))
 
     many_threshold = params.c3 * log_k
     many_events = []
@@ -444,7 +438,10 @@ def run_experiment(
     results: list[TrialResult] = []
     cells = None
     for index in range(trials):
-        trial_params = replace(params, seed=(params.seed + index) % 2**64)
+        with warnings.catch_warnings():
+            # ``params`` warned once if its delta is past the analyzed regime.
+            warnings.simplefilter("ignore", UserWarning)
+            trial_params = replace(params, seed=(params.seed + index) % 2**64)
         part, trace = run(work, trial_params)
         # The analysis reads all k full rows (cached after the first
         # trial); built first, ``contract`` reads its terminal distances

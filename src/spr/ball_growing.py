@@ -12,10 +12,11 @@ Randomness contract: the increment for (round, terminal) is derived from the
 first variate of a Philox4x64-10 stream keyed by ``[seed, round * 2**32 +
 terminal]``, the value numpy's ``Philox`` gives for that key.  Draws
 therefore do not depend on evaluation order, and any single draw can be
-reproduced from the seed alone.
+reproduced from the seed alone.  A round's k draws are computed together.
 
-Round means are computed by repeated multiplication (``mean *= r``), so the
-recorded sequence is exactly what the float arithmetic produced.
+The trace records each round's draws and one event per draw that absorbed
+vertices, holding those vertices in absorb order.  are computed by repeated multiplication (``mean *= r``), so the recorded
+sequence is exactly what the float arithmetic produced.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .errors import (
     NoNonTerminalsError,
     ParamOutOfRegimeError,
     RoundCapExceededError,
+    TraceMismatchError,
 )
 from .graph import Instance
 from .partition import TerminalPartition
@@ -100,11 +102,13 @@ class RoundRecord:
 
 
 class AssignmentEvent(NamedTuple):
-    vertex: int
-    terminal: int
+    """One draw that absorbed vertices: its ball's new vertices, in absorb order."""
+
     round_index: int
+    terminal: int
     round_mean: float
-    radius: float  # the terminal's radius when the ball absorbed the vertex
+    radius: float  # the terminal's radius after the draw
+    vertices: tuple[int, ...]
 
 
 @dataclass
@@ -131,7 +135,7 @@ _MASK64 = 2**64 - 1
 
 
 class SubstreamSampler:
-    """One uniform variate per (round, terminal), order-independent.
+    """A round's k uniforms, one per terminal, order-independent.
 
     The value for (round, terminal) is the first ``random()`` of numpy's
     ``Philox`` generator keyed by ``[seed, round * 2**32 + terminal]``,
@@ -142,54 +146,36 @@ class SubstreamSampler:
     holds terminal j's state in bits [128 j, 128 j + 64).  A lane's product
     with a 64-bit multiplier stays below 2**128 and its key sum below
     2**65, so no carry reaches the next lane, and one big-int operation
-    advances every lane.  :meth:`uniform` is the one-lane case.
+    advances every lane.  The k lanes' constants are built once.
     """
 
-    def __init__(self, seed: int):
-        self.seed = seed
-        # The seed's key word for rounds 2..10; round 1 uses the seed itself.
-        self._seed_keys = tuple((seed + r * _PHILOX_W0) & _MASK64 for r in range(1, 10))
-        self._lanes = {}  # lane count -> its constants, see _lane_constants
-
-    def uniform(self, round_index: int, terminal: int) -> float:
-        if not 0 <= terminal < 2**32:
-            raise ValueError("terminal index exceeds the key lane")
-        if not 0 <= round_index < 2**32:
-            raise ValueError("round index exceeds the key lane")
-        return self._philox((round_index << 32) | terminal, 1)[0]
-
-    def uniforms(self, round_index: int, k: int) -> list[float]:
-        """``[uniform(round_index, j) for j in range(k)]``, in one pass."""
+    def __init__(self, seed: int, k: int):
+        # Checked before any lane is built: k lanes take 16 k bytes per constant.
         if not 0 <= k - 1 < 2**32:
             raise ValueError("terminal index exceeds the key lane")
+        self.seed = seed
+        ones = int.from_bytes((b"\x01" + bytes(15)) * k, "little")
+        self._ones = ones
+        self._offsets = sum(j << (128 * j) for j in range(k))  # lane j holds key offset j
+        self._mask = _MASK64 * ones
+        self._w1 = _PHILOX_W1 * ones
+        # The seed's key word for rounds 2..10 in every lane; round 1 uses the seed itself.
+        self._seed_keys = tuple(((seed + r * _PHILOX_W0) & _MASK64) * ones for r in range(1, 10))
+        self._lanes = struct.Struct("<" + "Q8x" * k)  # reads each lane's low word
+
+    def uniforms(self, round_index: int) -> list[float]:
+        """The uniforms of (round_index, j) for j = 0, ..., k - 1."""
         if not 0 <= round_index < 2**32:
             raise ValueError("round index exceeds the key lane")
-        return self._philox(round_index << 32, k)
+        return self._philox(round_index << 32)
 
-    def _lane_constants(self, n: int):
-        """n lanes' constants: the lane units, the keys' lane offsets 0..n-1,
-        the 64-bit lane mask, the Weyl key increment and seed keys in every
-        lane, and the reader of each lane's low word."""
-        constants = self._lanes.get(n)
-        if constants is None:
-            ones = int.from_bytes((b"\x01" + bytes(15)) * n, "little")
-            constants = self._lanes[n] = (
-                ones,
-                sum(j << (128 * j) for j in range(n)),
-                _MASK64 * ones,
-                _PHILOX_W1 * ones,
-                tuple(seed_key * ones for seed_key in self._seed_keys),
-                struct.Struct("<" + "Q8x" * n).unpack,
-            )
-        return constants
-
-    def _philox(self, base_key: int, n: int) -> list[float]:
-        """The uniforms of the n keys ``base_key + j``, lane j holding key j."""
-        ones, offsets, mask, w1, seed_keys, unpack = self._lane_constants(n)
-        key = base_key * ones + offsets
+    def _philox(self, base_key: int) -> list[float]:
+        """The uniforms of the k keys ``base_key + j``, lane j holding key j."""
+        ones, mask, w1, lanes = self._ones, self._mask, self._w1, self._lanes
+        key = base_key * ones + self._offsets
         # Round 1: counter [1, 0, 0, 0] makes both products constants.
         x0, x1, x2, x3 = self.seed * ones, 0, key, _PHILOX_M0 * ones
-        for seed_key in seed_keys:
+        for seed_key in self._seed_keys:
             key = (key + w1) & mask
             p = _PHILOX_M0 * x0
             q = _PHILOX_M1 * x2
@@ -199,7 +185,7 @@ class SubstreamSampler:
                 ((p >> 64) & mask) ^ x3 ^ key,
                 p & mask,
             )
-        return [(x >> 11) * 2.0**-53 for x in unpack(x0.to_bytes(16 * n, "little"))]
+        return [(x >> 11) * 2.0**-53 for x in lanes.unpack(x0.to_bytes(lanes.size, "little"))]
 
 
 def _exponential(mean: float, u: float) -> float:
@@ -307,39 +293,42 @@ class _Frontier:
 def run(inst: Instance, params: GrowthParams) -> tuple[TerminalPartition, RunTrace]:
     """Grow balls until every vertex is assigned; return partition and trace.
 
-    Deterministic in (inst, params.seed).  When coverage completes in the
-    middle of a round, the remaining terminals of that round draw nothing:
-    their uniforms are computed with the round's first draw but never
-    recorded.
+    Deterministic in (inst, params.seed).  Each round's k increments are
+    computed together; when coverage completes in the middle of a round,
+    the remaining terminals' increments are never recorded.
     """
-    sampler = SubstreamSampler(params.seed)
-    uniforms = []
+    sampler = SubstreamSampler(params.seed, inst.k)
 
-    def next_increment(round_index: int, terminal: int, mean: float) -> float:
-        nonlocal uniforms
-        if terminal == 0:  # a round's first draw: compute all k of its uniforms
-            uniforms = sampler.uniforms(round_index, inst.k)
-        return _exponential(mean, uniforms[terminal])
+    def increments(round_index: int, mean: float) -> list[float]:
+        return [_exponential(mean, u) for u in sampler.uniforms(round_index)]
 
-    return _run_loop(inst, params, next_increment)
+    return _run_loop(inst, params, increments)
 
 
 def replay_trace(inst: Instance, trace: RunTrace) -> TerminalPartition:
-    """Re-run the growth loop from a trace's recorded draws."""
-    recorded = {
-        (record.index, terminal): value
-        for record in trace.rounds
-        for terminal, value in record.draws
-    }
+    """Re-run the growth loop from a trace's recorded draws.
 
-    def next_increment(round_index: int, terminal: int, mean: float) -> float:
-        return recorded[(round_index, terminal)]
+    Raises :class:`TraceMismatchError` when the trace runs out of rounds,
+    or out of draws within a round, while vertices are still unassigned,
+    and when a round's draws are not in terminal order 0, 1, ....
+    """
+    rounds = iter(trace.rounds)
 
-    partition, _ = _run_loop(inst, trace.params, next_increment)
+    def increments(round_index: int, mean: float) -> list[float]:
+        record = next(rounds, None)
+        if record is None or record.index != round_index:
+            raise TraceMismatchError(f"the trace records no round {round_index}")
+        if [terminal for terminal, _ in record.draws] != list(range(len(record.draws))):
+            raise TraceMismatchError(f"round {round_index}'s draws are not in terminal order")
+        return [value for _, value in record.draws]
+
+    partition, _ = _run_loop(inst, trace.params, increments)
     return partition
 
 
-def _run_loop(inst, params, next_increment):
+def _run_loop(inst, params, increments):
+    """The growth loop; ``increments(round_index, mean)`` gives a round's
+    increments in terminal order."""
     n = inst.graph.vertex_count
     k = inst.k
     adjacency = inst.graph.adjacency
@@ -350,8 +339,7 @@ def _run_loop(inst, params, next_increment):
     unassigned = n - k
 
     if unassigned == 0:
-        trace = RunTrace(params, None, None, 0)
-        return TerminalPartition(assignment), trace
+        return TerminalPartition(assignment), RunTrace(params, None, None, 0)
 
     base_mean = compute_base_mean(inst, params)
     rate = params.growth_rate(k)
@@ -371,17 +359,21 @@ def _run_loop(inst, params, next_increment):
                 f"round cap {cap} reached with {unassigned} vertices unassigned"
             )
         draws: list[tuple[int, float]] = []
-        for j in range(k):
-            if unassigned == 0:
-                break
-            increment = next_increment(round_index, j, mean)
+        for j, increment in zip(range(k), increments(round_index, mean)):
             draws.append((j, increment))
             radii[j] += increment
             radius = radii[j]
             absorbed = frontiers[j].grow(adjacency, assignment, radius)
-            unassigned -= len(absorbed)
-            for v in absorbed:
-                trace.events.append(AssignmentEvent(v, j, round_index, mean, radius))
+            if absorbed:
+                trace.events.append(AssignmentEvent(round_index, j, mean, radius, tuple(absorbed)))
+                unassigned -= len(absorbed)
+                if unassigned == 0:
+                    break
+        if unassigned and len(draws) < k:
+            raise TraceMismatchError(
+                f"round {round_index} has {len(draws)} of {k} draws with "
+                f"{unassigned} vertices unassigned"
+            )
         trace.rounds.append(RoundRecord(round_index, mean, tuple(draws)))
         round_index += 1
         mean *= rate
@@ -391,7 +383,7 @@ def _run_loop(inst, params, next_increment):
 
 # One event as ``json.dumps(..., indent=2, sort_keys=True)`` lays it out
 # inside the trace's "events" list, fields in sorted key order: the head,
-# shared by every event of one draw, then the vertex, then the close.
+# shared by every vertex of one draw, then the vertex, then the close.
 _EVENT_HEAD = (
     "    {\n"
     '      "mean": %s,\n'
@@ -408,14 +400,12 @@ def trace_to_json(trace: RunTrace) -> str:
     draws, per-vertex events.
 
     The head goes through ``json.dumps``; the events, which are most of
-    the trace, are spliced in from a fixed template.  Every event of one
-    draw holds the same terminal, round, mean and radius objects, so the
-    template's head is formatted, and its floats checked, once per run of
-    consecutive events that hold identical objects; each event then adds
-    only its vertex.  Grouping on identity, not equality, keeps 0.0 and
-    -0.0 apart.  The pieces are joined once.  The text equals
-    ``json.dumps`` of the whole trace.  A non-finite float raises
-    ``ValueError`` instead of writing NaN or Infinity.
+    the trace, are spliced in from a fixed template.  Each draw's record
+    formats the template's head, and checks its floats, once; each of its
+    vertices then adds only the vertex.  The pieces are joined once.  The
+    text equals ``json.dumps`` of the whole trace, one event per vertex.
+    A non-finite float raises ``ValueError`` instead of writing NaN or
+    Infinity.
     """
     params = trace.params
     head = json.dumps(
@@ -454,24 +444,21 @@ def trace_to_json(trace: RunTrace) -> str:
         sort_keys=True,
         allow_nan=False,
     )
-    if not trace.events:
-        return head
     before, _, after = head.partition('"events": []')
     parts = [before, '"events": [\n']
     append = parts.append
     r = float.__repr__  # what json writes for a float
     isfinite = math.isfinite
-    # The current draw's objects; a fresh sentinel matches no event.
-    t0 = r0 = m0 = x0 = object()
-    for vertex, terminal, round_index, mean, radius in trace.events:
-        if not (terminal is t0 and round_index is r0 and mean is m0 and radius is x0):
-            if not (isfinite(mean) and isfinite(radius)):
-                raise ValueError("trace event holds a non-finite float")
-            t0, r0, m0, x0 = terminal, round_index, mean, radius
-            event_head = _EVENT_HEAD % (r(mean), r(radius), round_index, terminal)
-        append(event_head)
-        append(str(vertex))
-        append(_EVENT_CLOSE)
+    for round_index, terminal, mean, radius, vertices in trace.events:
+        if not (isfinite(mean) and isfinite(radius)):
+            raise ValueError("trace event holds a non-finite float")
+        event_head = _EVENT_HEAD % (r(mean), r(radius), round_index, terminal)
+        for vertex in vertices:
+            append(event_head)
+            append(str(vertex))
+            append(_EVENT_CLOSE)
+    if len(parts) == 2:  # no record holds a vertex
+        return head
     parts[-1] = "\n    }\n  ]"
     parts.append(after)
     return "".join(parts)

@@ -24,6 +24,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from .ball_growing import GrowthParams, run, trace_to_json
@@ -88,14 +89,20 @@ def _effective_seed(seed: int | None) -> int:
 
 
 def _params_from(args, seed: int) -> GrowthParams:
-    return GrowthParams(
-        delta=args.delta,
-        c1=args.c1,
-        c2=args.c2,
-        c3=args.c3,
-        max_rounds=args.max_rounds,
-        seed=seed,
-    )
+    # A delta past the analyzed regime warns; the warning becomes one stderr line.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        params = GrowthParams(
+            delta=args.delta,
+            c1=args.c1,
+            c2=args.c2,
+            c3=args.c3,
+            max_rounds=args.max_rounds,
+            seed=seed,
+        )
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    return params
 
 
 def _checked(kind, requirement: str, ok):

@@ -35,7 +35,7 @@ def invoke(argv):
 
 
 def trace_to_dict(trace):
-    """JSON-ready trace: params echo, per-round draws, per-vertex events."""
+    """JSON-ready trace: params echo, per-round draws, one event per vertex."""
     params = trace.params
     return {
         "schema_version": 1,
@@ -68,13 +68,14 @@ def trace_to_dict(trace):
         ],
         "events": [
             {
-                "vertex": event.vertex,
+                "vertex": vertex,
                 "terminal": event.terminal,
                 "round": event.round_index,
                 "mean": event.round_mean,
                 "radius": event.radius,
             }
             for event in trace.events
+            for vertex in event.vertices
         ],
     }
 
@@ -174,7 +175,7 @@ def replay_reaches(inst, trace, i, j, cells):
     """Literal per-event reach replay: every batch is matched against the path.
 
     Interior terminals come first, one batch each in terminal order; then
-    the trace's (round, terminal) runs of consecutive events in run order.
+    the trace's events, one batch per draw, in run order.
     Returns (reaches, cover, fully_deactivated): ``reaches[ci]`` lists cell
     ci's reaches as (order, terminal, q_min, q_max) and ``cover`` maps each
     deactivated interior index to the reach that deactivated it.
@@ -207,15 +208,8 @@ def replay_reaches(inst, trace, i, j, cells):
     for h, t in enumerate(inst.terminals):
         if t in index_of:
             process(h, [t])
-    batch, key = [], None
     for event in trace.events:
-        if (event.round_index, event.terminal) != key and batch:
-            process(key[1], batch)
-            batch = []
-        key = (event.round_index, event.terminal)
-        batch.append(event.vertex)
-    if batch:
-        process(key[1], batch)
+        process(event.terminal, event.vertices)
     return reaches, cover, not any(active[1:last])
 
 

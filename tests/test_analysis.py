@@ -2,6 +2,8 @@ import math
 import random
 from collections import Counter
 from dataclasses import replace
+from itertools import groupby
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -41,13 +43,24 @@ PARAMS = GrowthParams(seed=0)
 
 
 def make_trace(inst, events, base_mean=None, rate=None):
-    """Handcrafted trace: only events matter for reach tracking."""
+    """Handcrafted trace: only events matter for reach tracking.
+
+    ``events`` lists (vertex, terminal, round, mean, radius) per vertex;
+    each run of consecutive vertices with one (round, terminal) becomes
+    one draw's record.
+    """
     params = GrowthParams(seed=0)
     if base_mean is None:
         base_mean = 0.001
     if rate is None:
         rate = params.growth_rate(inst.k)
-    return RunTrace(params, base_mean, rate, 1000, rounds=[], events=list(events))
+    records = []
+    for (terminal, round_index), batch in groupby(events, key=itemgetter(1, 2)):
+        batch = list(batch)
+        _, _, _, mean, radius = batch[0]
+        vertices = tuple(event[0] for event in batch)
+        records.append(AssignmentEvent(round_index, terminal, mean, radius, vertices))
+    return RunTrace(params, base_mean, rate, 1000, rounds=[], events=records)
 
 
 def heavy_path():
@@ -175,9 +188,9 @@ class TestTrackReaches:
         trace = make_trace(
             inst,
             [
-                AssignmentEvent(1, 0, 0, 0.001, 501.0),
-                AssignmentEvent(2, 0, 0, 0.001, 501.0),
-                AssignmentEvent(3, 0, 0, 0.001, 501.0),
+                (1, 0, 0, 0.001, 501.0),
+                (2, 0, 0, 0.001, 501.0),
+                (3, 0, 0, 0.001, 501.0),
             ],
         )
         (reaches,), _, complete = oracle_checked_reaches(inst, trace, 0, 1, cells)
@@ -190,9 +203,9 @@ class TestTrackReaches:
         trace = make_trace(
             inst,
             [
-                AssignmentEvent(1, 0, 0, 0.001, 501.0),
-                AssignmentEvent(3, 1, 1, 0.002, 501.0),
-                AssignmentEvent(2, 0, 2, 0.003, 502.0),
+                (1, 0, 0, 0.001, 501.0),
+                (3, 1, 1, 0.002, 501.0),
+                (2, 0, 2, 0.003, 502.0),
             ],
         )
         (reaches,), _, complete = oracle_checked_reaches(inst, trace, 0, 1, cells)
@@ -206,10 +219,10 @@ class TestTrackReaches:
             inst,
             [
                 # one batch absorbs a and c; b turns inactive in between
-                AssignmentEvent(1, 0, 0, 0.001, 501.0),
-                AssignmentEvent(3, 0, 0, 0.001, 501.0),
+                (1, 0, 0, 0.001, 501.0),
+                (3, 0, 0, 0.001, 501.0),
                 # b is assigned later while already inactive
-                AssignmentEvent(2, 1, 1, 0.002, 501.0),
+                (2, 1, 1, 0.002, 501.0),
             ],
         )
         (reaches,), _, complete = oracle_checked_reaches(inst, trace, 0, 1, cells)
@@ -224,8 +237,8 @@ class TestTrackReaches:
         trace = make_trace(
             inst,
             [
-                AssignmentEvent(1, 0, 0, 0.001, 1.1),
-                AssignmentEvent(3, 1, 0, 0.001, 1.2),
+                (1, 0, 0, 0.001, 1.1),
+                (3, 1, 0, 0.001, 1.2),
             ],
         )
         reaches, _, complete = oracle_checked_reaches(inst, trace, 0, 1, cells)
@@ -262,7 +275,7 @@ class TestTrackReaches:
             ([(1, -1, 0)], "event terminal -1 out of range"),
         ]
         for events, message in cases:
-            trace = make_trace(path3, [AssignmentEvent(v, t, r, 0.01, 1.0) for v, t, r in events])
+            trace = make_trace(path3, [(v, t, r, 0.01, 1.0) for v, t, r in events])
             with pytest.raises(TraceMismatchError, match=f"^{message}$"):
                 index_trace(path3, trace)
 
@@ -282,7 +295,7 @@ def synthetic_trace(inst, seed, keep=1.0):
         if rng.random() < 0.5:
             round_index += rng.random() < 0.2
             terminal = rng.randrange(inst.k)
-        events.append(AssignmentEvent(v, terminal, round_index, 0.001, 1.0))
+        events.append((v, terminal, round_index, 0.001, 1.0))
     return make_trace(inst, events)
 
 
@@ -315,7 +328,7 @@ def oracle_cases():
         [(2, 1, 0), (1, 0, 1), (3, 0, 1)],
         [(1, 0, 0)],
     ):
-        trace = make_trace(inst, [AssignmentEvent(v, t, r, 0.001, 501.0) for v, t, r in events])
+        trace = make_trace(inst, [(v, t, r, 0.001, 501.0) for v, t, r in events])
         yield inst, trace, narrow
 
 
@@ -344,7 +357,7 @@ def fused_runs(ranges):
     edges += [(q, q + 1, 1.0) for q in range(1, m)]
     inst = Instance(build_graph(m + 4, edges), [0, m + 1, m + 2, m + 3])
     events = [
-        AssignmentEvent(q, terminal, r, 0.001, 1.0)
+        (q, terminal, r, 0.001, 1.0)
         for r, (terminal, q_min, q_max) in enumerate(ranges)
         for q in range(q_min, q_max + 1)
     ]
@@ -394,7 +407,7 @@ class TestBuildDetourPath:
     """``_pair_detour_length`` against the witness walk that conftest builds."""
 
     def test_path3_detour(self, path3):
-        trace = make_trace(path3, [AssignmentEvent(1, 0, 0, 0.007, 0.9)])
+        trace = make_trace(path3, [(1, 0, 0, 0.007, 0.9)])
         cells = path_partition(path3, 0, 1, PARAMS)
         _, cover, _ = replay_reaches(path3, trace, 0, 1, cells)
         vertices, length, _ = detour_walk(path3, path3.terminal_path(0, 1), cells, cover)
@@ -411,7 +424,7 @@ class TestBuildDetourPath:
     def test_incomplete_cells_raise(self):
         inst = heavy_path()
         cells = path_partition(inst, 0, 1, PARAMS)
-        trace = make_trace(inst, [AssignmentEvent(1, 0, 0, 0.001, 500.5)])
+        trace = make_trace(inst, [(1, 0, 0, 0.001, 500.5)])
         assert not oracle_checked_reaches(inst, trace, 0, 1, cells)[2]
         with pytest.raises(IncompleteCellsError, match=r"^pair \(0, 1\) has active cells left$"):
             detour_length(inst, index_trace(inst, trace), (0, 1), cells)
@@ -521,7 +534,7 @@ class TestDetectBadEvents:
         base = 0.0072134752044448166  # delta/(100 ln 2) for min D_v = 1
         trace = make_trace(
             path3,
-            [AssignmentEvent(1, 0, 0, base, 0.9)],
+            [(1, 0, 0, base, 0.9)],
             base_mean=base,
             rate=GrowthParams().growth_rate(2),
         )
@@ -535,7 +548,7 @@ class TestDetectBadEvents:
         base = 0.0072134752044448166
         trace = make_trace(
             path3,
-            [AssignmentEvent(1, 0, 40, base * 1.7**40, 2.0)],
+            [(1, 0, 40, base * 1.7**40, 2.0)],
             base_mean=base,
             rate=GrowthParams().growth_rate(2),
         )
@@ -555,9 +568,9 @@ class TestDetectBadEvents:
         cells_trace = make_trace(
             inst,
             [
-                AssignmentEvent(1, 0, 0, 0.001, 501.0),
-                AssignmentEvent(2, 0, 0, 0.001, 501.0),
-                AssignmentEvent(3, 0, 0, 0.001, 501.0),
+                (1, 0, 0, 0.001, 501.0),
+                (2, 0, 0, 0.001, 501.0),
+                (3, 0, 0, 0.001, 501.0),
             ],
         )
         report = detect_bad_events(inst, cells_trace, params)
@@ -719,6 +732,12 @@ class TestOnePassPerTrial:
             report = analysis.run_experiment(inst, params, trials=3)
             assert [t.min_detour_slack.hex() for t in report.trials] == [x.hex() for x in expected]
 
+    def test_out_of_regime_params_warn_once_per_experiment(self):
+        inst = random_connected_instance(8, n=20, k=3)
+        with pytest.warns(UserWarning, match="analyzed regime") as record:
+            analysis.run_experiment(inst, GrowthParams(delta=0.75, seed=1), trials=3)
+        assert len(record) == 1
+
     def test_given_cells_match_computed_ones(self, monkeypatch):
         replays = []
         replay_pairs = analysis._replay_pairs
@@ -729,7 +748,7 @@ class TestOnePassPerTrial:
         params = GrowthParams(seed=2)
         _, trace = run(inst, params)
         cells = analysis.partition_pairs(inst, params)
-        given_cells = detect_bad_events(inst, trace, params, cells)
+        given_cells = analysis._bad_events(inst, trace, params, cells)[0]
         computed = detect_bad_events(inst, trace, params)
         assert given_cells == computed
         assert len(replays) == 2

@@ -34,6 +34,7 @@ from spr.errors import (
     NoNonTerminalsError,
     ParamOutOfRegimeError,
     RoundCapExceededError,
+    TraceMismatchError,
 )
 
 from conftest import (
@@ -61,68 +62,76 @@ class TestSampleErv:
 
 class TestSubstreams:
     def test_rekeying_matches_fresh_generators(self):
-        sampler = SubstreamSampler(99)
+        sampler = SubstreamSampler(99, 5)
         for round_index in range(8):
+            uniforms = sampler.uniforms(round_index)
             for terminal in range(5):
                 key = np.array(
                     [99, (round_index << 32) | terminal], dtype=np.uint64
                 )
                 fresh = np.random.Generator(np.random.Philox(key=key)).random()
-                assert sampler.uniform(round_index, terminal) == fresh
+                assert uniforms[terminal] == fresh
 
     @staticmethod
     def numpy_uniform(seed, round_index, terminal):
         key = np.array([seed, (round_index << 32) | terminal], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key)).random()
 
+    @staticmethod
+    def one_key(seed, round_index, terminal):
+        """The uniform of one (round, terminal) key, terminal any 32-bit index."""
+        return SubstreamSampler(seed, 1)._philox((round_index << 32) | terminal)[0]
+
     def test_matches_numpy_philox_on_random_keys(self):
         rng = random.Random(2024)
         for _ in range(2000):
             seed, round_index, terminal = rng.getrandbits(64), rng.getrandbits(32), rng.getrandbits(32)
-            assert SubstreamSampler(seed).uniform(round_index, terminal) == self.numpy_uniform(
+            assert self.one_key(seed, round_index, terminal) == self.numpy_uniform(
                 seed, round_index, terminal
             ), (seed, round_index, terminal)
 
     @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
     def test_matches_numpy_philox_on_the_edge_lanes(self, seed):
-        sampler = SubstreamSampler(seed)
         lanes = (0, 1, 2**31, 2**32 - 1)
         for round_index in lanes:
             for terminal in lanes:
                 expected = self.numpy_uniform(seed, round_index, terminal)
-                assert sampler.uniform(round_index, terminal) == expected, (round_index, terminal)
+                assert self.one_key(seed, round_index, terminal) == expected, (round_index, terminal)
 
     @pytest.mark.parametrize(
         "round_index, terminal, lane",
         [(0, 2**32, "terminal"), (0, -1, "terminal"), (2**32, 0, "round"), (-1, 0, "round")],
     )
     def test_keys_outside_their_lane_are_refused(self, round_index, terminal, lane):
+        # Key (round, terminal) is lane ``terminal`` of a round of terminal + 1
+        # lanes.  The lane count is refused before any lane is built: 2**32 + 1
+        # lanes would take 64 GB per constant.
         with pytest.raises(ValueError, match=f"{lane} index exceeds the key lane"):
-            SubstreamSampler(5).uniform(round_index, terminal)
+            SubstreamSampler(5, terminal + 1).uniforms(round_index)
 
     @pytest.mark.parametrize("k", [1, 8, 32, 64])
     def test_round_lanes_match_numpy_philox(self, k):
         for seed in (0, 99, 2**64 - 1):
-            sampler = SubstreamSampler(seed)
+            sampler = SubstreamSampler(seed, k)
             for round_index in (0, 1, 453, 2**32 - 1):
                 expected = [self.numpy_uniform(seed, round_index, j) for j in range(k)]
-                assert sampler.uniforms(round_index, k) == expected, (seed, round_index)
+                assert sampler.uniforms(round_index) == expected, (seed, round_index)
 
     @pytest.mark.parametrize(
         "round_index, k, lane",
         [(0, 2**32 + 1, "terminal"), (0, 0, "terminal"), (2**32, 1, "round"), (-1, 4, "round")],
     )
     def test_rounds_outside_their_lanes_are_refused(self, round_index, k, lane):
-        # Refused before any lane is built.
+        # A bad lane count is refused before any lane is built.
         with pytest.raises(ValueError, match=f"{lane} index exceeds the key lane"):
-            SubstreamSampler(5).uniforms(round_index, k)
+            SubstreamSampler(5, k).uniforms(round_index)
 
     def test_order_independent(self):
-        a = SubstreamSampler(7)
-        b = SubstreamSampler(7)
-        forward = [(r, j) for r in range(4) for j in range(3)]
-        values_fwd = {key: a.uniform(*key) for key in forward}
-        values_rev = {key: b.uniform(*key) for key in reversed(forward)}
+        a = SubstreamSampler(7, 3)
+        b = SubstreamSampler(7, 3)
+        forward = range(4)
+        values_fwd = {r: a.uniforms(r) for r in forward}
+        values_rev = {r: b.uniforms(r) for r in reversed(forward)}
         assert values_fwd == values_rev
 
 
@@ -255,7 +264,7 @@ class TestRun:
         for record in trace.rounds:
             for terminal, value in record.draws:
                 radii[terminal] += value
-                while (
+                if (
                     event is not None
                     and event.round_index == record.index
                     and event.terminal == terminal
@@ -268,16 +277,50 @@ class TestRun:
     def test_every_vertex_assigned_exactly_once(self):
         inst = random_connected_instance(9, n=40, k=5)
         part, trace = run(inst, GrowthParams(seed=2))
-        assigned = [event.vertex for event in trace.events]
+        assigned = [v for event in trace.events for v in event.vertices]
         assert sorted(assigned) == sorted(inst.non_terminals())
         for event in trace.events:
-            assert part.assignment[event.vertex] == event.terminal
+            for v in event.vertices:
+                assert part.assignment[v] == event.terminal
 
     def test_replay_reproduces_partition(self):
         for seed in range(8):
             inst = random_connected_instance(seed + 50, n=30, k=4)
             part, trace = run(inst, GrowthParams(seed=seed))
             assert replay_trace(inst, trace).assignment == part.assignment
+
+    @staticmethod
+    def replay_case():
+        inst = random_connected_instance(50, n=30, k=4)
+        part, trace = run(inst, GrowthParams(seed=0))
+        assert trace.total_rounds > 2
+        assert replay_trace(inst, trace).assignment == part.assignment
+        return inst, trace
+
+    def test_replay_refuses_a_short_round(self):
+        inst, trace = self.replay_case()
+        record = trace.rounds[1]
+        trace.rounds[1] = RoundRecord(record.index, record.mean, record.draws[:2])
+        message = r"^round 1 has 2 of 4 draws with \d+ vertices unassigned$"
+        with pytest.raises(TraceMismatchError, match=message):
+            replay_trace(inst, trace)
+
+    def test_replay_refuses_missing_rounds(self):
+        inst, trace = self.replay_case()
+        last = trace.rounds.pop()
+        with pytest.raises(TraceMismatchError, match=f"^the trace records no round {last.index}$"):
+            replay_trace(inst, trace)
+        del trace.rounds[1]
+        with pytest.raises(TraceMismatchError, match="^the trace records no round 1$"):
+            replay_trace(inst, trace)
+
+    def test_replay_refuses_draws_out_of_terminal_order(self):
+        inst, trace = self.replay_case()
+        record = trace.rounds[0]
+        first, second, *rest = record.draws
+        trace.rounds[0] = RoundRecord(record.index, record.mean, (second, first, *rest))
+        with pytest.raises(TraceMismatchError, match="^round 0's draws are not in terminal order$"):
+            replay_trace(inst, trace)
 
     def test_round_cap_exceeded(self):
         inst = random_connected_instance(1, n=30, k=3)
@@ -334,17 +377,17 @@ class TestRun:
         cells = [{t} for t in inst.terminals]
         unassigned = set(range(n)) - set(inst.terminals)
         rate = params.growth_rate(k)
-        sampler = SubstreamSampler(params.seed)
+        sampler = SubstreamSampler(params.seed, k)
         radii = [0.0] * k
         mean = compute_base_mean(inst, params)
         level = 0
         events = []
         while unassigned:
+            uniforms = sampler.uniforms(level)
             for j in range(k):
                 if not unassigned:
                     break
-                u = sampler.uniform(level, j)
-                radii[j] += -mean * math.log(1.0 - u)
+                radii[j] += -mean * math.log(1.0 - uniforms[j])
                 allowed = unassigned | cells[j]
                 center = inst.terminals[j]
                 dist = restricted_distances(inst.graph, allowed, center)
@@ -374,7 +417,9 @@ class TestRun:
             params = GrowthParams(seed=inst_seed % 7)
             part, trace = run(inst, params)
             expected = self.naive_events(inst, params)
-            got = [(e.vertex, e.terminal, e.round_index, e.radius) for e in trace.events]
+            got = [
+                (v, e.terminal, e.round_index, e.radius) for e in trace.events for v in e.vertices
+            ]
             assert got == expected, (inst_seed, n, k, weights)
             assignment = [-1] * n
             for j, t in enumerate(inst.terminals):
@@ -417,7 +462,7 @@ ids = st.integers(0, 2**40)
 
 @st.composite
 def random_traces(draw):
-    """RunTraces with arbitrary finite floats: none, some or many events."""
+    """RunTraces with arbitrary finite floats: none, some or many records."""
     params = GrowthParams(
         delta=draw(st.floats(min_value=1e-3, max_value=0.5)),
         c1=draw(st.floats(min_value=1e-3, max_value=1e6)),
@@ -428,17 +473,16 @@ def random_traces(draw):
         RoundRecord(index, draw(trace_floats), tuple(draw(st.lists(st.tuples(ids, trace_floats), max_size=3))))
         for index in range(draw(st.integers(0, 4)))
     ]
-    # Events come in runs, one per draw: every event of a run holds the
-    # same terminal, round, mean and radius objects, as in a real trace.
-    # A run may reuse the previous run's mean object, as the next
-    # terminal's draw in one round does, or its terminal, round and mean
-    # objects, so that only the radius tells the two runs apart.
+    # One record per draw; a hand-built one may hold no vertex.  A record may reuse
+    # the previous record's mean, as the next terminal's draw in one round
+    # does, or its terminal, round and mean, so that only the radius tells
+    # the two records apart.
     events = []
     for terminal, round_index, mean, radius, vertices, reuse in draw(
         st.lists(
             st.tuples(
                 ids, ids, trace_floats, trace_floats,
-                st.lists(ids, min_size=1, max_size=4),
+                st.lists(ids, max_size=4),
                 st.sampled_from(["none", "mean", "all but radius"]),
             ),
             max_size=6,
@@ -449,7 +493,7 @@ def random_traces(draw):
             mean = last.round_mean
             if reuse == "all but radius":
                 terminal, round_index = last.terminal, last.round_index
-        events.extend(AssignmentEvent(v, terminal, round_index, mean, radius) for v in vertices)
+        events.append(AssignmentEvent(round_index, terminal, mean, radius, tuple(vertices)))
     base = draw(st.none() | trace_floats)
     rate = None if base is None else draw(trace_floats)
     return RunTrace(params, base, rate, draw(st.integers(0, 10**6)), rounds, events)
@@ -476,23 +520,23 @@ class TestTraceJson:
         assert trace.events
         assert trace_to_json(trace) == dumped(trace)
 
-    def test_events_of_one_draw_share_their_field_objects(self):
+    def test_one_record_per_absorbing_draw(self):
         inst = random_connected_instance(5, n=60, k=4)
         _, trace = run(inst, GrowthParams(seed=3))
-        draws = {}
-        for event in trace.events:
-            key = (event.round_index, event.terminal)
-            first = draws.setdefault(key, event)
-            assert first.round_mean is event.round_mean and first.radius is event.radius
-        assert len(draws) < len(trace.events)
+        drawn = [(record.index, terminal) for record in trace.rounds for terminal, _ in record.draws]
+        keys = [(event.round_index, event.terminal) for event in trace.events]
+        # In run order, each key at most once, each record non-empty.
+        absorbing = set(keys)
+        assert keys == [key for key in drawn if key in absorbing]
+        assert all(event.vertices for event in trace.events)
+        assert len(trace.events) < sum(len(event.vertices) for event in trace.events)
 
     def test_equal_but_distinct_floats_are_not_merged(self):
-        # 0.0 == -0.0, but json writes them apart; grouping on equality
-        # would write the second event's mean as 0.0.
+        # 0.0 == -0.0, but json writes them apart: each record writes its own mean.
         terminal, round_index, radius = 3, 7, 1.5
         events = [
-            AssignmentEvent(10, terminal, round_index, 0.0, radius),
-            AssignmentEvent(11, terminal, round_index, -0.0, radius),
+            AssignmentEvent(round_index, terminal, 0.0, radius, (10,)),
+            AssignmentEvent(round_index, terminal, -0.0, radius, (11,)),
         ]
         trace = RunTrace(GrowthParams(), 0.5, 1.25, 16, [], events)
         text = trace_to_json(trace)

@@ -1,4 +1,3 @@
-import contextlib
 import errno
 import gc
 import hashlib
@@ -9,6 +8,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -744,14 +744,23 @@ class TestFlagRanges:
     @pytest.mark.parametrize("flag", FLAGS)
     def test_extreme_values_end_in_one_error_line(self, four_file, flag):
         # Several extremes ("+1", "1e308", 2**64, ...) parse to a delta past
-        # 1/2, which warns.
-        if flag == "--delta":
-            expected = pytest.warns(UserWarning, match="analyzed regime")
-        else:
-            expected = contextlib.nullcontext()
-        with expected:
+        # 1/2: the CLI prints that as one stderr line, not a Python warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             for value in self.EXTREMES:
                 self.check_flag_value(four_file, flag, value)
+
+    @pytest.mark.parametrize("command", ["run", "experiment"])
+    def test_delta_outside_regime_is_one_warning_line(self, star_file, command):
+        graph = [star_file] if command == "run" else ["--trials", "1", "--graph", star_file]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke([command, "--seed", "1", "--delta", "0.75", *graph])
+        assert code == 0 and out
+        assert err.splitlines() == [
+            "seed: 1",
+            "warning: delta=0.75 is outside the analyzed regime (> 1/2)",
+        ]
 
     @given(flag=st.sampled_from(FLAGS), value=st.text(max_size=12))
     @settings(max_examples=150, deadline=None)
