@@ -15,7 +15,8 @@ therefore do not depend on evaluation order, and any single draw can be
 reproduced from the seed alone.  A round's k draws are computed together.
 
 The trace records each round's draws and one event per draw that absorbed
-vertices, holding those vertices in absorb order.  are computed by repeated multiplication (``mean *= r``), so the recorded
+vertices, holding those vertices in absorb order.  The round means are
+computed by repeated multiplication (``mean *= r``), so the recorded
 sequence is exactly what the float arithmetic produced.
 """
 

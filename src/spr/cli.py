@@ -199,7 +199,7 @@ def cmd_run(args) -> int:
 def cmd_eval(args) -> int:
     inst = load_instance(args.graph)
     try:
-        payload = json.loads(Path(args.partition).read_text(encoding="utf-8"))
+        payload = json.loads(Path(args.partition).read_text(encoding="utf-8-sig"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InvalidPartitionError(f"{args.partition}: {exc}") from None
     except RecursionError:

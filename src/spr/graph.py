@@ -57,9 +57,11 @@ class WeightedGraph:
             w = float(w)
             adj[u].append((v, w))
             adj[v].append((u, w))
-        for lst in adj:
-            lst.sort()
-        self.adjacency = tuple(tuple(lst) for lst in adj)
+        # Each row list is freed as soon as its tuple is made.
+        for u, row in enumerate(adj):
+            row.sort()
+            adj[u] = tuple(row)
+        self.adjacency = tuple(adj)
 
     # -- basic queries -------------------------------------------------
 
@@ -302,10 +304,14 @@ class Skeleton:
         for v in keep:
             branch[v] = 1
         # links[b]: the (branch neighbour, weight) edges of branch vertex b.
-        # chains[b]: [far end, weights, interior] per chain, read from b.
-        # Lists, not tuples: CPython keeps thousands of freed small tuples
-        # for reuse, and those would hold on to the memory of a freed input
-        # graph (measured: +5 MB peak RSS on a subdivided 18k-vertex run).
+        # chains[b]: the records of the chains ending at b.  A record
+        # [a, z, weights, interior] is read forward from a and reversed
+        # from z, and both ends hold the same record.  A chain back to its
+        # own end is read forward from both, so its second end holds a
+        # reversed copy.  Lists, not tuples: CPython keeps thousands of
+        # freed small tuples for reuse, and those would hold on to the
+        # memory of a freed input graph (measured: +5 MB peak RSS on a
+        # subdivided 18k-vertex run).
         links: list = [()] * n
         chains: list = [None] * n
         seen = bytearray(n)
@@ -329,12 +335,13 @@ class Skeleton:
                         y, wy = z, wz
                     weights.append(wy)
                     prev, v = v, y
+                record = [b, v, weights, inner]
                 if chains[b] is None:
                     chains[b] = []
-                chains[b].append([v, weights, inner])
+                chains[b].append(record)
                 if chains[v] is None:
                     chains[v] = []
-                chains[v].append([b, weights[::-1], inner[::-1]])
+                chains[v].append(record if v != b else [b, b, weights[::-1], inner[::-1]])
         self.graph = graph
         self.keep = keep
         self._links = links
@@ -343,7 +350,8 @@ class Skeleton:
         search = links[:]
         for b, folds in enumerate(chains):
             if folds:
-                search[b] = links[b] + [(end, sum(weights)) for end, weights, _ in folds]
+                totals = [(z if a == b else a, sum(weights)) for a, z, weights, _ in folds]
+                search[b] = links[b] + totals
         self._search = search
 
     def _fill_closure(self, dist: list[float], targets: Iterable[int]) -> set[int]:
@@ -373,25 +381,29 @@ class Skeleton:
             folds = chains[v]
             if not folds:
                 continue
-            for end, weights, inner in folds:
+            for a, z, weights, inner in folds:
                 if dist[inner[0]] == inf:
-                    d = dv
+                    d = dist[a]
                     for x, w in zip(inner, weights):
                         d += w
                         dist[x] = d
-                    d = dist[end]
+                    d = dist[z]
                     for x, w in zip(reversed(inner), reversed(weights)):
                         d += w
                         if d < dist[x]:
                             dist[x] = d
+                if a == v:
+                    end, steps, last = z, zip(inner, weights), weights[-1]
+                else:
+                    end, steps, last = a, zip(reversed(inner), reversed(weights)), weights[0]
                 d = dv
-                for x, w in zip(inner, weights):
+                for x, w in steps:
                     if dist[x] + w != d:
                         break
                     closure.add(x)
                     d = dist[x]
                 else:
-                    if dist[end] + weights[-1] == d and end not in closure:
+                    if dist[end] + last == d and end not in closure:
                         closure.add(end)
                         stack.append(end)
         return closure
@@ -435,6 +447,7 @@ def build_graph(vertex_count: int, edge_list: Sequence[tuple[int, int, float]]) 
         if key in seen:
             raise DuplicateEdgeError(f"duplicate edge {key}")
         seen.add(key)
+    del seen  # free the keys before the adjacency is allocated
     total = sum(w for _, _, w in edge_list)
     if not math.isfinite(total):
         raise GraphError(f"edge weights sum to {total!r}; path lengths would overflow")

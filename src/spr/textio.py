@@ -5,8 +5,9 @@ Line 2: k space-separated 0-based terminal ids.
 Then m lines ``u v w`` with w a decimal literal.
 
 Anything after ``#`` on a line is a comment; blank lines are skipped.
-Both LF and CRLF line endings are accepted, and files are read as UTF-8.  Writing is canonical:
-edges sorted by endpoints, weights in the shortest decimal form that
+Both LF and CRLF line endings are accepted.  Files are read as UTF-8,
+with or without a leading byte-order mark.  Writing is canonical: edges
+sorted by endpoints, weights in the shortest decimal form that
 round-trips.
 """
 
@@ -64,6 +65,7 @@ def parse_graph_text(text: str) -> Instance:
         except ValueError as exc:
             raise GraphFormatError(f"bad edge line {line!r}") from exc
         edges.append((u, v, w))
+    del lines  # free the text's lines before the adjacency is allocated
 
     return Instance(build_graph(n, edges), terminals)
 
@@ -84,7 +86,7 @@ def format_graph_text(inst: Instance) -> str:
 
 def load_instance(path: str | Path) -> Instance:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise GraphFormatError(f"{path}: {exc}") from None
     return parse_graph_text(text)

@@ -135,6 +135,19 @@ def heap_dijkstra(g, s):
     return [dist.get(v, math.inf) for v in range(n)]
 
 
+def chain_readings(sk, b):
+    """Each chain at branch vertex b as (far end, weights, interior) read from b.
+
+    The weights run from b's edge into the chain to the far end's edge;
+    the interior runs in the same direction.  Both are fresh lists.
+    """
+    for a, z, weights, inner in sk._chains[b] or ():
+        if a == b:
+            yield z, list(weights), list(inner)
+        else:
+            yield a, weights[::-1], inner[::-1]
+
+
 def heap_skeleton_search(sk, s, targets):
     """Reference bounded search over ``sk``'s branch vertices, on a pair heap.
 
@@ -159,7 +172,7 @@ def heap_skeleton_search(sk, s, targets):
                 limit = d
         # A chain's weights fold left to right onto d, as a full row sums them.
         relaxed = [(v, d + w) for v, w in sk._links[u]]
-        for v, weights, _ in sk._chains[u] or ():
+        for v, weights, _ in chain_readings(sk, u):
             nd = d
             for w in weights:
                 nd += w

@@ -322,6 +322,24 @@ class TestEval:
         assert (result.returncode, result.stderr) == (0, "")
         assert json.loads(result.stdout)["distortion"] == 2.0
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        bom = b"\xef\xbb\xbf"
+        part_bytes = json.dumps({"assignment": [0, 1, 2, 0]}).encode()
+        files = {}
+        for name, data in (("g", STAR.encode()), ("p", part_bytes)):
+            for prefix in (b"", bom):
+                path = tmp_path / f"{name}{len(prefix)}"
+                path.write_bytes(prefix + data)
+                files[name, prefix] = str(path)
+        plain = invoke(["eval", files["g", b""], files["p", b""]])
+        assert plain[0] == 0
+        for g, p in ((bom, b""), (b"", bom), (bom, bom)):
+            assert invoke(["eval", files["g", g], files["p", p]]) == plain
+        for extra in ([], ["--no-preprocess"]):
+            runs = [invoke(["run", "--seed", "3", *extra, files["g", g]]) for g in (b"", bom)]
+            assert runs[0][0] == 0
+            assert runs[1] == runs[0]
+
     def test_non_json_partition_exits_one(self, star_file, tmp_path):
         part = tmp_path / "part.txt"
         part.write_text("assignment = [0, 1, 2, 0]\n")

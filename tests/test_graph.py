@@ -20,6 +20,7 @@ from spr.errors import (
 from conftest import (
     NON_DYADIC_WEIGHTS,
     brute_canonical,
+    chain_readings,
     floyd_warshall,
     heap_dijkstra,
     heap_skeleton_search,
@@ -278,6 +279,7 @@ def check_skeleton(inst):
     terms = list(inst.terminals)
     sk = g.skeleton(terms)
     branch = [v for v in range(n) if v in sk.keep or len(g.adjacency[v]) != 2]
+    assert_far_end_reads_the_reverse(sk)
     for a, s in enumerate(terms):
         targets = terms[:a] + terms[a + 1 :]
         full = g._dijkstra(s)
@@ -297,6 +299,21 @@ def check_skeleton(inst):
         assert sk._fill_closure(row, within) == tight_closure(g, full, within), s
         check_row(range(n))
         assert sk.shortest_paths(s, targets) == [inst.path(a, t) for t in targets]
+
+
+def assert_far_end_reads_the_reverse(sk):
+    """Each chain read from its far end is its near-end reading reversed.
+
+    As multisets over all branch vertices: a chain between b and e read
+    from b appears read from e with its weights and interior reversed.
+    """
+    near = []
+    far = []
+    for b in range(sk.graph.vertex_count):
+        for end, weights, inner in chain_readings(sk, b):
+            near.append((b, end, weights, inner))
+            far.append((end, b, weights[::-1], inner[::-1]))
+    assert sorted(near) == sorted(far)
 
 
 def raised(call):
@@ -322,8 +339,8 @@ class TestSkeleton:
         check_skeleton(lollipop())
         check_skeleton(lollipop(stem=1, loop=2, weight=0.1))
         inst = lollipop(stem=2, loop=3)
-        chains = inst.graph.skeleton(inst.terminals)._chains
-        assert sorted((end, inner) for end, _, inner in chains[2]) == [
+        sk = inst.graph.skeleton(inst.terminals)
+        assert sorted((end, inner) for end, _, inner in chain_readings(sk, 2)) == [
             (0, [1]),
             (2, [3, 4, 5]),
             (2, [5, 4, 3]),
@@ -337,14 +354,19 @@ class TestSkeleton:
         # integer-weight copy has chains.
         inst = parallel_chains([[2 * w for w in weights] for weights in weight_lists])
         check_skeleton(inst)
-        chains = inst.graph.skeleton(inst.terminals)._chains
-        assert sorted(inner for _, _, inner in chains[0]) == [[2, 3], [4], [5, 6], [7]]
+        sk = inst.graph.skeleton(inst.terminals)
+        assert sorted(inner for _, _, inner in chain_readings(sk, 0)) == [[2, 3], [4], [5, 6], [7]]
 
     def test_path_is_one_chain(self):
         check_skeleton(path_graph([1.0] * 6, [0, 6]))
         check_skeleton(path_graph(NON_DYADIC_WEIGHTS, [0, 6]))
-        chains = path_graph([1.0] * 6, [0, 6]).graph.skeleton([0, 6])._chains
-        assert chains[0] == [[6, [1.0] * 6, [1, 2, 3, 4, 5]]]
+        sk = path_graph([1.0] * 6, [0, 6]).graph.skeleton([0, 6])
+        assert list(chain_readings(sk, 0)) == [(6, [1.0] * 6, [1, 2, 3, 4, 5])]
+        # Distinct weights show the direction each end reads the one record in.
+        sk = path_graph([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [0, 6]).graph.skeleton([0, 6])
+        assert list(chain_readings(sk, 0)) == [(6, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [1, 2, 3, 4, 5])]
+        assert list(chain_readings(sk, 6)) == [(0, [6.0, 5.0, 4.0, 3.0, 2.0, 1.0], [5, 4, 3, 2, 1])]
+        assert sk._chains[0][0] is sk._chains[6][0]
 
     def test_terminals_inside_chains(self):
         check_skeleton(path_graph([2.0, 1.0, 3.0, 1.0, 2.0, 1.0], [2, 5]))
@@ -528,7 +550,7 @@ class TestChainTotals:
                 assert self.has_chains(sk)
                 # One total per chain end, after the direct links.
                 assert list(map(len, sk._search)) == [
-                    len(direct) + len(folds or ()) for direct, folds in zip(sk._links, sk._chains)
+                    len(direct) + len(list(chain_readings(sk, b))) for b, direct in enumerate(sk._links)
                 ]
                 # The closure fill and the pair heap read direct edges only.
                 assert all(set(direct) <= set(nbrs) for direct, nbrs in zip(sk._links, sub.graph.adjacency))
