@@ -99,11 +99,11 @@ def path_partition(
     Each cell starts at the first uncovered interior vertex v_a and extends
     to the largest b with dist(v_a, v_b) <= threshold(v_a), where the
     threshold is c2 * D(v_a) * delta / (5 log k).  Terminal anchors have
-    D = 0 and produce singleton cells.
+    D = 0 and produce singleton cells.  (i, j) is a key of ``inst.terminal_paths()``.
     """
-    if i == j:
-        raise ValueError("a path partition needs two distinct terminals")
-    path = inst.terminal_path(i, j)
+    if not 0 <= i < j < inst.k:
+        raise ValueError(f"a path partition needs 0 <= i < j < {inst.k}, got ({i}, {j})")
+    path = inst.terminal_paths()[(i, j)]
     last = len(path) - 1
     if last < 2:
         return []
@@ -224,9 +224,9 @@ def _replay_pairs(inst: Instance, index: TraceIndex, cells: dict[tuple[int, int]
     """
     memo = {}
     replays = {}
-    for (i, j), pair_cells in cells.items():
-        path = inst.terminal_path(i, j)
-        pair_replays = replays[(i, j)] = []
+    for pair, pair_cells in cells.items():
+        path = inst.terminal_paths()[pair]
+        pair_replays = replays[pair] = []
         for cell in pair_cells:
             vertices = path[cell.start : cell.end + 1]
             replay = memo.get(vertices)
@@ -261,7 +261,7 @@ def _pair_detour_length(inst: Instance, pair, cells, replays) -> float:
     consecutive entries always abut.  Raises
     :class:`IncompleteCellsError` if a cell has an active vertex left.
     """
-    path = inst.terminal_path(*pair)
+    path = inst.terminal_paths()[pair]
     total = inst.graph.edge_weight(path[0], path[1])
     runs = []  # [terminal, q_min, q_max] of each fused detour
     for cell, (_, _, _, chain) in zip(cells, replays):

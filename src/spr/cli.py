@@ -38,8 +38,11 @@ def _dump_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _publish(text: str, side_files: dict[str, str]) -> None:
-    """Write ``text`` to stdout and each side file (path -> contents).
+_SLICE = 1 << 16  # characters encoded and written at a time
+
+
+def _publish(text: str, side_files: dict[str, tuple[str, ...]]) -> None:
+    """Write ``text`` to stdout and each side file (path -> its parts, in order).
 
     Each side file goes to a temporary name in its target directory, then
     stdout is written and flushed, and only then are the temporary files
@@ -47,23 +50,26 @@ def _publish(text: str, side_files: dict[str, str]) -> None:
     path is resolved first, so the link stays and its target gets the
     bytes.  An existing target that is not a regular file (a directory,
     FIFO, socket or device) is refused before anything is staged or
-    written: renaming onto it would replace it.
+    written: renaming onto it would replace it.  Parts are written in
+    slices, so no copy of a large text, joined or encoded, is ever made.
     """
     targets = []
-    for path, contents in side_files.items():
+    for path, parts in side_files.items():
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         if os.path.exists(path) and not os.path.isfile(path):
             raise SprError(f"{path} is not a regular file")
-        targets.append((path, os.path.realpath(path), contents))
+        targets.append((path, os.path.realpath(path), parts))
     staged: list[tuple[str, str]] = []
     try:
-        for path, real, contents in targets:
+        for path, real, parts in targets:
             temp = f"{real}.{os.getpid()}.tmp"
             try:
                 with open(temp, "x", newline="") as handle:
                     staged.append((temp, real))
-                    handle.write(contents)
+                    for part in parts:
+                        for i in range(0, len(part), _SLICE):
+                            handle.write(part[i : i + _SLICE])
             except OSError as exc:
                 exc.filename = path
                 raise
@@ -77,7 +83,7 @@ def _publish(text: str, side_files: dict[str, str]) -> None:
                 os.remove(temp)
 
 
-def _emit(payload, side_files: dict[str, str] | None = None) -> None:
+def _emit(payload, side_files: dict[str, tuple[str, ...]] | None = None) -> None:
     _publish(_dump_json(payload) + "\n", side_files or {})
 
 
@@ -155,7 +161,7 @@ def cmd_preprocess(args) -> int:
     report = verify_exact(inst, result)
 
     text = format_graph_text(result.minor)
-    side_files = {args.output: text} if args.output else {}
+    side_files = {args.output: (text,)} if args.output else {}
     if sidecar_path:
         sidecar = {
             "schema_version": 1,
@@ -171,7 +177,7 @@ def cmd_preprocess(args) -> int:
                 "max_abs_deviation": report.max_abs_deviation,
             },
         }
-        side_files[sidecar_path] = _dump_json(sidecar) + "\n"
+        side_files[sidecar_path] = (_dump_json(sidecar), "\n")
     _publish("" if args.output else text, side_files)
     return 0
 
@@ -191,7 +197,7 @@ def cmd_run(args) -> int:
             "seed": seed,
             "distortion": result.max_ratio,
         },
-        {args.trace: trace_to_json(trace) + "\n"} if args.trace else None,
+        {args.trace: (trace_to_json(trace), "\n")} if args.trace else None,
     )
     return 0
 
@@ -276,7 +282,7 @@ def cmd_experiment(args) -> int:
             writer.writerow(
                 [t.trial, t.seed, t.distortion, t.rounds, t.far, t.early, t.many, t.detour_violations]
             )
-        side_files[args.csv] = table.getvalue()
+        side_files[args.csv] = (table.getvalue(),)
     _emit(
         {
             "schema_version": 1,
@@ -300,6 +306,8 @@ LEMMA5_M = 18.0
 LEMMA5_DELTA = 0.5
 LEMMA6_GRID_M = (5, 10, 30, 50)
 LEMMA6_GRID_C = (6.0, 8.0, 10.0)
+# Monte Carlo samples per grid point when --samples is omitted; lemma6 draws none.
+DEFAULT_SAMPLES = {"lemma4": 100_000, "lemma5": 1_000_000, "cdf": 100_000}
 
 
 def _suite_lemma4(samples: int, seed: int) -> list[dict]:
@@ -406,14 +414,11 @@ def _suite_cdf(samples: int, seed: int) -> list[dict]:
 
 def cmd_tailcheck(args) -> int:
     seed = _effective_seed(args.seed)
-    if args.suite == "lemma4":
-        rows = _suite_lemma4(args.samples or 100_000, seed)
-    elif args.suite == "lemma5":
-        rows = _suite_lemma5(args.samples or 1_000_000, seed)
-    elif args.suite == "lemma6":
+    if args.suite == "lemma6":
         rows = _suite_lemma6()
     else:
-        rows = _suite_cdf(args.samples or 100_000, seed)
+        suite = {"lemma4": _suite_lemma4, "lemma5": _suite_lemma5, "cdf": _suite_cdf}[args.suite]
+        rows = suite(DEFAULT_SAMPLES[args.suite] if args.samples is None else args.samples, seed)
     all_pass = all(row["pass"] for row in rows)
     _emit(
         {
@@ -463,7 +468,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tailcheck", help="certify the exponential tail bounds")
     p.add_argument("--suite", choices=["lemma4", "lemma5", "lemma6", "cdf"], required=True)
-    p.add_argument("--samples", type=_samples, default=None)
+    defaults = ", ".join(f"{suite} {count}" for suite, count in DEFAULT_SAMPLES.items())
+    samples_help = f"Monte Carlo samples per grid point (default: {defaults}; lemma6 draws none)"
+    p.add_argument("--samples", type=_samples, default=None, help=samples_help)
     p.add_argument("--seed", type=_SEED, default=None)
     p.set_defaults(handler=cmd_tailcheck)
 

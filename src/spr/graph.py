@@ -4,14 +4,14 @@ The canonical path between two vertices is the minimum over all shortest
 paths under the order (length, hop count, lexicographic vertex sequence).
 This tie-break is deterministic across platforms and yields a consistent
 path system: any subpath of a canonical path is itself the canonical path
-between its endpoints.  Directed queries matter: ``Instance.path(j, v)``
-is canonical for the direction from terminal j to v.
+between its endpoints.  Direction matters: ``Instance.terminal_paths()``
+holds the path from terminal i to terminal j under key (i, j), i < j.
 
 Weights are 64-bit floats.  Integer weights summing to at most 2^52
 (:meth:`WeightedGraph.is_exact`) make every distance an exact integer sum,
 which the exactness tests rely on.  Graphs whose weights sum past the
-float range are rejected, and a canonical path query raises where a
-weight is lost to rounding beside a much longer distance.
+float range are rejected, and a canonical path query raises only where
+its shortest paths meet a weight lost to rounding.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ class WeightedGraph:
     exact-minor pass graph.
     The adjacency lists, sorted by neighbor, are the only copy of the edges.
     The graph caches nothing and is never mutated: terminal rows and
-    labels are kept by :class:`Instance`, and :meth:`skeleton` builds the
-    search structure for target-bounded path queries.
+    paths are kept by :class:`Instance`, whose terminal paths come from a
+    :class:`Skeleton` built for the query.
     """
 
     __slots__ = ("vertex_count", "adjacency")
@@ -106,8 +106,8 @@ class WeightedGraph:
         """Plain row from s, full or bounded at ``targets``; see :func:`_level_search`."""
         return _level_search(self.adjacency, s, targets)
 
-    def _label(self, s: int, dist: list[float], closure: Iterable[int] | None) -> list[int]:
-        """Canonical parents from s on ``closure``; ``None`` means every vertex.
+    def _label(self, s: int, dist: list[float], closure: Iterable[int]) -> list[int]:
+        """Canonical parents from s on ``closure``.
 
         A closure holds every tight predecessor u (``dist[u] + w ==
         dist[v]``) of each of its vertices v, such as the vertices on some
@@ -122,13 +122,11 @@ class WeightedGraph:
         id), which orders equal-length sequences exactly as direct
         lexicographic comparison would.  Ranks within the closure are an
         order-preserving compression of the full ranks, so every closure
-        vertex gets the parent that labelling every vertex would give it.
-        Entries outside the closure are meaningless.
+        vertex gets the parent that labelling every vertex (the closure
+        ``range(n)``) would give it.  Entries outside it are meaningless.
         """
         n = self.vertex_count
         adjacency = self.adjacency
-        if closure is None:
-            closure = range(n)
         order = sorted(closure, key=lambda v: (dist[v], v))
 
         hop = [0] * n
@@ -175,14 +173,6 @@ class WeightedGraph:
                 rank[v] = i
 
         return parent
-
-    def skeleton(self, keep: Iterable[int]) -> Skeleton:
-        """The chain skeleton with ``keep`` among its branch vertices; uncached."""
-        return Skeleton(self, keep)
-
-    def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < self.vertex_count:
-            raise GraphError(f"vertex {v} out of range [0, {self.vertex_count})")
 
 
 def _level_search(links: Sequence, s: int, targets: Iterable[int] | None) -> list[float]:
@@ -257,11 +247,13 @@ def _level_search(links: Sequence, s: int, targets: Iterable[int] | None) -> lis
 
 
 def _walk(parent: list[int], s: int, t: int) -> tuple[int, ...]:
-    """The vertex sequence s -> t read backwards along canonical parents."""
+    """The vertex sequence s -> t read back along canonical parents; a missing parent raises."""
     seq = [t]
     v = t
     while v != s:
         v = parent[v]
+        if v < 0:
+            raise GraphError(f"no canonical parent chain from vertex {s} to vertex {t}")
         seq.append(v)
     seq.reverse()
     return tuple(seq)
@@ -295,9 +287,10 @@ class Skeleton:
 
     def __init__(self, graph: WeightedGraph, keep: Iterable[int]):
         keep = frozenset(keep)
-        for v in keep:
-            graph._check_vertex(v)
         n = graph.vertex_count
+        for v in keep:
+            if not 0 <= v < n:
+                raise GraphError(f"vertex {v} out of range [0, {n})")
         adjacency = graph.adjacency
         exact = graph.is_exact()
         branch = bytearray(not exact or len(nbrs) != 2 for nbrs in adjacency)
@@ -485,13 +478,13 @@ class Instance:
 
     Terminal order is fixed: index j names the j-th terminal for the whole
     run.  The instance owns every query whose source is a terminal, and
-    caches each answer on first use: terminal j's plain distance row and
-    canonical labels, the terminal-pair distances, the terminal-to-terminal
-    paths and the nearest-terminal distances.  The graph caches nothing.
+    caches each answer on first use: terminal j's plain distance row, the
+    terminal-pair distances, the terminal-pair canonical paths and the
+    nearest-terminal distances.  The graph caches nothing.
     """
 
     __slots__ = (
-        "graph", "terminals", "_terminal_set", "_rows", "_labels",
+        "graph", "terminals", "_terminal_set", "_rows",
         "_terminal_distances", "_terminal_paths", "_nearest_distances",
     )
 
@@ -508,9 +501,8 @@ class Instance:
         self.terminals = terminals
         self._terminal_set = frozenset(terminals)
         self._rows: dict[int, list[float]] = {}
-        self._labels: dict[int, list[int]] = {}
         self._terminal_distances: dict[tuple[int, int], float] | None = None
-        self._terminal_paths: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._terminal_paths: dict[tuple[int, int], tuple[int, ...]] | None = None
         self._nearest_distances: list[float] | None = None
 
     @property
@@ -536,18 +528,6 @@ class Instance:
             row = self._rows[j] = self.graph._dijkstra(self._terminal(j))
         return row
 
-    def path(self, j: int, v: int) -> tuple[int, ...]:
-        """Canonical vertex sequence from terminal j to v; its length is ``row(j)[v]``.
-
-        Walks terminal j's canonical parents of every vertex, built once on row j.
-        """
-        s = self._terminal(j)
-        self.graph._check_vertex(v)
-        parent = self._labels.get(j)
-        if parent is None:
-            parent = self._labels[j] = self.graph._label(s, self.row(j), None)
-        return _walk(parent, s, v)
-
     def terminal_distances(self) -> dict[tuple[int, int], float]:
         """d(t_i, t_j) for every pair i < j, keyed (i, j) in that order; cached.
 
@@ -556,8 +536,8 @@ class Instance:
         is read as it is (row t0, after a run: the round cap builds it).
         Otherwise the search from t_i stops once t_(i+1)..t_(k-1) are
         settled (``_dijkstra(s, targets)``); such a bounded row is not
-        cached, since ``row`` and ``path`` need full rows.  The shape is
-        that of ``TerminalMinor.all_distances()``.
+        cached, since ``row`` must be a full row.  The shape is that of
+        ``TerminalMinor.all_distances()``.
         """
         if self._terminal_distances is None:
             t, k = self.terminals, self.k
@@ -571,16 +551,23 @@ class Instance:
             self._terminal_distances = table
         return self._terminal_distances
 
-    def terminal_path(self, i: int, j: int) -> tuple[int, ...]:
-        """Vertex sequence of the canonical path from terminal i to terminal j.
+    def terminal_paths(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """Canonical vertex sequence from t_i to t_j for every pair i < j; cached.
 
-        Cached per ordered pair: the bad-event analysis reads each pair's
-        path for its cells and again for every trial's reaches.
+        Keyed as :meth:`terminal_distances`, whose entries are the paths'
+        lengths.  One :class:`Skeleton` on the terminals serves the k - 1
+        searches from t_i to t_(i+1)..t_(k-1), which label only the paths'
+        shortest-path DAGs, and is dropped before the table is returned.
         """
-        path = self._terminal_paths.get((i, j))
-        if path is None:
-            path = self._terminal_paths[(i, j)] = self.path(i, self._terminal(j))
-        return path
+        if self._terminal_paths is None:
+            t, k = self.terminals, self.k
+            skeleton = Skeleton(self.graph, t)
+            table = {}
+            for i in range(k - 1):
+                for j, path in enumerate(skeleton.shortest_paths(t[i], t[i + 1 :]), i + 1):
+                    table[(i, j)] = path
+            self._terminal_paths = table
+        return self._terminal_paths
 
     def nearest_terminal_distances(self) -> list[float]:
         """Per vertex: distance to the nearest terminal (0.0 at terminals).

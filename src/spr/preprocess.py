@@ -59,7 +59,8 @@ class PreprocessReport:
 def _reduce_pass(inst: Instance) -> tuple[dict[int, dict[int, float]], list[int]]:
     """One reduction pass. Returns (reduced adjacency, folds).
 
-    Keeps the vertices and edges of the terminals' canonical paths, then
+    Keeps the vertices and edges of ``inst.terminal_paths()``, left cached
+    on ``inst`` (the fixpoint pass runs on the returned minor), then
     suppresses non-terminals of degree at most 2.  A vertex of degree 0 or 1
     is deleted with its edge.  A vertex v of degree 2 is folded into its
     lower-id neighbor a and joins a's branch set; its two edges become one
@@ -68,17 +69,13 @@ def _reduce_pass(inst: Instance) -> tuple[dict[int, dict[int, float]], list[int]
     """
     g = inst.graph
     terms = inst.terminals
-    k = len(terms)
 
-    skeleton = g.skeleton(terms)
     keep_vertices: set[int] = set(terms)
     keep_edges: set[tuple[int, int]] = set()
-    for a in range(k - 1):
-        for path in skeleton.shortest_paths(terms[a], terms[a + 1 :]):
-            keep_vertices.update(path)
-            for x, y in zip(path, path[1:]):
-                keep_edges.add((x, y) if x < y else (y, x))
-    del skeleton  # free before the reduced adjacency is built
+    for path in inst.terminal_paths().values():
+        keep_vertices.update(path)
+        for x, y in zip(path, path[1:]):
+            keep_edges.add((x, y) if x < y else (y, x))
 
     adj: dict[int, dict[int, float]] = {v: {} for v in keep_vertices}
     for u, v in keep_edges:

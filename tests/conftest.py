@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the library's own algorithms:
 all-pairs distances come from Floyd-Warshall, canonical paths from
 exhaustive simple-path enumeration, plain rows and the bounded skeleton
-search from a binary heap of (distance, vertex) pairs, the trace JSON
+search from a binary heap of (distance, vertex) pairs, the terminal-path
+table from labelling every vertex on such a row, the trace JSON
 from ``json.dumps`` of ``trace_to_dict``, the exact minor's branch-set
 model from breadth-first search and Floyd-Warshall, and the bad-event
 analysis from a per-event reach replay of each pair on its own.
@@ -11,6 +12,7 @@ analysis from a per-event reach replay of each pair on its own.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import io
 import math
@@ -23,6 +25,7 @@ import pytest
 
 from spr import Instance, TerminalPartition, build_graph, contract, exact_minor, path_partition, run
 from spr.cli import main
+from spr.graph import _walk
 from spr.preprocess import FLOAT_REL_TOL
 
 
@@ -135,6 +138,28 @@ def heap_dijkstra(g, s):
     return [dist.get(v, math.inf) for v in range(n)]
 
 
+@functools.lru_cache(maxsize=128)
+def full_labels(g, s):
+    """Canonical parents of every vertex from s: the labelling of the closure ``range(n)``.
+
+    Cached per (graph, source); the cache holds its graphs, so an id is
+    never reused while its labels are kept.
+    """
+    return g._label(s, heap_dijkstra(g, s), range(g.vertex_count))
+
+
+def canonical_path(inst, j, v):
+    """Reference canonical path from terminal j to vertex v, by full labelling.
+
+    ``inst.terminal_paths()[(i, j)]`` labels only the targets'
+    shortest-path DAG; it must equal ``canonical_path(inst, i,
+    inst.terminals[j])``, and a weight lost to rounding on it must raise
+    with this function's message.
+    """
+    s = inst.terminals[j]
+    return _walk(full_labels(inst.graph, s), s, v)
+
+
 def chain_readings(sk, b):
     """Each chain at branch vertex b as (far end, weights, interior) read from b.
 
@@ -193,7 +218,7 @@ def replay_reaches(inst, trace, i, j, cells):
     ci's reaches as (order, terminal, q_min, q_max) and ``cover`` maps each
     deactivated interior index to the reach that deactivated it.
     """
-    path = inst.path(i, inst.terminals[j])
+    path = canonical_path(inst, i, inst.terminals[j])
     last = len(path) - 1
     reaches = [[] for _ in cells]
     cover = {}
@@ -259,7 +284,8 @@ def detour_walk(inst, path, cells, cover):
     detours = fused_cover_chain(cells, cover)
     for terminal, q_min, q_max in detours:
         first, last, after = path[q_min], path[q_max], path[q_max + 1]
-        vertices += inst.path(terminal, first)[-2::-1] + inst.path(terminal, last)[1:] + (after,)
+        into, out = canonical_path(inst, terminal, first), canonical_path(inst, terminal, last)
+        vertices += into[-2::-1] + out[1:] + (after,)
         row = inst.row(terminal)
         length += row[first] + row[last] + g.edge_weight(last, after)
     return tuple(vertices), length, detours
@@ -298,7 +324,7 @@ def per_pair_experiment(inst, params, trials, preprocess=True):
         slack = math.inf
         for i in range(work.k):
             for j in range(i + 1, work.k):
-                path = work.terminal_path(i, j)
+                path = canonical_path(work, i, work.terminals[j])
                 cells = path_partition(work, i, j, trial_params)
                 reaches, cover, _ = replay_reaches(work, trace, i, j, cells)
                 many += sum(len({reach[1] for reach in cell}) >= threshold for cell in reaches)

@@ -250,7 +250,7 @@ def test_criterion_9_detour_dominance():
                 if not complete:
                     failures.append(f"run {runs}: pair ({i},{j}) incomplete")
                     continue
-                _, length, detours = detour_walk(inst, inst.terminal_path(i, j), pair_cells, cover)
+                _, length, detours = detour_walk(inst, inst.terminal_paths()[(i, j)], pair_cells, cover)
                 summed = _pair_detour_length(inst, (i, j), pair_cells, replays[(i, j)])
                 if summed != length:
                     failures.append(f"run {runs}: summed length {summed} != walk {length}")

@@ -28,9 +28,11 @@ from spr import analysis
 from spr.analysis import _round_of
 from spr.ball_growing import AssignmentEvent, RunTrace
 from spr.errors import IncompleteCellsError, TraceMismatchError
+from spr.graph import Skeleton
 
 from conftest import (
     NON_DYADIC_WEIGHTS,
+    canonical_path,
     detour_walk,
     eager_walk_length,
     per_pair_experiment,
@@ -136,12 +138,20 @@ class TestPathPartition:
         with pytest.raises(ValueError):
             path_partition(path3, 1, 1, PARAMS)
 
+    def test_pair_must_be_ordered_and_in_range(self, star3):
+        for i, j in ((1, 0), (2, 1), (-1, 1), (0, 3)):
+            message = rf"^a path partition needs 0 <= i < j < 3, got \({i}, {j}\)$"
+            with pytest.raises(ValueError, match=message):
+                path_partition(star3, i, j, PARAMS)
+        assert star3._terminal_paths is None
+
     def test_cells_tile_interior_and_respect_thresholds(self):
         for seed in range(8):
             inst = exact_minor(random_connected_instance(seed, n=40, k=5)).minor
             for i in range(inst.k):
                 for j in range(i + 1, inst.k):
-                    path = inst.path(i, inst.terminals[j])
+                    path = inst.terminal_paths()[(i, j)]
+                    assert path == canonical_path(inst, i, inst.terminals[j])
                     cells = path_partition(inst, i, j, PARAMS)
                     covered = []
                     for cell in cells:
@@ -168,7 +178,7 @@ class TestPathPartition:
             inst = reweighted(random_connected_instance(seed, n=40, k=5), NON_DYADIC_WEIGHTS, seed)
             for i in range(inst.k):
                 for j in range(i + 1, inst.k):
-                    path = inst.terminal_path(i, j)
+                    path = inst.terminal_paths()[(i, j)]
                     fold = [0.0]
                     for x, y in zip(path, path[1:]):
                         fold.append(fold[-1] + inst.graph.edge_weight(x, y))
@@ -257,7 +267,7 @@ class TestTrackReaches:
                     reaches, cover, complete = replay_reaches(inst, trace, i, j, cells)
                     assert numbered_reaches(inst, index, i, j, cells) == (reaches, cover, complete)
                     pairs += 1
-                    path = inst.terminal_path(i, j)
+                    path = inst.terminal_paths()[(i, j)]
                     interior_terminal_pairs += any(inst.is_terminal(v) for v in path[1:-1])
                     wide_cells += sum(cell.end > cell.start for cell in cells)
                     distinct = [len({r[1] for r in cell}) for cell in reaches]
@@ -366,7 +376,7 @@ def fused_runs(ranges):
     assert [(cell.start, cell.end) for cell in cells] == [(1, m)]
     _, cover, complete = replay_reaches(inst, trace, 0, 1, cells)
     assert complete
-    vertices, length, detours = detour_walk(inst, inst.terminal_path(0, 1), cells, cover)
+    vertices, length, detours = detour_walk(inst, inst.terminal_paths()[(0, 1)], cells, cover)
     assert detour_length(inst, index_trace(inst, trace), (0, 1), cells).hex() == length.hex()
     assert walk_weight(inst, vertices) == length
     return [tuple(detour) for detour in detours]
@@ -410,7 +420,7 @@ class TestBuildDetourPath:
         trace = make_trace(path3, [(1, 0, 0, 0.007, 0.9)])
         cells = path_partition(path3, 0, 1, PARAMS)
         _, cover, _ = replay_reaches(path3, trace, 0, 1, cells)
-        vertices, length, _ = detour_walk(path3, path3.terminal_path(0, 1), cells, cover)
+        vertices, length, _ = detour_walk(path3, path3.terminal_paths()[(0, 1)], cells, cover)
         assert vertices == (0, 1, 0, 1, 2)
         assert length == 4.0
         assert detour_length(path3, index_trace(path3, trace), (0, 1), cells) == 4.0
@@ -418,7 +428,7 @@ class TestBuildDetourPath:
     def test_no_interior_degenerates_to_edge(self):
         inst = Instance(build_graph(2, [(0, 1, 3.0)]), [0, 1])
         trace = make_trace(inst, [])
-        assert detour_walk(inst, inst.terminal_path(0, 1), [], {}) == ((0, 1), 3.0, [])
+        assert detour_walk(inst, inst.terminal_paths()[(0, 1)], [], {}) == ((0, 1), 3.0, [])
         assert detour_length(inst, index_trace(inst, trace), (0, 1), []) == 3.0
 
     def test_incomplete_cells_raise(self):
@@ -442,7 +452,7 @@ class TestBuildDetourPath:
                         analysis._pair_detour_length(inst, pair, pair_cells, replays[pair])
                     incomplete += 1
                     continue
-                _, walk_length, _ = detour_walk(inst, inst.terminal_path(*pair), pair_cells, cover)
+                _, walk_length, _ = detour_walk(inst, inst.terminal_paths()[pair], pair_cells, cover)
                 length = analysis._pair_detour_length(inst, pair, pair_cells, replays[pair])
                 assert length.hex() == walk_length.hex()
                 complete += 1
@@ -457,7 +467,7 @@ class TestBuildDetourPath:
                 for j in range(i + 1, inst.k):
                     cells = path_partition(inst, i, j, PARAMS)
                     _, cover, _ = replay_reaches(inst, trace, i, j, cells)
-                    vertices, length, _ = detour_walk(inst, inst.terminal_path(i, j), cells, cover)
+                    vertices, length, _ = detour_walk(inst, inst.terminal_paths()[(i, j)], cells, cover)
                     assert walk_weight(inst, vertices) == length
                     assert detour_length(inst, index, (i, j), cells) == length
 
@@ -473,7 +483,7 @@ class TestBuildDetourPath:
                     if not complete:
                         continue
                     length = detour_length(inst, index, (i, j), cells)
-                    eager = eager_walk_length(inst, inst.terminal_path(i, j), cells, cover)
+                    eager = eager_walk_length(inst, inst.terminal_paths()[(i, j)], cells, cover)
                     if integer:
                         assert length == eager
                     else:
@@ -481,19 +491,29 @@ class TestBuildDetourPath:
                     checked += 1
         assert checked > 300
 
-    def test_only_terminals_are_labelled(self):
+    def test_only_terminals_are_labelled(self, monkeypatch):
+        # The analysis labels from terminals only, once per terminal but the
+        # last, and not at all on a minor that exact_minor left labelled.
+        sources = []
+        label = WeightedGraph._label
+
+        def recording(graph, s, dist, closure):
+            sources.append(s)
+            return label(graph, s, dist, closure)
+
+        monkeypatch.setattr(WeightedGraph, "_label", recording)
         for seed in range(4):
-            inst = exact_minor(random_connected_instance(seed + 30, n=60, k=6)).minor
-            params = GrowthParams(seed=seed)
-            _, trace = run(inst, params)
-            cells = analysis.partition_pairs(inst, params)
-            replays = analysis._replay_pairs(inst, index_trace(inst, trace), cells)
-            for pair, pair_cells in cells.items():
-                analysis._pair_detour_length(inst, pair, pair_cells, replays[pair])
-                _, cover, _ = replay_reaches(inst, trace, *pair, pair_cells)
-                detour_walk(inst, inst.terminal_path(*pair), pair_cells, cover)
-            assert inst._labels
-            assert set(inst._labels) <= set(range(inst.k))
+            base = random_connected_instance(seed + 30, n=60, k=6)
+            fresh = Instance(base.graph, base.terminals)
+            for inst, labelled in ((exact_minor(base).minor, ()), (fresh, base.terminals[:-1])):
+                sources.clear()
+                params = GrowthParams(seed=seed)
+                _, trace = run(inst, params)
+                cells = analysis.partition_pairs(inst, params)
+                replays = analysis._replay_pairs(inst, index_trace(inst, trace), cells)
+                for pair, pair_cells in cells.items():
+                    analysis._pair_detour_length(inst, pair, pair_cells, replays[pair])
+                assert sources == list(labelled)
 
     def test_detour_dominates_contracted_distance(self):
         for seed in range(8):
@@ -506,7 +526,7 @@ class TestBuildDetourPath:
                 for j in range(i + 1, inst.k):
                     cells = path_partition(inst, i, j, params)
                     _, cover, _ = replay_reaches(inst, trace, i, j, cells)
-                    _, length, detours = detour_walk(inst, inst.terminal_path(i, j), cells, cover)
+                    _, length, detours = detour_walk(inst, inst.terminal_paths()[(i, j)], cells, cover)
                     assert detour_length(inst, index, (i, j), cells) == length >= minor_dist[(i, j)]
                     for a, b in zip(detours, detours[1:]):
                         assert a[0] != b[0]
@@ -653,7 +673,7 @@ class TestReplayOncePerCell:
         params = CELL_PARAMS[2]
         cells = analysis.partition_pairs(inst, params)
         sequences = [
-            inst.terminal_path(*pair)[cell.start : cell.end + 1]
+            inst.terminal_paths()[pair][cell.start : cell.end + 1]
             for pair, pair_cells in cells.items()
             for cell in pair_cells
         ]
@@ -712,6 +732,32 @@ class TestOnePassPerTrial:
         assert all(targets is None for _, targets in searches)
         assert len({s for s, _ in searches}) == len(searches) == inst.k
 
+    def test_default_path_builds_no_skeleton_after_exact_minor(self, monkeypatch):
+        # The fixpoint pass leaves its terminal paths cached on the minor,
+        # and the analysis reads those; on the raw path one skeleton serves.
+        events = []
+        minor_of = analysis.exact_minor
+        build = Skeleton.__init__
+
+        def recording_minor(inst):
+            result = minor_of(inst)
+            events.append("exact_minor returned")
+            return result
+
+        def recording_build(sk, graph, keep):
+            events.append("skeleton")
+            build(sk, graph, keep)
+
+        monkeypatch.setattr(analysis, "exact_minor", recording_minor)
+        monkeypatch.setattr(Skeleton, "__init__", recording_build)
+        inst = random_connected_instance(8, n=40, k=6)
+        analysis.run_experiment(inst, GrowthParams(seed=1), trials=3)
+        assert events.count("skeleton") >= 2 and events[-1] == "exact_minor returned"
+        events.clear()
+        fresh = Instance(inst.graph, inst.terminals)  # exact_minor left inst's table cached
+        analysis.run_experiment(fresh, GrowthParams(seed=1), trials=3, preprocess=False)
+        assert events == ["skeleton"]
+
     def test_slack_from_lengths_builds_no_walk(self):
         integer = random_connected_instance(8, n=40, k=6)
         floats = reweighted(random_connected_instance(9, n=40, k=6), NON_DYADIC_WEIGHTS, 9)
@@ -726,7 +772,7 @@ class TestOnePassPerTrial:
                 slack = math.inf
                 for pair, cells in analysis.partition_pairs(work, trial_params).items():
                     _, cover, _ = replay_reaches(work, trace, *pair, cells)
-                    walk_length = detour_walk(work, work.terminal_path(*pair), cells, cover)[1]
+                    walk_length = detour_walk(work, work.terminal_paths()[pair], cells, cover)[1]
                     slack = min(slack, walk_length - minor_dist[pair])
                 expected.append(slack)
             report = analysis.run_experiment(inst, params, trials=3)

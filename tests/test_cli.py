@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -119,6 +120,22 @@ class TestRun:
         assert trace["total_rounds"] == len(trace["rounds"])
         assert all("mean" in r and "draws" in r for r in trace["rounds"])
         assert all("vertex" in e and "terminal" in e for e in trace["events"])
+
+    def test_large_side_file_is_written_without_a_copy(self, tmp_path):
+        # A trace of several MB reaches its file neither joined with its
+        # newline nor encoded whole: either copy would set the command's
+        # peak memory.
+        text = "".join(f'{{"vertex": {v}, "terminal": 3}},\n' for v in range(60_000))
+        path = tmp_path / "big.json"
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cli._publish("", {str(path): (text, "\n")})
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert path.read_bytes() == (text + "\n").encode()
+        assert len(text) > 1_500_000 and peak < len(text) / 4
 
     def test_unwritable_trace_prints_no_result(self, star_file, tmp_path):
         trace = tmp_path / "no" / "such" / "t.json"
@@ -578,6 +595,24 @@ class TestTailcheck:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[suite]
 
+    @pytest.mark.parametrize("suite", sorted(GOLDEN))
+    def test_omitted_samples_read_the_default_table(self, monkeypatch, suite):
+        drawn = []
+        for name in ("_suite_lemma4", "_suite_lemma5", "_suite_cdf"):
+            monkeypatch.setattr(cli, name, lambda samples, seed: drawn.append(samples) or [])
+        monkeypatch.setattr(cli, "_suite_lemma6", lambda: drawn.append(None) or [])
+        code, _, _ = invoke(["tailcheck", "--suite", suite, "--seed", "0"])
+        assert code == 0
+        assert drawn == [cli.DEFAULT_SAMPLES.get(suite)]
+
+    def test_help_states_the_default_samples(self):
+        code, out, _ = invoke(["tailcheck", "--help"])
+        assert code == 0
+        help_text = " ".join(out.split())  # argparse wraps to the terminal width
+        for suite, count in cli.DEFAULT_SAMPLES.items():
+            assert f"{suite} {count}" in help_text
+        assert "lemma6 draws none" in help_text
+
 
 class TestUsage:
     def test_unknown_subcommand(self):
@@ -695,6 +730,35 @@ class TestExtremeWeights:
         assert code == 0
         assert json.loads(out)["distortion"] == 1.0
         assert "error" not in err
+
+    OFF_PATH = "4 3 2\n0 1\n0 1 1\n0 2 1e16\n2 3 0.5\n"
+    ON_PATH = "3 2 2\n0 1\n0 2 1e16\n1 2 0.5\n"
+    COMMANDS = {  # plain `run` is test_lost_weight_off_the_terminal_paths
+        "run-raw": ["run", "--seed", "0", "--no-preprocess"],
+        "preprocess": ["preprocess"],
+        "experiment": ["experiment", "--seed", "0", "--trials", "2", "--graph"],
+        "experiment-raw": ["experiment", "--seed", "0", "--trials", "2", "--no-preprocess", "--graph"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_every_command_ignores_a_lost_weight_off_the_terminal_paths(self, tmp_path, command):
+        # Only the terminal paths are labelled, whichever command reads them.
+        path = tmp_path / "g.txt"
+        path.write_text(self.OFF_PATH)
+        code, out, err = invoke([*self.COMMANDS[command], str(path)])
+        assert code == 0, err
+        assert out and "error" not in err
+
+    @pytest.mark.parametrize("mode", [[], ["--no-preprocess"]], ids=["preprocess", "raw"])
+    def test_experiment_exits_one_on_a_lost_weight_on_a_terminal_path(self, tmp_path, mode):
+        path = tmp_path / "g.txt"
+        path.write_text(self.ON_PATH)
+        code, out, err = invoke(["experiment", "--seed", "0", "--trials", "2", *mode, "--graph", str(path)])
+        assert (code, out) == (1, "")
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: edge (2, 1) of weight 0.5 is lost to rounding at distance 1e+16 from vertex 0"
+        ]
+        assert "Traceback" not in err
 
 
 class TestFlagRanges:

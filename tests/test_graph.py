@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from spr import Instance, WeightedGraph, build_graph, exact_minor
 from spr import graph as graph_module
+from spr.graph import Skeleton, _walk
 from spr.errors import (
     DisconnectedError,
     DuplicateEdgeError,
@@ -20,6 +21,7 @@ from spr.errors import (
 from conftest import (
     NON_DYADIC_WEIGHTS,
     brute_canonical,
+    canonical_path,
     chain_readings,
     floyd_warshall,
     heap_dijkstra,
@@ -115,75 +117,81 @@ def everywhere(g):
 
 
 class TestShortestPath:
+    """``Instance.terminal_paths()`` on small graphs, against enumeration."""
+
     def test_path_graph(self):
         inst = Instance(build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)]), [0, 2])
-        assert inst.path(0, 2) == (0, 1, 2)
+        assert inst.terminal_paths() == {(0, 1): (0, 1, 2)}
         assert inst.row(0)[2] == 2.0
 
     def test_cycle_tie_break(self):
         # Both 0-1-2 and 0-3-2 have length 2 and two hops; the
-        # lexicographically smaller sequence wins.
+        # lexicographically smaller sequence wins, in each direction.
         g = build_graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)])
-        inst = Instance(g, [0, 2])
-        assert inst.path(0, 2) == (0, 1, 2)
-        assert inst.path(1, 0) == (2, 1, 0)
+        assert Instance(g, [0, 2]).terminal_paths() == {(0, 1): (0, 1, 2)}
+        assert Instance(g, [2, 0]).terminal_paths() == {(0, 1): (2, 1, 0)}
 
     def test_hop_count_beats_sequence(self):
         # 0-3 direct (weight 2) vs 0-1-3 (1+1): same length, fewer hops wins.
         g = build_graph(4, [(0, 3, 2.0), (0, 1, 1.0), (1, 3, 1.0), (1, 2, 5.0)])
-        assert Instance(g, [0, 3]).path(0, 3) == (0, 3)
+        assert Instance(g, [0, 3]).terminal_paths() == {(0, 1): (0, 3)}
 
     def test_identity(self):
         inst = Instance(build_graph(2, [(0, 1, 1.0)]), [0, 1])
-        assert inst.path(1, 1) == (1,)
         assert inst.row(1)[1] == 0.0
+        assert inst.terminal_paths() == {(0, 1): (0, 1)}
 
     def test_against_enumeration(self):
+        # Shuffled terminals read pairs in both directions of vertex order.
         for seed in range(40):
-            inst = everywhere(random_connected_instance(seed, n=8, k=2, wmax=4).graph)
+            g = random_connected_instance(seed, n=8, k=2, wmax=4).graph
             rng = random.Random(seed + 999)
-            for _ in range(6):
-                s, t = rng.randrange(8), rng.randrange(8)
-                seq, length = brute_canonical(inst.graph, s, t)
-                assert inst.path(s, t) == seq
-                assert inst.row(s)[t] == length
+            inst = Instance(g, rng.sample(range(8), 8))
+            table = inst.terminal_paths()
+            assert list(table) == list(inst.terminal_distances())
+            for i, j in rng.sample(sorted(table), 6):
+                s, t = inst.terminals[i], inst.terminals[j]
+                seq, length = brute_canonical(g, s, t)
+                assert table[(i, j)] == seq
+                assert inst.terminal_distances()[(i, j)] == inst.row(i)[t] == length
 
     def test_swallowed_weight_raises(self):
         # 1e16 + 0.5 rounds to 1e16, so the hop/parent pass would see vertices
         # 1 and 2 at one distance joined by a tight edge.
-        inst = Instance(build_graph(3, [(0, 2, 1e16), (1, 2, 0.5)]), [0, 1])
+        g = build_graph(3, [(0, 2, 1e16), (1, 2, 0.5)])
+        inst = Instance(g, [0, 1])
         with pytest.raises(GraphError, match=r"edge \(2, 1\) of weight 0.5 is lost to rounding"):
-            inst.path(0, 1)
+            inst.terminal_paths()
+        assert inst._terminal_paths is None
         assert inst.row(0)[1] == 1e16  # plain distances stay defined
-        assert inst.path(1, 0) == (1, 2, 0)
+        assert Instance(g, [1, 0]).terminal_paths() == {(0, 1): (1, 2, 0)}
 
     def test_canonical_subpath_property(self):
+        # For v on the path s -> t, the table of terminals (s, v, t) holds
+        # s -> v and v -> t, which must join into s -> t.
         for seed in range(25):
-            inst = everywhere(random_connected_instance(seed, n=20, k=2).graph)
+            g = random_connected_instance(seed, n=20, k=2).graph
             rng = random.Random(seed)
             for _ in range(10):
-                s, t = rng.randrange(20), rng.randrange(20)
-                path = inst.path(s, t)
-                v = rng.choice(path)
-                assert inst.path(s, v) + inst.path(v, t)[1:] == path
+                s, t = rng.sample(range(20), 2)
+                path = Instance(g, [s, t]).terminal_paths()[(0, 1)]
+                if len(path) < 3:
+                    continue
+                v = rng.choice(path[1:-1])
+                table = Instance(g, [s, v, t]).terminal_paths()
+                assert table[(0, 2)] == path
+                assert table[(0, 1)] + table[(1, 2)][1:] == path
 
     def test_out_of_range_indices_raise(self):
         inst = Instance(build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)]), [2, 0])
         for j in (-1, -2, 2):
             with pytest.raises(GraphError, match=f"terminal index {j} out of range"):
                 inst.row(j)
-            with pytest.raises(GraphError, match=f"terminal index {j} out of range"):
-                inst.path(j, 1)
-            with pytest.raises(GraphError, match=f"terminal index {j} out of range"):
-                inst.terminal_path(0, j)
-        for v in (-1, 3):
-            with pytest.raises(GraphError, match=f"vertex {v} out of range"):
-                inst.path(0, v)
-        assert inst._rows == {} and inst._labels == {}
+        assert inst._rows == {}
 
 
 class TestShortestPaths:
-    """The skeleton's target-bounded query against per-target queries on a second graph."""
+    """The skeleton's target-bounded query against full labelling."""
 
     @staticmethod
     def instances():
@@ -203,12 +211,11 @@ class TestShortestPaths:
                 targets = rng.sample(range(n), rng.randint(1, min(n, 6)))
                 if rng.random() < 0.3:
                     targets.append(s)
-                inst = everywhere(g)
-                found = g.skeleton({s, *targets}).shortest_paths(s, targets)
-                assert inst._rows == {} and inst._labels == {}
-                assert found == [inst.path(s, t) for t in targets]
-                # Labels of s cached on an instance do not change the answer.
-                assert g.skeleton({s, *targets}).shortest_paths(s, targets) == found
+                found = Skeleton(g, {s, *targets}).shortest_paths(s, targets)
+                assert found == [canonical_path(everywhere(g), s, t) for t in targets]
+                # The skeleton caches nothing, so asking again gives the same answer.
+                sk = Skeleton(g, {s, *targets})
+                assert sk.shortest_paths(s, targets) == sk.shortest_paths(s, targets) == found
 
     def test_against_enumeration(self):
         for seed in range(40):
@@ -216,23 +223,28 @@ class TestShortestPaths:
             rng = random.Random(seed + 999)
             s = rng.randrange(8)
             targets = rng.sample(range(8), rng.randint(1, 8))
-            assert g.skeleton({s, *targets}).shortest_paths(s, targets) == [
+            assert Skeleton(g, {s, *targets}).shortest_paths(s, targets) == [
                 brute_canonical(g, s, t)[0] for t in targets
             ]
 
     def test_empty_and_out_of_range(self):
         g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        assert g.skeleton({1}).shortest_paths(1, []) == []
+        assert Skeleton(g, {1}).shortest_paths(1, []) == []
         with pytest.raises(GraphError):
-            g.skeleton({0, 3}).shortest_paths(0, [3])
+            Skeleton(g, {0, 3}).shortest_paths(0, [3])
 
     def test_exact_minor_caches_nothing_on_its_input(self):
+        # Only the terminal-path table its first pass read is kept.
         for seed in range(5):
             inst = subdivide(random_connected_instance(seed, n=30, k=5), parts=3)
             exact_minor(inst)
             assert inst._rows == {}
-            assert inst._labels == {}
-            assert inst._terminal_distances is None and inst._terminal_paths == {}
+            assert inst._terminal_distances is None and inst._nearest_distances is None
+            assert inst._terminal_paths == {
+                (i, j): canonical_path(inst, i, inst.terminals[j])
+                for i in range(inst.k)
+                for j in range(i + 1, inst.k)
+            }
 
     def test_lost_edge_at_farthest_target_raises(self):
         # Vertex 2 lies at the target's distance 1e16 (1e16 + 0.5 rounds
@@ -241,7 +253,9 @@ class TestShortestPaths:
         inst = Instance(build_graph(4, [(0, 1, 1e16), (1, 2, 0.5), (2, 3, 0.5)]), (0, 1))
         message = r"^edge \(2, 1\) of weight 0.5 is lost to rounding at distance 1e\+16 from vertex 0$"
         with pytest.raises(GraphError, match=message):
-            inst.graph.skeleton({0, 1}).shortest_paths(0, [1])
+            canonical_path(inst, 0, 1)
+        with pytest.raises(GraphError, match=message):
+            Skeleton(inst.graph, {0, 1}).shortest_paths(0, [1])
         with pytest.raises(GraphError, match=message):
             exact_minor(inst)
 
@@ -252,16 +266,19 @@ class TestShortestPaths:
         edges = [(0, 3, 1e16), (1, 3, 0.5), (1, 2, 0.5), (0, 4, 1e16), (2, 4, 0.5)]
         message = r"^edge \(2, 1\) of weight 0.5 is lost to rounding"
         with pytest.raises(GraphError, match=message):
-            Instance(build_graph(5, edges), [0, 3]).path(0, 3)
+            canonical_path(Instance(build_graph(5, edges), [0, 3]), 0, 3)
         with pytest.raises(GraphError, match=message):
-            build_graph(5, edges).skeleton({0, 3}).shortest_paths(0, [3])
+            Skeleton(build_graph(5, edges), {0, 3}).shortest_paths(0, [3])
+        with pytest.raises(GraphError, match=message):
+            Instance(build_graph(5, edges), [0, 3]).terminal_paths()
 
     def test_lost_edge_off_the_paths_is_not_read(self):
         # The lost edge (2, 3) is on no shortest path from 0 to 1.
         g = build_graph(4, [(0, 1, 1.0), (0, 2, 1e16), (2, 3, 0.5)])
-        assert g.skeleton({0, 1}).shortest_paths(0, [1]) == [(0, 1)]
+        assert Skeleton(g, {0, 1}).shortest_paths(0, [1]) == [(0, 1)]
+        assert Instance(g, [0, 1]).terminal_paths() == {(0, 1): (0, 1)}
         with pytest.raises(GraphError, match=r"edge \(3, 2\) of weight 0.5"):
-            Instance(g, [0, 1]).path(0, 1)
+            canonical_path(Instance(g, [0, 1]), 0, 1)
 
 
 def check_skeleton(inst):
@@ -272,12 +289,13 @@ def check_skeleton(inst):
     the full row's float at every vertex the labelling reads; with every
     chain filled, at every vertex.  Beyond it every entry must stay above
     that distance.  The closure the fill returns must be the tight
-    closure that walking the full row vertex by vertex gives.
+    closure that walking the full row vertex by vertex gives.  The
+    instance's terminal-path table must be full labelling's on every pair.
     """
     g = inst.graph
     n = g.vertex_count
     terms = list(inst.terminals)
-    sk = g.skeleton(terms)
+    sk = Skeleton(g, terms)
     branch = [v for v in range(n) if v in sk.keep or len(g.adjacency[v]) != 2]
     assert_far_end_reads_the_reverse(sk)
     for a, s in enumerate(terms):
@@ -298,7 +316,10 @@ def check_skeleton(inst):
         within = [v for v in branch if full[v] <= far]
         assert sk._fill_closure(row, within) == tight_closure(g, full, within), s
         check_row(range(n))
-        assert sk.shortest_paths(s, targets) == [inst.path(a, t) for t in targets]
+        assert sk.shortest_paths(s, targets) == [canonical_path(inst, a, t) for t in targets]
+    k = len(terms)
+    expected = {(i, j): canonical_path(inst, i, terms[j]) for i in range(k) for j in range(i + 1, k)}
+    assert inst.terminal_paths() == expected
 
 
 def assert_far_end_reads_the_reverse(sk):
@@ -339,7 +360,7 @@ class TestSkeleton:
         check_skeleton(lollipop())
         check_skeleton(lollipop(stem=1, loop=2, weight=0.1))
         inst = lollipop(stem=2, loop=3)
-        sk = inst.graph.skeleton(inst.terminals)
+        sk = Skeleton(inst.graph, inst.terminals)
         assert sorted((end, inner) for end, _, inner in chain_readings(sk, 2)) == [
             (0, [1]),
             (2, [3, 4, 5]),
@@ -354,16 +375,16 @@ class TestSkeleton:
         # integer-weight copy has chains.
         inst = parallel_chains([[2 * w for w in weights] for weights in weight_lists])
         check_skeleton(inst)
-        sk = inst.graph.skeleton(inst.terminals)
+        sk = Skeleton(inst.graph, inst.terminals)
         assert sorted(inner for _, _, inner in chain_readings(sk, 0)) == [[2, 3], [4], [5, 6], [7]]
 
     def test_path_is_one_chain(self):
         check_skeleton(path_graph([1.0] * 6, [0, 6]))
         check_skeleton(path_graph(NON_DYADIC_WEIGHTS, [0, 6]))
-        sk = path_graph([1.0] * 6, [0, 6]).graph.skeleton([0, 6])
+        sk = Skeleton(path_graph([1.0] * 6, [0, 6]).graph, [0, 6])
         assert list(chain_readings(sk, 0)) == [(6, [1.0] * 6, [1, 2, 3, 4, 5])]
         # Distinct weights show the direction each end reads the one record in.
-        sk = path_graph([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [0, 6]).graph.skeleton([0, 6])
+        sk = Skeleton(path_graph([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [0, 6]).graph, [0, 6])
         assert list(chain_readings(sk, 0)) == [(6, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [1, 2, 3, 4, 5])]
         assert list(chain_readings(sk, 6)) == [(0, [6.0, 5.0, 4.0, 3.0, 2.0, 1.0], [5, 4, 3, 2, 1])]
         assert sk._chains[0][0] is sk._chains[6][0]
@@ -393,8 +414,9 @@ class TestSkeleton:
         ):
             g = inst.graph
             t = inst.terminals[1]
-            full = raised(lambda: inst.path(0, t))
-            assert full == raised(lambda: g.skeleton(inst.terminals).shortest_paths(0, [t]))
+            full = raised(lambda: canonical_path(inst, 0, t))
+            assert full == raised(lambda: Skeleton(g, inst.terminals).shortest_paths(0, [t]))
+            assert full == raised(inst.terminal_paths)
             assert re.match(message, full)
             with pytest.raises(GraphError, match=message):
                 exact_minor(inst)
@@ -406,9 +428,10 @@ class TestSkeleton:
         # edge into the target.
         edges = [(0, 1, 1e16), (0, 2, 1e16), (2, 3, 0.5), (1, 3, 0.5), (3, 4, 2.0), (2, 5, 2.0)]
         g = build_graph(6, edges)
-        message = raised(lambda: Instance(g, [0, 1]).path(0, 1))
+        message = raised(lambda: canonical_path(Instance(g, [0, 1]), 0, 1))
         assert message == "edge (3, 1) of weight 0.5 is lost to rounding at distance 1e+16 from vertex 0"
-        assert raised(lambda: g.skeleton([0, 1]).shortest_paths(0, [1])) == message
+        assert raised(lambda: Skeleton(g, [0, 1]).shortest_paths(0, [1])) == message
+        assert raised(Instance(g, [0, 1]).terminal_paths) == message
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -434,8 +457,8 @@ class TestSkeleton:
         g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         for keep in ([3], [0, -1]):
             with pytest.raises(GraphError):
-                g.skeleton(keep)
-        sk = g.skeleton([0, 2])
+                Skeleton(g, keep)
+        sk = Skeleton(g, [0, 2])
         for s, targets in ((1, [2]), (0, [1]), (0, [2, 1])):
             with pytest.raises(GraphError, match="not kept"):
                 sk.shortest_paths(s, targets)
@@ -475,7 +498,7 @@ class TestLevelQueue:
 
     def test_skeleton_search_matches_the_pair_heap(self):
         for inst in self.instances():
-            assert_matches_the_pair_heap(inst.graph.skeleton(inst.terminals), list(inst.terminals))
+            assert_matches_the_pair_heap(Skeleton(inst.graph, inst.terminals), list(inst.terminals))
 
     def test_bounded_rows_match_the_pair_heap(self):
         rng = random.Random(0)
@@ -489,7 +512,7 @@ class TestLevelQueue:
             n = g.vertex_count
             # Every vertex is a branch vertex: the reference is a bounded
             # search on the pair heap over the whole graph.
-            reference = g.skeleton(range(n))
+            reference = Skeleton(g, range(n))
             terms = list(inst.terminals)
             for s in sorted({*terms, *rng.sample(range(n), 3)}):
                 full = heap_dijkstra(g, s)
@@ -521,7 +544,7 @@ class TestLevelQueue:
 
     def test_second_batch_at_the_last_target_distance_is_settled(self):
         inst = self.lost_at_the_target()
-        sk = inst.graph.skeleton(inst.terminals)
+        sk = Skeleton(inst.graph, inst.terminals)
         row = skeleton_search(sk, 0, [1])
         assert row == heap_skeleton_search(sk, 0, [1])
         assert row[:3] == [0.0, 1e16, 1e16]
@@ -546,7 +569,7 @@ class TestChainTotals:
         for seed in range(6):
             inst = random_connected_instance(seed, n=30, k=5)
             for sub in (subdivide(inst, parts=3), subdivide_unevenly(inst, seed), pendant_tree(seed, n=20, k=3)):
-                sk = sub.graph.skeleton(sub.terminals)
+                sk = Skeleton(sub.graph, sub.terminals)
                 assert self.has_chains(sk)
                 # One total per chain end, after the direct links.
                 assert list(map(len, sk._search)) == [
@@ -563,7 +586,7 @@ class TestChainTotals:
                 subdivide_unevenly(inst, seed, weights=NON_DYADIC_WEIGHTS),
                 reweighted(pendant_tree(seed, n=20, k=3), NON_DYADIC_WEIGHTS, seed),
             ):
-                sk = sub.graph.skeleton(sub.terminals)
+                sk = Skeleton(sub.graph, sub.terminals)
                 assert not self.has_chains(sk)
                 # Every vertex is a branch vertex, linked by all its edges.
                 assert sk._search == sk._links == list(sub.graph.adjacency)
@@ -575,7 +598,7 @@ class TestChainTotals:
         assert (big + 1.0) + 1.0 == big != big + (1.0 + 1.0)
         # Branch vertex 1 sits at 2^53, and the path 1 - 2 - 3 weighs [1, 1].
         inst = path_graph([big, 1.0, 1.0], [0, 1, 3])
-        sk = inst.graph.skeleton(inst.terminals)
+        sk = Skeleton(inst.graph, inst.terminals)
         assert not self.has_chains(sk)
         assert skeleton_search(sk, 0, [3])[3] == big
         assert_matches_the_pair_heap(sk, list(inst.terminals))
@@ -585,7 +608,7 @@ class TestChainTotals:
         for first, totals in ((2.0**52 - 2, True), (2.0**52 - 1, False)):
             inst = path_graph([first, 1.0, 1.0], [0, 1, 3])
             assert inst.graph.is_exact() is totals
-            sk = inst.graph.skeleton(inst.terminals)
+            sk = Skeleton(inst.graph, inst.terminals)
             assert self.has_chains(sk) is totals
             assert_matches_the_pair_heap(sk, list(inst.terminals))
 
@@ -660,12 +683,13 @@ class TestOneBoundedSearch:
 
     def test_skeleton_is_not_cached_on_the_graph(self):
         assert WeightedGraph.__slots__ == ("vertex_count", "adjacency")
+        assert not hasattr(WeightedGraph, "skeleton")
         inst = subdivide(random_connected_instance(1, n=20, k=4), parts=3)
-        g = inst.graph
-        sk = g.skeleton(inst.terminals)
-        sk.shortest_paths(inst.terminals[0], inst.terminals[1:])
-        assert g.skeleton(inst.terminals) is not sk
-        assert inst._rows == {} and inst._labels == {}
+        table = inst.terminal_paths()
+        # The table is kept; the skeleton that built it is not.
+        assert inst.terminal_paths() is table
+        assert not any(isinstance(getattr(inst, name), Skeleton) for name in Instance.__slots__)
+        assert inst._rows == {}
 
 
 class TestStorage:
@@ -721,13 +745,16 @@ class TestStorage:
         ):
             assert path_graph(weights, [0, len(weights)]).graph.is_exact() is exact
 
-    def test_labels_are_cached_parent_arrays(self):
-        g = random_connected_instance(3, n=30, k=2).graph
-        inst = Instance(g, [4, 17])
-        path = inst.path(0, 17)
-        parent = inst._labels[0]
-        assert isinstance(parent, list) and len(parent) == g.vertex_count
-        assert all(parent[v] == u for u, v in zip(path, path[1:]))
+
+class TestWalk:
+    def test_a_holed_parent_array_raises(self):
+        assert _walk([-1, 0, 1, 1], 0, 3) == (0, 1, 3)
+        # Vertex 1 has no parent, as if a closure had missed it: the walk
+        # from 3 must stop there, not go on through parent[-1].
+        with pytest.raises(GraphError, match=r"^no canonical parent chain from vertex 0 to vertex 3$"):
+            _walk([-1, -1, 1, 2], 0, 3)
+        with pytest.raises(GraphError, match="from vertex 2 to vertex 0"):
+            _walk([-1, 0, -1], 2, 0)
 
 
 class TestDistance:

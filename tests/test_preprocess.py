@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from spr import (
     Instance,
-    WeightedGraph,
     build_graph,
     exact_minor,
     format_graph_text,
@@ -16,6 +15,7 @@ from spr import (
     verify_exact,
 )
 from spr.errors import VerificationFailedError
+from spr.graph import Skeleton
 from spr.preprocess import FLOAT_REL_TOL, PreprocessResult
 
 from conftest import (
@@ -128,7 +128,7 @@ class TestVerifyExact:
             inst = subdivide(random_connected_instance(seed, n=30, k=5), parts=3)
             result = exact_minor(inst)
             with monkeypatch.context() as patch:
-                patch.setattr(WeightedGraph, "skeleton", refuse)
+                patch.setattr(Skeleton, "__init__", refuse)
                 assert verify_exact(inst, result).max_abs_deviation == 0.0
 
     def test_tampered_weight_fails(self, star3):
