@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import statistics
 import warnings
-from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from itertools import groupby
 from operator import itemgetter
@@ -143,7 +142,7 @@ def index_trace(inst: Instance, trace: RunTrace) -> TraceIndex:
     """Validate a trace against the instance and index its batches by vertex.
 
     One pass: a vertex already indexed is a terminal (batch < k) or was
-    assigned by an earlier event.
+    assigned by an earlier event.  Every event must name a recorded round.
     """
     n = inst.graph.vertex_count
     k = inst.k
@@ -154,6 +153,8 @@ def index_trace(inst: Instance, trace: RunTrace) -> TraceIndex:
     for event in trace.events:
         if not 0 <= event.terminal < k:
             raise TraceMismatchError(f"event terminal {event.terminal} out of range")
+        if not 0 <= event.round_index < len(trace.rounds):
+            raise TraceMismatchError(f"event round {event.round_index} is not recorded")
         batch = len(batch_terminal)
         batch_terminal.append(event.terminal)
         for v in event.vertices:
@@ -294,18 +295,6 @@ class BadEventReport:
         }
 
 
-def _round_of(means: list[float], rate: float, z: float) -> int:
-    """Index of the first round whose mean reaches z (the Round-z convention).
-
-    ``means`` starts at the run's base mean and holds the round means in
-    order, as the run's repeated multiplication by ``rate`` produced them.
-    It is extended in place, past the end of the trace if z needs it.
-    """
-    while means[-1] < z:
-        means.append(means[-1] * rate)
-    return bisect_left(means, z)
-
-
 def partition_pairs(
     inst: Instance, params: GrowthParams
 ) -> dict[tuple[int, int], list[PathCell]]:
@@ -339,10 +328,13 @@ def _bad_events(inst, trace, params, cells):
     early_events = []
     nearest = inst.nearest_terminal_distances()
     log_k = math.log(inst.k)
-    means = [trace.base_mean]
+    rounds = trace.rounds
 
     for event in trace.events:
         row = inst.row(event.terminal)
+        # Round means never decrease: no earlier round reaches z iff the one before is below z.
+        mean = rounds[event.round_index].mean
+        previous = rounds[event.round_index - 1].mean if event.round_index else None
         for v in event.vertices:
             dv = nearest[v]
             far_threshold = params.c1 * dv
@@ -350,8 +342,8 @@ def _bad_events(inst, trace, params, cells):
             if dist >= far_threshold:
                 far_events.append((v, event.terminal, dist, far_threshold))
             z = params.c2 * dv * params.delta / log_k
-            if event.round_index <= _round_of(means, trace.growth_rate, z):
-                early_events.append((v, event.round_mean, z))
+            if previous is None or previous < z:
+                early_events.append((v, mean, z))
 
     many_threshold = params.c3 * log_k
     many_events = []

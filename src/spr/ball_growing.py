@@ -14,8 +14,9 @@ terminal]``, the value numpy's ``Philox`` gives for that key.  Draws
 therefore do not depend on evaluation order, and any single draw can be
 reproduced from the seed alone.  A round's k draws are computed together.
 
-The trace records each round's draws and one event per draw that absorbed
-vertices, holding those vertices in absorb order.  The round means are
+The trace holds each fact once: round l is ``trace.rounds[l]``, its draws
+are in terminal order, and each draw that absorbed vertices adds one event,
+its vertices in absorb order and its mean its round's.  The round means are
 computed by repeated multiplication (``mean *= r``), so the recorded
 sequence is exactly what the float arithmetic produced.
 """
@@ -95,19 +96,16 @@ class GrowthParams:
         return 1.0 + self.delta / math.log(k)
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    index: int
+class RoundRecord(NamedTuple):
     mean: float
-    draws: tuple[tuple[int, float], ...]  # (terminal, increment), index order
+    draws: tuple[float, ...]  # the increments, in terminal order
 
 
 class AssignmentEvent(NamedTuple):
     """One draw that absorbed vertices: its ball's new vertices, in absorb order."""
 
-    round_index: int
+    round_index: int  # the draw's mean is trace.rounds[round_index].mean
     terminal: int
-    round_mean: float
     radius: float  # the terminal's radius after the draw
     vertices: tuple[int, ...]
 
@@ -118,7 +116,7 @@ class RunTrace:
     base_mean: float | None
     growth_rate: float | None
     round_cap: int
-    rounds: list[RoundRecord] = field(default_factory=list)
+    rounds: list[RoundRecord] = field(default_factory=list)  # round l is rounds[l]
     events: list[AssignmentEvent] = field(default_factory=list)
 
     @property
@@ -311,17 +309,19 @@ def replay_trace(inst: Instance, trace: RunTrace) -> TerminalPartition:
 
     Raises :class:`TraceMismatchError` when the trace runs out of rounds,
     or out of draws within a round, while vertices are still unassigned,
-    and when a round's draws are not in terminal order 0, 1, ....
+    and when a round holds more than k draws.
     """
-    rounds = iter(trace.rounds)
+    rounds = trace.rounds
 
-    def increments(round_index: int, mean: float) -> list[float]:
-        record = next(rounds, None)
-        if record is None or record.index != round_index:
+    def increments(round_index: int, mean: float) -> tuple[float, ...]:
+        if round_index >= len(rounds):
             raise TraceMismatchError(f"the trace records no round {round_index}")
-        if [terminal for terminal, _ in record.draws] != list(range(len(record.draws))):
-            raise TraceMismatchError(f"round {round_index}'s draws are not in terminal order")
-        return [value for _, value in record.draws]
+        draws = rounds[round_index].draws
+        if len(draws) > inst.k:
+            raise TraceMismatchError(
+                f"round {round_index} has {len(draws)} draws for {inst.k} terminals"
+            )
+        return draws
 
     partition, _ = _run_loop(inst, trace.params, increments)
     return partition
@@ -359,23 +359,23 @@ def _run_loop(inst, params, increments):
             raise RoundCapExceededError(
                 f"round cap {cap} reached with {unassigned} vertices unassigned"
             )
-        draws: list[tuple[int, float]] = []
-        for j, increment in zip(range(k), increments(round_index, mean)):
-            draws.append((j, increment))
+        drawn = increments(round_index, mean)
+        for j, increment in enumerate(drawn):
             radii[j] += increment
             radius = radii[j]
             absorbed = frontiers[j].grow(adjacency, assignment, radius)
             if absorbed:
-                trace.events.append(AssignmentEvent(round_index, j, mean, radius, tuple(absorbed)))
+                trace.events.append(AssignmentEvent(round_index, j, radius, tuple(absorbed)))
                 unassigned -= len(absorbed)
                 if unassigned == 0:
+                    drawn = drawn[: j + 1]
                     break
-        if unassigned and len(draws) < k:
+        if unassigned and len(drawn) < k:
             raise TraceMismatchError(
-                f"round {round_index} has {len(draws)} of {k} draws with "
+                f"round {round_index} has {len(drawn)} of {k} draws with "
                 f"{unassigned} vertices unassigned"
             )
-        trace.rounds.append(RoundRecord(round_index, mean, tuple(draws)))
+        trace.rounds.append(RoundRecord(mean, tuple(drawn)))
         round_index += 1
         mean *= rate
 
@@ -402,11 +402,11 @@ def trace_to_json(trace: RunTrace) -> str:
 
     The head goes through ``json.dumps``; the events, which are most of
     the trace, are spliced in from a fixed template.  Each draw's record
-    formats the template's head, and checks its floats, once; each of its
-    vertices then adds only the vertex.  The pieces are joined once.  The
-    text equals ``json.dumps`` of the whole trace, one event per vertex.
-    A non-finite float raises ``ValueError`` instead of writing NaN or
-    Infinity.
+    formats the template's head, with its round's mean, and checks its
+    radius, once; each of its vertices then adds only the vertex.  The
+    pieces are joined once.  The text equals ``json.dumps`` of the whole
+    trace, one event per vertex.  A non-finite float, or an event in a
+    round the trace does not record, raises ``ValueError``.
     """
     params = trace.params
     head = json.dumps(
@@ -430,14 +430,11 @@ def trace_to_json(trace: RunTrace) -> str:
             "total_rounds": trace.total_rounds,
             "rounds": [
                 {
-                    "index": record.index,
-                    "mean": record.mean,
-                    "draws": [
-                        {"terminal": terminal, "value": value}
-                        for terminal, value in record.draws
-                    ],
+                    "index": index,
+                    "mean": mean,
+                    "draws": [{"terminal": j, "value": value} for j, value in enumerate(draws)],
                 }
-                for record in trace.rounds
+                for index, (mean, draws) in enumerate(trace.rounds)
             ],
             "events": [],
         },
@@ -448,12 +445,14 @@ def trace_to_json(trace: RunTrace) -> str:
     before, _, after = head.partition('"events": []')
     parts = [before, '"events": [\n']
     append = parts.append
+    rounds = trace.rounds  # json.dumps has checked their means
     r = float.__repr__  # what json writes for a float
-    isfinite = math.isfinite
-    for round_index, terminal, mean, radius, vertices in trace.events:
-        if not (isfinite(mean) and isfinite(radius)):
+    for round_index, terminal, radius, vertices in trace.events:
+        if not 0 <= round_index < len(rounds):
+            raise ValueError(f"trace event names unrecorded round {round_index}")
+        if not math.isfinite(radius):
             raise ValueError("trace event holds a non-finite float")
-        event_head = _EVENT_HEAD % (r(mean), r(radius), round_index, terminal)
+        event_head = _EVENT_HEAD % (r(rounds[round_index].mean), r(radius), round_index, terminal)
         for vertex in vertices:
             append(event_head)
             append(str(vertex))

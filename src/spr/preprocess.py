@@ -182,7 +182,8 @@ def verify_exact(inst: Instance, result: PreprocessResult) -> PreprocessReport:
     Exact inputs (integer weights summing to at most 2^52, where no path
     sum rounds) must match bit-for-bit; any other input within 1e-9
     relative.  Also checks the non-terminal count against k^4.  Raises
-    VerificationFailedError naming the offending pair.
+    VerificationFailedError naming the pair that deviates most under the
+    rule that applies.
     """
     k = inst.k
     if result.minor.k != k:
@@ -193,14 +194,16 @@ def verify_exact(inst: Instance, result: PreprocessResult) -> PreprocessReport:
     max_abs = 0.0
     max_rel = 0.0
     worst: tuple[int, int] | None = None
+    worst_dev = 0.0  # absolute on exact inputs, relative otherwise
     for (a, b), d0 in inst.terminal_distances().items():
         d1 = minor_dist[(a, b)]
         dev = abs(d1 - d0)
         rel = dev / d0 if d0 > 0 else dev
-        if dev > max_abs:
-            max_abs = dev
-            worst = (a, b)
+        max_abs = max(max_abs, dev)
         max_rel = max(max_rel, rel)
+        deciding = dev if exact else rel
+        if deciding > worst_dev:
+            worst_dev, worst = deciding, (a, b)
 
     non_terminals = result.non_terminal_count
     bound = k**4
@@ -209,8 +212,9 @@ def verify_exact(inst: Instance, result: PreprocessResult) -> PreprocessReport:
         raise VerificationFailedError(
             f"{non_terminals} non-terminals exceed the bound {bound}"
         )
-    if (exact and max_abs != 0.0) or (not exact and max_rel > FLOAT_REL_TOL):
+    if worst_dev > (0.0 if exact else FLOAT_REL_TOL):
+        kind = "" if exact else " relative"
         raise VerificationFailedError(
-            f"terminal pair {worst} deviates by {max_abs}", pair=worst
+            f"terminal pair {worst} deviates by {worst_dev}{kind}", pair=worst
         )
     return report

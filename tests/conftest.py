@@ -38,7 +38,11 @@ def invoke(argv):
 
 
 def trace_to_dict(trace):
-    """JSON-ready trace: params echo, per-round draws, one event per vertex."""
+    """JSON-ready trace: params echo, per-round draws, one event per vertex.
+
+    Each round's index and each draw's terminal come from their positions,
+    and each event's mean from its round.
+    """
     params = trace.params
     return {
         "schema_version": 1,
@@ -60,21 +64,21 @@ def trace_to_dict(trace):
         "total_rounds": trace.total_rounds,
         "rounds": [
             {
-                "index": record.index,
+                "index": index,
                 "mean": record.mean,
                 "draws": [
                     {"terminal": terminal, "value": value}
-                    for terminal, value in record.draws
+                    for terminal, value in enumerate(record.draws)
                 ],
             }
-            for record in trace.rounds
+            for index, record in enumerate(trace.rounds)
         ],
         "events": [
             {
                 "vertex": vertex,
                 "terminal": event.terminal,
                 "round": event.round_index,
-                "mean": event.round_mean,
+                "mean": trace.rounds[event.round_index].mean,
                 "radius": event.radius,
             }
             for event in trace.events

@@ -25,8 +25,7 @@ from spr import (
     run,
 )
 from spr import analysis
-from spr.analysis import _round_of
-from spr.ball_growing import AssignmentEvent, RunTrace
+from spr.ball_growing import AssignmentEvent, RoundRecord, RunTrace
 from spr.errors import IncompleteCellsError, TraceMismatchError
 from spr.graph import Skeleton
 
@@ -44,25 +43,27 @@ from conftest import (
 PARAMS = GrowthParams(seed=0)
 
 
-def make_trace(inst, events, base_mean=None, rate=None):
+def make_trace(inst, events, base_mean=0.001):
     """Handcrafted trace: only events matter for reach tracking.
 
-    ``events`` lists (vertex, terminal, round, mean, radius) per vertex;
-    each run of consecutive vertices with one (round, terminal) becomes
-    one draw's record.
+    ``events`` lists (vertex, terminal, round, radius) per vertex; each
+    run of consecutive vertices with one (round, terminal) becomes one
+    draw's record.  Rounds 0 up to the last one named are recorded, with
+    no draws, their means by repeated multiplication as a run makes them.
     """
     params = GrowthParams(seed=0)
-    if base_mean is None:
-        base_mean = 0.001
-    if rate is None:
-        rate = params.growth_rate(inst.k)
+    rate = params.growth_rate(inst.k)
     records = []
     for (terminal, round_index), batch in groupby(events, key=itemgetter(1, 2)):
         batch = list(batch)
-        _, _, _, mean, radius = batch[0]
         vertices = tuple(event[0] for event in batch)
-        records.append(AssignmentEvent(round_index, terminal, mean, radius, vertices))
-    return RunTrace(params, base_mean, rate, 1000, rounds=[], events=records)
+        records.append(AssignmentEvent(round_index, terminal, batch[0][3], vertices))
+    rounds = []
+    mean = base_mean
+    for _ in range(max((event[2] + 1 for event in events), default=0)):
+        rounds.append(RoundRecord(mean, ()))
+        mean *= rate
+    return RunTrace(params, base_mean, rate, 1000, rounds=rounds, events=records)
 
 
 def heavy_path():
@@ -198,9 +199,9 @@ class TestTrackReaches:
         trace = make_trace(
             inst,
             [
-                (1, 0, 0, 0.001, 501.0),
-                (2, 0, 0, 0.001, 501.0),
-                (3, 0, 0, 0.001, 501.0),
+                (1, 0, 0, 501.0),
+                (2, 0, 0, 501.0),
+                (3, 0, 0, 501.0),
             ],
         )
         (reaches,), _, complete = oracle_checked_reaches(inst, trace, 0, 1, cells)
@@ -213,9 +214,9 @@ class TestTrackReaches:
         trace = make_trace(
             inst,
             [
-                (1, 0, 0, 0.001, 501.0),
-                (3, 1, 1, 0.002, 501.0),
-                (2, 0, 2, 0.003, 502.0),
+                (1, 0, 0, 501.0),
+                (3, 1, 1, 501.0),
+                (2, 0, 2, 502.0),
             ],
         )
         (reaches,), _, complete = oracle_checked_reaches(inst, trace, 0, 1, cells)
@@ -229,10 +230,10 @@ class TestTrackReaches:
             inst,
             [
                 # one batch absorbs a and c; b turns inactive in between
-                (1, 0, 0, 0.001, 501.0),
-                (3, 0, 0, 0.001, 501.0),
+                (1, 0, 0, 501.0),
+                (3, 0, 0, 501.0),
                 # b is assigned later while already inactive
-                (2, 1, 1, 0.002, 501.0),
+                (2, 1, 1, 501.0),
             ],
         )
         (reaches,), _, complete = oracle_checked_reaches(inst, trace, 0, 1, cells)
@@ -247,8 +248,8 @@ class TestTrackReaches:
         trace = make_trace(
             inst,
             [
-                (1, 0, 0, 0.001, 1.1),
-                (3, 1, 0, 0.001, 1.2),
+                (1, 0, 0, 1.1),
+                (3, 1, 0, 1.2),
             ],
         )
         reaches, _, complete = oracle_checked_reaches(inst, trace, 0, 1, cells)
@@ -285,9 +286,17 @@ class TestTrackReaches:
             ([(1, -1, 0)], "event terminal -1 out of range"),
         ]
         for events, message in cases:
-            trace = make_trace(path3, [(v, t, r, 0.01, 1.0) for v, t, r in events])
+            trace = make_trace(path3, [(v, t, r, 1.0) for v, t, r in events])
             with pytest.raises(TraceMismatchError, match=f"^{message}$"):
                 index_trace(path3, trace)
+
+    @pytest.mark.parametrize("past_the_end", [True, False])
+    def test_event_in_an_unrecorded_round(self, path3, past_the_end):
+        trace = make_trace(path3, [(1, 0, 2, 1.0)])
+        round_index = 3 if past_the_end else -1
+        trace.events[0] = trace.events[0]._replace(round_index=round_index)
+        with pytest.raises(TraceMismatchError, match=f"^event round {round_index} is not recorded$"):
+            index_trace(path3, trace)
 
 
 def synthetic_trace(inst, seed, keep=1.0):
@@ -305,7 +314,7 @@ def synthetic_trace(inst, seed, keep=1.0):
         if rng.random() < 0.5:
             round_index += rng.random() < 0.2
             terminal = rng.randrange(inst.k)
-        events.append((v, terminal, round_index, 0.001, 1.0))
+        events.append((v, terminal, round_index, 1.0))
     return make_trace(inst, events)
 
 
@@ -338,7 +347,7 @@ def oracle_cases():
         [(2, 1, 0), (1, 0, 1), (3, 0, 1)],
         [(1, 0, 0)],
     ):
-        trace = make_trace(inst, [(v, t, r, 0.001, 501.0) for v, t, r in events])
+        trace = make_trace(inst, [(v, t, r, 501.0) for v, t, r in events])
         yield inst, trace, narrow
 
 
@@ -367,7 +376,7 @@ def fused_runs(ranges):
     edges += [(q, q + 1, 1.0) for q in range(1, m)]
     inst = Instance(build_graph(m + 4, edges), [0, m + 1, m + 2, m + 3])
     events = [
-        (q, terminal, r, 0.001, 1.0)
+        (q, terminal, r, 1.0)
         for r, (terminal, q_min, q_max) in enumerate(ranges)
         for q in range(q_min, q_max + 1)
     ]
@@ -417,7 +426,7 @@ class TestBuildDetourPath:
     """``_pair_detour_length`` against the witness walk that conftest builds."""
 
     def test_path3_detour(self, path3):
-        trace = make_trace(path3, [(1, 0, 0, 0.007, 0.9)])
+        trace = make_trace(path3, [(1, 0, 0, 0.9)])
         cells = path_partition(path3, 0, 1, PARAMS)
         _, cover, _ = replay_reaches(path3, trace, 0, 1, cells)
         vertices, length, _ = detour_walk(path3, path3.terminal_paths()[(0, 1)], cells, cover)
@@ -434,7 +443,7 @@ class TestBuildDetourPath:
     def test_incomplete_cells_raise(self):
         inst = heavy_path()
         cells = path_partition(inst, 0, 1, PARAMS)
-        trace = make_trace(inst, [(1, 0, 0, 0.001, 500.5)])
+        trace = make_trace(inst, [(1, 0, 0, 500.5)])
         assert not oracle_checked_reaches(inst, trace, 0, 1, cells)[2]
         with pytest.raises(IncompleteCellsError, match=r"^pair \(0, 1\) has active cells left$"):
             detour_length(inst, index_trace(inst, trace), (0, 1), cells)
@@ -554,23 +563,21 @@ class TestDetectBadEvents:
         base = 0.0072134752044448166  # delta/(100 ln 2) for min D_v = 1
         trace = make_trace(
             path3,
-            [(1, 0, 0, base, 0.9)],
+            [(1, 0, 0, 0.9)],
             base_mean=base,
-            rate=GrowthParams().growth_rate(2),
         )
         report = detect_bad_events(path3, trace, GrowthParams())
         assert len(report.early_events) == 1
         vertex, mean, threshold = report.early_events[0]
-        assert vertex == 1
+        assert (vertex, mean) == (1, base)
         assert threshold == pytest.approx((1 / 27) * 1.0 * 0.5 / math.log(2), rel=1e-12)
 
     def test_late_assignment_is_not_early(self, path3):
         base = 0.0072134752044448166
         trace = make_trace(
             path3,
-            [(1, 0, 40, base * 1.7**40, 2.0)],
+            [(1, 0, 40, 2.0)],
             base_mean=base,
-            rate=GrowthParams().growth_rate(2),
         )
         report = detect_bad_events(path3, trace, GrowthParams())
         assert report.early_events == []
@@ -588,9 +595,9 @@ class TestDetectBadEvents:
         cells_trace = make_trace(
             inst,
             [
-                (1, 0, 0, 0.001, 501.0),
-                (2, 0, 0, 0.001, 501.0),
-                (3, 0, 0, 0.001, 501.0),
+                (1, 0, 0, 501.0),
+                (2, 0, 0, 501.0),
+                (3, 0, 0, 501.0),
             ],
         )
         report = detect_bad_events(inst, cells_trace, params)
@@ -600,34 +607,69 @@ class TestDetectBadEvents:
         assert count == 1
 
 
+def literal_early_events(inst, trace, params):
+    """The early events as the rule states them, the round means rebuilt.
+
+    A vertex is early when its round comes no later than the first round
+    whose mean reaches z = c2 * D_v * delta / log k.  The means are
+    counted by the run's own multiplication loop from the base mean, past
+    the last recorded round if z needs it.
+    """
+    nearest = inst.nearest_terminal_distances()
+    early = []
+    for event in trace.events:
+        mean = trace.base_mean
+        for _ in range(event.round_index):
+            mean *= trace.growth_rate
+        for v in event.vertices:
+            z = params.c2 * nearest[v] * params.delta / math.log(inst.k)
+            reaching, reaching_mean = 0, trace.base_mean
+            while reaching_mean < z:
+                reaching_mean *= trace.growth_rate
+                reaching += 1
+            if event.round_index <= reaching:
+                early.append((v, mean, z))
+    return early
+
+
 class TestRoundOf:
-    @staticmethod
-    def literal(base_mean, rate, z):
-        mean, index = base_mean, 0
-        while mean < z:
-            mean *= rate
-            index += 1
-        return index
+    """Round(z), the first round whose mean reaches z, decides the early events.
+
+    ``detect_bad_events``' early list is checked against
+    :func:`literal_early_events`, which counts rounds by multiplication.
+    """
+
+    C2 = (1.0 / 27.0, 0.5, 5.0, 400.0)
 
     def test_matches_multiplication_loop(self):
-        inst = random_connected_instance(3, n=30, k=4)
-        _, trace = run(inst, GrowthParams(seed=5))
-        base, rate = trace.base_mean, trace.growth_rate
-        recorded = [r.mean for r in trace.rounds]
-        below = [base / 2, base * (1 - 1e-16), base]
-        between = [(a + b) / 2 for a, b in zip(recorded, recorded[1:])]
-        past = [recorded[-1] * rate, recorded[-1] * rate * 1.0000001, recorded[-1] * 1e6]
-        means = [base]
-        for z in below + recorded + between + past + recorded[::-1]:
-            assert _round_of(means, rate, z) == self.literal(base, rate, z)
-        assert _round_of([base], rate, recorded[-1]) == len(recorded) - 1
-        assert len(means) > len(recorded)  # extended past the trace's last round
+        early = late = 0
+        for seed in range(8):
+            base = random_connected_instance(seed + 60, n=30, k=2 + seed % 5)
+            floats = reweighted(base, NON_DYADIC_WEIGHTS, seed)
+            for inst in (base, floats, exact_minor(base).minor, exact_minor(floats).minor):
+                for c2 in self.C2:
+                    params = GrowthParams(c2=c2, seed=seed)
+                    _, trace = run(inst, params)
+                    expected = literal_early_events(inst, trace, params)
+                    assert detect_bad_events(inst, trace, params).early_events == expected
+                    early += len(expected)
+                    late += sum(len(event.vertices) for event in trace.events) - len(expected)
+        assert early > 100 and late > 100
 
-    @given(st.floats(min_value=1e-6, max_value=1e6), st.floats(min_value=1e-9, max_value=1e9))
+    @given(
+        st.floats(min_value=1e-6, max_value=1e6),
+        st.floats(min_value=1e-9, max_value=1e9),
+        st.integers(0, 60),
+    )
     @settings(max_examples=200, deadline=None)
-    def test_any_threshold(self, base_mean, z):
-        rate = GrowthParams().growth_rate(3)
-        assert _round_of([base_mean], rate, z) == self.literal(base_mean, rate, z)
+    def test_any_threshold(self, base_mean, c2, round_index):
+        # Rounds are recorded up to the event's only, so a z past them is
+        # decided by the recorded means alone.
+        inst = Instance(build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)]), [0, 2])
+        trace = make_trace(inst, [(1, 0, round_index, 1.0)], base_mean=base_mean)
+        params = GrowthParams(c2=c2)
+        expected = literal_early_events(inst, trace, params)
+        assert detect_bad_events(inst, trace, params).early_events == expected
 
 
 def experiment_instances():

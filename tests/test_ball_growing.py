@@ -254,23 +254,22 @@ class TestRun:
         inst = random_connected_instance(6, n=25, k=4)
         _, trace = run(inst, GrowthParams(seed=11))
         for record in trace.rounds:
-            for _, value in record.draws:
+            for value in record.draws:
                 assert value > 0
         # per-terminal radii reconstructed from draws are nondecreasing,
         # and each event's recorded radius matches the reconstruction
         radii = [0.0] * inst.k
         events = iter(trace.events)
         event = next(events, None)
-        for record in trace.rounds:
-            for terminal, value in record.draws:
+        for round_index, record in enumerate(trace.rounds):
+            for terminal, value in enumerate(record.draws):
                 radii[terminal] += value
                 if (
                     event is not None
-                    and event.round_index == record.index
+                    and event.round_index == round_index
                     and event.terminal == terminal
                 ):
                     assert event.radius == radii[terminal]
-                    assert event.round_mean == record.mean
                     event = next(events, None)
         assert event is None
 
@@ -300,26 +299,24 @@ class TestRun:
     def test_replay_refuses_a_short_round(self):
         inst, trace = self.replay_case()
         record = trace.rounds[1]
-        trace.rounds[1] = RoundRecord(record.index, record.mean, record.draws[:2])
+        trace.rounds[1] = RoundRecord(record.mean, record.draws[:2])
         message = r"^round 1 has 2 of 4 draws with \d+ vertices unassigned$"
         with pytest.raises(TraceMismatchError, match=message):
             replay_trace(inst, trace)
 
     def test_replay_refuses_missing_rounds(self):
         inst, trace = self.replay_case()
-        last = trace.rounds.pop()
-        with pytest.raises(TraceMismatchError, match=f"^the trace records no round {last.index}$"):
-            replay_trace(inst, trace)
-        del trace.rounds[1]
-        with pytest.raises(TraceMismatchError, match="^the trace records no round 1$"):
+        trace.rounds.pop()
+        last = len(trace.rounds)
+        with pytest.raises(TraceMismatchError, match=f"^the trace records no round {last}$"):
             replay_trace(inst, trace)
 
-    def test_replay_refuses_draws_out_of_terminal_order(self):
+    def test_replay_refuses_more_draws_than_terminals(self):
+        # Only the first k draws of a round could be read; the rest were dropped unseen.
         inst, trace = self.replay_case()
         record = trace.rounds[0]
-        first, second, *rest = record.draws
-        trace.rounds[0] = RoundRecord(record.index, record.mean, (second, first, *rest))
-        with pytest.raises(TraceMismatchError, match="^round 0's draws are not in terminal order$"):
+        trace.rounds[0] = RoundRecord(record.mean, (*record.draws, 1.0))
+        with pytest.raises(TraceMismatchError, match="^round 0 has 5 draws for 4 terminals$"):
             replay_trace(inst, trace)
 
     def test_round_cap_exceeded(self):
@@ -470,30 +467,30 @@ def random_traces(draw):
         seed=draw(st.integers(0, 2**64 - 1)),
     )
     rounds = [
-        RoundRecord(index, draw(trace_floats), tuple(draw(st.lists(st.tuples(ids, trace_floats), max_size=3))))
-        for index in range(draw(st.integers(0, 4)))
+        RoundRecord(draw(trace_floats), tuple(draw(st.lists(trace_floats, max_size=3))))
+        for _ in range(draw(st.integers(0, 4)))
     ]
-    # One record per draw; a hand-built one may hold no vertex.  A record may reuse
-    # the previous record's mean, as the next terminal's draw in one round
-    # does, or its terminal, round and mean, so that only the radius tells
-    # the two records apart.
+    # One record per draw, naming a recorded round; a hand-built one may
+    # hold no vertex.  A record may reuse the previous record's round, as
+    # the next terminal's draw in one round does, or its terminal and
+    # round, so that only the radius tells the two records apart.
     events = []
-    for terminal, round_index, mean, radius, vertices, reuse in draw(
+    for terminal, round_index, radius, vertices, reuse in draw(
         st.lists(
             st.tuples(
-                ids, ids, trace_floats, trace_floats,
+                ids, st.integers(0, max(len(rounds) - 1, 0)), trace_floats,
                 st.lists(ids, max_size=4),
-                st.sampled_from(["none", "mean", "all but radius"]),
+                st.sampled_from(["none", "round", "all but radius"]),
             ),
-            max_size=6,
+            max_size=6 if rounds else 0,
         )
     ):
         if events and reuse != "none":
             last = events[-1]
-            mean = last.round_mean
+            round_index = last.round_index
             if reuse == "all but radius":
-                terminal, round_index = last.terminal, last.round_index
-        events.append(AssignmentEvent(round_index, terminal, mean, radius, tuple(vertices)))
+                terminal = last.terminal
+        events.append(AssignmentEvent(round_index, terminal, radius, tuple(vertices)))
     base = draw(st.none() | trace_floats)
     rate = None if base is None else draw(trace_floats)
     return RunTrace(params, base, rate, draw(st.integers(0, 10**6)), rounds, events)
@@ -523,7 +520,11 @@ class TestTraceJson:
     def test_one_record_per_absorbing_draw(self):
         inst = random_connected_instance(5, n=60, k=4)
         _, trace = run(inst, GrowthParams(seed=3))
-        drawn = [(record.index, terminal) for record in trace.rounds for terminal, _ in record.draws]
+        drawn = [
+            (round_index, terminal)
+            for round_index, record in enumerate(trace.rounds)
+            for terminal in range(len(record.draws))
+        ]
         keys = [(event.round_index, event.terminal) for event in trace.events]
         # In run order, each key at most once, each record non-empty.
         absorbing = set(keys)
@@ -532,13 +533,14 @@ class TestTraceJson:
         assert len(trace.events) < sum(len(event.vertices) for event in trace.events)
 
     def test_equal_but_distinct_floats_are_not_merged(self):
-        # 0.0 == -0.0, but json writes them apart: each record writes its own mean.
-        terminal, round_index, radius = 3, 7, 1.5
+        # 0.0 == -0.0, but json writes them apart: each record writes its round's mean.
+        terminal, radius = 3, 1.5
+        rounds = [RoundRecord(0.0, ()), RoundRecord(-0.0, ())]
         events = [
-            AssignmentEvent(round_index, terminal, 0.0, radius, (10,)),
-            AssignmentEvent(round_index, terminal, -0.0, radius, (11,)),
+            AssignmentEvent(0, terminal, radius, (10,)),
+            AssignmentEvent(1, terminal, radius, (11,)),
         ]
-        trace = RunTrace(GrowthParams(), 0.5, 1.25, 16, [], events)
+        trace = RunTrace(GrowthParams(), 0.5, 1.25, 16, rounds, events)
         text = trace_to_json(trace)
         assert text == dumped(trace)
         assert '"mean": 0.0' in text and '"mean": -0.0' in text
@@ -553,10 +555,24 @@ class TestTraceJson:
     @pytest.mark.parametrize("field", ["round_mean", "radius"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_event_float_raises(self, path3, field, value):
+        # An event's mean is its round's, which the JSON head refuses before any event.
         _, trace = run(path3, GrowthParams(seed=0))
         (event,) = trace.events
-        trace.events[0] = event._replace(**{field: value})
-        with pytest.raises(ValueError, match="non-finite"):
+        if field == "radius":
+            trace.events[0] = event._replace(radius=value)
+            message = "^trace event holds a non-finite float$"
+        else:
+            trace.rounds[event.round_index] = trace.rounds[event.round_index]._replace(mean=value)
+            message = "^Out of range float values are not JSON compliant"
+        with pytest.raises(ValueError, match=message):
+            trace_to_json(trace)
+
+    @pytest.mark.parametrize("past_the_end", [True, False])
+    def test_event_in_an_unrecorded_round_raises(self, path3, past_the_end):
+        _, trace = run(path3, GrowthParams(seed=0))
+        round_index = trace.total_rounds if past_the_end else -1
+        trace.events[0] = trace.events[0]._replace(round_index=round_index)
+        with pytest.raises(ValueError, match=f"^trace event names unrecorded round {round_index}$"):
             trace_to_json(trace)
 
     def test_non_finite_head_float_raises(self, path3):

@@ -18,11 +18,22 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import spr
-from spr import GrowthParams, WeightedGraph, format_graph_text, parse_graph_text
+from spr import (
+    GrowthParams,
+    WeightedGraph,
+    exact_minor,
+    format_graph_text,
+    load_instance,
+    parse_graph_text,
+    replay_trace,
+)
 from spr import ball_growing, cli, partition
+from spr.ball_growing import RoundRecord, RunTrace
 from spr.cli import _build_parser, main
 
-from conftest import invoke, random_connected_instance
+from conftest import invoke, random_connected_instance, subdivide
+
+GOLDEN_GRAPH = Path(__file__).parent / "data" / "golden-non-dyadic.txt"
 
 STAR = """# three terminals around a center
 4 3 3
@@ -120,6 +131,40 @@ class TestRun:
         assert trace["total_rounds"] == len(trace["rounds"])
         assert all("mean" in r and "draws" in r for r in trace["rounds"])
         assert all("vertex" in e and "terminal" in e for e in trace["events"])
+
+    @staticmethod
+    def read_trace(path):
+        """The rounds of a ``--trace`` file as a RunTrace; index and terminal must be positions."""
+        data = json.loads(path.read_text())
+        rounds = []
+        for index, record in enumerate(data["rounds"]):
+            assert record["index"] == index
+            draws = record["draws"]
+            assert [draw["terminal"] for draw in draws] == list(range(len(draws)))
+            rounds.append(RoundRecord(record["mean"], tuple(draw["value"] for draw in draws)))
+        echo = data["params"]
+        names = ("delta", "c1", "c2", "c3", "max_rounds", "seed")
+        params = GrowthParams(**{name: echo[name] for name in names})
+        return RunTrace(params, data["base_mean"], data["growth_rate"], data["round_cap"], rounds)
+
+    @pytest.mark.parametrize("preprocess", [True, False], ids=["default", "no-preprocess"])
+    @pytest.mark.parametrize("graph", ["golden", "subdivided"])
+    def test_trace_replays_to_the_printed_assignment(self, tmp_path, graph, preprocess):
+        if graph == "golden":
+            path = GOLDEN_GRAPH
+        else:
+            path = tmp_path / "g.txt"
+            path.write_text(format_graph_text(subdivide(random_connected_instance(31, n=40, k=6), parts=3)))
+        trace_path = tmp_path / "trace.json"
+        argv = ["run", "--seed", "1", "--trace", str(trace_path), str(path)]
+        code, out, _ = invoke(argv if preprocess else [*argv, "--no-preprocess"])
+        assert code == 0
+        inst = load_instance(path)
+        if preprocess:
+            inst = exact_minor(inst).minor
+        trace = self.read_trace(trace_path)
+        assert trace.total_rounds > 1
+        assert list(replay_trace(inst, trace).assignment) == json.loads(out)["assignment"]
 
     def test_large_side_file_is_written_without_a_copy(self, tmp_path):
         # A trace of several MB reaches its file neither joined with its
@@ -534,10 +579,9 @@ class TestExperiment:
     def test_golden_digest_non_dyadic(self, tmp_path):
         # Float weights whose sums round, so min_slack pins the order of the
         # detour additions; wide cells and a small c3 give many events.
-        graph = Path(__file__).parent / "data" / "golden-non-dyadic.txt"
         table = tmp_path / "trials.csv"
         code, out, _ = invoke(
-            ["experiment", "--graph", str(graph), "--trials", "3", "--seed", "2",
+            ["experiment", "--graph", str(GOLDEN_GRAPH), "--trials", "3", "--seed", "2",
              "--no-preprocess", "--c2", "5", "--c3", "0.5", "--csv", str(table)]
         )
         assert code == 0

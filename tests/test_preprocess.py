@@ -169,6 +169,22 @@ class TestVerifyExact:
         with pytest.raises(VerificationFailedError, match=r"terminal pair \(0, 1\)"):
             verify_exact(inst, tampered)
 
+    def test_non_exact_failure_names_the_pair_past_the_relative_tolerance(self, tmp_path):
+        # Pair (0, 2) deviates most in absolute terms, 0.26, but that is
+        # 2.6e-10 relative, inside the tolerance; (1, 2) is 6.7e-3 off.
+        path = tmp_path / "g.txt"
+        path.write_text("3 2 3\n0 1 2\n0 1 1000000000.5\n1 2 1.5\n")
+        inst = load_instance(path)
+        result = exact_minor(inst)
+        doctored = [(0, 1, 1000000000.75), (1, 2, 1.51)]
+        tampered = dataclasses.replace(
+            result, minor=Instance(build_graph(3, doctored), result.minor.terminals)
+        )
+        with pytest.raises(VerificationFailedError, match=r"^terminal pair \(1, 2\) deviates by ") as info:
+            verify_exact(inst, tampered)
+        assert info.value.pair == (1, 2)
+        assert "relative" in str(info.value)
+
 
 def golden_instance(weights):
     """The integer instance is generated; the non-dyadic one is stored.
