@@ -27,11 +27,9 @@ distinct terminals reaching one cell) and the closed-form distortion bound.
 from __future__ import annotations
 
 import math
-import statistics
-import warnings
-from dataclasses import dataclass, field, replace
 from itertools import groupby
 from operator import itemgetter
+from typing import NamedTuple
 
 from .ball_growing import GrowthParams, RunTrace, run
 from .errors import IncompleteCellsError, TraceMismatchError
@@ -55,8 +53,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PathCell:
+class PathCell(NamedTuple):
     """A run of consecutive interior path vertices, anchored at its first one.
 
     ``start`` and ``end`` are inclusive indices into the pair's canonical
@@ -75,8 +72,7 @@ class PathCell:
     is_final: bool
 
 
-@dataclass(frozen=True)
-class TraceIndex:
+class TraceIndex(NamedTuple):
     """One trial's trace, validated and keyed by vertex.
 
     A batch is one draw's assignment event.  Batch h < k stands for
@@ -279,13 +275,10 @@ def _pair_detour_length(inst: Instance, pair, cells, replays) -> float:
     return total
 
 
-@dataclass
-class BadEventReport:
-    far_events: list[tuple[int, int, float, float]] = field(default_factory=list)
-    early_events: list[tuple[int, float, float]] = field(default_factory=list)
-    many_events: list[tuple[tuple[int, int], int, int, int, float]] = field(
-        default_factory=list
-    )
+class BadEventReport(NamedTuple):
+    far_events: list[tuple[int, int, float, float]]
+    early_events: list[tuple[int, float, float]]
+    many_events: list[tuple[tuple[int, int], int, int, int, float]]
 
     def counts(self) -> dict[str, int]:
         return {
@@ -370,8 +363,7 @@ def distortion_bound(params: GrowthParams, k: float) -> float:
 # -- experiment harness ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrialResult:
+class TrialResult(NamedTuple):
     trial: int
     seed: int
     distortion: float
@@ -384,19 +376,19 @@ class TrialResult:
     min_detour_slack: float
 
 
-@dataclass
-class ExperimentReport:
+class ExperimentReport(NamedTuple):
     seed: int
     trials: list[TrialResult]
     graph_summary: dict
     preprocess_summary: dict | None
 
     def summary(self) -> dict:
-        values = [t.distortion for t in self.trials]
-        n = len(self.trials)
+        values = sorted(t.distortion for t in self.trials)
+        n = len(values)
+        mid = n // 2
         return {
             "trials": n,
-            "distortion_median": statistics.median(values),
+            "distortion_median": values[mid] if n % 2 else (values[mid - 1] + values[mid]) / 2,
             "distortion_max": max(values),
             "bad_event_mean_counts": {
                 "far": sum(t.far for t in self.trials) / n,
@@ -430,10 +422,7 @@ def run_experiment(
     results: list[TrialResult] = []
     cells = None
     for index in range(trials):
-        with warnings.catch_warnings():
-            # ``params`` warned once if its delta is past the analyzed regime.
-            warnings.simplefilter("ignore", UserWarning)
-            trial_params = replace(params, seed=(params.seed + index) % 2**64)
+        trial_params = params._replace(seed=(params.seed + index) % 2**64)
         part, trace = run(work, trial_params)
         # The analysis reads all k full rows (cached after the first
         # trial); built first, ``contract`` reads its terminal distances

@@ -28,7 +28,6 @@ import json
 import math
 import struct
 import warnings
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import (
@@ -59,17 +58,7 @@ DELTA_ANALYZED_MAX = 0.5
 MAX_DERIVED_ROUNDS = 10**6
 
 
-@dataclass(frozen=True)
-class GrowthParams:
-    """Knobs for a ball-growing run.
-
-    Defaults follow the analyzed regime: delta = 1/2 and the bad-event
-    constants c1 = 5400, c2 = 1/27, c3 = 30.  Every ``log k`` in the
-    derived quantities is natural, as the certified tail bounds require.
-    A ``max_rounds`` of None means the safety cap is derived from the
-    instance.
-    """
-
+class _GrowthFields(NamedTuple):
     delta: float = 0.5
     c1: float = 5400.0
     c2: float = 1.0 / 27.0
@@ -77,20 +66,45 @@ class GrowthParams:
     max_rounds: int | None = None
     seed: int = 0
 
-    def __post_init__(self):
+
+class GrowthParams(_GrowthFields):
+    """Knobs for a ball-growing run.
+
+    Defaults follow the analyzed regime: delta = 1/2 and the bad-event
+    constants c1 = 5400, c2 = 1/27, c3 = 30.  Every ``log k`` in the
+    derived quantities is natural, as the certified tail bounds require.
+    A ``max_rounds`` of None means the safety cap is derived from the
+    instance.  Every value is checked, on construction and on
+    ``_replace``, copy and unpickling (through ``_make``); only
+    construction warns.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        params = super().__new__(cls, *args, **kwargs)._checked()
+        if params.delta > DELTA_ANALYZED_MAX:
+            message = f"delta={params.delta} is outside the analyzed regime (> 1/2)"
+            warnings.warn(message, stacklevel=2)
+        return params
+
+    @classmethod
+    def _make(cls, iterable):
+        return super()._make(iterable)._checked()
+
+    def __reduce__(self):  # copies and unpickled values do not warn again
+        return type(self)._make, (tuple(self),)
+
+    def _checked(self) -> GrowthParams:
         for name in ("delta", "c1", "c2", "c3"):
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if self.delta > DELTA_ANALYZED_MAX:
-            warnings.warn(
-                f"delta={self.delta} is outside the analyzed regime (> 1/2)",
-                stacklevel=3,
-            )
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ValueError("max_rounds must be positive")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
+        return self
 
     def growth_rate(self, k: int) -> float:
         return 1.0 + self.delta / math.log(k)
@@ -110,14 +124,13 @@ class AssignmentEvent(NamedTuple):
     vertices: tuple[int, ...]
 
 
-@dataclass
-class RunTrace:
+class RunTrace(NamedTuple):
     params: GrowthParams
     base_mean: float | None
     growth_rate: float | None
     round_cap: int
-    rounds: list[RoundRecord] = field(default_factory=list)  # round l is rounds[l]
-    events: list[AssignmentEvent] = field(default_factory=list)
+    rounds: list[RoundRecord]  # round l is rounds[l]
+    events: list[AssignmentEvent]
 
     @property
     def total_rounds(self) -> int:
@@ -212,6 +225,8 @@ def compute_base_mean(inst: Instance, params: GrowthParams) -> float:
     base_mean = params.delta / (100.0 * math.log(inst.k)) * d_min
     if base_mean == 0.0:
         raise GraphError(f"base mean underflows to 0 at smallest D_v {d_min!r}")
+    if base_mean == math.inf:
+        raise GraphError(f"base mean overflows at smallest D_v {d_min!r}, delta {params.delta!r}")
     return base_mean
 
 
@@ -340,7 +355,7 @@ def _run_loop(inst, params, increments):
     unassigned = n - k
 
     if unassigned == 0:
-        return TerminalPartition(assignment), RunTrace(params, None, None, 0)
+        return TerminalPartition(tuple(assignment)), RunTrace(params, None, None, 0, [], [])
 
     base_mean = compute_base_mean(inst, params)
     rate = params.growth_rate(k)
@@ -348,7 +363,7 @@ def _run_loop(inst, params, increments):
     if cap is None:
         cap = _default_round_cap(inst, params, base_mean, rate)
 
-    trace = RunTrace(params, base_mean, rate, cap)
+    trace = RunTrace(params, base_mean, rate, cap, [], [])
     radii = [0.0] * k
     frontiers = [_Frontier(j, t) for j, t in enumerate(inst.terminals)]
     round_index = 0
@@ -379,7 +394,7 @@ def _run_loop(inst, params, increments):
         round_index += 1
         mean *= rate
 
-    return TerminalPartition(assignment), trace
+    return TerminalPartition(tuple(assignment)), trace
 
 
 # One event as ``json.dumps(..., indent=2, sort_keys=True)`` lays it out

@@ -214,7 +214,7 @@ def cmd_eval(args) -> int:
         raise InvalidPartitionError(
             f"{args.partition}: expected a JSON object with an 'assignment' array"
         )
-    result = distortion(inst, contract(inst, TerminalPartition(payload["assignment"])))
+    result = distortion(inst, contract(inst, TerminalPartition(tuple(payload["assignment"]))))
     _emit(
         {
             "schema_version": 1,
@@ -499,6 +499,9 @@ def main(argv=None) -> int:
             return args.handler(args)
         except (SprError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except MemoryError as exc:  # e.g. a --samples count too large to allocate
+            print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
             return 1
     finally:
         if gc_was_enabled:

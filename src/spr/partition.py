@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from numbers import Integral
+from typing import NamedTuple
 
 from .errors import InvalidPartitionError, TooLargeError
 from .graph import Instance
@@ -36,24 +36,18 @@ ORACLE_MAX_NON_TERMINALS = 8
 ORACLE_MAX_CANDIDATES = 4**8
 
 
-@dataclass(frozen=True)
-class TerminalPartition:
+class TerminalPartition(NamedTuple):
     """assignment[v] = index of the terminal cell containing vertex v."""
 
     assignment: tuple[int, ...]
 
-    def __init__(self, assignment):
-        object.__setattr__(self, "assignment", tuple(assignment))
 
-
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     cell: int
     reason: str
 
 
-@dataclass(frozen=True)
-class TerminalMinor:
+class TerminalMinor(NamedTuple):
     """Contracted graph on the terminals; weights are source distances."""
 
     terminals: tuple[int, ...]
@@ -156,8 +150,7 @@ def contract(inst: Instance, partition: TerminalPartition) -> TerminalMinor:
     return TerminalMinor(tuple(inst.terminals), edges)
 
 
-@dataclass(frozen=True)
-class DistortionResult:
+class DistortionResult(NamedTuple):
     max_ratio: float
     pairs: tuple[tuple[int, int, float, float, float], ...]  # (i, j, source, minor, ratio)
 
@@ -175,8 +168,7 @@ def distortion(inst: Instance, minor: TerminalMinor) -> DistortionResult:
     return DistortionResult(worst, tuple(rows))
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     distortion: float
     partition: TerminalPartition
 
@@ -212,7 +204,7 @@ def oracle_optimal(inst: Instance) -> OracleResult:
         assignment = base[:]
         for v, c in zip(free, combo):
             assignment[v] = c
-        candidate = TerminalPartition(assignment)
+        candidate = TerminalPartition(tuple(assignment))
         try:
             minor = contract(inst, candidate)
         except InvalidPartitionError:

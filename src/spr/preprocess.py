@@ -22,7 +22,7 @@ joins two sets that an input edge joins.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import VerificationFailedError
 from .graph import Instance, WeightedGraph
@@ -37,8 +37,7 @@ __all__ = [
 FLOAT_REL_TOL = 1e-9
 
 
-@dataclass
-class PreprocessResult:
+class PreprocessResult(NamedTuple):
     minor: Instance
     vertex_map: list[int | None]  # original vertex -> minor vertex, None if dropped
     branch_of: list[int | None]  # original vertex -> minor vertex whose branch set holds it
@@ -49,11 +48,9 @@ class PreprocessResult:
         return self.minor.graph.vertex_count - self.minor.k
 
 
-@dataclass
-class PreprocessReport:
+class PreprocessReport(NamedTuple):
     max_abs_deviation: float
     max_rel_deviation: float
-    non_terminal_count: int
 
 
 def _reduce_pass(inst: Instance) -> tuple[dict[int, dict[int, float]], list[int]]:
@@ -207,7 +204,6 @@ def verify_exact(inst: Instance, result: PreprocessResult) -> PreprocessReport:
 
     non_terminals = result.non_terminal_count
     bound = k**4
-    report = PreprocessReport(max_abs, max_rel, non_terminals)
     if non_terminals > bound:
         raise VerificationFailedError(
             f"{non_terminals} non-terminals exceed the bound {bound}"
@@ -217,4 +213,4 @@ def verify_exact(inst: Instance, result: PreprocessResult) -> PreprocessReport:
         raise VerificationFailedError(
             f"terminal pair {worst} deviates by {worst_dev}{kind}", pair=worst
         )
-    return report
+    return PreprocessReport(max_abs, max_rel)

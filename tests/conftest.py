@@ -19,7 +19,6 @@ import math
 import random
 from collections import deque
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 
 import pytest
 
@@ -321,7 +320,7 @@ def per_pair_experiment(inst, params, trials, preprocess=True):
     threshold = params.c3 * math.log(work.k)
     results = []
     for trial in range(trials):
-        trial_params = replace(params, seed=params.seed + trial)
+        trial_params = params._replace(seed=params.seed + trial)
         part, trace = run(work, trial_params)
         minor_dist = contract(work, part).all_distances()
         many = violations = 0

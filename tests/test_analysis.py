@@ -1,7 +1,6 @@
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 from itertools import groupby
 from operator import itemgetter
 
@@ -687,7 +686,7 @@ class TestReplayOncePerCell:
         for inst, preprocess in experiment_instances():
             work = exact_minor(inst).minor if preprocess else inst
             for params in CELL_PARAMS:
-                params = replace(params, seed=3)
+                params = params._replace(seed=3)
                 report = analysis.run_experiment(inst, params, trials=2, preprocess=preprocess)
                 got = [
                     (t.many, t.detour_violations, t.min_detour_slack.hex()) for t in report.trials

@@ -1,7 +1,10 @@
+import copy
 import hashlib
 import json
 import math
+import pickle
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -577,7 +580,7 @@ class TestTraceJson:
 
     def test_non_finite_head_float_raises(self, path3):
         _, trace = run(path3, GrowthParams(seed=0))
-        trace.base_mean = math.inf
+        trace = trace._replace(base_mean=math.inf)
         with pytest.raises(ValueError):
             trace_to_json(trace)
 
@@ -586,8 +589,22 @@ class TestParams:
     def test_delta_outside_regime_warns(self):
         with pytest.warns(UserWarning) as record:
             GrowthParams(delta=0.75)
-        # The warning names the caller's line, not the generated __init__.
+        # The warning names the caller's line, not GrowthParams.__new__.
         assert [w.filename for w in record] == [__file__]
+
+    def test_replace_is_checked_and_does_not_warn_again(self):
+        with pytest.warns(UserWarning):
+            params = GrowthParams(delta=0.75)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            replaced = params._replace(seed=1)
+            copies = [copy.copy(params), copy.deepcopy(params), pickle.loads(pickle.dumps(params))]
+        assert (type(replaced), replaced.delta, replaced.seed) == (GrowthParams, 0.75, 1)
+        assert [(type(c), c) for c in copies] == [(GrowthParams, params)] * 3
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            GrowthParams()._replace(delta=0.0)
+        with pytest.raises(ValueError, match="seed must fit"):
+            GrowthParams()._replace(seed=2**64)
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):

@@ -145,7 +145,7 @@ class TestRun:
         echo = data["params"]
         names = ("delta", "c1", "c2", "c3", "max_rounds", "seed")
         params = GrowthParams(**{name: echo[name] for name in names})
-        return RunTrace(params, data["base_mean"], data["growth_rate"], data["round_cap"], rounds)
+        return RunTrace(params, data["base_mean"], data["growth_rate"], data["round_cap"], rounds, [])
 
     @pytest.mark.parametrize("preprocess", [True, False], ids=["default", "no-preprocess"])
     @pytest.mark.parametrize("graph", ["golden", "subdivided"])
@@ -614,6 +614,28 @@ class TestTailcheck:
         assert payload["pass"] is True
         assert [row["k"] for row in payload["rows"]] == [4, 10]
 
+    @pytest.mark.parametrize(
+        "message, line",
+        [
+            ("Unable to allocate 7.28 TiB for an array", "error: Unable to allocate 7.28 TiB for an array"),
+            ("", "error: out of memory"),
+        ],
+        ids=["numpy", "bare"],
+    )
+    def test_sample_count_too_large_to_allocate_exits_one(self, monkeypatch, message, line):
+        # The estimator is replaced: a real allocation of that size might
+        # succeed on an overcommitting host and then be killed.
+        from spr import tail_bounds
+
+        def refuse(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(tail_bounds, "monte_carlo_geometric", refuse)
+        argv = ["tailcheck", "--suite", "lemma5", "--samples", "1000000000000", "--seed", "0"]
+        code, out, err = invoke(argv)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["seed: 0", line]
+
     def test_cdf_suite_small_samples(self):
         code, out, _ = invoke(
             ["tailcheck", "--suite", "cdf", "--samples", "20000", "--seed", "4"]
@@ -792,6 +814,22 @@ class TestExtremeWeights:
         code, out, err = invoke([*self.COMMANDS[command], str(path)])
         assert code == 0, err
         assert out and "error" not in err
+
+    @pytest.mark.parametrize("extra", [[], ["--max-rounds", "5", "--trace"]], ids=["derived-cap", "traced"])
+    def test_overflowing_base_mean_exits_one(self, tmp_path, extra):
+        # delta / (100 ln 2) * 1000 overflows to inf: the derived cap would
+        # take log(0) and the trace would hold an inf.
+        path = tmp_path / "g.txt"
+        path.write_text("3 2 2\n0 2\n0 1 1000\n1 2 1000\n")
+        argv = ["run", str(path), "--no-preprocess", "--seed", "0", "--delta", "1e308", *extra]
+        if extra:
+            argv.append(str(tmp_path / "t.json"))
+        code, out, err = invoke(argv)
+        assert (code, out) == (1, "")
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: base mean overflows at smallest D_v 1000.0, delta 1e+308"
+        ]
+        assert file_names(tmp_path) == ["g.txt"]
 
     @pytest.mark.parametrize("mode", [[], ["--no-preprocess"]], ids=["preprocess", "raw"])
     def test_experiment_exits_one_on_a_lost_weight_on_a_terminal_path(self, tmp_path, mode):
@@ -997,7 +1035,7 @@ class TestNumpyOffThePipeline:
 import json, sys
 from spr.cli import main
 graph, star, part, out = sys.argv[1:5]
-WATCHED = ("spr.analysis", "spr.tail_bounds", "statistics", "numpy", "csv")
+WATCHED = ("spr.analysis", "spr.tail_bounds", "statistics", "dataclasses", "numpy", "csv")
 report = {}
 for argv in (
     ["run", "--seed", "1", "--trace", out + "/trace.json", graph],
@@ -1035,7 +1073,7 @@ print(json.dumps(report))
             assert report[command] == [0, []], command
 
     def test_experiment_loads_analysis(self, report):
-        assert report["experiment"] == [0, ["spr.analysis", "statistics"]]
+        assert report["experiment"] == [0, ["spr.analysis"]]
 
     def test_only_tailcheck_imports_numpy(self, report):
-        assert report["tailcheck"] == [0, ["spr.analysis", "spr.tail_bounds", "statistics", "numpy"]]
+        assert report["tailcheck"] == [0, ["spr.analysis", "spr.tail_bounds", "numpy"]]
