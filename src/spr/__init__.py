@@ -51,14 +51,14 @@ _EXPORTS = {
     "preprocess": ("PreprocessReport", "PreprocessResult", "exact_minor", "verify_exact"),
     "tail_bounds": (
         "erlang_cdf_lower",
+        "erlang_cdf_lower_poisson",
         "erlang_tail_upper",
+        "geometric_tail_chernoff",
         "lemma4_bound",
         "lemma4_bound_loose",
         "lemma5_bound",
         "lemma5_threshold",
         "lemma6_bound",
-        "monte_carlo_geometric",
-        "monte_carlo_lower",
     ),
     "textio": ("format_graph_text", "load_instance", "parse_graph_text"),
 }

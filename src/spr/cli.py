@@ -2,12 +2,13 @@
 
 Subcommands: preprocess, run, eval, experiment, tailcheck, oracle.
 Exit codes: 0 success, 1 validation failure, 2 usage error.  Results go to
-stdout as JSON (schema_version 1); diagnostics, including the effective
-seed of randomized commands, go to stderr.  Side files (trace, CSV,
-output graph, sidecar) are written under temporary names before stdout and
-renamed into place only once stdout is flushed, so a command that fails
-prints no result and leaves no side file.  Output is deterministic given
-flags and seed.
+stdout as JSON (schema_version 1; 2 for tailcheck, whose every verdict is
+a deterministic evaluation and which takes no seed); diagnostics,
+including the effective seed of randomized commands, go to stderr.  Side
+files (trace, CSV, output graph, sidecar) are written under temporary
+names before stdout and renamed into place only once stdout is flushed,
+so a command that fails prints no result and leaves no side file.  Output
+is deterministic given flags and seed.
 
 Each command runs with the cyclic garbage collector off (see ``main``).
 ``spr.analysis``, ``spr.tail_bounds`` and ``csv`` are imported inside the
@@ -133,12 +134,6 @@ _SEED = _checked(int, "in [0, 2**64)", lambda x: 0 <= x < 2**64)
 _POSITIVE_INT = _checked(int, "a positive integer", lambda x: x >= 1)
 _POSITIVE_FLOAT = _checked(float, "positive and finite", lambda x: x > 0 and math.isfinite(x))
 _DEFAULTS = GrowthParams()
-
-
-def _samples(text: str) -> int:
-    from .tail_bounds import MIN_SAMPLES
-
-    return _checked(int, f"at least {MIN_SAMPLES}", lambda x: x >= MIN_SAMPLES)(text)
 
 
 def _add_param_flags(sub) -> None:
@@ -306,29 +301,18 @@ LEMMA5_M = 18.0
 LEMMA5_DELTA = 0.5
 LEMMA6_GRID_M = (5, 10, 30, 50)
 LEMMA6_GRID_C = (6.0, 8.0, 10.0)
-# Monte Carlo samples per grid point when --samples is omitted; lemma6 draws none.
-DEFAULT_SAMPLES = {"lemma4": 100_000, "lemma5": 1_000_000, "cdf": 100_000}
+CDF_AGREEMENT = 1e-12  # relative gap allowed between the two CDF evaluations
 
 
-def _suite_lemma4(samples: int, seed: int) -> list[dict]:
-    from .tail_bounds import (
-        erlang_cdf_lower,
-        lemma4_bound,
-        lemma4_bound_loose,
-        monte_carlo_lower,
-    )
+def _suite_lemma4() -> list[dict]:
+    from .tail_bounds import erlang_cdf_lower, lemma4_bound, lemma4_bound_loose
 
     rows = []
-    index = 0
     for m in LEMMA4_GRID_M:
         for kappa in LEMMA4_GRID_KAPPA:
             exact = erlang_cdf_lower(m, kappa * m)
             loose = lemma4_bound_loose(m, kappa)
             tight = lemma4_bound(m, kappa)
-            mc, _ = monte_carlo_lower(m, kappa * m, samples, seed + index)
-            index += 1
-            sigma = math.sqrt(exact * (1.0 - exact) / samples)
-            ok = exact <= loose and exact <= tight and abs(mc - exact) <= 3.0 * sigma
             rows.append(
                 {
                     "m": m,
@@ -336,30 +320,29 @@ def _suite_lemma4(samples: int, seed: int) -> list[dict]:
                     "exact": exact,
                     "bound_loose": loose,
                     "bound": tight,
-                    "monte_carlo": mc,
-                    "pass": ok,
+                    "pass": exact <= loose and exact <= tight,
                 }
             )
     return rows
 
 
-def _suite_lemma5(samples: int, seed: int) -> list[dict]:
-    from .tail_bounds import lemma5_bound, lemma5_threshold, monte_carlo_geometric
+def _suite_lemma5() -> list[dict]:
+    from .tail_bounds import geometric_tail_chernoff, lemma5_bound, lemma5_threshold
 
     rows = []
-    for index, k in enumerate(LEMMA5_GRID_K):
-        mc, std_error = monte_carlo_geometric(LEMMA5_DELTA, k, LEMMA5_M, samples, seed + index)
+    for k in LEMMA5_GRID_K:
+        threshold = lemma5_threshold(LEMMA5_M, LEMMA5_DELTA, k)
+        chernoff = geometric_tail_chernoff(LEMMA5_DELTA, k, threshold)
         bound = lemma5_bound(LEMMA5_M, LEMMA5_DELTA, k)
         rows.append(
             {
                 "k": k,
                 "M": LEMMA5_M,
                 "delta": LEMMA5_DELTA,
-                "threshold": lemma5_threshold(LEMMA5_M, LEMMA5_DELTA, k),
-                "empirical": mc,
-                "std_error": std_error,
+                "threshold": threshold,
+                "chernoff": chernoff,
                 "bound": bound,
-                "pass": mc <= bound + 3.0 * std_error,
+                "pass": chernoff <= bound,
             }
         )
     return rows
@@ -385,50 +368,37 @@ def _suite_lemma6() -> list[dict]:
     return rows
 
 
-def _suite_cdf(samples: int, seed: int) -> list[dict]:
-    from .tail_bounds import erlang_cdf_lower, monte_carlo_lower
+def _suite_cdf() -> list[dict]:
+    from .tail_bounds import erlang_cdf_lower, erlang_cdf_lower_poisson
 
     rows = []
-    index = 0
     for m in (1, 2, 5, 10):
         previous = 0.0
         for factor in (0.25, 0.5, 1.0, 2.0):
             x = factor * m
             exact = erlang_cdf_lower(m, x)
-            mc, _ = monte_carlo_lower(m, x, samples, seed + index)
-            index += 1
-            sigma = math.sqrt(exact * (1.0 - exact) / samples)
-            ok = exact >= previous and abs(mc - exact) <= 3.0 * sigma
+            poisson = erlang_cdf_lower_poisson(m, x)
+            ok = exact >= previous and abs(exact - poisson) <= CDF_AGREEMENT * max(exact, poisson)
             previous = exact
             rows.append(
                 {
                     "m": m,
                     "x": x,
                     "exact": exact,
-                    "monte_carlo": mc,
+                    "poisson": poisson,
                     "pass": ok,
                 }
             )
     return rows
 
 
+_SUITES = {"lemma4": _suite_lemma4, "lemma5": _suite_lemma5, "lemma6": _suite_lemma6, "cdf": _suite_cdf}
+
+
 def cmd_tailcheck(args) -> int:
-    seed = _effective_seed(args.seed)
-    if args.suite == "lemma6":
-        rows = _suite_lemma6()
-    else:
-        suite = {"lemma4": _suite_lemma4, "lemma5": _suite_lemma5, "cdf": _suite_cdf}[args.suite]
-        rows = suite(DEFAULT_SAMPLES[args.suite] if args.samples is None else args.samples, seed)
+    rows = _SUITES[args.suite]()
     all_pass = all(row["pass"] for row in rows)
-    _emit(
-        {
-            "schema_version": 1,
-            "suite": args.suite,
-            "seed": seed,
-            "rows": rows,
-            "pass": all_pass,
-        }
-    )
+    _emit({"schema_version": 2, "suite": args.suite, "rows": rows, "pass": all_pass})
     return 0 if all_pass else 1
 
 
@@ -467,11 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_experiment)
 
     p = sub.add_parser("tailcheck", help="certify the exponential tail bounds")
-    p.add_argument("--suite", choices=["lemma4", "lemma5", "lemma6", "cdf"], required=True)
-    defaults = ", ".join(f"{suite} {count}" for suite, count in DEFAULT_SAMPLES.items())
-    samples_help = f"Monte Carlo samples per grid point (default: {defaults}; lemma6 draws none)"
-    p.add_argument("--samples", type=_samples, default=None, help=samples_help)
-    p.add_argument("--seed", type=_SEED, default=None)
+    p.add_argument("--suite", choices=list(_SUITES), required=True)
     p.set_defaults(handler=cmd_tailcheck)
 
     p = sub.add_parser("oracle", help="brute-force optimal partition (tiny graphs)")
@@ -500,7 +466,7 @@ def main(argv=None) -> int:
         except (SprError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        except MemoryError as exc:  # e.g. a --samples count too large to allocate
+        except MemoryError as exc:  # e.g. a graph too large to hold in memory
             print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
             return 1
     finally:

@@ -401,19 +401,23 @@ class Skeleton:
                         stack.append(end)
         return closure
 
-    def shortest_paths(self, s: int, targets: Sequence[int]) -> list[tuple[int, ...]]:
+    def shortest_paths(
+        self, s: int, targets: Sequence[int], row: list[float] | None = None
+    ) -> list[tuple[int, ...]]:
         """Vertex sequences of the canonical paths from s to each target.
 
         Equal to the paths that labelling every vertex from s gives; s and
         every target must be in ``keep``.  Labels only the targets'
         shortest-path DAG and caches nothing, so a weight lost to rounding
         raises only where that DAG meets it, with the message full
-        labelling gives.
+        labelling gives.  A full row from s, when given, replaces the
+        search and is read, not written: it holds no ``inf`` on a
+        connected graph, so the closure fill has nothing to fill.
         """
         for v in (s, *targets):
             if v not in self.keep:
                 raise GraphError(f"vertex {v} is not kept by this skeleton")
-        dist = _level_search(self._search, s, targets)
+        dist = _level_search(self._search, s, targets) if row is None else row
         closure = self._fill_closure(dist, targets)
         parent = self.graph._label(s, dist, closure)
         return [_walk(parent, s, t) for t in targets]
@@ -558,13 +562,15 @@ class Instance:
         lengths.  One :class:`Skeleton` on the terminals serves the k - 1
         searches from t_i to t_(i+1)..t_(k-1), which label only the paths'
         shortest-path DAGs, and is dropped before the table is returned.
+        A cached full row i replaces search i.
         """
         if self._terminal_paths is None:
             t, k = self.terminals, self.k
             skeleton = Skeleton(self.graph, t)
             table = {}
             for i in range(k - 1):
-                for j, path in enumerate(skeleton.shortest_paths(t[i], t[i + 1 :]), i + 1):
+                paths = skeleton.shortest_paths(t[i], t[i + 1 :], self._rows.get(i))
+                for j, path in enumerate(paths, i + 1):
                     table[(i, j)] = path
             self._terminal_paths = table
         return self._terminal_paths

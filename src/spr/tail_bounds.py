@@ -4,13 +4,14 @@ A sum of m independent exponentials with mean 1 is Erlang(m, 1); its CDF is
 the regularized lower incomplete gamma function.  Mean-1 sums are the
 extremal case for both directions (scaling reduces general means to 1), so
 every function here takes mean-1 sums and the certified checks all reduce
-to Erlang tails:
+to tails that are evaluated, not sampled:
 
 - Lemma 4: lower tail at kappa*m, kappa <= 1/4, against
   (4 / (3 sqrt(2 pi m))) (3 kappa)^m;
 - Lemma 5: the infinite geometric-mean sum (means 1, 1/r, 1/r^2, ...,
   r = 1 + delta / ln k) exceeding M ln(k) / delta, against
-  2 * k^-(M / (12 delta) + 3);
+  2 * k^-(M / (12 delta) + 3).  That tail has no closed form; its Chernoff
+  bound, an upper bound on it, is compared instead;
 - Lemma 6: upper tail at C*m, C >= 6, against exp(-C m / 2).
 
 The incomplete gamma function is evaluated by its power series for
@@ -18,9 +19,9 @@ x < m + 1 and by a Lentz continued fraction otherwise.  Both are tested to
 1e-12 absolute for shapes m <= 1000.  Past that the prefactor's cancelling
 terms of size m ln m cost precision (1.9e-8 at m = 10**7), so larger shapes
 are refused with ParamOutOfRegimeError, as is a value that has not
-converged within _MAX_ITER terms.  The closed-form bounds and the Monte
-Carlo estimators take any shape.  Two Monte Carlo
-estimators, one per sum, serve as the independent cross-check.
+converged within _MAX_ITER terms.  The Poisson sum of the same CDF is the
+independent cross-check, under the same guards.  The closed-form bounds
+take any shape.
 """
 
 from __future__ import annotations
@@ -32,21 +33,21 @@ from .errors import KappaTooLargeError, ParamOutOfRegimeError
 
 __all__ = [
     "erlang_cdf_lower",
+    "erlang_cdf_lower_poisson",
     "erlang_tail_upper",
+    "geometric_tail_chernoff",
     "lemma4_bound",
     "lemma4_bound_loose",
     "lemma5_bound",
     "lemma5_threshold",
     "lemma6_bound",
-    "monte_carlo_lower",
-    "monte_carlo_geometric",
 ]
 
 _REL_EPS = 1e-15
 _MAX_ITER = 10_000
 _MAX_SHAPE = 1000  # largest shape the incomplete-gamma evaluation is tested at
-_TRUNCATION_BUDGET = 1e-12  # discarded tail mean of the geometric-mean sum
-MIN_SAMPLES = 10_000
+_CHERNOFF_TERMS = 200  # geometric-mean factors summed exactly; the rest are bounded
+_GOLDEN_STEPS = 100  # golden-section steps of the Chernoff minimisation
 
 
 def _check_shape(m: int) -> None:
@@ -103,9 +104,7 @@ def _upper_contfrac(m: int, x: float) -> float:
     return math.exp(-x + m * math.log(x) - math.lgamma(m)) * h
 
 
-def _erlang_tails(m: int, x: float) -> tuple[float, float]:
-    """(P[Erlang(m, 1) <= x], P[Erlang(m, 1) >= x]), each side evaluated
-    directly where it is the small one."""
+def _check_erlang(m: int, x: float) -> None:
     _check_shape(m)
     if m > _MAX_SHAPE:
         raise ParamOutOfRegimeError(
@@ -114,6 +113,12 @@ def _erlang_tails(m: int, x: float) -> tuple[float, float]:
         )
     if x < 0:
         raise ValueError("threshold must be nonnegative")
+
+
+def _erlang_tails(m: int, x: float) -> tuple[float, float]:
+    """(P[Erlang(m, 1) <= x], P[Erlang(m, 1) >= x]), each side evaluated
+    directly where it is the small one."""
+    _check_erlang(m, x)
     if x == 0.0:
         return 0.0, 1.0
     if x < m + 1.0:
@@ -131,6 +136,33 @@ def erlang_cdf_lower(m: int, x: float) -> float:
 def erlang_tail_upper(m: int, x: float) -> float:
     """P[Erlang(m, 1) >= x] for m <= 1000, evaluated directly so tiny tails keep precision."""
     return _erlang_tails(m, x)[1]
+
+
+def erlang_cdf_lower_poisson(m: int, x: float) -> float:
+    """P[Erlang(m, 1) <= x] as the Poisson tail P[Poisson(x) >= m] (A&S 6.5).
+
+    The sum over i >= m of e^-x x^i / i!, each term formed in log space with
+    ``lgamma`` and the terms summed with ``fsum``.  Past i > x the terms fall
+    geometrically; the sum stops once that geometric remainder is below
+    1e-15 of the total.  Shares no code with :func:`erlang_cdf_lower` but
+    its guards.  Tested against scipy to 1e-11 relative for m <= 1000 and
+    x <= 2m; the terms' ``lgamma`` costs precision at large x (4e-12 at
+    x = 9000), and since the sum cannot stop before i > x, an x past about
+    9,000 is refused as unconverged.
+    """
+    _check_erlang(m, x)
+    if x == 0.0:
+        return 0.0
+    log_x = math.log(x)
+    terms = []
+    total = 0.0
+    for i in range(m, m + _MAX_ITER):
+        term = math.exp(-x + i * log_x - math.lgamma(i + 1.0))
+        terms.append(term)
+        total += term
+        if i > x and term * x <= (i + 1.0 - x) * total * _REL_EPS:
+            return math.fsum(terms)
+    raise _unconverged("Poisson sum", m, x)
 
 
 def lemma4_bound(m: int, kappa: float) -> float:
@@ -156,6 +188,10 @@ def lemma4_bound_loose(m: int, kappa: float) -> float:
 def _check_lemma5_regime(M: float, delta: float, k: int) -> None:
     if M < 18:
         raise ParamOutOfRegimeError(f"M={M} below the certified minimum 18")
+    _check_geometric_regime(delta, k)
+
+
+def _check_geometric_regime(delta: float, k: int) -> None:
     if not 0 < delta <= 0.5:
         raise ParamOutOfRegimeError(f"delta={delta} outside (0, 1/2]")
     if k < 3:
@@ -180,74 +216,53 @@ def lemma6_bound(m: int, C: float) -> float:
     return math.exp(-C * m / 2.0)
 
 
-def _geometric_terms(delta: float, k: int) -> tuple[float, int]:
-    """Decay ratio r = 1 + delta / ln k of the geometric-mean sum, and the
-    number of terms to simulate so the discarded tail mean is below 1e-12."""
-    r = 1.0 + delta / math.log(k)
-    # Tail mean after N terms is 1 / (r^(N-1) (r - 1)); push it
-    # below the budget so dominance checks stay sound.
-    need = math.log(1.0 / (_TRUNCATION_BUDGET * (r - 1.0))) / math.log(r)
-    return r, int(math.ceil(need)) + 1
+def geometric_tail_chernoff(delta: float, k: int, t: float) -> float:
+    """Chernoff bound on P[S >= t], capped at 1, where S is the sum of
+    independent exponentials with means 1, 1/r, 1/r^2, ...,
+    r = 1 + delta / ln k.
 
+    The bound is the infimum over 0 < s < 1 of e^(-st) prod_j (1 - s r^-j)^-1.
+    The logs of the first J = _CHERNOFF_TERMS factors are summed with
+    ``log1p`` and ``fsum``.  The rest are bounded in closed form: with
+    mu_J = r^-J and -log(1 - y) <= y / (1 - y),
 
-def _generator(n_samples: int, seed: int):
-    """numpy's default generator for ``seed``, once ``n_samples`` is checked.
+        sum_{j >= J} -log(1 - s r^-j) <= s mu_J r / ((r - 1)(1 - s mu_J)).
 
-    The Monte Carlo estimators are the only users of numpy in the package,
-    and import it inside the function so that no other command loads it.
+    The exponent is convex in s.  It is minimised by golden section over
+    u = log(1 - s) in [-log(1 + t), 0]: the minimiser has 1 / (1 - s) <= t.
+    Every s gives a valid bound, so the search's precision affects only
+    how tight the bound is.
     """
-    import numpy as np
-
-    if n_samples < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
-    return np.random.default_rng(seed)
-
-
-def _estimate(hits: int, n_samples: int) -> tuple[float, float]:
-    """Empirical probability and its binomial standard error."""
-    p = hits / n_samples
-    return p, math.sqrt(p * (1.0 - p) / n_samples)
-
-
-def monte_carlo_lower(m: int, x: float, n_samples: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo estimate of P[Erlang(m, 1) <= x]: (probability, std_error).
-
-    Draws row-major (rows, m) blocks of at most 20 million values.
-    """
-    import numpy as np
-
-    _check_shape(m)
-    if x < 0:
+    _check_geometric_regime(delta, k)
+    if t < 0:
         raise ValueError("threshold must be nonnegative")
-    rng = _generator(n_samples, seed)
-    hits = 0
-    chunk = max(1, 20_000_000 // m)
-    remaining = n_samples
-    while remaining > 0:
-        rows = min(chunk, remaining)
-        sums = rng.standard_exponential((rows, m)).sum(axis=1)
-        hits += int(np.count_nonzero(sums <= x))
-        remaining -= rows
-    return _estimate(hits, n_samples)
+    r = 1.0 + delta / math.log(k)
+    if r == 1.0:
+        raise ParamOutOfRegimeError(f"decay ratio 1 + {delta!r} / ln {k} rounds to 1")
+    means = [r**-j for j in range(1, _CHERNOFF_TERMS)]
+    mu_rest = r**-_CHERNOFF_TERMS
+    rest_scale = r / (r - 1.0)
 
+    def log_bound(u: float) -> float:
+        # The mean-1 factor's log is -log(1 - s) = -u, exactly.
+        s = -math.expm1(u)
+        head = math.fsum([-s * t, -u, *[-math.log1p(-s * mu) for mu in means]])
+        y = s * mu_rest
+        return head + y * rest_scale / (1.0 - y)
 
-def monte_carlo_geometric(
-    delta: float, k: int, M: float, n_samples: int, seed: int
-) -> tuple[float, float]:
-    """Monte Carlo estimate of the upper tail at lemma5_threshold(M, delta, k)
-    of the sum of independent exponentials with means 1, 1/r, 1/r^2, ...:
-    (probability, std_error).
-
-    Draws one vector of ``n_samples`` exponentials per simulated term.
-    """
-    import numpy as np
-
-    threshold = lemma5_threshold(M, delta, k)
-    rng = _generator(n_samples, seed)
-    r, terms = _geometric_terms(delta, k)
-    totals = np.zeros(n_samples)
-    mean = 1.0
-    for _ in range(terms):
-        totals += mean * rng.standard_exponential(n_samples)
-        mean /= r
-    return _estimate(int(np.count_nonzero(totals >= threshold)), n_samples)
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = -math.log1p(t), 0.0
+    a, b = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    fa, fb = log_bound(a), log_bound(b)
+    best = min(0.0, fa, fb)  # u = 0 is s = 0, the trivial bound 1
+    for _ in range(_GOLDEN_STEPS):
+        if fa <= fb:
+            hi, b, fb = b, a, fa
+            a = hi - shrink * (hi - lo)
+            fa = log_bound(a)
+        else:
+            lo, a, fa = a, b, fb
+            b = lo + shrink * (hi - lo)
+            fb = log_bound(b)
+        best = min(best, fa, fb)
+    return min(1.0, math.exp(best))

@@ -6,8 +6,9 @@ exhaustive simple-path enumeration, plain rows and the bounded skeleton
 search from a binary heap of (distance, vertex) pairs, the terminal-path
 table from labelling every vertex on such a row, the trace JSON
 from ``json.dumps`` of ``trace_to_dict``, the exact minor's branch-set
-model from breadth-first search and Floyd-Warshall, and the bad-event
-analysis from a per-event reach replay of each pair on its own.
+model from breadth-first search and Floyd-Warshall, the bad-event
+analysis from a per-event reach replay of each pair on its own, and the
+exponential tails from Monte Carlo draws at fixed seeds.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import random
 from collections import deque
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 
 from spr import Instance, TerminalPartition, build_graph, contract, exact_minor, path_partition, run
@@ -582,6 +584,37 @@ def random_valid_partition(inst, rng):
         assignment[v] = assignment[u]
         unassigned -= 1
     return TerminalPartition(assignment)
+
+
+def _estimate(hits, n_samples):
+    """Empirical probability and its binomial standard error."""
+    p = hits / n_samples
+    return p, math.sqrt(p * (1.0 - p) / n_samples)
+
+
+def monte_carlo_lower(m, x, n_samples, seed):
+    """Monte Carlo estimate of P[Erlang(m, 1) <= x]: (probability, std_error)."""
+    sums = np.random.default_rng(seed).standard_exponential((n_samples, m)).sum(axis=1)
+    return _estimate(int(np.count_nonzero(sums <= x)), n_samples)
+
+
+def monte_carlo_geometric(delta, k, t, n_samples, seed):
+    """Monte Carlo estimate of P[S >= t]: (probability, std_error).
+
+    S is the sum of independent exponentials with means 1, 1/r, 1/r^2, ...,
+    r = 1 + delta / ln k, drawn one vector per term.  Terms stop once the
+    discarded tail mean 1 / (r^(N-1) (r - 1)) is below 1e-12, so an estimate
+    can fall short of the full sum's tail only by that much.
+    """
+    rng = np.random.default_rng(seed)
+    r = 1.0 + delta / math.log(k)
+    terms = math.ceil(math.log(1.0 / (1e-12 * (r - 1.0))) / math.log(r)) + 1
+    totals = np.zeros(n_samples)
+    mean = 1.0
+    for _ in range(terms):
+        totals += mean * rng.standard_exponential(n_samples)
+        mean /= r
+    return _estimate(int(np.count_nonzero(totals >= t)), n_samples)
 
 
 @pytest.fixture

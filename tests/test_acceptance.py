@@ -19,14 +19,16 @@ from spr import (
     distortion,
     distortion_bound_coefficient,
     erlang_cdf_lower,
+    erlang_cdf_lower_poisson,
     erlang_tail_upper,
     exact_minor,
+    geometric_tail_chernoff,
     index_trace,
+    lemma4_bound,
     lemma4_bound_loose,
     lemma5_bound,
+    lemma5_threshold,
     lemma6_bound,
-    monte_carlo_geometric,
-    monte_carlo_lower,
     oracle_optimal,
     run,
     validate,
@@ -194,17 +196,14 @@ def test_criterion_5_determinism(tmp_path):
 def test_criterion_6_lemma4_certification():
     started = time.perf_counter()
     failures = []
-    index = 0
     for m in (1, 2, 5, 10, 20):
         for kappa in (0.02, 0.05, 0.1, 0.25):
             exact = erlang_cdf_lower(m, kappa * m)
-            if exact > lemma4_bound_loose(m, kappa):
-                failures.append(f"(m={m}, kappa={kappa}) exact above (3k)^m")
-            mc, _ = monte_carlo_lower(m, kappa * m, 100_000, seed=600 + index)
-            index += 1
-            sigma = math.sqrt(exact * (1.0 - exact) / 100_000)
-            if abs(mc - exact) > 3.0 * sigma:
-                failures.append(f"(m={m}, kappa={kappa}) Monte Carlo off by >3 sigma")
+            if exact > lemma4_bound_loose(m, kappa) or exact > lemma4_bound(m, kappa):
+                failures.append(f"(m={m}, kappa={kappa}) exact above the bound")
+            poisson = erlang_cdf_lower_poisson(m, kappa * m)
+            if abs(exact - poisson) > 1e-12 * max(exact, poisson):
+                failures.append(f"(m={m}, kappa={kappa}) Poisson sum off by >1e-12 relative")
     elapsed = time.perf_counter() - started
     if elapsed >= 10.0:
         failures.append(f"runtime {elapsed:.1f}s exceeds 10s")
@@ -223,12 +222,12 @@ def test_criterion_7_lemma6_certification():
 
 def test_criterion_8_lemma5_dominance():
     failures = []
-    for index, k in enumerate((4, 10)):
-        mc, std_error = monte_carlo_geometric(0.5, k, 18.0, 1_000_000, seed=800 + index)
+    for k in (4, 10):
+        chernoff = geometric_tail_chernoff(0.5, k, lemma5_threshold(18.0, 0.5, k))
         bound = lemma5_bound(18.0, 0.5, k)
         assert bound == 2.0 / k**6
-        if mc > bound + 3.0 * std_error:
-            failures.append(f"k={k}: {mc} > {bound}")
+        if chernoff > bound:
+            failures.append(f"k={k}: {chernoff} > {bound}")
     report("8 lemma 5 dominance", not failures, "; ".join(failures))
 
 

@@ -24,6 +24,7 @@ from spr import (
     run,
 )
 from spr import analysis
+from spr import graph as graph_module
 from spr.ball_growing import AssignmentEvent, RoundRecord, RunTrace
 from spr.errors import IncompleteCellsError, TraceMismatchError
 from spr.graph import Skeleton
@@ -772,6 +773,22 @@ class TestOnePassPerTrial:
         analysis.run_experiment(inst, GrowthParams(seed=1), trials=3)
         assert all(targets is None for _, targets in searches)
         assert len({s for s, _ in searches}) == len(searches) == inst.k
+
+    def test_raw_path_searches_from_each_terminal_once(self, monkeypatch):
+        # The path cells read the cached full rows: k searches, not 2k - 1.
+        sources = []
+        search = graph_module._level_search
+
+        def counted(links, s, targets):
+            sources.append(s)
+            return search(links, s, targets)
+
+        monkeypatch.setattr(graph_module, "_level_search", counted)
+        for k in (5, 8):
+            inst = random_connected_instance(8, n=40, k=k)
+            sources.clear()
+            analysis.run_experiment(inst, GrowthParams(seed=1), trials=3, preprocess=False)
+            assert sorted(sources) == sorted(inst.terminals)
 
     def test_default_path_builds_no_skeleton_after_exact_minor(self, monkeypatch):
         # The fixpoint pass leaves its terminal paths cached on the minor,

@@ -591,28 +591,39 @@ class TestExperiment:
 
 
 class TestTailcheck:
+    # Names that mention samples are kept as stable test ids; no suite
+    # takes a sample count.
+
     def test_lemma6_suite(self):
-        code, out, _ = invoke(["tailcheck", "--suite", "lemma6", "--seed", "1"])
+        code, out, _ = invoke(["tailcheck", "--suite", "lemma6"])
         assert code == 0
         payload = json.loads(out)
         assert payload["pass"] is True
         assert len(payload["rows"]) == 12
 
     def test_lemma4_suite_small_samples(self):
-        code, out, _ = invoke(
-            ["tailcheck", "--suite", "lemma4", "--samples", "20000", "--seed", "2"]
-        )
+        code, out, _ = invoke(["tailcheck", "--suite", "lemma4"])
         assert code == 0
-        assert json.loads(out)["pass"] is True
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 20
+        assert all(row["pass"] for row in rows)
 
     def test_lemma5_suite_small_samples(self):
-        code, out, _ = invoke(
-            ["tailcheck", "--suite", "lemma5", "--samples", "10000", "--seed", "3"]
-        )
+        code, out, _ = invoke(["tailcheck", "--suite", "lemma5"])
         assert code == 0
         payload = json.loads(out)
         assert payload["pass"] is True
         assert [row["k"] for row in payload["rows"]] == [4, 10]
+        for row in payload["rows"]:
+            assert sorted(row) == ["M", "bound", "chernoff", "delta", "k", "pass", "threshold"]
+            assert 0.0 < row["chernoff"] <= row["bound"]
+
+    def test_cdf_suite_small_samples(self):
+        code, out, _ = invoke(["tailcheck", "--suite", "cdf"])
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 16
+        assert all(row["pass"] and "poisson" in row for row in rows)
 
     @pytest.mark.parametrize(
         "message, line",
@@ -623,61 +634,73 @@ class TestTailcheck:
         ids=["numpy", "bare"],
     )
     def test_sample_count_too_large_to_allocate_exits_one(self, monkeypatch, message, line):
-        # The estimator is replaced: a real allocation of that size might
-        # succeed on an overcommitting host and then be killed.
+        # An allocation that fails inside a command is one error line, not a
+        # traceback.  The evaluation is replaced: no suite allocates that much.
         from spr import tail_bounds
 
         def refuse(*args):
             raise MemoryError(message)
 
-        monkeypatch.setattr(tail_bounds, "monte_carlo_geometric", refuse)
-        argv = ["tailcheck", "--suite", "lemma5", "--samples", "1000000000000", "--seed", "0"]
-        code, out, err = invoke(argv)
+        monkeypatch.setattr(tail_bounds, "geometric_tail_chernoff", refuse)
+        code, out, err = invoke(["tailcheck", "--suite", "lemma5"])
         assert (code, out) == (1, "")
-        assert err.splitlines() == ["seed: 0", line]
+        assert err.splitlines() == [line]
 
-    def test_cdf_suite_small_samples(self):
-        code, out, _ = invoke(
-            ["tailcheck", "--suite", "cdf", "--samples", "20000", "--seed", "4"]
-        )
-        assert code == 0
-        assert json.loads(out)["pass"] is True
-
-    # sha256 of stdout at --samples 20000 --seed 4.  The Monte Carlo
-    # columns pin each estimator's draw order: row-major (rows, m) blocks
-    # for the Erlang sums, one vector per term for the geometric-mean sum.
+    # sha256 of stdout.  Every column is a deterministic evaluation.
     GOLDEN = {
-        "cdf": "d62168e9541a3db5efa5eb81c318ceec4165bf3f2c1bfe4e1f133b5d21e7ebda",
-        "lemma4": "b2647dc876adb3027e170a2afbf013204d741db6e9e94355a6f3c02f8cff7632",
-        "lemma5": "d246192995d9c180bc1f9a2000f1ce78a260fe4e2e652873c30580f126199561",
-        "lemma6": "02229dfb07c4ce5b776434cc76be6b033d4d63ec1ae2c2581b0dedc6e3959627",
+        "cdf": "52ebf8debb7c25b9e4d7b7bc91c744c76ab7128e33d77a79e59e6d9b21f4dfdc",
+        "lemma4": "fc50df19f6102df1ab603594388afe181a57cb84d41af49e272e202060ebc8fa",
+        "lemma5": "74bea1308294d89f994d27e4fe5f5da5b158ddeadab04e8f81d5432101cf5b65",
+        "lemma6": "b353d554be81c371614a971190c1b9d06d7c6fa4412728e45afd39e913879023",
     }
 
     @pytest.mark.parametrize("suite", sorted(GOLDEN))
     def test_golden_digest(self, suite):
-        code, out, _ = invoke(
-            ["tailcheck", "--suite", suite, "--samples", "20000", "--seed", "4"]
-        )
+        code, out, _ = invoke(["tailcheck", "--suite", suite])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[suite]
 
     @pytest.mark.parametrize("suite", sorted(GOLDEN))
-    def test_omitted_samples_read_the_default_table(self, monkeypatch, suite):
-        drawn = []
-        for name in ("_suite_lemma4", "_suite_lemma5", "_suite_cdf"):
-            monkeypatch.setattr(cli, name, lambda samples, seed: drawn.append(samples) or [])
-        monkeypatch.setattr(cli, "_suite_lemma6", lambda: drawn.append(None) or [])
-        code, _, _ = invoke(["tailcheck", "--suite", suite, "--seed", "0"])
-        assert code == 0
-        assert drawn == [cli.DEFAULT_SAMPLES.get(suite)]
+    def test_two_runs_print_the_same_bytes(self, suite):
+        first, second = invoke(["tailcheck", "--suite", suite]), invoke(["tailcheck", "--suite", suite])
+        assert first == second
+        assert first[2] == ""
+        payload = json.loads(first[1])
+        assert payload["schema_version"] == 2
+        assert "seed" not in payload
 
-    def test_help_states_the_default_samples(self):
-        code, out, _ = invoke(["tailcheck", "--help"])
-        assert code == 0
-        help_text = " ".join(out.split())  # argparse wraps to the terminal width
-        for suite, count in cli.DEFAULT_SAMPLES.items():
-            assert f"{suite} {count}" in help_text
-        assert "lemma6 draws none" in help_text
+    @pytest.mark.parametrize("flag", ["--seed", "--samples"])
+    def test_takes_no_seed_or_sample_count(self, flag):
+        code, out, err = invoke(["tailcheck", "--suite", "lemma4", flag, "20000"])
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == f"spr: error: unrecognized arguments: {flag} 20000"
+
+    @pytest.mark.parametrize(
+        "suite, name", [("lemma4", "lemma4_bound"), ("lemma5", "lemma5_bound"), ("lemma6", "lemma6_bound")]
+    )
+    def test_a_bound_scaled_down_fails_the_suite(self, monkeypatch, suite, name):
+        from spr import tail_bounds
+
+        bound = getattr(tail_bounds, name)
+        monkeypatch.setattr(tail_bounds, name, lambda *args: bound(*args) * 1e-20)
+        code, out, _ = invoke(["tailcheck", "--suite", suite])
+        assert code == 1
+        assert json.loads(out)["pass"] is False
+
+    @pytest.mark.parametrize("evaluation", ["erlang_cdf_lower", "erlang_cdf_lower_poisson"])
+    def test_one_shifted_cdf_evaluation_fails_the_suite(self, monkeypatch, evaluation):
+        from spr import tail_bounds
+
+        value = getattr(tail_bounds, evaluation)
+
+        def shifted(m, x):
+            return value(m, x) + (1e-10 if (m, x) == (5, 5.0) else 0.0)
+
+        monkeypatch.setattr(tail_bounds, evaluation, shifted)
+        code, out, _ = invoke(["tailcheck", "--suite", "cdf"])
+        assert code == 1
+        failed = [(row["m"], row["x"]) for row in json.loads(out)["rows"] if not row["pass"]]
+        assert failed == [(5, 5.0)]
 
 
 class TestUsage:
@@ -854,14 +877,12 @@ class TestFlagRanges:
             ("run", "--c1", "-5"),
             ("run", "--max-rounds", "0"),
             ("experiment", "--trials", "0"),
-            ("tailcheck", "--samples", "10"),
         ],
     )
     def test_out_of_range_exits_two(self, star_file, command, flag, value):
         rest = {
             "run": [star_file],
             "experiment": ["--graph", star_file],
-            "tailcheck": ["--suite", "lemma4"],
         }[command]
         code, out, err = invoke([command, flag, value, *rest])
         assert code == 2
@@ -930,13 +951,6 @@ class TestFlagRanges:
     @settings(max_examples=150, deadline=None)
     def test_fuzzed_values_end_in_one_error_line(self, four_file, flag, value):
         assume(self.check_flag_value(four_file, flag, value))
-
-    def test_samples_floor_is_named(self):
-        code, out, err = invoke(["tailcheck", "--suite", "lemma4", "--samples", "9999"])
-        assert (code, out) == (2, "")
-        assert err.splitlines()[-1] == (
-            "spr tailcheck: error: argument --samples: must be at least 10000, got 9999"
-        )
 
     def test_growth_rate_of_one_is_refused(self, star_file):
         # 1 + 1e-300 / log 3 rounds to 1: the round means would never grow.
@@ -1043,7 +1057,7 @@ for argv in (
     ["eval", star, part],
     ["oracle", star],
     ["experiment", "--graph", graph, "--trials", "2", "--seed", "1"],
-    ["tailcheck", "--suite", "cdf", "--samples", "20000", "--seed", "4"],
+    ["tailcheck", "--suite", "cdf"],
 ):
     code = main(argv)
     report[argv[0]] = [code, [name for name in WATCHED if name in sys.modules]]
@@ -1075,5 +1089,5 @@ print(json.dumps(report))
     def test_experiment_loads_analysis(self, report):
         assert report["experiment"] == [0, ["spr.analysis"]]
 
-    def test_only_tailcheck_imports_numpy(self, report):
-        assert report["tailcheck"] == [0, ["spr.analysis", "spr.tail_bounds", "numpy"]]
+    def test_no_command_imports_numpy(self, report):
+        assert report["tailcheck"] == [0, ["spr.analysis", "spr.tail_bounds"]]

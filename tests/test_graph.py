@@ -646,6 +646,21 @@ class TestTerminalDistances:
         assert inst.row(1)[0] == 0.6
 
 
+class TestCachedRowsServeThePaths:
+    """A cached full row replaces the skeleton search from its terminal."""
+
+    def test_paths_and_rows_equal_fresh_searches(self):
+        for inst in TestTerminalDistances.instances():
+            cached = range(0, inst.k, 2)  # rows of some terminals, as after a run
+            for j in cached:
+                inst.row(j)
+            fresh = Instance(inst.graph, inst.terminals)
+            assert inst.terminal_paths() == fresh.terminal_paths()
+            assert sorted(inst._rows) == list(cached)
+            for j in cached:
+                assert inst._rows[j] == inst.graph._dijkstra(inst.terminals[j])
+
+
 class TestOneBoundedSearch:
     """exact_minor's only search is the skeleton's; nothing is cached."""
 
