@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from bisect import bisect_left
 from itertools import chain
 from operator import itemgetter
@@ -274,16 +275,16 @@ class Skeleton:
     between its two end branch vertices that keeps the chain's interior
     ids and weight sequence.  A chain back to its own branch vertex is an
     edge, and so is each of several chains between the same two branch
-    vertices; nothing is pruned.  Built in one walk over the adjacency.
-    The search links are the direct edges plus one (far end, total) link
-    per chain end.
+    vertices; nothing is pruned.  Built in one walk over the adjacency
+    into two tables: the search links, which are the direct edges plus
+    one (far end, total) link per chain end, and the chain records.
 
     :meth:`shortest_paths` searches branch vertices only and fills in the
     chain interiors that the canonical labelling reads, with the same
     floats a full Dijkstra row holds there.
     """
 
-    __slots__ = ("graph", "keep", "_links", "_chains", "_search")
+    __slots__ = ("graph", "keep", "_chains", "_search")
 
     def __init__(self, graph: WeightedGraph, keep: Iterable[int]):
         keep = frozenset(keep)
@@ -296,16 +297,17 @@ class Skeleton:
         branch = bytearray(not exact or len(nbrs) != 2 for nbrs in adjacency)
         for v in keep:
             branch[v] = 1
-        # links[b]: the (branch neighbour, weight) edges of branch vertex b.
-        # chains[b]: the records of the chains ending at b.  A record
-        # [a, z, weights, interior] is read forward from a and reversed
-        # from z, and both ends hold the same record.  A chain back to its
-        # own end is read forward from both, so its second end holds a
-        # reversed copy.  Lists, not tuples: CPython keeps thousands of
-        # freed small tuples for reuse, and those would hold on to the
-        # memory of a freed input graph (measured: +5 MB peak RSS on a
-        # subdivided 18k-vertex run).
-        links: list = [()] * n
+        # search[b]: the links the level search reads from branch vertex b,
+        # its (branch neighbour, weight) edges, then one (far end, total)
+        # link per chain end.  chains[b]: the records of the chains ending
+        # at b, in the order of their links.  A record [a, z, weights,
+        # interior] is read forward from a and reversed from z, and both
+        # ends hold the same record.  A chain back to its own end is read
+        # forward from both, so its second end holds a reversed copy.
+        # Lists, not tuples: CPython keeps thousands of freed small tuples
+        # for reuse, and those would hold on to the memory of a freed input
+        # graph (measured: +5 MB peak RSS on a subdivided 18k-vertex run).
+        search: list = [()] * n
         chains: list = [None] * n
         seen = bytearray(n)
         for b in range(n):
@@ -313,7 +315,7 @@ class Skeleton:
                 continue
             nbrs = adjacency[b]
             direct = [edge for edge in nbrs if branch[edge[0]]]
-            links[b] = nbrs if len(direct) == len(nbrs) else direct
+            search[b] = nbrs if len(direct) == len(nbrs) else direct
             for x, w in nbrs:
                 if branch[x] or seen[x]:
                     continue
@@ -335,31 +337,33 @@ class Skeleton:
                 if chains[v] is None:
                     chains[v] = []
                 chains[v].append(record if v != b else [b, b, weights[::-1], inner[::-1]])
-        self.graph = graph
-        self.keep = keep
-        self._links = links
-        self._chains = chains
-        # The links the level search reads: each chain end adds its total.
-        search = links[:]
+        # A chain end has a non-branch neighbour, so its direct links are a fresh list.
         for b, folds in enumerate(chains):
             if folds:
-                totals = [(z if a == b else a, sum(weights)) for a, z, weights, _ in folds]
-                search[b] = links[b] + totals
+                search[b] += [(z if a == b else a, sum(weights)) for a, z, weights, _ in folds]
+        self.graph = graph
+        self.keep = keep
+        self._chains = chains
         self._search = search
 
     def _fill_closure(self, dist: list[float], targets: Iterable[int]) -> set[int]:
-        """Fill every chain incident to the targets' closure; return the closure.
+        """Fill in what the labelling of the targets' closure reads; return the closure.
 
         The closure holds the targets and every tight predecessor u
         (``dist[u] + w == dist[v]``) of its vertices v: the branch vertices
         and chain interiors on some shortest path from the source to a
-        target.  It is walked back from the targets, inside chains one
-        vertex at a time.  Each closure vertex and each of its neighbours
-        then holds its full-row distance, which is all the labelling of
-        the closure reads.  An interior distance is the smaller of the
-        folds from either end.
+        target, walked back from the targets over the search links.
+        Chains exist only on exact graphs, where a chain's (far end, total)
+        link is tight exactly when the whole chain is.  Each chain at a
+        closure vertex is walked from it while tight: a tight chain's
+        interiors all join the closure, and another chain's walk stops
+        after the interior next to the vertex.  Each interior walked gets
+        the smaller of the folds from either end, the far one read from
+        the chain's total, so each closure vertex and each of its
+        neighbours holds its full-row distance, all the labelling reads.
+        Only ``inf`` entries are written, so a full row is never written.
         """
-        links = self._links
+        search = self._search
         chains = self._chains
         inf = math.inf
         closure = set(targets)
@@ -367,42 +371,32 @@ class Skeleton:
         while stack:
             v = stack.pop()
             dv = dist[v]
-            for u, w in links[v]:
-                if dist[u] + w == dv and u not in closure:
+            links = search[v]
+            folds = chains[v] or ()
+            # i reaches 0 at the first chain link and then indexes folds.
+            for i, (u, w) in enumerate(links, len(folds) - len(links)):
+                far = dist[u] + w
+                if far == dv and u not in closure:
                     closure.add(u)
                     stack.append(u)
-            folds = chains[v]
-            if not folds:
-                continue
-            for a, z, weights, inner in folds:
-                if dist[inner[0]] == inf:
-                    d = dist[a]
-                    for x, w in zip(inner, weights):
-                        d += w
-                        dist[x] = d
-                    d = dist[z]
-                    for x, w in zip(reversed(inner), reversed(weights)):
-                        d += w
-                        if d < dist[x]:
-                            dist[x] = d
-                if a == v:
-                    end, steps, last = z, zip(inner, weights), weights[-1]
-                else:
-                    end, steps, last = a, zip(reversed(inner), reversed(weights)), weights[0]
-                d = dv
+                if i < 0:
+                    continue
+                a, _, weights, inner = folds[i]
+                steps = zip(inner, weights) if a == v else zip(reversed(inner), reversed(weights))
+                tight = far == dv
+                near = dv
                 for x, w in steps:
-                    if dist[x] + w != d:
+                    near += w
+                    far -= w
+                    if dist[x] == inf:
+                        dist[x] = near if near < far else far
+                    if not tight:
                         break
                     closure.add(x)
-                    d = dist[x]
-                else:
-                    if dist[end] + last == d and end not in closure:
-                        closure.add(end)
-                        stack.append(end)
         return closure
 
     def shortest_paths(
-        self, s: int, targets: Sequence[int], row: list[float] | None = None
+        self, s: int, targets: Sequence[int], row: Sequence[float] | None = None
     ) -> list[tuple[int, ...]]:
         """Vertex sequences of the canonical paths from s to each target.
 
@@ -504,7 +498,7 @@ class Instance:
         self.graph = graph
         self.terminals = terminals
         self._terminal_set = frozenset(terminals)
-        self._rows: dict[int, list[float]] = {}
+        self._rows: dict[int, array] = {}
         self._terminal_distances: dict[tuple[int, int], float] | None = None
         self._terminal_paths: dict[tuple[int, int], tuple[int, ...]] | None = None
         self._nearest_distances: list[float] | None = None
@@ -525,11 +519,11 @@ class Instance:
             raise GraphError(f"terminal index {j} out of range [0, {self.k})")
         return self.terminals[j]
 
-    def row(self, j: int) -> list[float]:
-        """Plain distances from terminal j to every vertex; cached, never mutated."""
+    def row(self, j: int) -> array:
+        """Plain distances from terminal j to every vertex; cached as a float array, never mutated."""
         row = self._rows.get(j)
         if row is None:
-            row = self._rows[j] = self.graph._dijkstra(self._terminal(j))
+            row = self._rows[j] = array("d", self.graph._dijkstra(self._terminal(j)))
         return row
 
     def terminal_distances(self) -> dict[tuple[int, int], float]:

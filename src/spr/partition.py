@@ -81,17 +81,26 @@ class TerminalMinor(NamedTuple):
 
 
 def validate(inst: Instance, partition: TerminalPartition) -> list[Violation]:
-    """Empty list when both partition invariants hold; violations otherwise.
+    """Empty list when both partition invariants hold; violations otherwise."""
+    return _check_cells(inst, partition)[0]
+
+
+def _check_cells(inst: Instance, partition: TerminalPartition) -> tuple[list[Violation], set]:
+    """:func:`validate`'s violations, and the cell pairs (j, c), j < c, an edge joins.
 
     One pass groups the vertices by cell; each cell is then searched from
-    its terminal inside its own members, O(n + m) in total.
+    its terminal inside its own members, O(n + m) in total, and records
+    its neighbours in higher cells.  Without violations every vertex is
+    reached from its terminal, so each crossing edge is read from its end
+    in the lower cell.
     """
     n = inst.graph.vertex_count
     k = inst.k
     assignment = partition.assignment
     violations: list[Violation] = []
+    crossing: set[tuple[int, int]] = set()
     if len(assignment) != n:
-        return [Violation(-1, f"assignment covers {len(assignment)} of {n} vertices")]
+        return [Violation(-1, f"assignment covers {len(assignment)} of {n} vertices")], crossing
     members: list[list[int]] = [[] for _ in range(k)]
     for v, c in enumerate(assignment):
         # Cell ids are integers (numpy ones included), never bools or floats.
@@ -100,7 +109,7 @@ def validate(inst: Instance, partition: TerminalPartition) -> list[Violation]:
         else:
             violations.append(Violation(-1, f"vertex {v} assigned to invalid cell {c}"))
     if violations:
-        return violations
+        return violations, crossing
     for j, t in enumerate(inst.terminals):
         if assignment[t] != j:
             violations.append(
@@ -118,33 +127,29 @@ def validate(inst: Instance, partition: TerminalPartition) -> list[Violation]:
         while stack:
             u = stack.pop()
             for v, _ in adjacency[u]:
-                if not reached[v] and assignment[v] == j:
-                    reached[v] = True
-                    count += 1
-                    stack.append(v)
+                c = assignment[v]
+                if c == j:
+                    if not reached[v]:
+                        reached[v] = True
+                        count += 1
+                        stack.append(v)
+                elif c > j:
+                    crossing.add((j, c))
         if count != len(members[j]):
             missing = [v for v in members[j] if not reached[v]]
             violations.append(
                 Violation(j, f"cell {j} disconnected: {missing} unreachable from terminal {t}")
             )
-    return violations
+    return violations, crossing
 
 
 def contract(inst: Instance, partition: TerminalPartition) -> TerminalMinor:
     """Contract each cell to its terminal; raises on invalid partitions."""
-    violations = validate(inst, partition)
+    violations, crossing = _check_cells(inst, partition)
     if violations:
         raise InvalidPartitionError(
             "invalid partition: " + "; ".join(v.reason for v in violations)
         )
-    assignment = partition.assignment
-    crossing: set[tuple[int, int]] = set()
-    for u, nbrs in enumerate(inst.graph.adjacency):
-        a = assignment[u]
-        for v, _ in nbrs:
-            b = assignment[v]
-            if a < b:  # read from both ends; the end in the lower cell records it
-                crossing.add((a, b))
     source = inst.terminal_distances()
     edges = tuple((i, j, source[(i, j)]) for i, j in sorted(crossing))
     return TerminalMinor(tuple(inst.terminals), edges)

@@ -146,9 +146,9 @@ def erlang_cdf_lower_poisson(m: int, x: float) -> float:
     geometrically; the sum stops once that geometric remainder is below
     1e-15 of the total.  Shares no code with :func:`erlang_cdf_lower` but
     its guards.  Tested against scipy to 1e-11 relative for m <= 1000 and
-    x <= 2m; the terms' ``lgamma`` costs precision at large x (4e-12 at
-    x = 9000), and since the sum cannot stop before i > x, an x past about
-    9,000 is refused as unconverged.
+    x <= 2m.  The terms' ``lgamma`` costs precision at large x (the sum is
+    1 + 3.3e-12 at x = 9000), so it is capped at 1.0; and since it cannot
+    stop before i > x, an x past about 9,000 is refused as unconverged.
     """
     _check_erlang(m, x)
     if x == 0.0:
@@ -161,7 +161,7 @@ def erlang_cdf_lower_poisson(m: int, x: float) -> float:
         terms.append(term)
         total += term
         if i > x and term * x <= (i + 1.0 - x) * total * _REL_EPS:
-            return math.fsum(terms)
+            return min(1.0, math.fsum(terms))
     raise _unconverged("Poisson sum", m, x)
 
 

@@ -178,13 +178,32 @@ def chain_readings(sk, b):
             yield a, weights[::-1], inner[::-1]
 
 
+def branch_flags(sk):
+    """Per vertex of ``sk``'s graph: whether the chain rule makes it a branch vertex.
+
+    On an exact graph, the kept vertices and every vertex whose degree is
+    not 2; on any other graph, every vertex.
+    """
+    g = sk.graph
+    exact = g.is_exact()
+    return [not exact or v in sk.keep or len(nbrs) != 2 for v, nbrs in enumerate(g.adjacency)]
+
+
+def direct_links(sk, branch, b):
+    """Branch vertex b's edges to branch neighbours, read from the adjacency."""
+    return [(v, w) for v, w in sk.graph.adjacency[b] if branch[v]]
+
+
 def heap_skeleton_search(sk, s, targets):
     """Reference bounded search over ``sk``'s branch vertices, on a pair heap.
 
     Pops in (distance, vertex) order.  Once the last target is settled at
     distance D, it settles every vertex still popped at D and stops at the
     first pop beyond D; every entry, tentative ones included, is returned.
+    The direct links come from the adjacency and the branch flags, and each
+    chain is folded weight by weight, so the skeleton's links are never read.
     """
+    branch = branch_flags(sk)
     dist = [math.inf] * sk.graph.vertex_count
     dist[s] = 0.0
     heap = [(0.0, s)]
@@ -201,7 +220,7 @@ def heap_skeleton_search(sk, s, targets):
             if not pending:
                 limit = d
         # A chain's weights fold left to right onto d, as a full row sums them.
-        relaxed = [(v, d + w) for v, w in sk._links[u]]
+        relaxed = [(v, d + w) for v, w in direct_links(sk, branch, u)]
         for v, weights, _ in chain_readings(sk, u):
             nd = d
             for w in weights:

@@ -34,6 +34,7 @@ from spr.cli import _build_parser, main
 from conftest import invoke, random_connected_instance, subdivide
 
 GOLDEN_GRAPH = Path(__file__).parent / "data" / "golden-non-dyadic.txt"
+SUBDIVIDED_GRAPH = Path(__file__).parent / "data" / "golden-subdivided.txt"
 
 STAR = """# three terminals around a center
 4 3 3
@@ -472,19 +473,15 @@ class TestValidateOnce:
 
     @pytest.fixture
     def calls(self, monkeypatch):
+        # validate and contract both run the checks through this one helper.
         seen = []
-        original = partition.validate
+        original = partition._check_cells
 
         def counting(inst, part):
             seen.append(part)
             return original(inst, part)
 
-        # Rebind every module-level name bound to validate.
-        for module in list(sys.modules.values()):
-            if getattr(module, "__name__", "").startswith("spr") and getattr(
-                module, "validate", None
-            ) is original:
-                monkeypatch.setattr(module, "validate", counting)
+        monkeypatch.setattr(partition, "_check_cells", counting)
         return seen
 
     def test_run(self, calls, random_file):
@@ -588,6 +585,53 @@ class TestExperiment:
         assert '"many": 85' in out
         digest = hashlib.sha256(out.encode() + table.read_bytes()).hexdigest()
         assert digest == "341e3c250c9791addc7257fd4abf52bb10fb06e720ed7063a4ea86c1292a89d9"
+
+
+class TestGoldenSubdivided:
+    """Every command on an integer graph whose edges are split in 4, so chains are folded.
+
+    The file is ``perfbench/gen.py``'s ``subdivide(sparse_random_instance(7,
+    40, 5), 4)``: 274 vertices, 312 edges, 5 terminals.
+    """
+
+    # sha256 of stdout followed by each side file ("SIDE", then for
+    # preprocess its sidecar "SIDE.json"), as the skeleton that pre-filled
+    # every chain at a closure vertex produced them.
+    GOLDEN = {
+        "run": (
+            ["run", "G", "--seed", "0", "--trace", "SIDE"],
+            "b9516c4748c57ac6052943e0ada4266fafd6c4bd42905253aedf98fd341943e6",
+        ),
+        "run-no-preprocess": (
+            ["run", "G", "--seed", "0", "--no-preprocess", "--trace", "SIDE"],
+            "efdd4a75fdbb52d7ff64450d834279ecd329f04d11673afcd0c4c8f8e79440fc",
+        ),
+        "preprocess": (
+            ["preprocess", "G", "-o", "SIDE"],
+            "8da1e678027c5139eec872286e4f812d231b421be594888252ecc0c9ed93e2b1",
+        ),
+        "experiment": (
+            ["experiment", "--graph", "G", "--trials", "2", "--seed", "0"],
+            "764dadb6076fe70a063bc122268358d77d80ed29cae008955b15149139711bcf",
+        ),
+        "experiment-no-preprocess": (
+            ["experiment", "--graph", "G", "--trials", "2", "--seed", "0", "--no-preprocess"],
+            "8b409e76e84662877e489330be0f74567706560caaad0dba66caca0d449b8c44",
+        ),
+    }
+
+    @pytest.mark.parametrize("command", list(GOLDEN))
+    def test_golden_digest(self, tmp_path, command):
+        argv, digest = self.GOLDEN[command]
+        side = tmp_path / "side"
+        names = {"G": str(SUBDIVIDED_GRAPH), "SIDE": str(side)}
+        code, out, _ = invoke([names.get(arg, arg) for arg in argv])
+        assert code == 0
+        blob = out.encode()
+        for path in (side, tmp_path / "side.json"):
+            if path.exists():
+                blob += path.read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == digest
 
 
 class TestTailcheck:

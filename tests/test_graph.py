@@ -20,9 +20,11 @@ from spr.errors import (
 
 from conftest import (
     NON_DYADIC_WEIGHTS,
+    branch_flags,
     brute_canonical,
     canonical_path,
     chain_readings,
+    direct_links,
     floyd_warshall,
     heap_dijkstra,
     heap_skeleton_search,
@@ -286,11 +288,12 @@ def check_skeleton(inst):
 
     Each terminal is a source and the others its targets.  Within the
     farthest target's distance the search and the closure fill must give
-    the full row's float at every vertex the labelling reads; with every
-    chain filled, at every vertex.  Beyond it every entry must stay above
-    that distance.  The closure the fill returns must be the tight
-    closure that walking the full row vertex by vertex gives.  The
-    instance's terminal-path table must be full labelling's on every pair.
+    the full row's float at every vertex the labelling reads, for the
+    targets and for every branch vertex within that distance.  Beyond it
+    every entry must stay above that distance.  The closure the fill
+    returns must be the tight closure that walking the full row vertex by
+    vertex gives.  The instance's terminal-path table must be full
+    labelling's on every pair.
     """
     g = inst.graph
     n = g.vertex_count
@@ -315,7 +318,7 @@ def check_skeleton(inst):
         check_row(label_reads(g, full, targets))
         within = [v for v in branch if full[v] <= far]
         assert sk._fill_closure(row, within) == tight_closure(g, full, within), s
-        check_row(range(n))
+        check_row(label_reads(g, full, within))
         assert sk.shortest_paths(s, targets) == [canonical_path(inst, a, t) for t in targets]
     k = len(terms)
     expected = {(i, j): canonical_path(inst, i, terms[j]) for i in range(k) for j in range(i + 1, k)}
@@ -557,8 +560,8 @@ class TestChainTotals:
 
     On integer weights summing to at most 2^52 each chain end is one link
     of the chain's total; any other graph has no chains, and its search
-    is the plain bounded search.  The pair heap reads the skeleton's
-    direct links and folds, never the totals.
+    is the plain bounded search.  The pair heap reads the direct links from
+    the adjacency and folds the chains, never the totals.
     """
 
     @staticmethod
@@ -571,12 +574,13 @@ class TestChainTotals:
             for sub in (subdivide(inst, parts=3), subdivide_unevenly(inst, seed), pendant_tree(seed, n=20, k=3)):
                 sk = Skeleton(sub.graph, sub.terminals)
                 assert self.has_chains(sk)
-                # One total per chain end, after the direct links.
-                assert list(map(len, sk._search)) == [
-                    len(direct) + len(list(chain_readings(sk, b))) for b, direct in enumerate(sk._links)
-                ]
-                # The closure fill and the pair heap read direct edges only.
-                assert all(set(direct) <= set(nbrs) for direct, nbrs in zip(sk._links, sub.graph.adjacency))
+                # The direct links, then one link per chain end to its far end.
+                branch = branch_flags(sk)
+                for b, links in enumerate(sk._search):
+                    direct = direct_links(sk, branch, b) if branch[b] else []
+                    ends = [end for end, _, _ in chain_readings(sk, b)]
+                    assert list(links[: len(direct)]) == direct
+                    assert [u for u, _ in links[len(direct) :]] == ends
                 assert_matches_the_pair_heap(sk, list(sub.terminals))
 
     def test_non_dyadic_floats_have_no_chains(self):
@@ -589,7 +593,7 @@ class TestChainTotals:
                 sk = Skeleton(sub.graph, sub.terminals)
                 assert not self.has_chains(sk)
                 # Every vertex is a branch vertex, linked by all its edges.
-                assert sk._search == sk._links == list(sub.graph.adjacency)
+                assert sk._search == list(sub.graph.adjacency)
                 assert_matches_the_pair_heap(sk, list(sub.terminals))
 
     def test_integer_weights_past_2_to_the_52_have_no_chains(self):
@@ -658,7 +662,15 @@ class TestCachedRowsServeThePaths:
             assert inst.terminal_paths() == fresh.terminal_paths()
             assert sorted(inst._rows) == list(cached)
             for j in cached:
-                assert inst._rows[j] == inst.graph._dijkstra(inst.terminals[j])
+                assert list(inst._rows[j]) == inst.graph._dijkstra(inst.terminals[j])
+
+    def test_paths_leave_a_cached_row_bit_identical(self):
+        for inst in TestTerminalDistances.instances():
+            rows = [inst.row(j) for j in range(inst.k)]
+            before = [list(map(float.hex, row)) for row in rows]
+            inst.terminal_paths()
+            assert all(inst._rows[j] is row for j, row in enumerate(rows))
+            assert [list(map(float.hex, row)) for row in rows] == before
 
 
 class TestOneBoundedSearch:

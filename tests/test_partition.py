@@ -96,6 +96,18 @@ class TestContract:
         with pytest.raises(InvalidPartitionError):
             contract(path4, TerminalPartition([0, 1, 0, 1]))
 
+    def test_edges_are_the_cell_pairs_some_edge_joins(self):
+        # Reference: every edge read once, with no cell search.
+        rng = random.Random(7)
+        for seed in range(12):
+            inst = random_connected_instance(seed, n=25, k=2 + seed % 4)
+            part = random_valid_partition(inst, rng)
+            a = part.assignment
+            pairs = {tuple(sorted((a[u], a[v]))) for u, v, _ in inst.graph.edges if a[u] != a[v]}
+            source = inst.terminal_distances()
+            minor = contract(inst, part)
+            assert minor.edges == tuple((i, j, source[(i, j)]) for i, j in sorted(pairs))
+
 
 class TestDistortion:
     def test_path_is_exact(self, path3):

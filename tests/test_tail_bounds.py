@@ -118,6 +118,19 @@ class TestPoissonSum:
     def test_zero_threshold(self):
         assert erlang_cdf_lower_poisson(3, 0.0) == 0.0
 
+    def test_stays_a_probability_at_large_thresholds(self):
+        # Uncapped, the sum reads 1.0000000000032825 at x = 9000.
+        for m in (1, 5):
+            for x in (2000.0, 9000.0):
+                value = erlang_cdf_lower_poisson(m, x)
+                assert 0.0 <= value <= 1.0, (m, x)
+                assert abs(value - erlang_cdf_lower(m, x)) <= 1e-11, (m, x)
+
+    def test_refuses_thresholds_past_9000(self):
+        assert erlang_cdf_lower(1, 9500.0) == 1.0
+        with pytest.raises(ParamOutOfRegimeError, match="Poisson sum did not converge"):
+            erlang_cdf_lower_poisson(1, 9500.0)
+
     def test_unconverged_sum_raises(self, monkeypatch):
         monkeypatch.setattr(tail_bounds, "_MAX_ITER", 3)
         with pytest.raises(ParamOutOfRegimeError, match="Poisson sum did not converge"):
