@@ -12,10 +12,12 @@ whose length bounds the contracted distance of the pair from above.
 
 A trial's trace is validated and indexed by vertex once (:func:`index_trace`).
 A reach never leaves its cell, so a cell's replay depends only on its vertex
-sequence and the trace; pairs share most of their cells, and each trial
-replays every distinct cell once (:func:`_replay_cell`), visiting only the
-batches that assign its vertices.  The many-event counts and the witness
-walks' lengths (:func:`_pair_detour_length`) are read from those replays:
+sequence and the trace.  Pairs share most of their cells, so an experiment
+finds the distinct ones once (:func:`_distinct_cells`), and each trial
+replays each once (:func:`_replay_distinct`), visiting only the batches that
+assign its vertices and keeping its count of distinct terminals and its
+cover chain.  The many-event counts and the witness walks' lengths
+(:func:`_pair_detour_length`) are read from that table by index:
 ``spr experiment`` sums each walk's detours and builds no walk and no reach
 log.  Both exist only in the test suite, as the oracles for those replays.
 
@@ -191,52 +193,46 @@ def _replay_cell(index: TraceIndex, vertices: tuple[int, ...]):
     return reaches, cover
 
 
-def _cover_chain(reaches, cover):
-    """The deactivating reaches that tile a cell, as (terminal, first, last).
+def _distinct_cells(inst: Instance, cells: dict[tuple[int, int], list[PathCell]]):
+    """The distinct vertex sequences of :func:`partition_pairs`' cells.
 
-    Following the reach that deactivated the current position always
-    resumes exactly where the previous one stopped.  None if a position
-    is still active.
+    Returns ``(sequences, slots)``: the sequences in first-seen order, and
+    per pair the index in ``sequences`` of each of its cells.
     """
-    if None in cover:
-        return None
-    chain = []
-    pos = 0
-    while pos < len(cover):
-        _, terminal, first, last = reaches[cover[pos]]
-        if first != pos:
-            raise AssertionError("deactivation chain broke; cover ranges must tile each cell")
-        chain.append((terminal, first, last))
-        pos = last + 1
-    return chain
-
-
-def _replay_pairs(inst: Instance, index: TraceIndex, cells: dict[tuple[int, int], list[PathCell]]):
-    """Every pair's cells replayed, each distinct vertex sequence once.
-
-    Maps each pair to one ``(reaches, cover, distinct, chain)`` per cell:
-    :func:`_replay_cell`'s result, the number of distinct terminals that
-    reach the cell, and its :func:`_cover_chain`.  Pairs share most of
-    their cells, so the replays are shared too.
-    """
-    memo = {}
-    replays = {}
+    first_seen: dict[tuple[int, ...], int] = {}
+    slots = {}
     for pair, pair_cells in cells.items():
         path = inst.terminal_paths()[pair]
-        pair_replays = replays[pair] = []
-        for cell in pair_cells:
-            vertices = path[cell.start : cell.end + 1]
-            replay = memo.get(vertices)
-            if replay is None:
-                reaches, cover = _replay_cell(index, vertices)
-                replay = memo[vertices] = (
-                    reaches,
-                    cover,
-                    len({reach[1] for reach in reaches}),
-                    _cover_chain(reaches, cover),
-                )
-            pair_replays.append(replay)
-    return replays
+        slots[pair] = [
+            first_seen.setdefault(path[cell.start : cell.end + 1], len(first_seen))
+            for cell in pair_cells
+        ]
+    return list(first_seen), slots
+
+
+def _replay_distinct(index: TraceIndex, sequences):
+    """Each sequence replayed once, as ``(distinct terminals, cover chain)``.
+
+    The chain lists the deactivating reaches that tile the cell as
+    ``(terminal, first, last)``, None if a position is still active:
+    following the reach that deactivated the current position always
+    resumes exactly where the previous one stopped.
+    """
+    table = []
+    for vertices in sequences:
+        reaches, cover = _replay_cell(index, vertices)
+        chain = None
+        if None not in cover:
+            chain = []
+            pos = 0
+            while pos < len(cover):
+                _, terminal, first, last = reaches[cover[pos]]
+                if first != pos:
+                    raise AssertionError("deactivation chain broke; cover ranges must tile each cell")
+                chain.append((terminal, first, last))
+                pos = last + 1
+        table.append((len({reach[1] for reach in reaches}), chain))
+    return table
 
 
 def _detour_length(
@@ -248,11 +244,11 @@ def _detour_length(
     return row[first] + row[last] + inst.graph.edge_weight(last, path[q_max + 1])
 
 
-def _pair_detour_length(inst: Instance, pair, cells, replays) -> float:
-    """Length of the pair's witness walk, summed from the cells' replays.
+def _pair_detour_length(inst: Instance, pair, cells, chains) -> float:
+    """Length of the pair's witness walk, summed from its cells' cover chains.
 
-    The sum starts at the first path edge and follows the cells' cover
-    chains in order.  Consecutive entries through one terminal fuse into
+    The sum starts at the first path edge and follows ``chains``, one per
+    cell, in order.  Consecutive entries through one terminal fuse into
     one detour, which replaces the excursion between them with a single
     pass through that terminal; the chains tile the interior, so
     consecutive entries always abut.  Raises
@@ -260,17 +256,17 @@ def _pair_detour_length(inst: Instance, pair, cells, replays) -> float:
     """
     path = inst.terminal_paths()[pair]
     total = inst.graph.edge_weight(path[0], path[1])
-    runs = []  # [terminal, q_min, q_max] of each fused detour
-    for cell, (_, _, _, chain) in zip(cells, replays):
+    terminal = None  # of the detour being fused, over [q_min, q_max]
+    for cell, chain in zip(cells, chains):
         if chain is None:
             raise IncompleteCellsError(f"pair {pair} has active cells left")
-        start = cell.start
-        for terminal, first, last in chain:
-            if runs and runs[-1][0] == terminal:
-                runs[-1][2] = start + last
-            else:
-                runs.append([terminal, start + first, start + last])
-    for terminal, q_min, q_max in runs:
+        for through, first, last in chain:
+            if through != terminal:
+                if terminal is not None:
+                    total += _detour_length(inst, path, terminal, q_min, q_max)
+                terminal, q_min = through, cell.start + first
+            q_max = cell.start + last
+    if terminal is not None:
         total += _detour_length(inst, path, terminal, q_min, q_max)
     return total
 
@@ -308,13 +304,15 @@ def detect_bad_events(inst: Instance, trace: RunTrace, params: GrowthParams) -> 
     reaches c2 * D_v * delta / log k.
     many: a path cell reached by at least c3 * log k distinct terminals.
     """
-    return _bad_events(inst, trace, params, partition_pairs(inst, params))[0]
+    cells = partition_pairs(inst, params)
+    return _bad_events(inst, trace, params, cells, *_distinct_cells(inst, cells))[0]
 
 
-def _bad_events(inst, trace, params, cells):
-    """:func:`detect_bad_events`' report and the :func:`_replay_pairs` replays it read.
+def _bad_events(inst, trace, params, cells, sequences, slots):
+    """:func:`detect_bad_events`' report and the :func:`_replay_distinct` table it read.
 
-    ``cells`` is :func:`partition_pairs` of the same instance and params.
+    ``cells`` is :func:`partition_pairs` of the same instance and params,
+    and ``sequences`` and ``slots`` are :func:`_distinct_cells` of them.
     """
     index = index_trace(inst, trace)
     far_events = []
@@ -340,12 +338,13 @@ def _bad_events(inst, trace, params, cells):
 
     many_threshold = params.c3 * log_k
     many_events = []
-    replays = _replay_pairs(inst, index, cells)
+    table = _replay_distinct(index, sequences)
     for pair, pair_cells in cells.items():
-        for cell, (_, _, distinct, _) in zip(pair_cells, replays[pair]):
+        for cell, slot in zip(pair_cells, slots[pair]):
+            distinct = table[slot][0]
             if distinct >= many_threshold:
                 many_events.append((pair, cell.start, cell.end, distinct, many_threshold))
-    return BadEventReport(far_events, early_events, many_events), replays
+    return BadEventReport(far_events, early_events, many_events), table
 
 
 def distortion_bound_coefficient(params: GrowthParams) -> float:
@@ -434,17 +433,15 @@ def run_experiment(
             # After the first run, where the per-trial analysis would first
             # need them, so errors keep their order.
             cells = partition_pairs(work, params)
-        report, replays = _bad_events(work, trace, trial_params, cells)
+            sequences, slots = _distinct_cells(work, cells)
+        report, table = _bad_events(work, trace, trial_params, cells, sequences, slots)
 
-        pairs = 0
         violations = 0
         slack = math.inf
-        # Both in (i, j) order: the cells sorted, the distortion rows as built.
-        for (pair, pair_cells), (_, _, _, d1, _) in zip(
-            sorted(cells.items()), dist_result.pairs, strict=True
-        ):
-            pairs += 1
-            margin = _pair_detour_length(work, pair, pair_cells, replays[pair]) - d1
+        # Both in (i, j) order, as partition_pairs and distortion build them.
+        for (pair, pair_cells), (_, _, _, d1, _) in zip(cells.items(), dist_result.pairs, strict=True):
+            chains = [table[slot][1] for slot in slots[pair]]
+            margin = _pair_detour_length(work, pair, pair_cells, chains) - d1
             slack = min(slack, margin)
             if margin < 0:
                 violations += 1
@@ -459,7 +456,7 @@ def run_experiment(
                 far=counts["far"],
                 early=counts["early"],
                 many=counts["many"],
-                detour_pairs=pairs,
+                detour_pairs=len(cells),
                 detour_violations=violations,
                 min_detour_slack=slack,
             )

@@ -167,6 +167,46 @@ def exact_minor(inst: Instance) -> PreprocessResult:
     return PreprocessResult(current, vertex_map, branch_of, passes)
 
 
+def _verify_model(inst: Instance, result: PreprocessResult) -> None:
+    """Check ``result.branch_of`` as a branch-set model of the minor in ``inst``.
+
+    Each minor vertex's set must hold the vertex ``vertex_map`` sends to it
+    and be connected in ``inst``: one search inside each set, from that
+    vertex, must reach every vertex that has a set.  The searches record
+    the pairs of sets that input edges join, and each minor edge must join
+    one such pair.
+    """
+    adjacency = inst.graph.adjacency
+    branch_of = result.branch_of
+    minor_graph = result.minor.graph
+    mapped: list[int | None] = [None] * minor_graph.vertex_count
+    for v, b in enumerate(result.vertex_map):
+        if b is not None:
+            mapped[b] = v
+    reached = bytearray(len(branch_of))
+    joined = set()
+    for b, v in enumerate(mapped):
+        if v is None or branch_of[v] != b:
+            raise VerificationFailedError(f"minor vertex {b}: no vertex of its branch set maps to it")
+        reached[v] = 1
+        stack = [v]
+        while stack:
+            for x, _ in adjacency[stack.pop()]:
+                c = branch_of[x]
+                if c != b:
+                    if c is not None:
+                        joined.add((b, c))
+                elif not reached[x]:
+                    reached[x] = 1
+                    stack.append(x)
+    for b, seen in zip(branch_of, reached):
+        if b is not None and not seen:
+            raise VerificationFailedError(f"minor vertex {b}: its branch set is not connected in the input")
+    for a, b, _ in minor_graph.edges:
+        if (a, b) not in joined:
+            raise VerificationFailedError(f"minor edge ({a}, {b}): no input edge joins branch sets {a} and {b}")
+
+
 def verify_exact(inst: Instance, result: PreprocessResult) -> PreprocessReport:
     """Recompute all terminal distances in both graphs and compare.
 
@@ -178,13 +218,15 @@ def verify_exact(inst: Instance, result: PreprocessResult) -> PreprocessReport:
 
     Exact inputs (integer weights summing to at most 2^52, where no path
     sum rounds) must match bit-for-bit; any other input within 1e-9
-    relative.  Also checks the non-terminal count against k^4.  Raises
-    VerificationFailedError naming the pair that deviates most under the
-    rule that applies.
+    relative.  Also checks the non-terminal count against k^4, and first
+    the branch-set model (:func:`_verify_model`).  Raises
+    VerificationFailedError naming the minor vertex or edge whose model
+    fails, or else the pair that deviates most under the rule that applies.
     """
     k = inst.k
     if result.minor.k != k:
         raise VerificationFailedError("terminal count changed during preprocessing")
+    _verify_model(inst, result)
     exact = inst.graph.is_exact()
     minor_dist = result.minor.terminal_distances()
 

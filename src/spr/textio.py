@@ -5,6 +5,8 @@ Line 2: k space-separated 0-based terminal ids.
 Then m lines ``u v w`` with w a decimal literal.
 
 Anything after ``#`` on a line is a comment; blank lines are skipped.
+Before the ``#`` a line holds only ASCII and no ``_``, since ``int`` and
+``float`` would read digit separators and non-ASCII digits.
 Both LF and CRLF line endings are accepted.  Files are read as UTF-8,
 with or without a leading byte-order mark.  Writing is canonical: edges
 sorted by endpoints, weights in the shortest decimal form that
@@ -22,6 +24,11 @@ __all__ = ["parse_graph_text", "format_graph_text", "load_instance"]
 
 
 def parse_graph_text(text: str) -> Instance:
+    if "_" in text or not text.isascii():
+        for number, raw in enumerate(text.splitlines(), 1):
+            data = raw.split("#", 1)[0]
+            if "_" in data or not data.isascii():
+                raise GraphFormatError(f"line {number} {raw!r}: only ASCII without '_' may precede '#'")
     lines = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()

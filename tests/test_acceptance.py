@@ -35,7 +35,7 @@ from spr import (
     verify_exact,
     format_graph_text,
 )
-from spr.analysis import _pair_detour_length, _replay_pairs, partition_pairs
+from spr.analysis import _distinct_cells, _pair_detour_length, _replay_distinct, partition_pairs
 from spr.cli import main as cli_main
 from spr.errors import VerificationFailedError
 
@@ -243,14 +243,16 @@ def test_criterion_9_detour_dominance():
             runs += 1
             minor_dist = contract(inst, part).all_distances()
             cells = partition_pairs(inst, params)
-            replays = _replay_pairs(inst, index_trace(inst, trace), cells)
+            sequences, slots = _distinct_cells(inst, cells)
+            table = _replay_distinct(index_trace(inst, trace), sequences)
             for (i, j), pair_cells in cells.items():
                 _, cover, complete = replay_reaches(inst, trace, i, j, pair_cells)
                 if not complete:
                     failures.append(f"run {runs}: pair ({i},{j}) incomplete")
                     continue
                 _, length, detours = detour_walk(inst, inst.terminal_paths()[(i, j)], pair_cells, cover)
-                summed = _pair_detour_length(inst, (i, j), pair_cells, replays[(i, j)])
+                chains = [table[slot][1] for slot in slots[(i, j)]]
+                summed = _pair_detour_length(inst, (i, j), pair_cells, chains)
                 if summed != length:
                     failures.append(f"run {runs}: summed length {summed} != walk {length}")
                 if length < minor_dist[(i, j)]:

@@ -73,14 +73,14 @@ def heavy_path():
 
 
 def numbered_reaches(inst, index, i, j, cells):
-    """The pair's reaches from ``_replay_pairs``, in :func:`replay_reaches`' shape.
+    """The pair's reaches from ``_replay_cell``, in :func:`replay_reaches`' shape.
 
     ``order`` numbers the pair's reaches by (batch, cell index) and
     positions become path indices.  The pair is fully deactivated when
-    every cell has a cover chain, the condition ``_pair_detour_length``
-    reads.
+    no cell has an active position left.
     """
-    replays = analysis._replay_pairs(inst, index, {(i, j): cells})[(i, j)]
+    path = inst.terminal_paths()[(i, j)]
+    replays = [analysis._replay_cell(index, path[cell.start : cell.end + 1]) for cell in cells]
     numbered = sorted(
         (reach[0], ci, r) for ci, replay in enumerate(replays) for r, reach in enumerate(replay[0])
     )
@@ -94,7 +94,7 @@ def numbered_reaches(inst, index, i, j, cells):
         for q, r in enumerate(replay[1])
         if r is not None
     }
-    return reaches, cover, all(replay[3] is not None for replay in replays)
+    return reaches, cover, all(None not in replay[1] for replay in replays)
 
 
 def oracle_checked_reaches(inst, trace, i, j, cells):
@@ -351,10 +351,17 @@ def oracle_cases():
         yield inst, trace, narrow
 
 
+def pair_chains(inst, index, cells):
+    """Each pair's cover chains, from one replay of each distinct cell."""
+    sequences, slots = analysis._distinct_cells(inst, cells)
+    table = analysis._replay_distinct(index, sequences)
+    return {pair: [table[slot][1] for slot in pair_slots] for pair, pair_slots in slots.items()}
+
+
 def detour_length(inst, index, pair, cells):
     """``_pair_detour_length`` of one pair, its cells replayed on their own."""
-    replays = analysis._replay_pairs(inst, index, {pair: cells})
-    return analysis._pair_detour_length(inst, pair, cells, replays[pair])
+    chains = pair_chains(inst, index, {pair: cells})[pair]
+    return analysis._pair_detour_length(inst, pair, cells, chains)
 
 
 def walk_weight(inst, vertices):
@@ -453,16 +460,16 @@ class TestBuildDetourPath:
         for inst, trace, params in oracle_cases():
             index = index_trace(inst, trace)
             cells = analysis.partition_pairs(inst, params)
-            replays = analysis._replay_pairs(inst, index, cells)
+            chains = pair_chains(inst, index, cells)
             for pair, pair_cells in cells.items():
                 _, cover, covered = replay_reaches(inst, trace, *pair, pair_cells)
                 if not covered:
                     with pytest.raises(IncompleteCellsError):
-                        analysis._pair_detour_length(inst, pair, pair_cells, replays[pair])
+                        analysis._pair_detour_length(inst, pair, pair_cells, chains[pair])
                     incomplete += 1
                     continue
                 _, walk_length, _ = detour_walk(inst, inst.terminal_paths()[pair], pair_cells, cover)
-                length = analysis._pair_detour_length(inst, pair, pair_cells, replays[pair])
+                length = analysis._pair_detour_length(inst, pair, pair_cells, chains[pair])
                 assert length.hex() == walk_length.hex()
                 complete += 1
         assert complete > 300 and incomplete > 0
@@ -519,9 +526,9 @@ class TestBuildDetourPath:
                 params = GrowthParams(seed=seed)
                 _, trace = run(inst, params)
                 cells = analysis.partition_pairs(inst, params)
-                replays = analysis._replay_pairs(inst, index_trace(inst, trace), cells)
+                chains = pair_chains(inst, index_trace(inst, trace), cells)
                 for pair, pair_cells in cells.items():
-                    analysis._pair_detour_length(inst, pair, pair_cells, replays[pair])
+                    analysis._pair_detour_length(inst, pair, pair_cells, chains[pair])
                 assert sources == list(labelled)
 
     def test_detour_dominates_contracted_distance(self):
@@ -842,22 +849,35 @@ class TestOnePassPerTrial:
             analysis.run_experiment(inst, GrowthParams(delta=0.75, seed=1), trials=3)
         assert len(record) == 1
 
-    def test_given_cells_match_computed_ones(self, monkeypatch):
-        replays = []
-        replay_pairs = analysis._replay_pairs
+    def test_cell_table_built_once_per_experiment(self, monkeypatch):
+        calls = []
+        original = analysis._distinct_cells
         monkeypatch.setattr(
-            analysis, "_replay_pairs", lambda *args: replays.append(replay_pairs(*args)) or replays[-1]
+            analysis, "_distinct_cells", lambda *args: calls.append(1) or original(*args)
+        )
+        inst = random_connected_instance(8, n=40, k=6)
+        for preprocess in (False, True):
+            calls.clear()
+            analysis.run_experiment(inst, GrowthParams(seed=1), trials=3, preprocess=preprocess)
+            assert len(calls) == 1
+
+    def test_given_cells_match_computed_ones(self, monkeypatch):
+        tables = []
+        distinct_cells = analysis._distinct_cells
+        monkeypatch.setattr(
+            analysis, "_distinct_cells", lambda *args: tables.append(distinct_cells(*args)) or tables[-1]
         )
         inst = random_connected_instance(4, n=30, k=5)
         params = GrowthParams(seed=2)
         _, trace = run(inst, params)
         cells = analysis.partition_pairs(inst, params)
-        given_cells = analysis._bad_events(inst, trace, params, cells)[0]
+        distinct = analysis._distinct_cells(inst, cells)
+        given_cells = analysis._bad_events(inst, trace, params, cells, *distinct)[0]
         computed = detect_bad_events(inst, trace, params)
         assert given_cells == computed
-        assert len(replays) == 2
-        assert replays[0] == replays[1]
-        assert replays[0].keys() == cells.keys()
+        assert len(tables) == 2
+        assert tables[0] == tables[1]
+        assert tables[0][1].keys() == cells.keys()
 
 
 class TestDistortionBound:

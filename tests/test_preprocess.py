@@ -236,19 +236,59 @@ class TestMinorModelOracle:
         assert_minor_model(inst, result)
         return inst, result
 
+    @staticmethod
+    def refused(inst, broken, oracle_message, library_message):
+        """Both the oracle and ``verify_exact`` reject the broken model."""
+        with pytest.raises(AssertionError, match=oracle_message):
+            assert_minor_model(inst, broken)
+        with pytest.raises(VerificationFailedError, match=f"^{library_message}$"):
+            verify_exact(inst, broken)
+
     def test_vertex_moved_to_a_non_adjacent_set(self, split_star):
         inst, result = split_star
         branch_of = list(result.branch_of)
         branch_of[5] = 1  # beside vertex 4 and the center, far from set 1
-        with pytest.raises(AssertionError, match="branch set 1 is not connected"):
-            assert_minor_model(inst, result._replace(branch_of=branch_of))
+        self.refused(
+            inst,
+            result._replace(branch_of=branch_of),
+            "branch set 1 is not connected",
+            "minor vertex 1: its branch set is not connected in the input",
+        )
 
     def test_split_set(self, split_star):
         inst, result = split_star
         branch_of = list(result.branch_of)
         branch_of[4] = None  # set 0 keeps 0 and 5, which only 4 joined
-        with pytest.raises(AssertionError, match="branch set 0 is not connected"):
-            assert_minor_model(inst, result._replace(branch_of=branch_of))
+        self.refused(
+            inst,
+            result._replace(branch_of=branch_of),
+            "branch set 0 is not connected",
+            "minor vertex 0: its branch set is not connected in the input",
+        )
+
+    def test_vertex_mapped_outside_its_set(self, split_star):
+        inst, result = split_star
+        vertex_map = list(result.vertex_map)
+        vertex_map[6] = 0  # an inner vertex of arm 1 stands for terminal 0
+        self.refused(
+            inst,
+            result._replace(vertex_map=vertex_map),
+            "vertex 6 maps to 0 outside branch set 0",
+            "minor vertex 0: no vertex of its branch set maps to it",
+        )
+
+    def test_minor_edge_between_sets_no_input_edge_joins(self, split_star):
+        # Terminals 0 and 1 are 6 apart through the center, so the new edge
+        # changes no distance.
+        inst, result = split_star
+        mg = result.minor.graph
+        minor = Instance(build_graph(mg.vertex_count, [*mg.edges, (0, 1, 6.0)]), result.minor.terminals)
+        self.refused(
+            inst,
+            result._replace(minor=minor),
+            "no input edge joins branch sets 0 and 1",
+            r"minor edge \(0, 1\): no input edge joins branch sets 0 and 1",
+        )
 
     def test_minor_weight_raised_by_one(self, split_star):
         inst, result = split_star

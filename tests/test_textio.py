@@ -13,7 +13,7 @@ from spr.errors import (
     SelfLoopError,
 )
 
-from conftest import random_connected_instance, subdivide
+from conftest import invoke, random_connected_instance, subdivide
 
 
 def test_round_trip_random_instances():
@@ -82,6 +82,40 @@ def test_weights_round_trip_shortest_form():
 def test_malformed_inputs(text):
     with pytest.raises(GraphFormatError):
         parse_graph_text(text)
+
+
+def eleven_path(terminals="0 10", edge="9 10 1", comment=""):
+    """A path on vertices 0..10; int() and float() read 1_0 and \u0662 as 10 and 2."""
+    edges = "".join(f"{v} {v + 1} 1\n" for v in range(9))
+    return f"11 10 2{comment}\n{terminals}\n{edges}{edge}\n"
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (eleven_path(terminals="0 1_0"), "line 2 '0 1_0'"),
+        (eleven_path(terminals="0 \u0662"), "line 2 '0 \u0662'"),
+        (eleven_path(edge="9 1_0 1"), "line 12 '9 1_0 1'"),
+        (eleven_path(edge="9 10 1_0"), "line 12 '9 10 1_0'"),
+        (eleven_path(edge="9 10\u00a01"), "line 12 '9 10\\xa01'"),
+        (eleven_path(comment=" _ # n m k"), "line 1 '11 10 2 _ # n m k'"),
+    ],
+    ids=["terminal-underscore", "terminal-arabic-indic", "edge-endpoint", "weight", "nbsp", "before-hash"],
+)
+def test_python_only_number_syntax_is_refused(tmp_path, text, line):
+    message = f"{line}: only ASCII without '_' may precede '#'"
+    with pytest.raises(GraphFormatError) as info:
+        parse_graph_text(text)
+    assert str(info.value) == message
+    path = tmp_path / "g.txt"
+    path.write_text(text, encoding="utf-8")
+    assert invoke(["run", str(path)]) == (1, "", f"error: {message}\n")
+
+
+def test_comments_may_hold_anything():
+    inst = parse_graph_text(eleven_path(comment="  # Größe 1_0, \u0662"))
+    assert inst.terminals == (0, 10)
+    assert parse_graph_text("# \u0662_\n" + eleven_path()).terminals == (0, 10)
 
 
 OUT_OF_RANGE = ("2 9 1.0", GraphError, "edge (2, 9) has an endpoint out of range")
