@@ -32,7 +32,7 @@ from .errors import (
     SelfLoopError,
 )
 
-__all__ = ["WeightedGraph", "Skeleton", "Instance", "build_graph"]
+__all__ = ["WeightedGraph", "Skeleton", "Instance", "build_graph", "search_sets"]
 
 
 class WeightedGraph:
@@ -456,19 +456,36 @@ def build_graph(vertex_count: int, edge_list: Sequence[tuple[int, int, float]]) 
 
 def _check_connected(graph: WeightedGraph) -> None:
     n = graph.vertex_count
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v, _ in graph.adjacency[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                stack.append(v)
+    count = search_sets(graph.adjacency, bytes(n), [(0, 0)])[0].count(1)
     if count != n:
         raise DisconnectedError(f"graph has {n} vertices but only {count} reachable from 0")
+
+
+def search_sets(
+    adjacency: Sequence, label: Sequence, roots: Iterable[tuple[object, int]]
+) -> tuple[bytearray, set]:
+    """Search each labelled vertex set inside itself, from its root.
+
+    ``roots`` holds ``(a, r)`` pairs, one per set searched, with
+    ``label[r] == a``.  The search from r follows only edges whose far end
+    x carries label a.  Returns the reached flags and ``joined``: every
+    pair ``(a, label[x])``, ``label[x] != a``, of an edge that leaves a
+    reached vertex of set a.  O(n + m) over all sets.
+    """
+    reached = bytearray(len(label))
+    joined = set()
+    for a, r in roots:
+        reached[r] = 1
+        stack = [r]
+        while stack:
+            for x, _ in adjacency[stack.pop()]:
+                c = label[x]
+                if c != a:
+                    joined.add((a, c))
+                elif not reached[x]:
+                    reached[x] = 1
+                    stack.append(x)
+    return reached, joined
 
 
 class Instance:

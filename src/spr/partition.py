@@ -16,7 +16,7 @@ from numbers import Integral
 from typing import NamedTuple
 
 from .errors import InvalidPartitionError, TooLargeError
-from .graph import Instance
+from .graph import Instance, search_sets
 
 __all__ = [
     "TerminalPartition",
@@ -88,59 +88,44 @@ def validate(inst: Instance, partition: TerminalPartition) -> list[Violation]:
 def _check_cells(inst: Instance, partition: TerminalPartition) -> tuple[list[Violation], set]:
     """:func:`validate`'s violations, and the cell pairs (j, c), j < c, an edge joins.
 
-    One pass groups the vertices by cell; each cell is then searched from
-    its terminal inside its own members, O(n + m) in total, and records
-    its neighbours in higher cells.  Without violations every vertex is
-    reached from its terminal, so each crossing edge is read from its end
-    in the lower cell.
+    Each cell whose terminal it holds is searched from that terminal inside
+    itself (:func:`~spr.graph.search_sets`), O(n + m) in total.  Without
+    violations every vertex is reached from its terminal, so every crossing
+    edge is read.
     """
     n = inst.graph.vertex_count
     k = inst.k
     assignment = partition.assignment
     violations: list[Violation] = []
-    crossing: set[tuple[int, int]] = set()
     if len(assignment) != n:
-        return [Violation(-1, f"assignment covers {len(assignment)} of {n} vertices")], crossing
-    members: list[list[int]] = [[] for _ in range(k)]
+        return [Violation(-1, f"assignment covers {len(assignment)} of {n} vertices")], set()
     for v, c in enumerate(assignment):
         # Cell ids are integers (numpy ones included), never bools or floats.
-        if (type(c) is int or isinstance(c, Integral) and not isinstance(c, bool)) and 0 <= c < k:
-            members[c].append(v)
-        else:
+        if not ((type(c) is int or isinstance(c, Integral) and not isinstance(c, bool)) and 0 <= c < k):
             violations.append(Violation(-1, f"vertex {v} assigned to invalid cell {c}"))
     if violations:
-        return violations, crossing
+        return violations, set()
+    roots = []
     for j, t in enumerate(inst.terminals):
-        if assignment[t] != j:
+        if assignment[t] == j:
+            roots.append((j, t))
+        else:
             violations.append(
                 Violation(j, f"terminal {t} assigned to cell {assignment[t]}, not {j}")
             )
     # Each cell must induce a connected subgraph containing its terminal.
-    adjacency = inst.graph.adjacency
-    reached = [False] * n
-    for j, t in enumerate(inst.terminals):
-        if assignment[t] != j:
-            continue
-        reached[t] = True
-        count = 1
-        stack = [t]
-        while stack:
-            u = stack.pop()
-            for v, _ in adjacency[u]:
-                c = assignment[v]
-                if c == j:
-                    if not reached[v]:
-                        reached[v] = True
-                        count += 1
-                        stack.append(v)
-                elif c > j:
-                    crossing.add((j, c))
-        if count != len(members[j]):
-            missing = [v for v in members[j] if not reached[v]]
-            violations.append(
-                Violation(j, f"cell {j} disconnected: {missing} unreachable from terminal {t}")
-            )
-    return violations, crossing
+    reached, joined = search_sets(inst.graph.adjacency, assignment, roots)
+    if reached.count(1) != n:
+        missing: list[list[int]] = [[] for _ in range(k)]
+        for v, seen in enumerate(reached):
+            if not seen:
+                missing[assignment[v]].append(v)
+        for j, t in roots:
+            if missing[j]:
+                violations.append(
+                    Violation(j, f"cell {j} disconnected: {missing[j]} unreachable from terminal {t}")
+                )
+    return violations, {(j, c) for j, c in joined if j < c}
 
 
 def contract(inst: Instance, partition: TerminalPartition) -> TerminalMinor:

@@ -25,7 +25,7 @@ import heapq
 from typing import NamedTuple
 
 from .errors import VerificationFailedError
-from .graph import Instance, WeightedGraph
+from .graph import Instance, WeightedGraph, search_sets
 
 __all__ = [
     "PreprocessResult",
@@ -65,67 +65,37 @@ def _reduce_pass(inst: Instance) -> tuple[dict[int, dict[int, float]], list[int]
     as flat pairs ``[v, a, v, a, ...]`` of the pass's vertex ids.
     """
     g = inst.graph
-    terms = inst.terminals
-
-    keep_vertices: set[int] = set(terms)
-    keep_edges: set[tuple[int, int]] = set()
+    terminal_set = set(inst.terminals)
+    adj: dict[int, dict[int, float]] = {t: {} for t in terminal_set}
     for path in inst.terminal_paths().values():
-        keep_vertices.update(path)
         for x, y in zip(path, path[1:]):
-            keep_edges.add((x, y) if x < y else (y, x))
+            row = adj.setdefault(x, {})
+            if y not in row:
+                row[y] = adj.setdefault(y, {})[x] = g.edge_weight(x, y)
 
-    adj: dict[int, dict[int, float]] = {v: {} for v in keep_vertices}
-    for u, v in keep_edges:
-        w = g.edge_weight(u, v)
-        adj[u][v] = w
-        adj[v][u] = w
-
-    terminal_set = set(terms)
-    worklist = [
-        v for v in sorted(keep_vertices) if v not in terminal_set and len(adj[v]) <= 2
-    ]
-    heapq.heapify(worklist)
-    queued = set(worklist)
-
-    def requeue(x: int) -> None:
-        if x in adj and x not in terminal_set and len(adj[x]) <= 2 and x not in queued:
-            heapq.heappush(worklist, x)
-            queued.add(x)
-
+    # A sorted list is a heap.  No fold raises a degree (v's two neighbours
+    # each trade v for the other, or drop it), so a vertex still present
+    # when popped has degree at most 2, and a later copy finds it gone.
+    worklist = sorted(v for v, row in adj.items() if v not in terminal_set and len(row) <= 2)
     folds: list[int] = []
     while worklist:
         v = heapq.heappop(worklist)
-        queued.discard(v)
-        if v not in adj:
+        row = adj.pop(v, None)
+        if row is None:
             continue
-        degree = len(adj[v])
-        if degree > 2:
-            continue
-        if degree == 0:
-            del adj[v]
-            continue
-        if degree == 1:
-            (a,) = adj[v]
+        ends = sorted(row.items())
+        for a, _ in ends:
             del adj[a][v]
-            del adj[v]
-            requeue(a)
-            continue
-        (a, wa), (b, wb) = sorted(adj[v].items())
-        folds.append(v)
-        folds.append(a)
-        merged = wa + wb
-        del adj[a][v]
-        del adj[b][v]
-        del adj[v]
-        if b in adj[a]:
-            if merged < adj[a][b]:
-                adj[a][b] = merged
-                adj[b][a] = merged
-        else:
-            adj[a][b] = merged
-            adj[b][a] = merged
-        requeue(a)
-        requeue(b)
+        if len(ends) == 2:
+            (a, wa), (b, wb) = ends
+            folds.append(v)
+            folds.append(a)
+            merged = wa + wb
+            if b not in adj[a] or merged < adj[a][b]:
+                adj[a][b] = adj[b][a] = merged
+        for a, _ in ends:
+            if a not in terminal_set and len(adj[a]) <= 2:
+                heapq.heappush(worklist, a)
 
     return adj, folds
 
@@ -172,33 +142,21 @@ def _verify_model(inst: Instance, result: PreprocessResult) -> None:
 
     Each minor vertex's set must hold the vertex ``vertex_map`` sends to it
     and be connected in ``inst``: one search inside each set, from that
-    vertex, must reach every vertex that has a set.  The searches record
-    the pairs of sets that input edges join, and each minor edge must join
-    one such pair.
+    vertex (:func:`~spr.graph.search_sets`), must reach every vertex that
+    has a set.  The searches record the pairs of sets that input edges
+    join, and each minor edge must join one such pair.
     """
-    adjacency = inst.graph.adjacency
     branch_of = result.branch_of
     minor_graph = result.minor.graph
     mapped: list[int | None] = [None] * minor_graph.vertex_count
     for v, b in enumerate(result.vertex_map):
         if b is not None:
             mapped[b] = v
-    reached = bytearray(len(branch_of))
-    joined = set()
     for b, v in enumerate(mapped):
         if v is None or branch_of[v] != b:
             raise VerificationFailedError(f"minor vertex {b}: no vertex of its branch set maps to it")
-        reached[v] = 1
-        stack = [v]
-        while stack:
-            for x, _ in adjacency[stack.pop()]:
-                c = branch_of[x]
-                if c != b:
-                    if c is not None:
-                        joined.add((b, c))
-                elif not reached[x]:
-                    reached[x] = 1
-                    stack.append(x)
+    # A deleted neighbour joins as (b, None), which no minor edge matches.
+    reached, joined = search_sets(inst.graph.adjacency, branch_of, enumerate(mapped))
     for b, seen in zip(branch_of, reached):
         if b is not None and not seen:
             raise VerificationFailedError(f"minor vertex {b}: its branch set is not connected in the input")

@@ -7,10 +7,10 @@ Then m lines ``u v w`` with w a decimal literal.
 Anything after ``#`` on a line is a comment; blank lines are skipped.
 Before the ``#`` a line holds only ASCII and no ``_``, since ``int`` and
 ``float`` would read digit separators and non-ASCII digits.
-Both LF and CRLF line endings are accepted.  Files are read as UTF-8,
-with or without a leading byte-order mark.  Writing is canonical: edges
-sorted by endpoints, weights in the shortest decimal form that
-round-trips.
+Lines end at LF or CRLF only: no other character ends a line or a
+comment.  Files are read as UTF-8, with or without a leading byte-order
+mark.  Writing is canonical: edges sorted by endpoints, weights in the
+shortest decimal form that round-trips.
 """
 
 from __future__ import annotations
@@ -25,12 +25,13 @@ __all__ = ["parse_graph_text", "format_graph_text", "load_instance"]
 
 def parse_graph_text(text: str) -> Instance:
     if "_" in text or not text.isascii():
-        for number, raw in enumerate(text.splitlines(), 1):
+        for number, raw in enumerate(text.split("\n"), 1):
+            raw = raw.rstrip("\r")  # quoted without a CRLF line's CR
             data = raw.split("#", 1)[0]
             if "_" in data or not data.isascii():
                 raise GraphFormatError(f"line {number} {raw!r}: only ASCII without '_' may precede '#'")
     lines = []
-    for raw in text.splitlines():
+    for raw in text.split("\n"):
         line = raw.split("#", 1)[0].strip()
         if line:
             lines.append(line)
@@ -93,7 +94,9 @@ def format_graph_text(inst: Instance) -> str:
 
 def load_instance(path: str | Path) -> Instance:
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        # newline="" keeps every CR, so a file's lines end where its text's do.
+        with open(path, encoding="utf-8-sig", newline="") as handle:
+            text = handle.read()
     except UnicodeDecodeError as exc:
         raise GraphFormatError(f"{path}: {exc}") from None
     return parse_graph_text(text)

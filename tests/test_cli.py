@@ -327,6 +327,18 @@ class TestEval:
             "cell 0 disconnected: [1] unreachable from terminal 0"
         ]
 
+    def test_each_disconnected_cell_lists_its_unreached_vertices(self, tmp_path):
+        graph = tmp_path / "path.txt"
+        graph.write_text("4 3 2\n0 3\n0 1 1\n1 2 1\n2 3 1\n")
+        part = tmp_path / "part.json"
+        part.write_text(json.dumps({"assignment": [0, 1, 0, 1]}))
+        code, out, err = invoke(["eval", str(graph), str(part)])
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "error: invalid partition: cell 0 disconnected: [2] unreachable from terminal 0; "
+            "cell 1 disconnected: [1] unreachable from terminal 3"
+        ]
+
     def test_huge_vertex_count_exits_one(self, tmp_path, monkeypatch):
         def refuse(self, vertex_count, edges):
             raise AssertionError("per-vertex storage allocated")
@@ -809,6 +821,13 @@ class TestUsage:
         assert err.splitlines() == [
             f"error: header {header!r} has k = {k}; an instance needs at least two terminals"
         ]
+
+    def test_disconnected_graph_with_enough_edges_exits_one(self, tmp_path):
+        path = tmp_path / "split.txt"
+        path.write_text("4 3 2\n0 3\n0 1 1\n1 2 1\n0 2 1\n")
+        code, out, err = invoke(["run", "--seed", "0", str(path)])
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["error: graph has 4 vertices but only 3 reachable from 0"]
 
     def test_program_fault_propagates(self, star_file, monkeypatch):
         # No bad input raises KeyError, so one is a fault in the program:

@@ -71,6 +71,12 @@ class TestBuildGraph:
         with pytest.raises(DisconnectedError):
             build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
 
+    def test_disconnected_with_enough_edges(self):
+        # Three edges pass the edge-count precheck; the search finds vertex 3 alone.
+        with pytest.raises(DisconnectedError) as info:
+            build_graph(4, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
+        assert str(info.value) == "graph has 4 vertices but only 3 reachable from 0"
+
     def test_nonpositive_weight(self):
         with pytest.raises(NonPositiveWeightError):
             build_graph(2, [(0, 1, 0.0)])

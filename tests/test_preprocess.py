@@ -290,6 +290,26 @@ class TestMinorModelOracle:
             r"minor edge \(0, 1\): no input edge joins branch sets 0 and 1",
         )
 
+    def test_sets_that_meet_only_at_a_deleted_vertex_are_not_joined(self):
+        # Terminals 0, 1, 2 on the path 0-3-1-4-2; the detour 0-5-2 is on no
+        # canonical path, so 5 is deleted.  Sets 0 and 2 both touch 5 only.
+        edges = [(0, 3, 1.0), (3, 1, 1.0), (1, 4, 1.0), (4, 2, 1.0), (0, 5, 10.0), (5, 2, 10.0)]
+        inst = Instance(build_graph(6, edges), [0, 1, 2])
+        result = exact_minor(inst)
+        assert result.branch_of == [0, 1, 2, 0, 1, None]
+        assert result.minor.graph.edges == ((0, 1, 2.0), (1, 2, 2.0))
+        assert_minor_model(inst, result)
+        verify_exact(inst, result)
+        # Terminals 0 and 2 are 4 apart, so the new edge changes no distance.
+        mg = result.minor.graph
+        minor = Instance(build_graph(mg.vertex_count, [*mg.edges, (0, 2, 4.0)]), result.minor.terminals)
+        self.refused(
+            inst,
+            result._replace(minor=minor),
+            "no input edge joins branch sets 0 and 2",
+            r"minor edge \(0, 2\): no input edge joins branch sets 0 and 2",
+        )
+
     def test_minor_weight_raised_by_one(self, split_star):
         inst, result = split_star
         mg = result.minor.graph

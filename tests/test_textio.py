@@ -77,6 +77,7 @@ def test_weights_round_trip_shortest_form():
         "3 2 2\n0 2\n0 1 1.0\n",  # missing edge line
         "3 2 2\n0 2\n0 1 1.0\n1 2 x\n",  # bad weight
         "3 2 2\n0 2\n0 1 1.0\n1 2 1.0\nextra 1 1\n",  # trailing junk
+        "3 2 2\n0 2\n0 1 1\f1 2 1\n",  # a form feed ends no line: one edge line
     ],
 )
 def test_malformed_inputs(text):
@@ -116,6 +117,39 @@ def test_comments_may_hold_anything():
     inst = parse_graph_text(eleven_path(comment="  # Größe 1_0, \u0662"))
     assert inst.terminals == (0, 10)
     assert parse_graph_text("# \u0662_\n" + eleven_path()).terminals == (0, 10)
+
+
+# A character that str.splitlines would end a line at, inside a comment:
+# the rest of the line stays comment, so no phantom edge (0, 2, 5.0).
+NOT_LINE_ENDS = ["\u2028", "\u2029", "\x85", "\v", "\f", "\x1c", "\x1d", "\x1e", "\r"]
+
+
+@pytest.mark.parametrize("end", NOT_LINE_ENDS, ids=[hex(ord(c)) for c in NOT_LINE_ENDS])
+def test_only_lf_ends_a_comment(tmp_path, end):
+    text = f"3 3 2\n0 2\n0 1 1\n1 2 1  # note{end}0 2 5\n"
+    with pytest.raises(GraphFormatError, match="^expected 3 edge lines, found 2$"):
+        parse_graph_text(text)
+    path = tmp_path / "g.txt"
+    path.write_bytes(text.encode())
+    assert invoke(["run", str(path)]) == (1, "", "error: expected 3 edge lines, found 2\n")
+
+
+def test_cr_only_file_is_one_line(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"3 2 2\r0 2\r0 1 1\r1 2 1\r")
+    code, out, err = invoke(["run", str(path)])
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: header must be 'n m k', got '3 2 2\\r0 2\\r0 1 1\\r1 2 1'"]
+
+
+def test_crlf_reads_as_lf():
+    text = "3 2 2  # n m k\n0 2\n0 1 1.5\n1 2 2.5\n"
+    crlf = parse_graph_text(text.replace("\n", "\r\n"))
+    assert crlf.terminals == (0, 2)
+    assert crlf.graph.edges == parse_graph_text(text).graph.edges
+    # A refused line is quoted without its CR.
+    with pytest.raises(GraphFormatError, match=r"^line 2 '0 1_0': "):
+        parse_graph_text(eleven_path(terminals="0 1_0").replace("\n", "\r\n"))
 
 
 OUT_OF_RANGE = ("2 9 1.0", GraphError, "edge (2, 9) has an endpoint out of range")
