@@ -35,17 +35,16 @@ _EXPORTS = {
         "replay_trace",
         "run",
         "trace_to_json",
+        "trial",
     ),
     "graph": ("Instance", "WeightedGraph", "build_graph"),
     "partition": (
         "DistortionResult",
-        "OracleResult",
         "TerminalMinor",
         "TerminalPartition",
         "Violation",
         "contract",
         "distortion",
-        "oracle_optimal",
         "validate",
     ),
     "preprocess": ("PreprocessReport", "PreprocessResult", "exact_minor", "verify_exact"),

@@ -33,11 +33,9 @@ from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple
 
-from .ball_growing import GrowthParams, RunTrace, run
+from .ball_growing import GrowthParams, RunTrace, trial
 from .errors import IncompleteCellsError, TraceMismatchError
 from .graph import Instance
-from .partition import contract, distortion
-from .preprocess import exact_minor
 
 __all__ = [
     "PathCell",
@@ -50,8 +48,8 @@ __all__ = [
     "distortion_bound",
     "distortion_bound_coefficient",
     "TrialResult",
-    "ExperimentReport",
     "run_experiment",
+    "summary",
 ]
 
 
@@ -375,60 +373,24 @@ class TrialResult(NamedTuple):
     min_detour_slack: float
 
 
-class ExperimentReport(NamedTuple):
-    seed: int
-    trials: list[TrialResult]
-    graph_summary: dict
-    preprocess_summary: dict | None
+def run_experiment(work: Instance, params: GrowthParams, trials: int) -> list[TrialResult]:
+    """Repeated :func:`~spr.ball_growing.trial` runs on ``work``, each with its diagnostics.
 
-    def summary(self) -> dict:
-        values = sorted(t.distortion for t in self.trials)
-        n = len(values)
-        mid = n // 2
-        return {
-            "trials": n,
-            "distortion_median": values[mid] if n % 2 else (values[mid - 1] + values[mid]) / 2,
-            "distortion_max": max(values),
-            "bad_event_mean_counts": {
-                "far": sum(t.far for t in self.trials) / n,
-                "early": sum(t.early for t in self.trials) / n,
-                "many": sum(t.many for t in self.trials) / n,
-            },
-            "trials_with_bad_event": sum(
-                1 for t in self.trials if t.far or t.early or t.many
-            ),
-            "detour_violations": sum(t.detour_violations for t in self.trials),
-        }
-
-
-def run_experiment(
-    inst: Instance,
-    params: GrowthParams,
-    trials: int,
-    preprocess: bool = True,
-) -> ExperimentReport:
-    """Repeated runs with derived seeds; per-trial distortion and diagnostics.
-
-    Trial t uses seed (params.seed + t).  When ``preprocess`` is set the
-    trials run on the distance-exact reduced instance, which leaves all
-    terminal distances (and hence distortion) unchanged.
+    Trial t uses seed (params.seed + t) mod 2**64.  ``work`` is the
+    instance the balls grow on: the input, or its distance-exact minor,
+    which leaves all terminal distances (and hence distortion) unchanged.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    pre = exact_minor(inst) if preprocess else None
-    work = pre.minor if pre is not None else inst
+    # The analysis reads all k full rows; built first, ``contract`` reads
+    # its terminal distances from them instead of running bounded searches.
+    work.nearest_terminal_distances()
 
     results: list[TrialResult] = []
     cells = None
     for index in range(trials):
         trial_params = params._replace(seed=(params.seed + index) % 2**64)
-        part, trace = run(work, trial_params)
-        # The analysis reads all k full rows (cached after the first
-        # trial); built first, ``contract`` reads its terminal distances
-        # from them instead of running bounded searches.
-        work.nearest_terminal_distances()
-        minor = contract(work, part)
-        dist_result = distortion(work, minor)
+        _, trace, dist_result = trial(work, trial_params)
         if cells is None:
             # After the first run, where the per-trial analysis would first
             # need them, so errors keep their order.
@@ -461,18 +423,23 @@ def run_experiment(
                 min_detour_slack=slack,
             )
         )
+    return results
 
-    graph_summary = {
-        "vertices": inst.graph.vertex_count,
-        "edges": inst.graph.edge_count,
-        "terminals": inst.k,
+
+def summary(trials: list[TrialResult]) -> dict:
+    """Median and max distortion, mean bad-event counts and totals over an experiment's trials."""
+    values = sorted(t.distortion for t in trials)
+    n = len(values)
+    mid = n // 2
+    return {
+        "trials": n,
+        "distortion_median": values[mid] if n % 2 else (values[mid - 1] + values[mid]) / 2,
+        "distortion_max": max(values),
+        "bad_event_mean_counts": {
+            "far": sum(t.far for t in trials) / n,
+            "early": sum(t.early for t in trials) / n,
+            "many": sum(t.many for t in trials) / n,
+        },
+        "trials_with_bad_event": sum(1 for t in trials if t.far or t.early or t.many),
+        "detour_violations": sum(t.detour_violations for t in trials),
     }
-    preprocess_summary = None
-    if pre is not None:
-        preprocess_summary = {
-            "minor_vertices": pre.minor.graph.vertex_count,
-            "minor_edges": pre.minor.graph.edge_count,
-            "non_terminals": pre.non_terminal_count,
-            "passes": pre.passes,
-        }
-    return ExperimentReport(params.seed, results, graph_summary, preprocess_summary)

@@ -38,7 +38,7 @@ from .errors import (
     TraceMismatchError,
 )
 from .graph import Instance
-from .partition import TerminalPartition
+from .partition import DistortionResult, TerminalPartition, contract, distortion
 
 __all__ = [
     "GrowthParams",
@@ -48,6 +48,7 @@ __all__ = [
     "SubstreamSampler",
     "compute_base_mean",
     "run",
+    "trial",
     "replay_trace",
     "trace_to_json",
 ]
@@ -317,6 +318,18 @@ def run(inst: Instance, params: GrowthParams) -> tuple[TerminalPartition, RunTra
         return [_exponential(mean, u) for u in sampler.uniforms(round_index)]
 
     return _run_loop(inst, params, increments)
+
+
+def trial(
+    inst: Instance, params: GrowthParams
+) -> tuple[TerminalPartition, RunTrace, DistortionResult]:
+    """One trial of the pipeline on ``inst``: :func:`run`, then the distortion of its contraction.
+
+    ``spr run`` and every trial of ``spr experiment`` are this call, so
+    experiment trial t with seed s is ``spr run --seed (s + t) mod 2**64``.
+    """
+    partition, trace = run(inst, params)
+    return partition, trace, distortion(inst, contract(inst, partition))
 
 
 def replay_trace(inst: Instance, trace: RunTrace) -> TerminalPartition:

@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: preprocess, run, eval, experiment, tailcheck, oracle.
+Subcommands: preprocess, run, eval, experiment, tailcheck.
 Exit codes: 0 success, 1 validation failure, 2 usage error.  Results go to
 stdout as JSON (schema_version 1; 2 for tailcheck, whose every verdict is
 a deterministic evaluation and which takes no seed); diagnostics,
@@ -28,10 +28,10 @@ import sys
 import warnings
 from pathlib import Path
 
-from .ball_growing import GrowthParams, run, trace_to_json
+from .ball_growing import GrowthParams, trace_to_json, trial
 from .errors import InvalidPartitionError, SprError
-from .partition import TerminalPartition, contract, distortion, oracle_optimal
-from .preprocess import exact_minor, verify_exact
+from .partition import TerminalPartition, contract, distortion
+from .preprocess import PreprocessResult, exact_minor, verify_exact
 from .textio import format_graph_text, load_instance
 
 
@@ -145,6 +145,15 @@ def _add_param_flags(sub) -> None:
     sub.add_argument("--max-rounds", type=_POSITIVE_INT, default=_DEFAULTS.max_rounds, help="round safety cap")
 
 
+def _minor_summary(result: PreprocessResult) -> dict:
+    return {
+        "minor_vertices": result.minor.graph.vertex_count,
+        "minor_edges": result.minor.graph.edge_count,
+        "non_terminals": result.non_terminal_count,
+        "passes": result.passes,
+    }
+
+
 def cmd_preprocess(args) -> int:
     sidecar_path = args.sidecar
     if sidecar_path is None and args.output:
@@ -164,12 +173,9 @@ def cmd_preprocess(args) -> int:
             "statistics": {
                 "original_vertices": inst.graph.vertex_count,
                 "original_edges": inst.graph.edge_count,
-                "minor_vertices": result.minor.graph.vertex_count,
-                "minor_edges": result.minor.graph.edge_count,
-                "non_terminals": result.non_terminal_count,
                 "terminals": inst.k,
-                "passes": result.passes,
                 "max_abs_deviation": report.max_abs_deviation,
+                **_minor_summary(result),
             },
         }
         side_files[sidecar_path] = (_dump_json(sidecar), "\n")
@@ -183,8 +189,7 @@ def cmd_run(args) -> int:
         inst = exact_minor(inst).minor
     seed = _effective_seed(args.seed)
     params = _params_from(args, seed)
-    part, trace = run(inst, params)
-    result = distortion(inst, contract(inst, part))
+    part, trace, result = trial(inst, params)
     _emit(
         {
             "schema_version": 1,
@@ -229,26 +234,17 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_oracle(args) -> int:
-    inst = load_instance(args.graph)
-    best = oracle_optimal(inst)
-    _emit(
-        {
-            "schema_version": 1,
-            "optimal_distortion": best.distortion,
-            "assignment": list(best.partition.assignment),
-        }
-    )
-    return 0
-
-
 def cmd_experiment(args) -> int:
-    from .analysis import run_experiment
+    from .analysis import run_experiment, summary
 
     inst = load_instance(args.graph)
     seed = _effective_seed(args.seed)
     params = _params_from(args, seed)
-    report = run_experiment(inst, params, args.trials, preprocess=not args.no_preprocess)
+    work, minor_summary = inst, None
+    if not args.no_preprocess:
+        pre = exact_minor(inst)
+        work, minor_summary = pre.minor, _minor_summary(pre)
+    trials = run_experiment(work, params, args.trials)
     rows = [
         {
             "trial": t.trial,
@@ -262,7 +258,7 @@ def cmd_experiment(args) -> int:
                 "min_slack": t.min_detour_slack,
             },
         }
-        for t in report.trials
+        for t in trials
     ]
     side_files = {}
     if args.csv:
@@ -273,7 +269,7 @@ def cmd_experiment(args) -> int:
         writer.writerow(
             ["trial", "seed", "distortion", "rounds", "far", "early", "many", "detour_violations"]
         )
-        for t in report.trials:
+        for t in trials:
             writer.writerow(
                 [t.trial, t.seed, t.distortion, t.rounds, t.far, t.early, t.many, t.detour_violations]
             )
@@ -282,10 +278,14 @@ def cmd_experiment(args) -> int:
         {
             "schema_version": 1,
             "seed": seed,
-            "graph": report.graph_summary,
-            "preprocess": report.preprocess_summary,
+            "graph": {
+                "vertices": inst.graph.vertex_count,
+                "edges": inst.graph.edge_count,
+                "terminals": inst.k,
+            },
+            "preprocess": minor_summary,
             "results": rows,
-            "summary": report.summary(),
+            "summary": summary(trials),
         },
         side_files,
     )
@@ -439,10 +439,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tailcheck", help="certify the exponential tail bounds")
     p.add_argument("--suite", choices=list(_SUITES), required=True)
     p.set_defaults(handler=cmd_tailcheck)
-
-    p = sub.add_parser("oracle", help="brute-force optimal partition (tiny graphs)")
-    p.add_argument("graph")
-    p.set_defaults(handler=cmd_oracle)
 
     return parser
 

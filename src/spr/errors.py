@@ -37,10 +37,6 @@ class InvalidPartitionError(SprError):
     """A vertex-to-terminal assignment violates the partition invariants."""
 
 
-class TooLargeError(SprError):
-    """Instance exceeds the brute-force enumeration limit."""
-
-
 class VerificationFailedError(SprError):
     """Reduced graph fails the exact distance-preservation check."""
 

@@ -10,12 +10,11 @@ distance to source distance over all terminal pairs.
 
 from __future__ import annotations
 
-import itertools
 import math
 from numbers import Integral
 from typing import NamedTuple
 
-from .errors import InvalidPartitionError, TooLargeError
+from .errors import InvalidPartitionError
 from .graph import Instance, search_sets
 
 __all__ = [
@@ -23,17 +22,10 @@ __all__ = [
     "TerminalMinor",
     "Violation",
     "DistortionResult",
-    "OracleResult",
     "validate",
     "contract",
     "distortion",
-    "oracle_optimal",
-    "ORACLE_MAX_NON_TERMINALS",
-    "ORACLE_MAX_CANDIDATES",
 ]
-
-ORACLE_MAX_NON_TERMINALS = 8
-ORACLE_MAX_CANDIDATES = 4**8
 
 
 class TerminalPartition(NamedTuple):
@@ -157,50 +149,3 @@ def distortion(inst: Instance, minor: TerminalMinor) -> DistortionResult:
         rows.append((i, j, d0, d1, ratio))
     return DistortionResult(worst, tuple(rows))
 
-
-class OracleResult(NamedTuple):
-    distortion: float
-    partition: TerminalPartition
-
-
-def oracle_optimal(inst: Instance) -> OracleResult:
-    """Brute-force minimum distortion over all valid partitions.
-
-    Enumerates every assignment of the non-terminals to terminal cells and
-    keeps the best valid one (ties resolved toward the lexicographically
-    smallest assignment).  Only feasible for tiny instances: at most
-    ORACLE_MAX_NON_TERMINALS non-terminals and ORACLE_MAX_CANDIDATES
-    assignments (k to the number of non-terminals), checked before any is
-    enumerated.
-    """
-    free = inst.non_terminals()
-    if len(free) > ORACLE_MAX_NON_TERMINALS:
-        raise TooLargeError(
-            f"{len(free)} non-terminals exceed the enumeration limit "
-            f"{ORACLE_MAX_NON_TERMINALS}"
-        )
-    if inst.k ** len(free) > ORACLE_MAX_CANDIDATES:
-        raise TooLargeError(
-            f"{inst.k}^{len(free)} candidate partitions exceed the enumeration "
-            f"limit {ORACLE_MAX_CANDIDATES}"
-        )
-    n = inst.graph.vertex_count
-    base = [0] * n
-    for j, t in enumerate(inst.terminals):
-        base[t] = j
-
-    best: OracleResult | None = None
-    for combo in itertools.product(range(inst.k), repeat=len(free)):
-        assignment = base[:]
-        for v, c in zip(free, combo):
-            assignment[v] = c
-        candidate = TerminalPartition(tuple(assignment))
-        try:
-            minor = contract(inst, candidate)
-        except InvalidPartitionError:
-            continue
-        result = distortion(inst, minor)
-        if best is None or result.max_ratio < best.distortion:
-            best = OracleResult(result.max_ratio, candidate)
-    assert best is not None  # the nearest-terminal partition is always valid
-    return best

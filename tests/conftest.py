@@ -7,8 +7,9 @@ search from a binary heap of (distance, vertex) pairs, the terminal-path
 table from labelling every vertex on such a row, the trace JSON
 from ``json.dumps`` of ``trace_to_dict``, the exact minor's branch-set
 model from breadth-first search and Floyd-Warshall, the bad-event
-analysis from a per-event reach replay of each pair on its own, and the
-exponential tails from Monte Carlo draws at fixed seeds.
+analysis from a per-event reach replay of each pair on its own, the
+optimal partition from enumerating every assignment, and the exponential
+tails from Monte Carlo draws at fixed seeds.
 """
 
 from __future__ import annotations
@@ -16,16 +17,28 @@ from __future__ import annotations
 import functools
 import heapq
 import io
+import itertools
 import math
 import random
 from collections import deque
 from contextlib import redirect_stderr, redirect_stdout
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from spr import Instance, TerminalPartition, build_graph, contract, exact_minor, path_partition, run
+from spr import (
+    Instance,
+    TerminalPartition,
+    build_graph,
+    contract,
+    distortion,
+    exact_minor,
+    path_partition,
+    run,
+)
 from spr.cli import main
+from spr.errors import InvalidPartitionError
 from spr.graph import _walk
 from spr.preprocess import FLOAT_REL_TOL
 
@@ -603,6 +616,40 @@ def random_valid_partition(inst, rng):
         assignment[v] = assignment[u]
         unassigned -= 1
     return TerminalPartition(assignment)
+
+
+class OracleResult(NamedTuple):
+    distortion: float
+    partition: TerminalPartition
+
+
+def oracle_optimal(inst):
+    """Brute-force minimum distortion over all valid partitions.
+
+    Enumerates every assignment of the non-terminals to terminal cells and
+    keeps the best valid one, ties resolved toward the lexicographically
+    smallest assignment.  There are k^(n - k) candidates, so callers keep
+    to tiny instances.
+    """
+    free = inst.non_terminals()
+    base = [0] * inst.graph.vertex_count
+    for j, t in enumerate(inst.terminals):
+        base[t] = j
+    best = None
+    for combo in itertools.product(range(inst.k), repeat=len(free)):
+        assignment = base[:]
+        for v, c in zip(free, combo):
+            assignment[v] = c
+        candidate = TerminalPartition(tuple(assignment))
+        try:
+            minor = contract(inst, candidate)
+        except InvalidPartitionError:
+            continue
+        result = distortion(inst, minor)
+        if best is None or result.max_ratio < best.distortion:
+            best = OracleResult(result.max_ratio, candidate)
+    assert best is not None  # the nearest-terminal partition is always valid
+    return best
 
 
 def _estimate(hits, n_samples):

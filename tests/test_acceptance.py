@@ -29,7 +29,6 @@ from spr import (
     lemma5_bound,
     lemma5_threshold,
     lemma6_bound,
-    oracle_optimal,
     run,
     validate,
     verify_exact,
@@ -39,7 +38,7 @@ from spr.analysis import _distinct_cells, _pair_detour_length, _replay_distinct,
 from spr.cli import main as cli_main
 from spr.errors import VerificationFailedError
 
-from conftest import detour_walk, random_connected_instance, replay_reaches, subdivide
+from conftest import detour_walk, oracle_optimal, random_connected_instance, replay_reaches, subdivide
 
 RUNS_PER_GRAPH = 50
 CORPUS_SIZE = 20

@@ -695,10 +695,8 @@ class TestReplayOncePerCell:
             work = exact_minor(inst).minor if preprocess else inst
             for params in CELL_PARAMS:
                 params = params._replace(seed=3)
-                report = analysis.run_experiment(inst, params, trials=2, preprocess=preprocess)
-                got = [
-                    (t.many, t.detour_violations, t.min_detour_slack.hex()) for t in report.trials
-                ]
+                trials = analysis.run_experiment(work, params, trials=2)
+                got = [(t.many, t.detour_violations, t.min_detour_slack.hex()) for t in trials]
                 expected = [
                     (m, v, slack.hex())
                     for m, v, slack in per_pair_experiment(inst, params, 2, preprocess)
@@ -706,7 +704,7 @@ class TestReplayOncePerCell:
                 assert got == expected
                 cells = analysis.partition_pairs(work, params).values()
                 wide_cells += sum(cell.end > cell.start for pair in cells for cell in pair)
-                many += sum(t.many for t in report.trials)
+                many += sum(t.many for t in trials)
         assert wide_cells > 30 and many > 100
 
     def test_each_distinct_cell_replayed_once_per_trial(self, monkeypatch):
@@ -727,7 +725,7 @@ class TestReplayOncePerCell:
             for cell in pair_cells
         ]
         assert len(set(sequences)) < len(sequences)  # pairs share cells
-        analysis.run_experiment(inst, params, trials=3, preprocess=False)
+        analysis.run_experiment(inst, params, trials=3)
         assert Counter(replayed) == {vertices: 3 for vertices in sequences}
         # One pair's reaches replay through the same function, each cell once.
         replayed.clear()
@@ -744,7 +742,7 @@ class TestOnePassPerTrial:
             analysis, "index_trace", lambda inst, trace: calls.append(1) or original(inst, trace)
         )
         inst = random_connected_instance(8, n=40, k=6)
-        analysis.run_experiment(inst, GrowthParams(seed=1), trials=3)
+        analysis.run_experiment(exact_minor(inst).minor, GrowthParams(seed=1), trials=3)
         assert len(calls) == 3
 
     def test_minor_distances_computed_once_per_trial(self, monkeypatch):
@@ -754,7 +752,7 @@ class TestOnePassPerTrial:
             TerminalMinor, "all_distances", lambda minor: calls.append(1) or original(minor)
         )
         inst = random_connected_instance(8, n=40, k=6)
-        analysis.run_experiment(inst, GrowthParams(seed=1), trials=3)
+        analysis.run_experiment(exact_minor(inst).minor, GrowthParams(seed=1), trials=3)
         assert len(calls) == 3
 
     def test_pair_cells_computed_once_per_experiment(self, monkeypatch):
@@ -764,7 +762,7 @@ class TestOnePassPerTrial:
             analysis, "path_partition", lambda *args: calls.append(args[1:3]) or original(*args)
         )
         inst = random_connected_instance(8, n=40, k=6)
-        analysis.run_experiment(inst, GrowthParams(seed=1), trials=3)
+        analysis.run_experiment(exact_minor(inst).minor, GrowthParams(seed=1), trials=3)
         assert sorted(calls) == [(i, j) for i in range(6) for j in range(i + 1, 6)]
 
     def test_builds_each_full_row_once_and_no_bounded_row(self, monkeypatch):
@@ -777,7 +775,7 @@ class TestOnePassPerTrial:
 
         monkeypatch.setattr(WeightedGraph, "_dijkstra", counted)
         inst = random_connected_instance(8, n=40, k=6)
-        analysis.run_experiment(inst, GrowthParams(seed=1), trials=3)
+        analysis.run_experiment(exact_minor(inst).minor, GrowthParams(seed=1), trials=3)
         assert all(targets is None for _, targets in searches)
         assert len({s for s, _ in searches}) == len(searches) == inst.k
 
@@ -794,33 +792,28 @@ class TestOnePassPerTrial:
         for k in (5, 8):
             inst = random_connected_instance(8, n=40, k=k)
             sources.clear()
-            analysis.run_experiment(inst, GrowthParams(seed=1), trials=3, preprocess=False)
+            analysis.run_experiment(inst, GrowthParams(seed=1), trials=3)
             assert sorted(sources) == sorted(inst.terminals)
 
     def test_default_path_builds_no_skeleton_after_exact_minor(self, monkeypatch):
         # The fixpoint pass leaves its terminal paths cached on the minor,
         # and the analysis reads those; on the raw path one skeleton serves.
         events = []
-        minor_of = analysis.exact_minor
         build = Skeleton.__init__
-
-        def recording_minor(inst):
-            result = minor_of(inst)
-            events.append("exact_minor returned")
-            return result
 
         def recording_build(sk, graph, keep):
             events.append("skeleton")
             build(sk, graph, keep)
 
-        monkeypatch.setattr(analysis, "exact_minor", recording_minor)
         monkeypatch.setattr(Skeleton, "__init__", recording_build)
         inst = random_connected_instance(8, n=40, k=6)
-        analysis.run_experiment(inst, GrowthParams(seed=1), trials=3)
-        assert events.count("skeleton") >= 2 and events[-1] == "exact_minor returned"
+        work = exact_minor(inst).minor
+        assert events.count("skeleton") >= 2
         events.clear()
+        analysis.run_experiment(work, GrowthParams(seed=1), trials=3)
+        assert events == []
         fresh = Instance(inst.graph, inst.terminals)  # exact_minor left inst's table cached
-        analysis.run_experiment(fresh, GrowthParams(seed=1), trials=3, preprocess=False)
+        analysis.run_experiment(fresh, GrowthParams(seed=1), trials=3)
         assert events == ["skeleton"]
 
     def test_slack_from_lengths_builds_no_walk(self):
@@ -840,13 +833,13 @@ class TestOnePassPerTrial:
                     walk_length = detour_walk(work, work.terminal_paths()[pair], cells, cover)[1]
                     slack = min(slack, walk_length - minor_dist[pair])
                 expected.append(slack)
-            report = analysis.run_experiment(inst, params, trials=3)
-            assert [t.min_detour_slack.hex() for t in report.trials] == [x.hex() for x in expected]
+            trials = analysis.run_experiment(work, params, trials=3)
+            assert [t.min_detour_slack.hex() for t in trials] == [x.hex() for x in expected]
 
     def test_out_of_regime_params_warn_once_per_experiment(self):
         inst = random_connected_instance(8, n=20, k=3)
         with pytest.warns(UserWarning, match="analyzed regime") as record:
-            analysis.run_experiment(inst, GrowthParams(delta=0.75, seed=1), trials=3)
+            analysis.run_experiment(exact_minor(inst).minor, GrowthParams(delta=0.75, seed=1), trials=3)
         assert len(record) == 1
 
     def test_cell_table_built_once_per_experiment(self, monkeypatch):
@@ -856,9 +849,9 @@ class TestOnePassPerTrial:
             analysis, "_distinct_cells", lambda *args: calls.append(1) or original(*args)
         )
         inst = random_connected_instance(8, n=40, k=6)
-        for preprocess in (False, True):
+        for work in (inst, exact_minor(inst).minor):
             calls.clear()
-            analysis.run_experiment(inst, GrowthParams(seed=1), trials=3, preprocess=preprocess)
+            analysis.run_experiment(work, GrowthParams(seed=1), trials=3)
             assert len(calls) == 1
 
     def test_given_cells_match_computed_ones(self, monkeypatch):

@@ -26,6 +26,7 @@ from spr import (
     load_instance,
     parse_graph_text,
     replay_trace,
+    trial,
 )
 from spr import ball_growing, cli, partition
 from spr.ball_growing import RoundRecord, RunTrace
@@ -453,33 +454,6 @@ class TestEval:
         assert "Traceback" not in err
 
 
-class TestOracle:
-    def test_star(self, star_file):
-        code, out, _ = invoke(["oracle", star_file])
-        assert code == 0
-        assert json.loads(out)["optimal_distortion"] == 2.0
-
-    def test_too_large_exits_one(self, tmp_path):
-        inst = random_connected_instance(4, n=14, k=3)  # 11 non-terminals
-        path = tmp_path / "big.txt"
-        path.write_text(format_graph_text(inst))
-        code, _, err = invoke(["oracle", str(path)])
-        assert code == 1
-        assert "error:" in err
-
-    def test_too_many_candidates_exits_one_at_once(self, tmp_path, monkeypatch):
-        def reached(inst, part):
-            raise AssertionError("a candidate was enumerated")
-
-        monkeypatch.setattr(partition, "contract", reached)
-        inst = random_connected_instance(4, n=32, k=24)  # 24^8 candidates
-        path = tmp_path / "wide.txt"
-        path.write_text(format_graph_text(inst))
-        code, out, err = invoke(["oracle", str(path)])
-        assert (code, out) == (1, "")
-        assert err.startswith("error: 24^8 candidate partitions") and err.count("\n") == 1
-
-
 class TestValidateOnce:
     """Each partition is validated exactly once, inside ``contract``."""
 
@@ -510,10 +484,6 @@ class TestValidateOnce:
         part.write_text(json.dumps({"assignment": [0, 1, 2, 0]}))
         assert invoke(["eval", star_file, str(part)])[0] == 0
         assert len(calls) == 1
-
-    def test_oracle(self, calls, star_file):
-        assert invoke(["oracle", star_file])[0] == 0
-        assert len(calls) == 3  # the center in each of the three cells
 
 
 class TestExperiment:
@@ -597,6 +567,44 @@ class TestExperiment:
         assert '"many": 85' in out
         digest = hashlib.sha256(out.encode() + table.read_bytes()).hexdigest()
         assert digest == "341e3c250c9791addc7257fd4abf52bb10fb06e720ed7063a4ea86c1292a89d9"
+
+
+class TestTrialIsRun:
+    """Experiment trial t with seed s is ``spr run --seed (s + t) mod 2**64``."""
+
+    @staticmethod
+    def run_printed(graph, seed, mode, trace):
+        code, out, _ = invoke(["run", str(graph), "--seed", str(seed), "--trace", str(trace), *mode])
+        assert code == 0
+        return json.loads(out), json.loads(trace.read_text())
+
+    @pytest.mark.parametrize("mode", [[], ["--no-preprocess"]], ids=["preprocess", "raw"])
+    @pytest.mark.parametrize("graph", [GOLDEN_GRAPH, SUBDIVIDED_GRAPH], ids=["non-dyadic", "subdivided"])
+    def test_each_trial_is_a_run(self, tmp_path, graph, mode):
+        code, out, _ = invoke(["experiment", "--graph", str(graph), "--trials", "3", "--seed", "0", *mode])
+        assert code == 0
+        rows = json.loads(out)["results"]
+        inst = load_instance(str(graph))
+        work = inst if mode else exact_minor(inst).minor
+        assert [row["trial"] for row in rows] == [0, 1, 2]
+        for t, row in enumerate(rows):
+            printed, trace = self.run_printed(graph, t, mode, tmp_path / "trace.json")
+            assert (row["seed"], row["distortion"]) == (printed["seed"], printed["distortion"])
+            assert row["rounds"] == trace["total_rounds"]
+            part, _, _ = trial(work, GrowthParams(seed=t))
+            assert list(part.assignment) == printed["assignment"]
+
+    def test_trial_seeds_wrap_at_two_to_the_64(self, tmp_path):
+        argv = ["experiment", "--graph", str(GOLDEN_GRAPH), "--trials", "2", "--seed", str(2**64 - 1)]
+        code, out, _ = invoke(argv)
+        assert code == 0
+        row = json.loads(out)["results"][1]
+        printed, trace = self.run_printed(GOLDEN_GRAPH, 0, [], tmp_path / "trace.json")
+        assert (row["seed"], row["distortion"], row["rounds"]) == (
+            0,
+            printed["distortion"],
+            trace["total_rounds"],
+        )
 
 
 class TestGoldenSubdivided:
@@ -1118,7 +1126,6 @@ for argv in (
     ["run", "--seed", "1", "--trace", out + "/trace.json", graph],
     ["preprocess", graph, "-o", out + "/minor.txt"],
     ["eval", star, part],
-    ["oracle", star],
     ["experiment", "--graph", graph, "--trials", "2", "--seed", "1"],
     ["tailcheck", "--suite", "cdf"],
 ):
@@ -1146,7 +1153,7 @@ print(json.dumps(report))
         return json.loads(result.stdout.splitlines()[-1])
 
     def test_pipeline_commands_skip_analysis_and_tail_bounds(self, report):
-        for command in ("run", "preprocess", "eval", "oracle"):
+        for command in ("run", "preprocess", "eval"):
             assert report[command] == [0, []], command
 
     def test_experiment_loads_analysis(self, report):
