@@ -14,9 +14,9 @@ A trial's trace is validated and indexed by vertex once (:func:`index_trace`).
 A reach never leaves its cell, so a cell's replay depends only on its vertex
 sequence and the trace.  Pairs share most of their cells, so an experiment
 finds the distinct ones once (:func:`_distinct_cells`), and each trial
-replays each once (:func:`_replay_distinct`), visiting only the batches that
-assign its vertices and keeping its count of distinct terminals and its
-cover chain.  The many-event counts and the witness walks' lengths
+replays each once (:func:`_replay_cell`), visiting only the batches that
+assign its vertices; a cell's replay returns its count of distinct
+terminals and its cover chain.  The many-event counts and the witness walks' lengths
 (:func:`_pair_detour_length`) are read from that table by index:
 ``spr experiment`` sums each walk's detours and builds no walk and no reach
 log.  Both exist only in the test suite, as the oracles for those replays.
@@ -167,28 +167,40 @@ def index_trace(inst: Instance, trace: RunTrace) -> TraceIndex:
 def _replay_cell(index: TraceIndex, vertices: tuple[int, ...]):
     """Replay a trial's batches against one cell's vertex sequence.
 
-    Returns ``(reaches, cover)``.  ``reaches`` lists the cell's reaches in
-    batch order as ``(batch, terminal, first, last)``, positions counted
-    from the cell's first vertex: a batch that hits active positions
+    Returns ``(distinct, chain)``: how many distinct terminals reach the
+    cell, and its cover chain, None while a position stays active.  A
+    batch that hits active positions is a reach ``(terminal, first,
+    last)``, positions counted from the cell's first vertex: it
     deactivates the whole range between its first and last such hit.  A
-    batch touching only inactive positions is not a reach.  ``cover[q]``
-    is the index in ``reaches`` of the reach that deactivated position q,
-    or None while q stays active.  A reach never leaves its cell, so the
+    batch touching only inactive positions is not a reach.  The chain
+    lists the deactivating reaches that tile the cell: following the reach
+    that deactivated the current position always resumes exactly where
+    the previous one stopped.  A reach never leaves its cell, so the
     result depends on the vertex sequence and the trace only.
     """
     batch_of = index.batch_of
     hits = sorted((batch_of[v], q) for q, v in enumerate(vertices) if batch_of[v] >= 0)
-    reaches = []
+    terminals = set()
     cover = [None] * len(vertices)
     for batch, group in groupby(hits, key=itemgetter(0)):
         active = [q for _, q in group if cover[q] is None]
         if active:
-            r = len(reaches)
-            reaches.append((batch, index.batch_terminal[batch], active[0], active[-1]))
+            reach = (index.batch_terminal[batch], active[0], active[-1])
+            terminals.add(reach[0])
             for q in range(active[0], active[-1] + 1):
                 if cover[q] is None:
-                    cover[q] = r
-    return reaches, cover
+                    cover[q] = reach
+    if None in cover:
+        return len(terminals), None
+    chain = []
+    pos = 0
+    while pos < len(cover):
+        reach = cover[pos]
+        if reach[1] != pos:
+            raise AssertionError("deactivation chain broke; cover ranges must tile each cell")
+        chain.append(reach)
+        pos = reach[2] + 1
+    return len(terminals), chain
 
 
 def _distinct_cells(inst: Instance, cells: dict[tuple[int, int], list[PathCell]]):
@@ -206,31 +218,6 @@ def _distinct_cells(inst: Instance, cells: dict[tuple[int, int], list[PathCell]]
             for cell in pair_cells
         ]
     return list(first_seen), slots
-
-
-def _replay_distinct(index: TraceIndex, sequences):
-    """Each sequence replayed once, as ``(distinct terminals, cover chain)``.
-
-    The chain lists the deactivating reaches that tile the cell as
-    ``(terminal, first, last)``, None if a position is still active:
-    following the reach that deactivated the current position always
-    resumes exactly where the previous one stopped.
-    """
-    table = []
-    for vertices in sequences:
-        reaches, cover = _replay_cell(index, vertices)
-        chain = None
-        if None not in cover:
-            chain = []
-            pos = 0
-            while pos < len(cover):
-                _, terminal, first, last = reaches[cover[pos]]
-                if first != pos:
-                    raise AssertionError("deactivation chain broke; cover ranges must tile each cell")
-                chain.append((terminal, first, last))
-                pos = last + 1
-        table.append((len({reach[1] for reach in reaches}), chain))
-    return table
 
 
 def _detour_length(
@@ -307,7 +294,7 @@ def detect_bad_events(inst: Instance, trace: RunTrace, params: GrowthParams) -> 
 
 
 def _bad_events(inst, trace, params, cells, sequences, slots):
-    """:func:`detect_bad_events`' report and the :func:`_replay_distinct` table it read.
+    """:func:`detect_bad_events`' report and the table of :func:`_replay_cell` results it read.
 
     ``cells`` is :func:`partition_pairs` of the same instance and params,
     and ``sequences`` and ``slots`` are :func:`_distinct_cells` of them.
@@ -336,7 +323,7 @@ def _bad_events(inst, trace, params, cells, sequences, slots):
 
     many_threshold = params.c3 * log_k
     many_events = []
-    table = _replay_distinct(index, sequences)
+    table = [_replay_cell(index, vertices) for vertices in sequences]
     for pair, pair_cells in cells.items():
         for cell, slot in zip(pair_cells, slots[pair]):
             distinct = table[slot][0]

@@ -37,7 +37,7 @@ from .errors import (
     RoundCapExceededError,
     TraceMismatchError,
 )
-from .graph import Instance
+from .graph import Instance, is_int
 from .partition import DistortionResult, TerminalPartition, contract, distortion
 
 __all__ = [
@@ -77,7 +77,8 @@ class GrowthParams(_GrowthFields):
     A ``max_rounds`` of None means the safety cap is derived from the
     instance.  Every value is checked, on construction and on
     ``_replace``, copy and unpickling (through ``_make``); only
-    construction warns.
+    construction warns.  ``seed`` and ``max_rounds`` must be integers
+    (:func:`~spr.graph.is_int`), and no value may be a bool.
     """
 
     __slots__ = ()
@@ -99,12 +100,12 @@ class GrowthParams(_GrowthFields):
     def _checked(self) -> GrowthParams:
         for name in ("delta", "c1", "c2", "c3"):
             value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if self.max_rounds is not None and self.max_rounds < 1:
-            raise ValueError("max_rounds must be positive")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+            if isinstance(value, bool) or not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite (not a bool), got {value!r}")
+        if self.max_rounds is not None and not (is_int(self.max_rounds) and self.max_rounds >= 1):
+            raise ValueError(f"max_rounds must be a positive integer, got {self.max_rounds!r}")
+        if not (is_int(self.seed) and 0 <= self.seed < 2**64):
+            raise ValueError(f"seed must fit in 64 unsigned bits as an integer, got {self.seed!r}")
         return self
 
     def growth_rate(self, k: int) -> float:

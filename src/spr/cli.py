@@ -7,8 +7,9 @@ a deterministic evaluation and which takes no seed); diagnostics,
 including the effective seed of randomized commands, go to stderr.  Side
 files (trace, CSV, output graph, sidecar) are written under temporary
 names before stdout and renamed into place only once stdout is flushed,
-so a command that fails prints no result and leaves no side file.  Output
-is deterministic given flags and seed.
+so a command that fails prints no result and leaves no side file.  A side
+file that names the input graph or another side file is refused before
+the input is read.  Output is deterministic given flags and seed.
 
 Each command runs with the cyclic garbage collector off (see ``main``).
 ``spr.analysis``, ``spr.tail_bounds`` and ``csv`` are imported inside the
@@ -30,6 +31,7 @@ from pathlib import Path
 
 from .ball_growing import GrowthParams, trace_to_json, trial
 from .errors import InvalidPartitionError, SprError
+from .graph import Instance
 from .partition import TerminalPartition, contract, distortion
 from .preprocess import PreprocessResult, exact_minor, verify_exact
 from .textio import format_graph_text, load_instance
@@ -88,30 +90,6 @@ def _emit(payload, side_files: dict[str, tuple[str, ...]] | None = None) -> None
     _publish(_dump_json(payload) + "\n", side_files or {})
 
 
-def _effective_seed(seed: int | None) -> int:
-    if seed is None:
-        seed = int.from_bytes(os.urandom(4), "big")
-    print(f"seed: {seed}", file=sys.stderr)
-    return seed
-
-
-def _params_from(args, seed: int) -> GrowthParams:
-    # A delta past the analyzed regime warns; the warning becomes one stderr line.
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        params = GrowthParams(
-            delta=args.delta,
-            c1=args.c1,
-            c2=args.c2,
-            c3=args.c3,
-            max_rounds=args.max_rounds,
-            seed=seed,
-        )
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
-    return params
-
-
 def _checked(kind, requirement: str, ok):
     """argparse ``type=`` that parses with ``kind`` and range-checks with ``ok``.
 
@@ -154,12 +132,53 @@ def _minor_summary(result: PreprocessResult) -> dict:
     }
 
 
+def _refuse_overwrites(graph: str, writes: dict[str, str | None]) -> None:
+    """Refuse a file to be written (flag -> path) that names the input or an earlier one.
+
+    Paths are compared by ``realpath``, so a symlink or a dotted spelling
+    of the same file is caught.  Called before the input is read.
+    """
+    seen = {os.path.realpath(graph): "the input graph"}
+    for flag, path in writes.items():
+        if path:
+            real = os.path.realpath(path)
+            if real in seen:
+                raise SprError(f"{flag} {path} names {seen[real]}")
+            seen[real] = f"the {flag} file"
+
+
+def _setup(args, writes: dict[str, str | None]) -> tuple[Instance, PreprocessResult | None, GrowthParams]:
+    """``run`` and ``experiment``'s input, its exact minor (None under --no-preprocess) and params.
+
+    The seed line and a delta warning go to stderr only once the input is
+    loaded and reduced, so a command that fails there prints one line.
+    """
+    _refuse_overwrites(args.graph, writes)
+    inst = load_instance(args.graph)
+    pre = None if args.no_preprocess else exact_minor(inst)
+    seed = int.from_bytes(os.urandom(4), "big") if args.seed is None else args.seed
+    print(f"seed: {seed}", file=sys.stderr)
+    # A delta past the analyzed regime warns; the warning becomes one stderr line.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        params = GrowthParams(
+            delta=args.delta,
+            c1=args.c1,
+            c2=args.c2,
+            c3=args.c3,
+            max_rounds=args.max_rounds,
+            seed=seed,
+        )
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    return inst, pre, params
+
+
 def cmd_preprocess(args) -> int:
     sidecar_path = args.sidecar
     if sidecar_path is None and args.output:
         sidecar_path = args.output + ".json"
-    if args.output and os.path.realpath(sidecar_path) == os.path.realpath(args.output):
-        raise SprError(f"--sidecar {sidecar_path} names the --output file")
+    _refuse_overwrites(args.graph, {"--output": args.output, "--sidecar": sidecar_path})
     inst = load_instance(args.graph)
     result = exact_minor(inst)
     report = verify_exact(inst, result)
@@ -184,17 +203,13 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_run(args) -> int:
-    inst = load_instance(args.graph)
-    if not args.no_preprocess:
-        inst = exact_minor(inst).minor
-    seed = _effective_seed(args.seed)
-    params = _params_from(args, seed)
-    part, trace, result = trial(inst, params)
+    inst, pre, params = _setup(args, {"--trace": args.trace})
+    part, trace, result = trial(pre.minor if pre else inst, params)
     _emit(
         {
             "schema_version": 1,
             "assignment": list(part.assignment),
-            "seed": seed,
+            "seed": params.seed,
             "distortion": result.max_ratio,
         },
         {args.trace: (trace_to_json(trace), "\n")} if args.trace else None,
@@ -237,14 +252,8 @@ def cmd_eval(args) -> int:
 def cmd_experiment(args) -> int:
     from .analysis import run_experiment, summary
 
-    inst = load_instance(args.graph)
-    seed = _effective_seed(args.seed)
-    params = _params_from(args, seed)
-    work, minor_summary = inst, None
-    if not args.no_preprocess:
-        pre = exact_minor(inst)
-        work, minor_summary = pre.minor, _minor_summary(pre)
-    trials = run_experiment(work, params, args.trials)
+    inst, pre, params = _setup(args, {"--csv": args.csv})
+    trials = run_experiment(pre.minor if pre else inst, params, args.trials)
     rows = [
         {
             "trial": t.trial,
@@ -277,13 +286,13 @@ def cmd_experiment(args) -> int:
     _emit(
         {
             "schema_version": 1,
-            "seed": seed,
+            "seed": params.seed,
             "graph": {
                 "vertices": inst.graph.vertex_count,
                 "edges": inst.graph.edge_count,
                 "terminals": inst.k,
             },
-            "preprocess": minor_summary,
+            "preprocess": _minor_summary(pre) if pre else None,
             "results": rows,
             "summary": summary(trials),
         },

@@ -21,6 +21,7 @@ import math
 from array import array
 from bisect import bisect_left
 from itertools import chain
+from numbers import Integral
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -33,6 +34,11 @@ from .errors import (
 )
 
 __all__ = ["WeightedGraph", "Skeleton", "Instance", "build_graph", "search_sets"]
+
+
+def is_int(x) -> bool:
+    """An id or count: an ``int`` or another ``Integral`` (numpy's too), never a bool or float."""
+    return type(x) is int or isinstance(x, Integral) and not isinstance(x, bool)
 
 
 class WeightedGraph:
@@ -428,6 +434,9 @@ def build_graph(vertex_count: int, edge_list: Sequence[tuple[int, int, float]]) 
         raise GraphError("vertex count must be positive")
     seen: set[tuple[int, int]] = set()
     for u, v, w in edge_list:
+        # The type test first spares the common case a call.
+        if not (type(u) is int and type(v) is int or is_int(u) and is_int(v)):
+            raise GraphError(f"edge ({u!r}, {v!r}) has an endpoint that is not an integer")
         if not 0 <= u < vertex_count or not 0 <= v < vertex_count:
             raise GraphError(f"edge ({u}, {v}) has an endpoint out of range")
         if u == v:
@@ -510,6 +519,8 @@ class Instance:
         if len(set(terminals)) != len(terminals):
             raise GraphError("terminals must be distinct")
         for t in terminals:
+            if not is_int(t):
+                raise GraphError(f"terminal {t!r} is not an integer")
             if not 0 <= t < graph.vertex_count:
                 raise GraphError(f"terminal {t} out of range")
         self.graph = graph

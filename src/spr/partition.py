@@ -11,11 +11,10 @@ distance to source distance over all terminal pairs.
 from __future__ import annotations
 
 import math
-from numbers import Integral
 from typing import NamedTuple
 
 from .errors import InvalidPartitionError
-from .graph import Instance, search_sets
+from .graph import Instance, is_int, search_sets
 
 __all__ = [
     "TerminalPartition",
@@ -92,8 +91,8 @@ def _check_cells(inst: Instance, partition: TerminalPartition) -> tuple[list[Vio
     if len(assignment) != n:
         return [Violation(-1, f"assignment covers {len(assignment)} of {n} vertices")], set()
     for v, c in enumerate(assignment):
-        # Cell ids are integers (numpy ones included), never bools or floats.
-        if not ((type(c) is int or isinstance(c, Integral) and not isinstance(c, bool)) and 0 <= c < k):
+        # The type test first spares the common case a call.
+        if not ((type(c) is int or is_int(c)) and 0 <= c < k):
             violations.append(Violation(-1, f"vertex {v} assigned to invalid cell {c}"))
     if violations:
         return violations, set()

@@ -34,7 +34,7 @@ from spr import (
     verify_exact,
     format_graph_text,
 )
-from spr.analysis import _distinct_cells, _pair_detour_length, _replay_distinct, partition_pairs
+from spr.analysis import _distinct_cells, _pair_detour_length, _replay_cell, partition_pairs
 from spr.cli import main as cli_main
 from spr.errors import VerificationFailedError
 
@@ -243,7 +243,8 @@ def test_criterion_9_detour_dominance():
             minor_dist = contract(inst, part).all_distances()
             cells = partition_pairs(inst, params)
             sequences, slots = _distinct_cells(inst, cells)
-            table = _replay_distinct(index_trace(inst, trace), sequences)
+            trace_index = index_trace(inst, trace)
+            table = [_replay_cell(trace_index, vertices) for vertices in sequences]
             for (i, j), pair_cells in cells.items():
                 _, cover, complete = replay_reaches(inst, trace, i, j, pair_cells)
                 if not complete:

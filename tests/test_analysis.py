@@ -72,35 +72,40 @@ def heavy_path():
     return Instance(build_graph(5, edges), [0, 4])
 
 
-def numbered_reaches(inst, index, i, j, cells):
-    """The pair's reaches from ``_replay_cell``, in :func:`replay_reaches`' shape.
+def oracle_replays(inst, trace, i, j, cells):
+    """Each cell's ``(distinct terminals, cover chain)``, read off :func:`replay_reaches`.
 
-    ``order`` numbers the pair's reaches by (batch, cell index) and
-    positions become path indices.  The pair is fully deactivated when
-    no cell has an active position left.
+    The chain follows the literal replay's cover from the cell's first
+    position, as ``(terminal, first, last)`` counted from it; it is None
+    while a position of the cell stays active.
     """
+    reaches, cover, _ = replay_reaches(inst, trace, i, j, cells)
+    replays = []
+    for cell, cell_reaches in zip(cells, reaches):
+        distinct = len({reach[1] for reach in cell_reaches})
+        if any(q not in cover for q in range(cell.start, cell.end + 1)):
+            replays.append((distinct, None))
+            continue
+        chain = []
+        pos = cell.start
+        while pos <= cell.end:
+            _, terminal, first, last = cover[pos]
+            chain.append((terminal, first - cell.start, last - cell.start))
+            pos = last + 1
+        replays.append((distinct, chain))
+    return replays
+
+
+def cell_replays(inst, index, i, j, cells):
+    """``_replay_cell`` of each of the pair's cells, in order."""
     path = inst.terminal_paths()[(i, j)]
-    replays = [analysis._replay_cell(index, path[cell.start : cell.end + 1]) for cell in cells]
-    numbered = sorted(
-        (reach[0], ci, r) for ci, replay in enumerate(replays) for r, reach in enumerate(replay[0])
-    )
-    reaches = [[None] * len(replay[0]) for replay in replays]
-    for order, (_, ci, r) in enumerate(numbered):
-        _, terminal, first, last = replays[ci][0][r]
-        reaches[ci][r] = (order, terminal, cells[ci].start + first, cells[ci].start + last)
-    cover = {
-        cell.start + q: cell_reaches[r]
-        for cell, replay, cell_reaches in zip(cells, replays, reaches)
-        for q, r in enumerate(replay[1])
-        if r is not None
-    }
-    return reaches, cover, all(None not in replay[1] for replay in replays)
+    return [analysis._replay_cell(index, path[cell.start : cell.end + 1]) for cell in cells]
 
 
-def oracle_checked_reaches(inst, trace, i, j, cells):
-    """:func:`numbered_reaches`, asserted equal to the literal replay."""
-    got = numbered_reaches(inst, index_trace(inst, trace), i, j, cells)
-    assert got == replay_reaches(inst, trace, i, j, cells)
+def oracle_checked_replays(inst, trace, i, j, cells):
+    """:func:`cell_replays`, asserted equal to the literal replay's."""
+    got = cell_replays(inst, index_trace(inst, trace), i, j, cells)
+    assert got == oracle_replays(inst, trace, i, j, cells)
     return got
 
 
@@ -204,9 +209,7 @@ class TestTrackReaches:
                 (3, 0, 0, 501.0),
             ],
         )
-        (reaches,), _, complete = oracle_checked_reaches(inst, trace, 0, 1, cells)
-        assert complete
-        assert [reach[2:] for reach in reaches] == [(1, 3)]
+        assert oracle_checked_replays(inst, trace, 0, 1, cells) == [(1, [(0, 0, 2)])]
 
     def test_two_batches_same_cell_two_reaches(self):
         inst = heavy_path()
@@ -219,9 +222,9 @@ class TestTrackReaches:
                 (2, 0, 2, 502.0),
             ],
         )
-        (reaches,), _, complete = oracle_checked_reaches(inst, trace, 0, 1, cells)
-        assert reaches == [(0, 0, 1, 1), (1, 1, 3, 3), (2, 0, 2, 2)]
-        assert complete
+        assert oracle_checked_replays(inst, trace, 0, 1, cells) == [
+            (2, [(0, 0, 0), (0, 1, 1), (1, 2, 2)])
+        ]
 
     def test_inactive_vertex_triggers_no_reach(self):
         inst = heavy_path()
@@ -236,9 +239,8 @@ class TestTrackReaches:
                 (2, 1, 1, 501.0),
             ],
         )
-        (reaches,), _, complete = oracle_checked_reaches(inst, trace, 0, 1, cells)
-        assert [reach[2:] for reach in reaches] == [(1, 3)]
-        assert complete
+        # one reach: b's own batch finds it inactive
+        assert oracle_checked_replays(inst, trace, 0, 1, cells) == [(1, [(0, 0, 2)])]
 
     def test_interior_terminal_counts_as_initial_reach(self):
         # t0 - v - t2 - w - t1 on a line; t2 sits inside SP(t0, t1)
@@ -252,11 +254,13 @@ class TestTrackReaches:
                 (3, 1, 0, 1.2),
             ],
         )
-        reaches, _, complete = oracle_checked_reaches(inst, trace, 0, 1, cells)
-        assert complete
-        middle = [reach for cell in reaches for reach in cell if reach[2] == 2]
-        assert middle and middle[0][1] == 2  # the interior terminal itself
-        assert middle[0][0] == 0  # before any trace event
+        assert [(c.start, c.end) for c in cells] == [(1, 1), (2, 2), (3, 3)]
+        # The middle cell is reached by the interior terminal itself.
+        assert oracle_checked_replays(inst, trace, 0, 1, cells) == [
+            (1, [(0, 0, 0)]),
+            (1, [(2, 0, 0)]),
+            (1, [(1, 0, 0)]),
+        ]
 
     def test_matches_literal_replay(self):
         pairs = interior_terminal_pairs = wide_cells = many_cells = shared_cells = 0
@@ -265,13 +269,13 @@ class TestTrackReaches:
             for i in range(inst.k):
                 for j in range(i + 1, inst.k):
                     cells = path_partition(inst, i, j, params)
-                    reaches, cover, complete = replay_reaches(inst, trace, i, j, cells)
-                    assert numbered_reaches(inst, index, i, j, cells) == (reaches, cover, complete)
+                    replays = oracle_replays(inst, trace, i, j, cells)
+                    assert cell_replays(inst, index, i, j, cells) == replays
                     pairs += 1
                     path = inst.terminal_paths()[(i, j)]
                     interior_terminal_pairs += any(inst.is_terminal(v) for v in path[1:-1])
                     wide_cells += sum(cell.end > cell.start for cell in cells)
-                    distinct = [len({r[1] for r in cell}) for cell in reaches]
+                    distinct = [d for d, _ in replays]
                     many_cells += sum(d >= params.c3 * math.log(inst.k) for d in distinct)
                     shared_cells += sum(d >= 2 for d in distinct)
         assert pairs > 500 and interior_terminal_pairs > 20
@@ -354,7 +358,7 @@ def oracle_cases():
 def pair_chains(inst, index, cells):
     """Each pair's cover chains, from one replay of each distinct cell."""
     sequences, slots = analysis._distinct_cells(inst, cells)
-    table = analysis._replay_distinct(index, sequences)
+    table = [analysis._replay_cell(index, vertices) for vertices in sequences]
     return {pair: [table[slot][1] for slot in pair_slots] for pair, pair_slots in slots.items()}
 
 
@@ -451,7 +455,7 @@ class TestBuildDetourPath:
         inst = heavy_path()
         cells = path_partition(inst, 0, 1, PARAMS)
         trace = make_trace(inst, [(1, 0, 0, 500.5)])
-        assert not oracle_checked_reaches(inst, trace, 0, 1, cells)[2]
+        assert oracle_checked_replays(inst, trace, 0, 1, cells) == [(1, None)]
         with pytest.raises(IncompleteCellsError, match=r"^pair \(0, 1\) has active cells left$"):
             detour_length(inst, index_trace(inst, trace), (0, 1), cells)
 
@@ -727,10 +731,10 @@ class TestReplayOncePerCell:
         assert len(set(sequences)) < len(sequences)  # pairs share cells
         analysis.run_experiment(inst, params, trials=3)
         assert Counter(replayed) == {vertices: 3 for vertices in sequences}
-        # One pair's reaches replay through the same function, each cell once.
+        # One pair's cells replay through the same function, each once.
         replayed.clear()
         _, trace = run(inst, params)
-        oracle_checked_reaches(inst, trace, 0, 1, cells[(0, 1)])
+        oracle_checked_replays(inst, trace, 0, 1, cells[(0, 1)])
         assert replayed == sequences[: len(cells[(0, 1)])]
 
 

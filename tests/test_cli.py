@@ -291,6 +291,43 @@ class TestPreprocess:
         assert direct == explicit
 
 
+class TestSideFileTargets:
+    """A file a command writes never replaces its input: refused before any work."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--seed", "0", "IN", "--trace", "IN"], "--trace IN"),
+            (["run", "--seed", "0", "--no-preprocess", "IN", "--trace", "LINK"], "--trace LINK"),
+            (["experiment", "--seed", "0", "--trials", "1", "--graph", "IN", "--csv", "DOTTED"], "--csv DOTTED"),
+            (["preprocess", "IN", "-o", "IN"], "--output IN"),
+            (["preprocess", "IN", "--sidecar", "IN"], "--sidecar IN"),
+            (["preprocess", "IN", "-o", "STEM"], "--sidecar IN"),  # the <output>.json default
+        ],
+        ids=["run", "run-symlink", "experiment-dotted", "preprocess-output", "preprocess-sidecar", "preprocess-default-sidecar"],
+    )
+    def test_input_is_never_replaced(self, tmp_path, monkeypatch, argv, message):
+        def reached(path):
+            raise AssertionError("the input was read")
+
+        monkeypatch.setattr(cli, "load_instance", reached)
+        graph = tmp_path / "g.txt.json"
+        graph.write_text(STAR)
+        (tmp_path / "link").symlink_to(graph)
+        names = {
+            "IN": str(graph),
+            "LINK": str(tmp_path / "link"),
+            "DOTTED": f"{tmp_path}/./g.txt.json",
+            "STEM": str(tmp_path / "g.txt"),
+        }
+        flag, target = message.split()
+        code, out, err = invoke([names.get(word, word) for word in argv])
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"error: {flag} {names[target]} names the input graph"]
+        assert graph.read_text() == STAR
+        assert file_names(tmp_path) == ["g.txt.json", "link"]
+
+
 class TestEval:
     def test_valid_partition(self, star_file, tmp_path):
         part = tmp_path / "part.json"
@@ -899,6 +936,18 @@ class TestExtremeWeights:
         "experiment": ["experiment", "--seed", "0", "--trials", "2", "--graph"],
         "experiment-raw": ["experiment", "--seed", "0", "--trials", "2", "--no-preprocess", "--graph"],
     }
+
+    @pytest.mark.parametrize("name", [*sorted(INPUTS), "on-path"])
+    def test_run_and_experiment_print_the_same_error(self, tmp_path, name):
+        # Both load and reduce the input before they print the seed line.
+        path = tmp_path / "g.txt"
+        path.write_text(self.INPUTS.get(name, self.ON_PATH))
+        ran = invoke(["run", "--seed", "0", str(path)])
+        experimented = invoke(["experiment", "--seed", "0", "--trials", "1", "--graph", str(path)])
+        assert ran == experimented
+        code, out, err = ran
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_every_command_ignores_a_lost_weight_off_the_terminal_paths(self, tmp_path, command):

@@ -3,11 +3,12 @@ import math
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spr import Instance, WeightedGraph, build_graph, exact_minor
+from spr import GrowthParams, Instance, WeightedGraph, build_graph, exact_minor
 from spr import graph as graph_module
 from spr.graph import Skeleton, _walk
 from spr.errors import (
@@ -859,6 +860,37 @@ class TestInstance:
         rows = [heap_dijkstra(inst.graph, t) for t in inst.terminals]
         for v in range(15):
             assert best[v] == min(row[v] for row in rows)
+
+
+LINE3 = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+NOT_INTEGERS = {
+    "delta-bool": (lambda: GrowthParams(delta=True), ValueError),
+    "c3-bool": (lambda: GrowthParams(c3=True), ValueError),
+    "seed-bool": (lambda: GrowthParams(seed=True), ValueError),
+    "seed-float": (lambda: GrowthParams(seed=3.0), ValueError),
+    "max-rounds-float": (lambda: GrowthParams(max_rounds=2.5), ValueError),
+    "max-rounds-bool": (lambda: GrowthParams(max_rounds=True), ValueError),
+    "terminal-float": (lambda: Instance(LINE3, [0.0, 2]), GraphError),
+    "terminal-bool": (lambda: Instance(LINE3, [True, 2]), GraphError),
+    "endpoint-bool": (lambda: build_graph(2, [(True, 0, 1.0)]), GraphError),
+    "endpoint-float": (lambda: build_graph(2, [(0, 1.0, 1.0)]), GraphError),
+}
+
+
+class TestOneIntegerRule:
+    """Ids and counts are ints or other Integrals (numpy's too), never bools or floats."""
+
+    @pytest.mark.parametrize("name", sorted(NOT_INTEGERS))
+    def test_refused(self, name):
+        make, error = NOT_INTEGERS[name]
+        with pytest.raises(error, match="integer|bool"):
+            make()
+
+    def test_numpy_integers_are_accepted(self):
+        g = build_graph(3, [(np.int64(0), np.int32(1), 1.0), (1, np.uint8(2), 1.0)])
+        assert Instance(g, [np.int64(0), 2]).k == 2
+        params = GrowthParams(seed=np.uint64(5), max_rounds=np.int64(3))
+        assert (params.seed, params.max_rounds) == (5, 3)
 
 
 HUGE_WEIGHTS = (1e16, 3e16, 0.5, 1.0, 2.0, 3.0)  # 1e16 + 1.0 rounds to 1e16
